@@ -388,6 +388,8 @@ def format_word(w: Word) -> str:
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:
     text = text.strip()
+    if not text:
+        raise VdkError("empty word; the bare root is spelled 'r:', e.g. '1:'")
     if ":" in text:
         head, _, rest = text.partition(":")
         try:

@@ -15,8 +15,6 @@ independent lower bounds approaching the norm from below.
 
 from __future__ import annotations
 
-import multiprocessing
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -144,61 +142,42 @@ def pingpong_verify(cert: PingPongCertificate) -> bool:
 # convolution counts: closed walks in the Cayley graph of <F>
 
 
-def _key(packed) -> bytes:
-    flat = array("Q")
-    for w, r in packed:
-        flat.append(w)
-        flat.append(r)
-    return flat.tobytes()
-
-
-def _unkey(key: bytes):
-    flat = array("Q")
-    flat.frombytes(key)
-    it = iter(flat)
-    return tuple(zip(it, it))
-
-
-def _expand_shard(args):
-    items, gens, d, k = args
-    out: dict[bytes, int] = {}
-    for gpairs, cnt in items:
-        for ghr in gens:
-            pk = _key(_compose_rs(gpairs, ghr, d, k))
-            out[pk] = out.get(pk, 0) + cnt
-    return out
-
-
 def convolution_count(f: SymmetricSet, length: int, workers: int = 1) -> int:
     """Number of length-`length` words over F multiplying to the identity.
 
-    Dynamic program over canonical forms, sphere by sphere; the result
-    to the power 1/length is a lower bound for ||sum_s lambda_s||.
-    Deterministic for any worker count.
+    Meet in the middle: with N(g) the number of words of half length
+    L = length/2 that evaluate to g, the count is sum_g N(g) N(g^-1).
+    Only the L spheres up to the middle are expanded, as a dict keyed by
+    canonical packed tables, and each g^-1 is computed and looked up, so
+    no symmetry of N is assumed.  The result to the power 1/length is a
+    lower bound for ||sum_s lambda_s||.  `workers` is accepted for
+    compatibility and must be at least 1; otherwise it is ignored, and
+    the count runs in the calling process.
     """
     if not f.symmetric:
         raise NotSymmetric("convolution counts need an inverse-closed set")
     if length < 2 or length % 2 != 0:
         raise VdkError("word length must be even and at least 2, got %d" % length)
+    if workers < 1:
+        raise VdkError("workers must be at least 1, got %d" % workers)
     a = f.elements[0].alphabet
     for el in f.elements:
         if el.alphabet != a:
             raise MismatchedAlphabet("mixed alphabets in symmetric set")
-    gens = [tuple(_range_sorted(el.packed, a.d)) for el in f.elements]
-    cur = {_key(identity(a).packed): 1}
-    for _ in range(length - 1):
-        items = [(_unkey(key), cnt) for key, cnt in cur.items()]
-        if workers > 1 and len(items) >= 4 * workers:
-            shards = [(items[w::workers], gens, a.d, a.k) for w in range(workers)]
-            with multiprocessing.Pool(workers) as pool:
-                parts = pool.map(_expand_shard, shards)
-        else:
-            parts = [_expand_shard((items, gens, a.d, a.k))]
-        cur = parts[0]
-        for extra in parts[1:]:
-            for pk, cnt in extra.items():
-                cur[pk] = cur.get(pk, 0) + cnt
-    return sum(cur.get(_key(inverse(el).packed), 0) for el in f.elements)
+    d, k = a.d, a.k
+    gens = [tuple(_range_sorted(el.packed, d)) for el in f.elements]
+    sphere = {identity(a).packed: 1}
+    for _ in range(length // 2):
+        nxt: dict[tuple, int] = {}
+        for g, cnt in sphere.items():
+            for h in gens:
+                gh = _compose_rs(g, h, d, k)
+                nxt[gh] = nxt.get(gh, 0) + cnt
+        sphere = nxt
+    return sum(
+        cnt * sphere.get(inverse(TableElement(a, g)).packed, 0)
+        for g, cnt in sphere.items()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -329,7 +329,7 @@ def _build() -> _Parser:
     q = xsub.add_parser("convolution-count", parents=[common], help="closed-walk count at a word length")
     q.add_argument("--fixture", default="free2")
     q.add_argument("--len", dest="length", type=int, default=12, help="even word length (default 12)")
-    q.add_argument("--workers", type=int, default=1, help="parallel workers (deterministic result)")
+    q.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
     q.set_defaults(handler=h_certificate_convolution, command="certificate convolution-count")
 
     p = sub.add_parser("transporter", parents=[common], help="element carrying one cylinder onto another")

@@ -28,6 +28,7 @@ from vdk import (
     mu,
     parse_clopen,
     parse_point,
+    parse_table,
     parse_word,
     point_normalize,
     split,
@@ -110,6 +111,32 @@ def test_word_format_roundtrip():
     assert format_word(Word(A22, 2, ())) == "2:"
     assert format_word(Word(A21, 1, ())) == "1:"
     assert parse_word(A21, "1:") == Word(A21, 1, ())
+
+
+@pytest.mark.parametrize("text", ["", "  ", "\t"])
+def test_word_rejects_empty_text(text):
+    # the bare root is spelled "1:"; an empty item must not stand for it
+    for a in (A21, A22):
+        with pytest.raises(VdkError, match="empty word"):
+            parse_word(a, text)
+
+
+@pytest.mark.parametrize("text", ["{,}", "{1,}", "{,1}", "{1, ,2}"])
+def test_clopen_rejects_empty_item(text):
+    with pytest.raises(VdkError, match="empty word"):
+        parse_clopen(A21, text)
+
+
+def test_table_rejects_empty_word():
+    with pytest.raises(VdkError, match="empty word"):
+        parse_table(A21, "{1->,2->1}")
+
+
+def test_clopen_bare_root_and_empty_point_prefix_still_parse():
+    assert parse_clopen(A21, "{1:}") == whole_space(A21)
+    assert parse_clopen(A21, "{}") == empty_clopen(A21)
+    assert format_point(parse_point(A21, "(12)^inf")) == "(12)^inf"
+    assert parse_point(A21, "(1)^inf") == point_normalize(Word(A21, 1, ()), (1,))
 
 
 # ---------------------------------------------------------------------------

@@ -192,8 +192,46 @@ def test_free_norm_rejects_rank_one():
 
 def test_convolution_tree_oracle(free2):
     f, cert = free2
-    for length in (2, 4, 6, 8):
+    for length in (2, 4, 6, 8, 10, 12, 14, 16):
         assert convolution_count(f, length) == tree_walk_count(4, length)
+    assert tree_walk_count(4, 16) == 20275660
+
+
+def naive_closed_walks(gens, length: int) -> int:
+    """Closed words of the given length, walked letter by letter.
+
+    Uses only compose and identity: the first length - 1 letters are
+    expanded into a multiset of elements, and a last letter s closes a
+    word exactly when the element so far is the t in gens with t.s = 1.
+    """
+    e = identity(gens[0].alphabet)
+    walk = {e: 1}
+    for _ in range(length - 1):
+        nxt = {}
+        for g, ways in walk.items():
+            for s in gens:
+                h = compose(g, s)
+                nxt[h] = nxt.get(h, 0) + ways
+        walk = nxt
+    return sum(walk.get(t, 0) for s in gens for t in set(gens) if compose(t, s) == e)
+
+
+def test_convolution_thompson_f_naive_walk():
+    # Thompson's group F is not free: the relator [y0 y1^-1, y0^-1 y1 y0]
+    # has length 10, so c_10 exceeds the free value of the 4-regular tree
+    x0 = parse_table(A21, "{11->1,12->21,2->22}")
+    x1 = parse_table(A21, "{1->1,21->211,221->212,222->22}")
+    gens = [x0, inverse(x0), x1, inverse(x1)]
+    f = symmetric_set(gens)
+    # the relator holds for y0 = x0^-1, y1 = x1, multiplied with compose
+    y0, y1 = inverse(x0), x1
+    a = compose(y0, inverse(y1))
+    b = compose(inverse(y0), compose(y1, y0))
+    assert compose(a, b) == compose(b, a)
+    for length in (2, 4, 6, 8, 10):
+        assert convolution_count(f, length) == naive_closed_walks(gens, length)
+    assert convolution_count(f, 8) == tree_walk_count(4, 8)
+    assert convolution_count(f, 10) == 19884 > tree_walk_count(4, 10) == 19864
 
 
 def test_convolution_frozen_values(free2):
@@ -250,6 +288,25 @@ def test_convolution_rejects_invalid():
         convolution_count(f, 3)
     with pytest.raises(VdkError):
         convolution_count(f, 0)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_convolution_rejects_bad_workers(free2, workers):
+    f, cert = free2
+    with pytest.raises(VdkError, match="workers must be at least 1, got %d" % workers):
+        convolution_count(f, 4, workers=workers)
+
+
+def test_convolution_workers_start_no_process(free2, monkeypatch):
+    import multiprocessing
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("convolution_count started a process")
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    f, cert = free2
+    assert convolution_count(f, 8, workers=4) == 2092
 
 
 # ---------------------------------------------------------------------------

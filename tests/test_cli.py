@@ -1,11 +1,13 @@
 """Command-line surface: canonical text, JSON envelopes, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import vdk
 from vdk.cli import main
 
 
@@ -87,6 +89,36 @@ def test_exit_2_domain_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("measure", "{,}"),
+        ("measure", "{1,}"),
+        ("reduce", "{1->,2->1}"),
+    ],
+)
+def test_exit_2_empty_word_item(capsys, argv):
+    # empty list items used to parse as the bare root, i.e. the whole space
+    code, out, err = run_cli(capsys, *argv, "--d", "2", "--k", "1")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: empty word")
+
+
+def test_bare_root_item_still_parses(capsys):
+    code, out, _ = run_cli(capsys, "measure", "--d", "2", "--k", "1", "{1:}")
+    assert (code, out) == (0, "1\n")
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_exit_2_bad_workers(capsys, workers):
+    code, out, err = run_cli(
+        capsys, "certificate", "convolution-count", "--len", "4", "--workers", workers
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: workers must be at least 1, got %s\n" % workers
 
 
 def test_exit_3_inconclusive(capsys):
@@ -265,8 +297,12 @@ def test_byte_stable_subprocess():
         "--fixture", "free2",
         "--json",
     ]
-    first = subprocess.run(argv, capture_output=True, text=True)
-    second = subprocess.run(argv, capture_output=True, text=True)
+    # the child imports the same vdk as this test, however it was found
+    src = os.path.dirname(os.path.dirname(vdk.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    first = subprocess.run(argv, capture_output=True, text=True, env=env)
+    second = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.endswith("\n")
