@@ -225,21 +225,24 @@ def clopen_normalize(alphabet: Alphabet, words) -> Clopen:
     for ls in sorted(items, key=len):
         if not any(ls[:j] in kept for j in range(1, len(ls))):
             kept.add(ls)
-    # merge complete sibling families bottom-up
-    changed = True
-    while changed:
-        changed = False
-        for ls in sorted(kept, key=len, reverse=True):
-            if len(ls) < 2 or ls not in kept:
-                continue
-            fam = [ls[:-1] + (i,) for i in range(1, d + 1)]
-            if all(f in kept for f in fam):
-                kept.difference_update(fam)
-                kept.add(ls[:-1])
-                changed = True
-    out = tuple(
-        Word(alphabet, ls[0], ls[1:]) for ls in sorted(kept)
-    )
+    # merge complete sibling families: kept holds distinct words, so a
+    # parent with d kept children has all of them; counting children
+    # keeps every allocation proportional to the input, not to d
+    counts: dict = {}
+    for ls in kept:
+        if len(ls) > 1:
+            counts[ls[:-1]] = counts.get(ls[:-1], 0) + 1
+    full = [p for p, c in counts.items() if c == d]
+    while full:
+        p = full.pop()
+        kept.difference_update(p + (i,) for i in range(1, d + 1))
+        kept.add(p)
+        if len(p) > 1:
+            q = p[:-1]
+            counts[q] = counts.get(q, 0) + 1
+            if counts[q] == d:
+                full.append(q)
+    out = tuple(Word(alphabet, ls[0], ls[1:]) for ls in sorted(kept))
     return Clopen(alphabet, out)
 
 
@@ -369,7 +372,9 @@ def _parse_tail(alphabet: Alphabet, text: str) -> tuple[int, ...]:
     if not text:
         return ()
     if "." in text or alphabet.d > 9:
-        parts = [p for p in text.split(".") if p]
+        parts = text.split(".")
+        if "" in parts:
+            raise VdkError("empty letter between dots in %r" % text)
     else:
         parts = list(text)
     try:

@@ -29,10 +29,9 @@ from .errors import (
     VdkError,
 )
 from .measure import QuadraticValue, integral_sqrt_rn, quad_compare, quadratic
+from .prefixcode import normal_form, sort_pairs, swap, walk
 from .tables import (
     TableElement,
-    _compose_rs,
-    _range_sorted,
     act_clopen,
     embed_supported,
     identity,
@@ -165,19 +164,16 @@ def convolution_count(f: SymmetricSet, length: int, workers: int = 1) -> int:
         if el.alphabet != a:
             raise MismatchedAlphabet("mixed alphabets in symmetric set")
     d, k = a.d, a.k
-    gens = [tuple(_range_sorted(el.packed, d)) for el in f.elements]
+    gens = [sort_pairs(el.packed, d, 1) for el in f.elements]
     sphere = {identity(a).packed: 1}
     for _ in range(length // 2):
         nxt: dict[tuple, int] = {}
         for g, cnt in sphere.items():
             for h in gens:
-                gh = _compose_rs(g, h, d, k)
+                gh = normal_form(walk(g, h, d), d, k)
                 nxt[gh] = nxt.get(gh, 0) + cnt
         sphere = nxt
-    return sum(
-        cnt * sphere.get(inverse(TableElement(a, g)).packed, 0)
-        for g, cnt in sphere.items()
-    )
+    return sum(cnt * sphere.get(swap(g, d, k), 0) for g, cnt in sphere.items())
 
 
 # ---------------------------------------------------------------------------

@@ -35,17 +35,17 @@ from .errors import (
     OverlappingBoxes,
     VdkError,
 )
-from .tables import (
-    _LEN_BITS,
-    _LEN_MASK,
-    TableElement,
-    _check_code,
-    _code_complete,
-    _reduce_packed,
-    _sort_pairs,
-    pack_word,
+from .prefixcode import (
+    canonical,
+    cell_index,
+    check_code,
+    normal_form,
+    sort_pairs,
+    swap,
     unpack_word,
+    walk,
 )
+from .tables import TableElement
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,37 +136,27 @@ def make_bisection(cells, alphabet: Alphabet | None = None) -> Bisection:
 
     The empty bisection is allowed; pass the alphabet explicitly for it.
     """
-    words = []
+    pairs = set()
     for c in cells:
         if isinstance(c, DoubleCylinder):
-            words.append((c.range_word, c.domain_word))
+            pairs.add((c.domain_word, c.range_word))
         else:
             nu, mu = c
-            words.append((nu, mu))
-    if not words:
+            pairs.add((mu, nu))
+    if not pairs:
         if alphabet is None:
             raise VdkError("empty bisection needs an explicit alphabet")
         return Bisection(alphabet, ())
-    alphabet = check_same_alphabet(*[w for p in words for w in p])
+    alphabet = check_same_alphabet(*[w for p in pairs for w in p])
     if alphabet.m != 1:
         raise ArityMismatch("bisections are single-factor; use BoxTable for m > 1")
-    packed = sorted({(pack_word(mu), pack_word(nu)) for nu, mu in words})
-    _check_code(alphabet, [p[0] for p in packed], "domain", complete=False)
-    _check_code(alphabet, [p[1] for p in packed], "range", complete=False)
-    if alphabet.k == 1 and len(packed) == 1 and packed[0] == (1, 1):
-        # the identity over the whole space; expand one level, as tables do
-        packed = [((i << _LEN_BITS) | 2, (i << _LEN_BITS) | 2) for i in range(alphabet.d)]
-    packed = tuple(
-        _reduce_packed(_sort_pairs(packed, alphabet.d), alphabet.d, alphabet.k)
-    )
-    return Bisection(alphabet, packed)
+    return Bisection(alphabet, canonical(alphabet, pairs, complete=False))
 
 
 def is_full(u: Bisection) -> bool:
     """Both the domain words and the range words cover the whole space."""
-    return _code_complete(u.alphabet, [p[0] for p in u.packed]) and _code_complete(
-        u.alphabet, [p[1] for p in u.packed]
-    )
+    a = u.alphabet
+    return check_code(a, u.packed, "domain") and check_code(a, u.packed, "range")
 
 
 def to_table(u: Bisection) -> TableElement:
@@ -184,62 +174,25 @@ def from_table(g: TableElement) -> Bisection:
 def bisection_compose(u: Bisection, v: Bisection) -> Bisection:
     """All products of composable germs, u after v; degrees add cellwise."""
     a = check_same_alphabet(u, v)
-    out = []
-    for vd, vr in v.packed:
-        lv = vr & _LEN_MASK
-        cv = vr >> _LEN_BITS
-        for ud, ur in u.packed:
-            la = ud & _LEN_MASK
-            ca = ud >> _LEN_BITS
-            if la <= lv:
-                # u-domain word is an ancestor of (or equals) v-range word
-                delta = lv - la
-                if cv // a.d**delta == ca:
-                    t = cv % a.d**delta
-                    out.append(
-                        (
-                            vd,
-                            (((ur >> _LEN_BITS) * a.d**delta + t) << _LEN_BITS)
-                            | ((ur & _LEN_MASK) + delta),
-                        )
-                    )
-            else:
-                delta = la - lv
-                if ca // a.d**delta == cv:
-                    t = ca % a.d**delta
-                    out.append(
-                        (
-                            (((vd >> _LEN_BITS) * a.d**delta + t) << _LEN_BITS)
-                            | ((vd & _LEN_MASK) + delta),
-                            ur,
-                        )
-                    )
-    if not out:
-        return Bisection(a, ())
-    packed = tuple(_reduce_packed(_sort_pairs(out, a.d), a.d, a.k))
-    return Bisection(a, packed)
+    cells = walk(u.packed, sort_pairs(v.packed, a.d, 1), a.d)
+    return Bisection(a, normal_form(cells, a.d, a.k))
 
 
 def bisection_inverse(u: Bisection) -> Bisection:
     """Cellwise inverse: swap domain and range, negate degrees."""
-    if not u.packed:
-        return u
-    swapped = [(r, w) for w, r in u.packed]
-    packed = tuple(_reduce_packed(_sort_pairs(swapped, u.alphabet.d), u.alphabet.d, u.alphabet.k))
-    return Bisection(u.alphabet, packed)
+    return Bisection(u.alphabet, swap(u.packed, u.alphabet.d, u.alphabet.k))
 
 
 def bisection_act(u: Bisection, x: Point) -> Point:
     """u.x = r((s restricted to u)^{-1}(x)); x must lie in the source."""
     check_same_alphabet(u, x)
-    a = u.alphabet
-    for w, r in u.packed:
-        mu = unpack_word(a, w)
-        if x.letters(len(mu)) == mu.letters:
-            nu = unpack_word(a, r)
-            fin, per = x.tail_stream(len(mu.tail))
-            return point_normalize(Word(a, nu.root, nu.tail + fin), per)
-    raise VdkError("point %s is outside the source of the bisection" % x)
+    i = cell_index(u.packed, x)
+    if i is None:
+        raise VdkError("point %s is outside the source of the bisection" % x)
+    c = u.cells[i]
+    nu = c.range_word
+    fin, per = x.tail_stream(len(c.domain_word.tail))
+    return point_normalize(Word(u.alphabet, nu.root, nu.tail + fin), per)
 
 
 # ---------------------------------------------------------------------------

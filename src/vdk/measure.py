@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .cantor import Clopen, Point, Word, check_same_alphabet
 from .errors import VdkError
+from .prefixcode import cell_index
 from .tables import TableElement, act_clopen, act_point, compose
 
 
@@ -214,10 +215,11 @@ def rn_profile(g: TableElement) -> tuple[tuple[Word, int], ...]:
 def rn_exponent(g: TableElement, x: Point) -> int:
     """Exponent j with dgmu/dmu = d^j on the block of g containing x."""
     check_same_alphabet(g, x)
-    for mu_w, nu_w in g.pairs:
-        if x.letters(len(mu_w)) == mu_w.letters:
-            return len(mu_w) - len(nu_w)
-    raise VdkError("no domain block matches point %s" % x)
+    i = cell_index(g.packed, x)
+    if i is None:
+        raise VdkError("no domain block matches point %s" % x)
+    mu_w, nu_w = g.pairs[i]
+    return len(mu_w) - len(nu_w)
 
 
 def cocycle_chain_check(g: TableElement, h: TableElement, x: Point) -> bool:

@@ -11,10 +11,8 @@ an empty string; canonical tables therefore stop merging one level
 early and the k = 1 identity is {1->1, ..., d->d}.  Composition follows
 (g compose h)(x) = g(h(x)).
 
-Internally a word is packed into a single integer, (code << 6) | length,
-where code is the mixed-radix value of (root-1, tail letters-1); the
-merge-based composition then runs on machine integers, which is what
-makes million-element Cayley ball enumeration feasible.
+The packed layout and the code algorithms behind all of this live in
+vdk.prefixcode.
 """
 
 from __future__ import annotations
@@ -30,201 +28,18 @@ from .cantor import (
     parse_word,
     point_normalize,
 )
-from .errors import (
-    ArityMismatch,
-    IncompleteDomain,
-    IncompleteRange,
-    MismatchedAlphabet,
-    OverlappingDomain,
-    OverlappingRange,
-    TransportImpossible,
-    VdkError,
+from .errors import ArityMismatch, TransportImpossible, VdkError
+from .prefixcode import (
+    canonical,
+    cell_index,
+    identity_pairs,
+    normal_form,
+    pack_word,  # noqa: F401  re-exported
+    sort_pairs,
+    swap,
+    unpack_word,
+    walk,
 )
-
-_LEN_BITS = 6
-_LEN_MASK = 63
-
-_pow_cache: dict[int, list[int]] = {}
-
-
-def _pows(d: int, upto: int = 64) -> list[int]:
-    tab = _pow_cache.get(d)
-    if tab is None or len(tab) <= upto:
-        tab = [d**i for i in range(upto + 1)]
-        _pow_cache[d] = tab
-    return tab
-
-
-def pack_word(w: Word) -> int:
-    code = w.root - 1
-    d = w.alphabet.d
-    for t in w.tail:
-        code = code * d + (t - 1)
-    return (code << _LEN_BITS) | (len(w.tail) + 1)
-
-
-def unpack_word(alphabet: Alphabet, packed: int) -> Word:
-    length = packed & _LEN_MASK
-    code = packed >> _LEN_BITS
-    tail = []
-    for _ in range(length - 1):
-        code, r = divmod(code, alphabet.d)
-        tail.append(r + 1)
-    tail.reverse()
-    return Word(alphabet, code + 1, tuple(tail))
-
-
-def _sort_pairs(pairs, d):
-    """Sort packed (dom, ran) pairs lexicographically by domain word."""
-    pows = _pows(d)
-    maxlen = max(p[0] & _LEN_MASK for p in pairs)
-    return sorted(pairs, key=lambda p: ((p[0] >> _LEN_BITS) * pows[maxlen - (p[0] & _LEN_MASK)], p[0] & _LEN_MASK))
-
-
-def _check_code(alphabet, packed_words, side, complete=True):
-    """Prefix code check; raises Overlapping* and, when required, Incomplete*."""
-    d, k = alphabet.d, alphabet.k
-    pows = _pows(d, 64 + max(w & _LEN_MASK for w in packed_words))
-    maxlen = max(w & _LEN_MASK for w in packed_words)
-    keyed = sorted(
-        ((w >> _LEN_BITS) * pows[maxlen - (w & _LEN_MASK)], w & _LEN_MASK, w)
-        for w in packed_words
-    )
-    overlap_err = OverlappingDomain if side == "domain" else OverlappingRange
-    for (k1, l1, w1), (k2, l2, w2) in zip(keyed, keyed[1:]):
-        if l1 <= l2 and (w2 >> _LEN_BITS) // pows[l2 - l1] == (w1 >> _LEN_BITS):
-            raise overlap_err(
-                "%s words %s and %s overlap"
-                % (side, unpack_word(alphabet, w1), unpack_word(alphabet, w2))
-            )
-    if not complete:
-        return
-    mass = sum(pows[maxlen - (w & _LEN_MASK)] for w in packed_words)
-    if mass != k * pows[maxlen - 1]:
-        err = IncompleteDomain if side == "domain" else IncompleteRange
-        raise err(
-            "%s words cover %d/%d leaves at depth %d"
-            % (side, mass, k * pows[maxlen - 1], maxlen)
-        )
-
-
-def _code_complete(alphabet, packed_words) -> bool:
-    """Whether an antichain of packed words covers the whole space."""
-    if not packed_words:
-        return False
-    d, k = alphabet.d, alphabet.k
-    maxlen = max(w & _LEN_MASK for w in packed_words)
-    pows = _pows(d, maxlen + 1)
-    mass = sum(pows[maxlen - (w & _LEN_MASK)] for w in packed_words)
-    return mass == k * pows[maxlen - 1]
-
-
-def _reduce_packed(pairs, d, k):
-    """Merge aligned sibling families; pairs must be domain-sorted."""
-    minlen = 3 if k == 1 else 2
-    pairs = list(pairs)
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        i = 0
-        n = len(pairs)
-        while i < n:
-            if i + d <= n:
-                w, r = pairs[i]
-                lw = w & _LEN_MASK
-                lr = r & _LEN_MASK
-                if lw >= minlen and lr >= minlen:
-                    wc = w >> _LEN_BITS
-                    rc = r >> _LEN_BITS
-                    if wc % d == 0 and rc % d == 0:
-                        for j in range(1, d):
-                            w2, r2 = pairs[i + j]
-                            if w2 != ((wc + j) << _LEN_BITS | lw) or r2 != (
-                                (rc + j) << _LEN_BITS | lr
-                            ):
-                                break
-                        else:
-                            out.append(
-                                (
-                                    (wc // d) << _LEN_BITS | (lw - 1),
-                                    (rc // d) << _LEN_BITS | (lr - 1),
-                                )
-                            )
-                            i += d
-                            changed = True
-                            continue
-            out.append(pairs[i])
-            i += 1
-        pairs = out
-    return pairs
-
-
-def _range_sorted(pairs, d):
-    pows = _pows(d)
-    maxlen = max(p[1] & _LEN_MASK for p in pairs)
-    return sorted(pairs, key=lambda p: ((p[1] >> _LEN_BITS) * pows[maxlen - (p[1] & _LEN_MASK)], p[1] & _LEN_MASK))
-
-
-def _compose_rs(gpairs, h_by_range, d, k):
-    """Canonical packed table of g compose h.
-
-    gpairs is domain-sorted, h_by_range is the same table as h but
-    sorted by range word.  Walks the two complete prefix codes as a
-    merge: both tile the space in lexicographic order, so at each step
-    the current h-range cell and g-domain cell are comparable.
-    """
-    pows = _pows(d)
-    out = []
-    gi = 0
-    gd, gr = gpairs[0]
-    for hd, hr in h_by_range:
-        lv = hr & _LEN_MASK
-        cv = hr >> _LEN_BITS
-        while True:
-            la = gd & _LEN_MASK
-            if la == lv:
-                # identical cells; both end here
-                out.append((hd, gr))
-                gi += 1
-                if gi < len(gpairs):
-                    gd, gr = gpairs[gi]
-                break
-            if lv < la:
-                # g-domain cell sits strictly inside the h-range cell; it is
-                # the t-th leaf slot, and the h cell ends with the last slot
-                delta = la - lv
-                t = (gd >> _LEN_BITS) % pows[delta]
-                out.append(
-                    (
-                        (((hd >> _LEN_BITS) * pows[delta] + t) << _LEN_BITS)
-                        | ((hd & _LEN_MASK) + delta),
-                        gr,
-                    )
-                )
-                gi += 1
-                if gi < len(gpairs):
-                    gd, gr = gpairs[gi]
-                if t == pows[delta] - 1 or gi >= len(gpairs):
-                    break
-                continue
-            # h-range cell sits strictly inside the g-domain cell (t-th slot);
-            # when it is the last slot the g cell ends here as well
-            delta = lv - la
-            t = cv % pows[delta]
-            out.append(
-                (
-                    hd,
-                    (((gr >> _LEN_BITS) * pows[delta] + t) << _LEN_BITS)
-                    | ((gr & _LEN_MASK) + delta),
-                )
-            )
-            if t == pows[delta] - 1:
-                gi += 1
-                if gi < len(gpairs):
-                    gd, gr = gpairs[gi]
-            break
-    return tuple(_reduce_packed(_sort_pairs(out, d), d, k))
 
 
 class TableElement:
@@ -305,45 +120,23 @@ def make_table(pairs) -> TableElement:
     alphabet = check_same_alphabet(*words)
     if alphabet.m != 1:
         raise ArityMismatch("tables are single-factor; use BoxTable for m > 1")
-    packed = [(pack_word(mu), pack_word(nu)) for mu, nu in pairs]
-    _check_code(alphabet, [p[0] for p in packed], "domain")
-    _check_code(alphabet, [p[1] for p in packed], "range")
-    if alphabet.k == 1 and len(packed) == 1:
-        # the bare-root pair is the identity; expand one level so the
-        # canonical form never contains the unprintable empty word
-        packed = [
-            (
-                (i << _LEN_BITS) | 2,
-                (i << _LEN_BITS) | 2,
-            )
-            for i in range(alphabet.d)
-        ]
-    packed = tuple(_reduce_packed(_sort_pairs(packed, alphabet.d), alphabet.d, alphabet.k))
-    return TableElement(alphabet, packed)
+    return TableElement(alphabet, canonical(alphabet, pairs, complete=True))
 
 
 def identity(alphabet: Alphabet) -> TableElement:
-    if alphabet.k == 1:
-        packed = tuple(((i << _LEN_BITS) | 2, (i << _LEN_BITS) | 2) for i in range(alphabet.d))
-    else:
-        packed = tuple(
-            ((r << _LEN_BITS) | 1, (r << _LEN_BITS) | 1) for r in range(alphabet.k)
-        )
-    return TableElement(alphabet, packed)
+    return TableElement(alphabet, identity_pairs(alphabet.d, alphabet.k))
 
 
 def compose(g: TableElement, h: TableElement) -> TableElement:
     """The element g compose h, acting by x -> g(h(x))."""
     a = check_same_alphabet(g, h)
-    packed = _compose_rs(g.packed, _range_sorted(h.packed, a.d), a.d, a.k)
-    return TableElement(a, packed)
+    cells = walk(g.packed, sort_pairs(h.packed, a.d, 1), a.d)
+    return TableElement(a, normal_form(cells, a.d, a.k))
 
 
 def inverse(g: TableElement) -> TableElement:
     a = g.alphabet
-    swapped = [(r, w) for w, r in g.packed]
-    packed = tuple(_reduce_packed(_sort_pairs(swapped, a.d), a.d, a.k))
-    return TableElement(a, packed)
+    return TableElement(a, swap(g.packed, a.d, a.k))
 
 
 def reduce(g: TableElement) -> TableElement:
@@ -357,13 +150,12 @@ def equals(g: TableElement, h: TableElement) -> bool:
 
 def act_point(g: TableElement, x: Point) -> Point:
     check_same_alphabet(g, x)
-    for mu, nu in g.pairs:
-        if x.letters(len(mu)) == mu.letters:
-            fin, per = x.tail_stream(len(mu.tail))
-            return point_normalize(
-                Word(x.alphabet, nu.root, nu.tail + fin), per
-            )
-    raise VdkError("no domain block matches point %s" % x)  # unreachable for valid tables
+    i = cell_index(g.packed, x)
+    if i is None:
+        raise VdkError("no domain block matches point %s" % x)  # unreachable for valid tables
+    mu, nu = g.pairs[i]
+    fin, per = x.tail_stream(len(mu.tail))
+    return point_normalize(Word(x.alphabet, nu.root, nu.tail + fin), per)
 
 
 def act_clopen(g: TableElement, s: Clopen) -> Clopen:
@@ -395,15 +187,14 @@ def probe_points(g: TableElement, h: TableElement) -> list[Point]:
     list contains the points cell.c^inf for c = 1, 2; two canonical
     tables are equal iff they act identically on all of these.
     """
-    check_same_alphabet(g, h)
-    cells = set()
-    for mu1, _ in g.pairs:
-        for mu2, _ in h.pairs:
-            if mu1.is_prefix_of(mu2):
-                cells.add(mu2)
-            elif mu2.is_prefix_of(mu1):
-                cells.add(mu1)
-    return [point_normalize(w, (c,)) for w in sorted(cells) for c in (1, 2)]
+    a = check_same_alphabet(g, h)
+    # the common refinement is the unreduced product of the two domain identities
+    cells = walk([(w, w) for w, _ in g.packed], [(w, w) for w, _ in h.packed], a.d)
+    return [
+        point_normalize(unpack_word(a, w), (c,))
+        for w, _ in sort_pairs(cells, a.d)
+        for c in (1, 2)
+    ]
 
 
 def transporter(nu1: Word, nu2: Word) -> TableElement:

@@ -132,6 +132,31 @@ def test_table_rejects_empty_word():
         parse_table(A21, "{1->,2->1}")
 
 
+@pytest.mark.parametrize(
+    "alphabet,text",
+    [(A21, "."), (A21, "1..2"), (A21, "1."), (A21, ".1"), (A22, "1:."), (A131, "10..2")],
+)
+def test_word_rejects_empty_dot_letter(alphabet, text):
+    # a lone dot used to read as the bare root, "1..2" as "12", "1." as "1"
+    with pytest.raises(VdkError, match="empty letter"):
+        parse_word(alphabet, text)
+
+
+def test_dot_separated_letters_still_parse():
+    assert parse_word(A131, "10.2.13") == Word(A131, 1, (10, 2, 13))
+    assert parse_word(A21, "1.2") == Word(A21, 1, (1, 2))
+    assert parse_word(A22, "2:") == Word(A22, 2, ())
+
+
+def test_normalize_merges_families_at_large_d():
+    # the huge-d case (no allocation of size d) runs in a memory-capped
+    # child in test_cli.py; this checks merging still happens at large d
+    a = Alphabet(1000, 2)
+    family = [Word(a, 2, (7, i)) for i in range(1, 1001)]
+    assert clopen_normalize(a, family) == parse_clopen(a, "{2:7}")
+    assert clopen_normalize(a, family + [Word(a, 2, (i,)) for i in range(1, 1001)]) == parse_clopen(a, "{2:}")
+
+
 def test_clopen_bare_root_and_empty_point_prefix_still_parse():
     assert parse_clopen(A21, "{1:}") == whole_space(A21)
     assert parse_clopen(A21, "{}") == empty_clopen(A21)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from random import Random
 
 import pytest
 
@@ -22,6 +23,26 @@ def run_usage_error(capsys, *argv):
         main(list(argv))
     out = capsys.readouterr()
     return exc.value.code, out.out, out.err
+
+
+def run_child(argv, memory_cap=None):
+    """Run `python -m vdk.cli argv` with the vdk this test imported."""
+    src = os.path.dirname(os.path.dirname(vdk.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def cap():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (memory_cap, memory_cap))
+
+    return subprocess.run(
+        [sys.executable, "-m", "vdk.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap if memory_cap else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +126,30 @@ def test_exit_2_empty_word_item(capsys, argv):
     assert (code, out) == (2, "")
     assert err.count("\n") == 1
     assert err.startswith("error: empty word")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("measure", "{.}"),
+        ("measure", "{1..2}"),
+        ("measure", "{1.}"),
+        ("measure", "--k", "2", "{1:.}"),
+    ],
+)
+def test_exit_2_empty_dot_letter(capsys, argv):
+    # empty dot-separated letters used to be dropped: "{.}" measured 1
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: empty letter")
+
+
+def test_measure_huge_d_within_memory_cap():
+    # normalizing used to list all d siblings of each word, which ended
+    # in a MemoryError (or the OOM killer); the cap keeps a relapse cheap
+    child = run_child(["measure", "--d", "99999999999", "{1}"], memory_cap=1 << 30)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "1/99999999999\n", "")
 
 
 def test_bare_root_item_still_parses(capsys):
@@ -286,9 +331,6 @@ def test_printed_tables_reparse(capsys):
 
 def test_byte_stable_subprocess():
     argv = [
-        sys.executable,
-        "-m",
-        "vdk.cli",
         "certificate",
         "check",
         "--d", "2",
@@ -297,12 +339,8 @@ def test_byte_stable_subprocess():
         "--fixture", "free2",
         "--json",
     ]
-    # the child imports the same vdk as this test, however it was found
-    src = os.path.dirname(os.path.dirname(vdk.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path)
-    first = subprocess.run(argv, capture_output=True, text=True, env=env)
-    second = subprocess.run(argv, capture_output=True, text=True, env=env)
+    first = run_child(argv)
+    second = run_child(argv)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.endswith("\n")
@@ -313,3 +351,59 @@ def test_mv_flag_accepted(capsys):
         capsys, "compose", "--d", "2", "--k", "1", "--m", "1", "{1->2,2->1}", "{1->2,2->1}"
     )
     assert (code, out) == (0, "{1->1,2->2}\n")
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzzing: every input ends in an exit code, never a traceback
+
+_FUZZ_LETTERS = "{}()^inf,->:<.0123456789"
+# one valid input per command; mutating them reaches the checks behind parsing
+_FUZZ_SEEDS = [
+    (("measure",), ("{11,2}",)),
+    (("act",), ("{11->1,12->21,2->22}", "2(1)^inf")),
+    (("act",), ("{11->1,12->21,2->22}", "{1,21}")),
+    (("compose",), ("{1->2,2->1}", "{11->1,12->21,2->22}")),
+    (("inverse",), ("{11->1,12->21,2->22}",)),
+    (("bisection", "to-table"), ("{2<-1,1<-2}",)),
+    (("cocycle", "integral-sqrt"), ("{11->1,12->21,2->22}",)),
+    (("tail", "related"), ("(1)^inf", "2(1)^inf")),
+]
+
+
+def _fuzz_text(rng, text):
+    """A random string over _FUZZ_LETTERS, or text after a few random edits."""
+    if rng.random() < 0.3:
+        return "".join(rng.choice(_FUZZ_LETTERS) for _ in range(rng.randrange(13)))
+    for _ in range(rng.randrange(4)):
+        i = rng.randrange(len(text) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:i] + rng.choice(_FUZZ_LETTERS) + text[i:]
+        elif edit == 1:
+            text = text[:i] + text[i + 1 :]
+        else:
+            text = text[:i] + rng.choice(_FUZZ_LETTERS) + text[i + 1 :]
+    return text
+
+
+def _fuzz_argvs():
+    rng = Random(2024)
+    argvs = [("measure", "{.}")]
+    for _ in range(1500):
+        command, texts = rng.choice(_FUZZ_SEEDS)
+        d, k = rng.choice([("2", "1"), ("2", "1"), ("3", "2"), ("11", "1")])
+        argvs.append(command + ("--d", d, "--k", k) + tuple(_fuzz_text(rng, t) for t in texts))
+    return argvs
+
+
+def test_cli_fuzz_exit_codes(capsys):
+    # the --d 99999999999 input runs in a memory-capped child above
+    for argv in _fuzz_argvs():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

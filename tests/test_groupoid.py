@@ -30,6 +30,7 @@ from vdk import (
     is_full,
     make_bisection,
     make_table,
+    member,
     mu,
     mv_act,
     mv_compose,
@@ -217,6 +218,35 @@ def test_compose_partial_germ_overlap():
     assert format_bisection(prod) == "{11<-21}"
     empty = bisection_compose(u, make_bisection([cell(A21, "2", "2")]))
     assert not empty.cells
+
+
+def test_partial_compose_pointwise():
+    # oracle: u after v, one point at a time, on cell.c^inf for every
+    # cell of v (catches missing product cells) and of u.v (wrong ones)
+    rng = Random(409)
+    alphabets = ALPHABETS + [Alphabet(2, 3)]
+    for i in range(500):
+        a = alphabets[i % len(alphabets)]
+        u = random_bisection(rng, a)
+        v = random_bisection(rng, a)
+        uv = bisection_compose(u, v)
+        u_source, uv_source = u.source(), uv.source()
+        for c in v.cells + uv.cells:
+            for letter in range(1, a.d + 1):
+                x = point_normalize(c.domain_word, (letter,))
+                y = bisection_act(v, x)
+                assert member(x, uv_source) == member(y, u_source)
+                if member(y, u_source):
+                    assert bisection_act(uv, x) == bisection_act(u, y)
+
+
+def test_compose_bare_root_identity_is_canonical():
+    # u^-1 u is the identity on the bare root, which must be expanded like
+    # the k = 1 identity table instead of printing as {1:<-1:}
+    u = parse_bisection(A21, "{11<-1:}")
+    prod = bisection_compose(bisection_inverse(u), u)
+    assert prod == from_table(identity(A21))
+    assert format_bisection(prod) == "{1<-1,2<-2}"
 
 
 def test_compose_mismatched_alphabet():
