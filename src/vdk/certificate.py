@@ -164,13 +164,13 @@ def convolution_count(f: SymmetricSet, length: int, workers: int = 1) -> int:
         if el.alphabet != a:
             raise MismatchedAlphabet("mixed alphabets in symmetric set")
     d, k = a.d, a.k
-    gens = [sort_pairs(el.packed, d, 1) for el in f.elements]
+    gens = [sort_pairs(el.packed, 1) for el in f.elements]
     sphere = {identity(a).packed: 1}
     for _ in range(length // 2):
         nxt: dict[tuple, int] = {}
         for g, cnt in sphere.items():
             for h in gens:
-                gh = normal_form(walk(g, h, d), d, k)
+                gh = normal_form(walk(g, h), d, k)
                 nxt[gh] = nxt.get(gh, 0) + cnt
         sphere = nxt
     return sum(cnt * sphere.get(swap(g, d, k), 0) for g, cnt in sphere.items())

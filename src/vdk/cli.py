@@ -1,14 +1,16 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage errors, 2 domain errors (any library
-error), 3 inconclusive certificate parameters.  All data output is
-byte-stable: canonical orderings everywhere, no timestamps.  --json
-wraps results as {command, params, result}.
+error, or running out of memory), 3 inconclusive certificate
+parameters.  All data output is byte-stable: canonical orderings
+everywhere, no timestamps.  --json wraps results as {command, params,
+result}.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -243,6 +245,7 @@ def h_selftest(args):
     return None, None, None, selftest_mod.run()
 
 
+@functools.cache
 def _build() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--d", type=int, default=2, help="branching degree (default 2)")
@@ -354,6 +357,9 @@ def main(argv=None) -> int:
         params, result, text, code = args.handler(args)
     except VdkError as e:
         print("error: %s" % e, file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     if params is not None:
         if args.json:

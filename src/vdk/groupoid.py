@@ -40,6 +40,7 @@ from .prefixcode import (
     cell_index,
     check_code,
     normal_form,
+    normal_words,
     sort_pairs,
     swap,
     unpack_word,
@@ -93,20 +94,17 @@ class Bisection:
         if self._cells is None:
             a = self.alphabet
             self._cells = tuple(
-                DoubleCylinder(unpack_word(a, r), unpack_word(a, w))
-                for w, r in self.packed
+                [DoubleCylinder(unpack_word(a, r), unpack_word(a, w)) for w, r in self.packed]
             )
         return self._cells
 
     def source(self) -> Clopen:
-        return clopen_normalize(
-            self.alphabet, [unpack_word(self.alphabet, w) for w, _ in self.packed]
-        )
+        a = self.alphabet
+        return Clopen(a, normal_words([w for w, _ in self.packed], a.d, a.k))
 
     def range(self) -> Clopen:
-        return clopen_normalize(
-            self.alphabet, [unpack_word(self.alphabet, r) for _, r in self.packed]
-        )
+        a = self.alphabet
+        return Clopen(a, normal_words([r for _, r in self.packed], a.d, a.k))
 
     def __eq__(self, other):
         return (
@@ -174,7 +172,7 @@ def from_table(g: TableElement) -> Bisection:
 def bisection_compose(u: Bisection, v: Bisection) -> Bisection:
     """All products of composable germs, u after v; degrees add cellwise."""
     a = check_same_alphabet(u, v)
-    cells = walk(u.packed, sort_pairs(v.packed, a.d, 1), a.d)
+    cells = walk(u.packed, sort_pairs(v.packed, 1))
     return Bisection(a, normal_form(cells, a.d, a.k))
 
 
@@ -186,7 +184,7 @@ def bisection_inverse(u: Bisection) -> Bisection:
 def bisection_act(u: Bisection, x: Point) -> Point:
     """u.x = r((s restricted to u)^{-1}(x)); x must lie in the source."""
     check_same_alphabet(u, x)
-    i = cell_index(u.packed, x)
+    i = cell_index([w for w, _ in u.packed], x)
     if i is None:
         raise VdkError("point %s is outside the source of the bisection" % x)
     c = u.cells[i]
@@ -313,12 +311,17 @@ class BoxTable:
         self.pairs = pairs
 
     def __eq__(self, other):
+        # _mv_reduce is greedy, so equal actions may have different
+        # tables; compare the actions instead
         return (
-            isinstance(other, BoxTable) and self.m == other.m and self.pairs == other.pairs
+            isinstance(other, BoxTable)
+            and self.m == other.m
+            and mv_compose(self, mv_inverse(other)).is_identity()
         )
 
     def __hash__(self):
-        return hash((self.m, self.pairs))
+        # a function of the action alone: the image of one fixed point tuple
+        return hash((self.m, mv_act(self, (_MV_PROBE,) * self.m)))
 
     def __mul__(self, other: BoxTable) -> BoxTable:
         return mv_compose(self, other)
@@ -384,6 +387,7 @@ def mv_inverse(g: BoxTable) -> BoxTable:
 
 
 _COORD_ALPHABET = Alphabet(2, 1)
+_MV_PROBE = point_normalize(Word(_COORD_ALPHABET, 1), (1, 1, 2))
 
 
 def mv_act(g: BoxTable, xs) -> tuple[Point, ...]:

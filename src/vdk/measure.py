@@ -16,16 +16,14 @@ from fractions import Fraction
 
 from .cantor import Clopen, Point, Word, check_same_alphabet
 from .errors import VdkError
-from .prefixcode import cell_index
+from .prefixcode import cell_index, leaves
 from .tables import TableElement, act_clopen, act_point, compose
 
 
 def mu(s: Clopen) -> Fraction:
     """Exact Bernoulli mass of a clopen set."""
-    a = s.alphabet
-    return sum(
-        (Fraction(1, a.k * a.d ** len(w.tail)) for w in s.words), Fraction(0)
-    )
+    covered, total, _ = leaves(s.packed, s.alphabet.d, s.alphabet.k)
+    return Fraction(covered, total)
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +207,13 @@ def quad_compare(u: QuadraticValue, v: QuadraticValue) -> str:
 
 def rn_profile(g: TableElement) -> tuple[tuple[Word, int], ...]:
     """Per-block cocycle exponents [(mu_i, |mu_i| - |nu_i|), ...]."""
-    return tuple((mu_w, len(mu_w) - len(nu_w)) for mu_w, nu_w in g.pairs)
+    return tuple([(mu_w, len(mu_w) - len(nu_w)) for mu_w, nu_w in g.pairs])
 
 
 def rn_exponent(g: TableElement, x: Point) -> int:
     """Exponent j with dgmu/dmu = d^j on the block of g containing x."""
     check_same_alphabet(g, x)
-    i = cell_index(g.packed, x)
+    i = cell_index([w for w, _ in g.packed], x)
     if i is None:
         raise VdkError("no domain block matches point %s" % x)
     mu_w, nu_w = g.pairs[i]

@@ -1,73 +1,81 @@
-"""Packed prefix codes: the data layer under tables, bisections and the convolution DP.
+"""Packed prefix codes: the data layer under tables, bisections, clopens and the convolution DP.
 
 A table {mu -> nu} and a bisection {nu <- mu} hold the same data: two
-prefix codes of X_{d,k}, paired cell by cell.  This module is the only
-one that knows how those codes are stored.
+prefix codes of X_{d,k}, paired cell by cell; a clopen set is a single
+prefix code that need not cover the space.  This module is the only one
+that knows how those codes are stored.
 
-A finite word is packed into one integer, (code << 6) | length, where
-length counts the root letter and code is the mixed-radix value of
-(root - 1, tail letters - 1): the root digit, then one base-d digit per
-tail letter.  The length field is 6 bits wide, so it holds words of up
-to 62 tail letters.  A cell is a (domain, range) pair of packed words.
+A finite word is packed into one integer whose binary form is a leading
+1 (the sentinel), then the root letter minus 1 in rb = (k-1).bit_length()
+bits, then each tail letter minus 1 in b = (d-1).bit_length() bits.  The
+length is read off the bit length, so words of any length pack.  With
+bl the bit length, w1 is a prefix of w2 exactly when
+w2 >> (bl2 - bl1) == w1; the children of a word w are w << b plus
+0, ..., d-1, and the parent of a tail word is w >> b.  Shifted left to a
+common bit length, packed words compare lexicographically.  A cell is a
+(domain, range) pair of packed words.
 
 A code is canonical when its pairs are sorted lexicographically by
 domain word and no aligned sibling family is left to merge, i.e. no d
 consecutive pairs (w.1 -> r.1, ..., w.d -> r.d) that could be written
 as the single pair w -> r.  For k = 1 the bare root names the whole
-space and would print as an empty word, so merging stops one level
-early and the k = 1 identity is {1->1, ..., d->d}.
+space and would print as an empty word, so cells stop merging one level
+early and the k = 1 identity is {1->1, ..., d->d}.  A canonical clopen
+is a sorted antichain of words whose families merge up to the roots.
 """
 
 from __future__ import annotations
 
-from .cantor import Alphabet, Point, Word
 from .errors import IncompleteDomain, IncompleteRange, OverlappingDomain, OverlappingRange
-
-_LEN_BITS = 6
-_LEN_MASK = 63
-
-_pow_cache: dict[int, list[int]] = {}
+from .words import Alphabet, Word
 
 
-def _pows(d: int, upto: int = 64) -> list[int]:
-    tab = _pow_cache.get(d)
-    if tab is None or len(tab) <= upto:
-        tab = [d**i for i in range(upto + 1)]
-        _pow_cache[d] = tab
-    return tab
+def _widths(d: int, k: int) -> tuple[int, int]:
+    """Bits of the root letter and of each tail letter."""
+    return (k - 1).bit_length(), (d - 1).bit_length()
 
 
 def pack_word(w: Word) -> int:
-    code = w.root - 1
-    d = w.alphabet.d
+    rb, b = _widths(w.alphabet.d, w.alphabet.k)
+    code = (1 << rb) | (w.root - 1)
     for t in w.tail:
-        code = code * d + (t - 1)
-    return (code << _LEN_BITS) | (len(w.tail) + 1)
+        code = (code << b) | (t - 1)
+    return code
 
 
 def unpack_word(alphabet: Alphabet, packed: int) -> Word:
-    length = packed & _LEN_MASK
-    code = packed >> _LEN_BITS
-    tail = []
-    for _ in range(length - 1):
-        code, r = divmod(code, alphabet.d)
-        tail.append(r + 1)
-    tail.reverse()
-    return Word(alphabet, code + 1, tuple(tail))
+    rb, b = _widths(alphabet.d, alphabet.k)
+    n = (packed.bit_length() - 1 - rb) // b
+    low = (1 << b) - 1
+    # built from a list, here and in the other code on packed words:
+    # tuple() of a generator guesses a size and resizes, which leaves
+    # CPython's per-size tuple free lists growing until a full collection
+    tail = tuple([(packed >> s & low) + 1 for s in range(b * (n - 1), -1, -b)])
+    return Word(alphabet, (packed >> b * n) - (1 << rb) + 1, tail)
 
 
-def sort_pairs(pairs, d: int, side: int = 0) -> list:
+def sort_pairs(pairs, side: int = 0) -> list:
     """Pairs sorted lexicographically by their domain (side 0) or range (side 1) word."""
-    pows = _pows(d)
-    maxlen = max((p[side] & _LEN_MASK for p in pairs), default=0)
+    top = max((p[side].bit_length() for p in pairs), default=0)
+    t = top.bit_length()
 
     def key(p):
-        # the code padded to maxlen letters, then the length: a prefix
-        # sorts right before its extensions
+        # the word shifted to the longest bit length, then its bit
+        # length: a prefix sorts right before its extensions
         w = p[side]
-        return (((w >> _LEN_BITS) * pows[maxlen - (w & _LEN_MASK)]) << _LEN_BITS) | (w & _LEN_MASK)
+        n = w.bit_length()
+        return (w << (top - n + t)) | n
 
     return sorted(pairs, key=key)
+
+
+def leaves(words, d: int, k: int) -> tuple[int, int, int]:
+    """(covered, total, depth): the words cover `covered` of the `total`
+    words of length `depth`, the longest length among them."""
+    rb, b = _widths(d, k)
+    tails = [(w.bit_length() - 1 - rb) // b for w in words]
+    e = max(tails, default=0)
+    return sum(d ** (e - t) for t in tails), k * d**e, e + 1
 
 
 def check_code(alphabet: Alphabet, pairs, side: str, complete: bool = False) -> bool:
@@ -78,41 +86,40 @@ def check_code(alphabet: Alphabet, pairs, side: str, complete: bool = False) -> 
     empty code covers nothing.
     """
     i = 0 if side == "domain" else 1
-    d, k = alphabet.d, alphabet.k
-    pows = _pows(d)
-    words = [p[i] for p in sort_pairs(pairs, d, i)]
+    words = [p[i] for p in sort_pairs(pairs, i)]
     # in lexicographic order a word and its extensions are contiguous,
     # so any overlap shows up between neighbours
     for w1, w2 in zip(words, words[1:]):
-        l1, l2 = w1 & _LEN_MASK, w2 & _LEN_MASK
-        if l1 <= l2 and (w2 >> _LEN_BITS) // pows[l2 - l1] == w1 >> _LEN_BITS:
+        s = w2.bit_length() - w1.bit_length()
+        if s >= 0 and w2 >> s == w1:
             err = OverlappingDomain if i == 0 else OverlappingRange
             raise err(
                 "%s words %s and %s overlap"
                 % (side, unpack_word(alphabet, w1), unpack_word(alphabet, w2))
             )
-    maxlen = max((w & _LEN_MASK for w in words), default=1)
-    mass = sum(pows[maxlen - (w & _LEN_MASK)] for w in words)
-    covered = mass == k * pows[maxlen - 1]
-    if complete and not covered:
+    covered, total, depth = leaves(words, alphabet.d, alphabet.k)
+    if complete and covered != total:
         err = IncompleteDomain if i == 0 else IncompleteRange
-        raise err(
-            "%s words cover %d/%d leaves at depth %d"
-            % (side, mass, k * pows[maxlen - 1], maxlen)
-        )
-    return covered
+        raise err("%s words cover %d/%d leaves at depth %d" % (side, covered, total, depth))
+    return covered == total
 
 
 def identity_pairs(d: int, k: int) -> tuple:
     """Canonical packed identity: the k roots, or for k = 1 the d one-letter tails."""
+    rb, b = _widths(d, k)
     if k == 1:
-        return tuple(((i << _LEN_BITS) | 2, (i << _LEN_BITS) | 2) for i in range(d))
-    return tuple(((r << _LEN_BITS) | 1, (r << _LEN_BITS) | 1) for r in range(k))
+        return tuple([((1 << b) | i, (1 << b) | i) for i in range(d)])
+    return tuple([((1 << rb) | r, (1 << rb) | r) for r in range(k)])
 
 
-def _merge_siblings(pairs: list, d: int, k: int) -> list:
-    """Merge aligned sibling families to a fixpoint; pairs must be domain-sorted."""
-    minlen = 3 if k == 1 else 2
+def _merge_siblings(pairs: list, d: int, k: int, minlen: int) -> list:
+    """Merge aligned sibling families to a fixpoint; pairs must be domain-sorted.
+
+    Only families whose words have at least minlen letters merge.
+    """
+    rb, b = _widths(d, k)
+    minbits = 1 + rb + b * (minlen - 1)
+    low = (1 << b) - 1
     changed = True
     while changed:
         changed = False
@@ -120,30 +127,18 @@ def _merge_siblings(pairs: list, d: int, k: int) -> list:
         i = 0
         n = len(pairs)
         while i < n:
-            if i + d <= n:
-                w, r = pairs[i]
-                lw = w & _LEN_MASK
-                lr = r & _LEN_MASK
-                if lw >= minlen and lr >= minlen:
-                    wc = w >> _LEN_BITS
-                    rc = r >> _LEN_BITS
-                    if wc % d == 0 and rc % d == 0:
-                        for j in range(1, d):
-                            w2, r2 = pairs[i + j]
-                            if w2 != ((wc + j) << _LEN_BITS | lw) or r2 != (
-                                (rc + j) << _LEN_BITS | lr
-                            ):
-                                break
-                        else:
-                            out.append(
-                                (
-                                    (wc // d) << _LEN_BITS | (lw - 1),
-                                    (rc // d) << _LEN_BITS | (lr - 1),
-                                )
-                            )
-                            i += d
-                            changed = True
-                            continue
+            w, r = pairs[i]
+            # a family starts at two words ending in letter 1, the
+            # shorter of them (the smaller int) at least minbits long
+            if i + d <= n and not (w & low or r & low) and min(w, r).bit_length() >= minbits:
+                for j in range(1, d):
+                    if pairs[i + j] != (w + j, r + j):
+                        break
+                else:
+                    out.append((w >> b, r >> b))
+                    i += d
+                    changed = True
+                    continue
             out.append(pairs[i])
             i += 1
         pairs = out
@@ -156,7 +151,21 @@ def normal_form(pairs, d: int, k: int) -> tuple:
         # the bare-root identity; expand one level so the canonical form
         # never contains the unprintable empty word
         return identity_pairs(d, 1)
-    return tuple(_merge_siblings(sort_pairs(pairs, d), d, k))
+    return tuple(_merge_siblings(sort_pairs(pairs), d, k, 3 if k == 1 else 2))
+
+
+def normal_words(words, d: int, k: int) -> tuple:
+    """Canonical clopen of packed words: sorted, nested words absorbed,
+    families merged up to the roots."""
+    kept = []
+    for p in sort_pairs([(w, w) for w in words]):
+        # after sorting, a word follows the kept word it extends
+        if kept:
+            s = p[0].bit_length() - kept[-1][0].bit_length()
+            if s >= 0 and p[0] >> s == kept[-1][0]:
+                continue
+        kept.append(p)
+    return tuple([w for w, _ in _merge_siblings(kept, d, k, 2)])
 
 
 def canonical(alphabet: Alphabet, word_pairs, complete: bool) -> tuple:
@@ -176,75 +185,85 @@ def swap(pairs, d: int, k: int) -> tuple:
     return normal_form([(r, w) for w, r in pairs], d, k)
 
 
-def walk(left, right, d: int) -> list:
+def gaps(words, d: int, k: int) -> tuple:
+    """The canonical clopen of the complement of a sorted antichain.
+
+    A depth-first walk from the roots in lexicographic order, reading the
+    words in step: a word of the walk equal to the next word is skipped,
+    one that is a proper prefix of it splits into its d children, and
+    any other one lies in a gap between the words and is kept.
+    """
+    rb, b = _widths(d, k)
+    out = []
+    it = iter(words)
+    nxt = next(it, 0)
+    stack = [(1 << rb) | r for r in range(k - 1, -1, -1)]
+    while stack:
+        w = stack.pop()
+        s = nxt.bit_length() - w.bit_length()
+        if s > 0 and nxt >> s == w:
+            c = w << b
+            stack.extend(range(c + d - 1, c - 1, -1))
+        elif w == nxt:
+            nxt = next(it, 0)
+        else:
+            out.append(w)
+    return tuple(out)
+
+
+def walk(left, right) -> list:
     """Cells of left after right, unsorted and unreduced.
 
     left is sorted by domain and right by range; either may be partial.
     The two antichains, left's domain words and right's range words, are
     merged in lexicographic order.  Where two cells nest, the product
-    cell is emitted on the finer of the two and that side advances (both
-    sides when the cells are equal); a cell that ends before the other
-    starts is skipped.  A finer cell that is the last slot of the coarser
-    one also ends the coarser one.
+    cell is emitted on the finer of the two and that side advances (the
+    right one when the cells are equal); a cell that ends before the
+    other starts is skipped.
     """
-    pows = _pows(d)
     out = []
     n = len(left)
     if not n:
         return out
     i = 0
     gd, gr = left[0]
+    la = gd.bit_length()
     for hd, hr in right:
-        lb = hr & _LEN_MASK
-        ch = hr >> _LEN_BITS
+        lb = hr.bit_length()
         while True:
-            if gd == hr:
-                out.append((hd, gr))
-                i += 1
-                if i == n:
-                    return out
-                gd, gr = left[i]
-                break
-            # t is the slot of the finer word under the coarser word's
-            # code; 0 <= t < p means the two cells nest
-            la = gd & _LEN_MASK
             if la <= lb:
-                p = pows[lb - la]
-                t = ch - (gd >> _LEN_BITS) * p
-                if t < 0:
+                s = lb - la
+                q = hr >> s
+                if q == gd:
+                    # the product cell appends hr's low bits to gr
+                    out.append((hd, (gr << s) | (hr & ((1 << s) - 1))))
+                if q <= gd:
                     break
-                if t < p:
-                    out.append((hd, (((gr >> _LEN_BITS) * p + t) << _LEN_BITS) | ((gr & _LEN_MASK) + lb - la)))
-                    if t < p - 1:
-                        break
             else:
-                p = pows[la - lb]
-                t = (gd >> _LEN_BITS) - ch * p
-                if t >= p:
+                s = la - lb
+                q = gd >> s
+                if q == hr:
+                    out.append(((hd << s) | (gd & ((1 << s) - 1)), gr))
+                elif q > hr:
                     break
-                if t >= 0:
-                    out.append(((((hd >> _LEN_BITS) * p + t) << _LEN_BITS) | ((hd & _LEN_MASK) + la - lb), gr))
-            # the left cell is done, and so is the right one when the finer
-            # cell was the last slot of the coarser
+            # the left cell is done
             i += 1
             if i == n:
                 return out
             gd, gr = left[i]
-            if t == p - 1:
-                break
+            la = gd.bit_length()
     return out
 
 
-def cell_index(pairs, x: Point) -> int | None:
-    """Index of the pair whose domain word is a prefix of the point x, or None."""
-    d = x.alphabet.d
-    letters = x.letters(max((w & _LEN_MASK for w, _ in pairs), default=0))
-    prefixes = set()
-    code = 0
-    for length, t in enumerate(letters, 1):
-        code = code * d + (t - 1)
-        prefixes.add((code << _LEN_BITS) | length)
-    for i, (w, _) in enumerate(pairs):
-        if w in prefixes:
+def cell_index(words, x) -> int | None:
+    """Index of the word that is a prefix of the point x, or None."""
+    top = max(map(int.bit_length, words), default=0)
+    if not top:
+        return None
+    a = x.alphabet
+    rb, b = _widths(a.d, a.k)
+    p = pack_word(x.prefix((top - 1 - rb) // b))
+    for i, w in enumerate(words):
+        if p >> (top - w.bit_length()) == w:
             return i
     return None

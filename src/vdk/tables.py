@@ -34,6 +34,7 @@ from .prefixcode import (
     cell_index,
     identity_pairs,
     normal_form,
+    normal_words,
     pack_word,  # noqa: F401  re-exported
     sort_pairs,
     swap,
@@ -57,9 +58,7 @@ class TableElement:
     def pairs(self) -> tuple[tuple[Word, Word], ...]:
         if self._pairs is None:
             a = self.alphabet
-            self._pairs = tuple(
-                (unpack_word(a, w), unpack_word(a, r)) for w, r in self.packed
-            )
+            self._pairs = tuple([(unpack_word(a, w), unpack_word(a, r)) for w, r in self.packed])
         return self._pairs
 
     @property
@@ -130,7 +129,7 @@ def identity(alphabet: Alphabet) -> TableElement:
 def compose(g: TableElement, h: TableElement) -> TableElement:
     """The element g compose h, acting by x -> g(h(x))."""
     a = check_same_alphabet(g, h)
-    cells = walk(g.packed, sort_pairs(h.packed, a.d, 1), a.d)
+    cells = walk(g.packed, sort_pairs(h.packed, 1))
     return TableElement(a, normal_form(cells, a.d, a.k))
 
 
@@ -150,7 +149,7 @@ def equals(g: TableElement, h: TableElement) -> bool:
 
 def act_point(g: TableElement, x: Point) -> Point:
     check_same_alphabet(g, x)
-    i = cell_index(g.packed, x)
+    i = cell_index([w for w, _ in g.packed], x)
     if i is None:
         raise VdkError("no domain block matches point %s" % x)  # unreachable for valid tables
     mu, nu = g.pairs[i]
@@ -159,15 +158,10 @@ def act_point(g: TableElement, x: Point) -> Point:
 
 
 def act_clopen(g: TableElement, s: Clopen) -> Clopen:
-    check_same_alphabet(g, s)
-    out = []
-    for w in s.words:
-        for mu, nu in g.pairs:
-            if mu.is_prefix_of(w):
-                out.append(Word(w.alphabet, nu.root, nu.tail + w.tail[len(mu.tail):]))
-            elif w.is_prefix_of(mu):
-                out.append(nu)
-    return clopen_normalize(s.alphabet, out)
+    a = check_same_alphabet(g, s)
+    # the range words of g restricted to s
+    cells = walk(g.packed, [(w, w) for w in s.packed])
+    return Clopen(a, normal_words([r for _, r in cells], a.d, a.k))
 
 
 def support(g: TableElement) -> Clopen:
@@ -175,9 +169,8 @@ def support(g: TableElement) -> Clopen:
 
     Points outside the returned clopen are fixed by g.
     """
-    return clopen_normalize(
-        g.alphabet, [mu for mu, nu in g.pairs if mu != nu]
-    )
+    a = g.alphabet
+    return Clopen(a, normal_words([w for w, r in g.packed if w != r], a.d, a.k))
 
 
 def probe_points(g: TableElement, h: TableElement) -> list[Point]:
@@ -189,10 +182,10 @@ def probe_points(g: TableElement, h: TableElement) -> list[Point]:
     """
     a = check_same_alphabet(g, h)
     # the common refinement is the unreduced product of the two domain identities
-    cells = walk([(w, w) for w, _ in g.packed], [(w, w) for w, _ in h.packed], a.d)
+    cells = walk([(w, w) for w, _ in g.packed], [(w, w) for w, _ in h.packed])
     return [
         point_normalize(unpack_word(a, w), (c,))
-        for w, _ in sort_pairs(cells, a.d)
+        for w, _ in sort_pairs(cells)
         for c in (1, 2)
     ]
 

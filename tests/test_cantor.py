@@ -341,6 +341,38 @@ def test_member_indicator_oracle():
         assert inside == direct
 
 
+def test_clopen_algebra_on_long_words():
+    # words of 60 to 200 letters that branch off one spine near their
+    # ends; results are checked at the probe points w.c^inf of words
+    # sampled from operands and results, against direct prefix
+    # comparison on the operands
+    rng = Random(118)
+    for a in (A21, A32, Alphabet(11, 2)):
+        spine = [rng.randrange(1, a.d + 1) for _ in range(200)]
+
+        def deep():
+            tail = spine[: rng.randrange(60, 200)]
+            tail[rng.randrange(len(tail) - 3, len(tail))] = rng.randrange(1, a.d + 1)
+            return Word(a, rng.randrange(1, a.k + 1), tuple(tail))
+
+        for _ in range(6):
+            s = clopen_normalize(a, [deep() for _ in range(rng.randrange(1, 6))])
+            t = clopen_normalize(a, [deep() for _ in range(rng.randrange(1, 6))])
+            union, inter, comp, xor = s | t, s & t, ~s, s ^ t
+            assert mu(union) + mu(inter) == mu(s) + mu(t) and mu(comp) == 1 - mu(s)
+            words = sorted({w for c in (s, t, union, inter, xor, comp) for w in c.words})
+            for w in rng.sample(words, min(40, len(words))):
+                for c in {1, 2, a.d}:
+                    x = point_normalize(w, (c,))
+                    in_s = any(unrolled(x, len(v)) == v.letters for v in s.words)
+                    in_t = any(unrolled(x, len(v)) == v.letters for v in t.words)
+                    assert (member(x, s), member(x, t)) == (in_s, in_t)
+                    assert member(x, union) == (in_s or in_t)
+                    assert member(x, inter) == (in_s and in_t)
+                    assert member(x, comp) == (not in_s)
+                    assert member(x, xor) == (in_s != in_t)
+
+
 def test_point_rejects_empty_period():
     with pytest.raises(VdkError):
         point_normalize(Word(A21, 1, ()), ())

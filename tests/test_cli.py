@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 import vdk
+from vdk import cli, quadratic
 from vdk.cli import main
 
 
@@ -150,6 +152,46 @@ def test_measure_huge_d_within_memory_cap():
     # in a MemoryError (or the OOM killer); the cap keeps a relapse cheap
     child = run_child(["measure", "--d", "99999999999", "{1}"], memory_cap=1 << 30)
     assert (child.returncode, child.stdout, child.stderr) == (0, "1/99999999999\n", "")
+
+
+def test_memory_error_exits_2():
+    # the complement of {1} over this d really has d - 1 words; running
+    # out of memory used to end in a traceback with exit code 1
+    child = run_child(["transporter", "--d", "99999999999", "1", "11"], memory_cap=1 << 30)
+    assert (child.returncode, child.stdout, child.stderr) == (2, "", "error: out of memory\n")
+
+
+def test_parser_built_once_gives_fresh_output(capsys):
+    argvs = [
+        ["measure", "--d", "2", "--k", "2", "--json", "{1:11}"],
+        ["measure", "--d", "2", "--k", "2", "{1:11}"],
+        ["act", "{11->1,12->21,2->22}", "{1,21}"],
+        ["compose", "--json", "{1->2,2->1}", "{11->1,12->21,2->22}"],
+        ["measure", "{1:1}"],
+        ["measure", "--d", "3", "{1:}"],
+    ]
+    fresh = []
+    for argv in argvs:
+        cli._build.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert cli._build() is cli._build()
+    assert [run_cli(capsys, *argv) for argv in argvs] == fresh
+    assert fresh[0][1] != fresh[1][1] and fresh[4][1] != fresh[5][1]
+
+
+@pytest.mark.parametrize("tails", [58, 61, 63, 99])
+def test_certificate_check_long_nu(capsys, tails):
+    # words past 62 tail letters used to overflow the packed length field
+    # lhs = 4 (1 - m) + m (1 + sqrt(2)) with m = mu(nu X) = 2^-(tails + 1)
+    m = Fraction(1, 2 ** (tails + 1))
+    code, out, _ = run_cli(
+        capsys, "certificate", "check", "--d", "2", "--k", "2", "--nu", "1:" + "2" * tails
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert "lhs = %s" % quadratic(4 - 3 * m, m, 2) in lines
+    assert "paper_lower_bound = %s" % (4 * (1 - m)) in lines
+    assert lines[-1] == "verdict: PASS"
 
 
 def test_bare_root_item_still_parses(capsys):

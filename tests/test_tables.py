@@ -15,18 +15,22 @@ from vdk import (
     Word,
     act_clopen,
     act_point,
+    clopen_normalize,
     compose,
     embed_supported,
     empty_clopen,
     equals,
+    format_bisection,
     format_clopen,
     format_point,
     format_table,
     format_word,
     identity,
     inverse,
+    make_bisection,
     make_table,
     member,
+    parse_bisection,
     parse_clopen,
     parse_point,
     parse_table,
@@ -206,6 +210,21 @@ def test_pow():
     assert s**0 == identity(A21)
     assert s**3 == s * s * s
     assert s**-2 == ~s * ~s
+
+
+@pytest.mark.parametrize("n", [62, 64, 70, 200])
+def test_pow_past_62_tail_letters(n):
+    # g**n has a word with n + 1 tail letters; from 62 on the packed
+    # length field used to overflow
+    g = tbl(A21, "{11->1,12->21,2->22}")
+    gn = g**n
+    assert (gn * g**-n).is_identity()
+    for j in (0, 1, n - 1, n, n + 1, n + 2):
+        for per in ("2", "12", "21"):
+            x = y = parse_point(A21, "%s(%s)^inf" % ("1" * j, per))
+            for _ in range(n):
+                y = act_point(g, y)
+            assert act_point(gn, x) == y
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +454,41 @@ def test_table_format_roundtrip():
         g = random_table(rng, a)
         assert parse_table(a, format_table(g)) == g
         assert parse_table(a, str(g)) == g
+
+
+def deep_code(rng, a, splits):
+    """Complete prefix code: split a root, then a random child, `splits` times."""
+    leaves = [Word(a, r) for r in range(1, a.k + 1)]
+    w = leaves.pop(rng.randrange(a.k))
+    for _ in range(splits):
+        kids = [w.child(i) for i in range(1, a.d + 1)]
+        w = kids.pop(rng.randrange(a.d))
+        leaves.extend(kids)
+    return leaves + [w]
+
+
+def test_long_word_roundtrips():
+    # words of 60 to 200 letters, past the old 62-letter packed field
+    rng = Random(216)
+    for a in (A21, A21, A21, A32, A32, Alphabet(11, 2)):
+        splits = rng.randrange(60, 200)
+        dom, ran = deep_code(rng, a, splits), deep_code(rng, a, splits)
+        rng.shuffle(ran)
+        g = make_table(zip(dom, ran))
+        text = format_table(g)
+        assert parse_table(a, text) == g and format_table(parse_table(a, text)) == text
+        for mu, nu in rng.sample(list(zip(dom, ran)), 10):
+            x = point_normalize(mu, (1, 2))
+            assert act_point(g, x) == point_normalize(nu, (1, 2))
+        u = make_bisection([(nu, mu) for mu, nu in zip(dom, ran) if rng.random() < 0.5], a)
+        text = format_bisection(u)
+        assert parse_bisection(a, text) == u and format_bisection(parse_bisection(a, text)) == text
+        s = clopen_normalize(a, rng.sample(dom, len(dom) // 2))
+        text = format_clopen(s)
+        assert parse_clopen(a, text) == s and format_clopen(parse_clopen(a, text)) == text
+        x = point_normalize(dom[-1], [rng.randrange(1, a.d + 1) for _ in range(3)])
+        assert parse_point(a, format_point(x)) == x
+        assert parse_point(a, format_point(x)).letters(splits + 1) == dom[-1].letters
 
 
 def test_parse_accepts_any_order_and_spaces():
