@@ -159,10 +159,10 @@ class Point:
 
     def letters(self, n: int) -> tuple[int, ...]:
         """First n letters of the infinite word (root included)."""
-        out = list(self.preperiod.letters)
-        while len(out) < n:
-            out.extend(self.period)
-        return tuple(out[:n])
+        pre = self.preperiod.letters
+        # periods needed past the preperiod, rounded up; none when <= 0
+        reps = -(-(n - len(pre)) // len(self.period))
+        return (pre + self.period * reps)[:n]
 
     def tail_stream(self, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Tail letters from position p on, as (finite part, period).

@@ -15,6 +15,7 @@ independent lower bounds approaching the norm from below.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -281,12 +282,11 @@ def check_certificate(
         verdict="PASS" if lhs_vs_norm == "greater" else "INCONCLUSIVE",
     )
     if strict and report.verdict != "PASS":
-        err = InconclusiveParameters(
+        raise InconclusiveParameters(
             "lhs %s is not greater than norm bound %s; increase |nu|"
-            % (lhs, norm_bound.value)
+            % (lhs, norm_bound.value),
+            report,
         )
-        err.report = report
-        raise err
     return report
 
 
@@ -297,6 +297,7 @@ _FREE2_A = "{1:11->1:111,1:2->1:1121,2:->1:1122,1:121->1:12,1:1221->1:2,1:1222->
 _FREE2_B = "{2:11->2:111,2:2->2:1121,1:->2:1122,2:121->2:12,2:1221->2:2,2:1222->1:}"
 
 
+@functools.cache
 def _build_free2() -> tuple[SymmetricSet, PingPongCertificate]:
     a2 = Alphabet(2, 2)
     ga = parse_table(a2, _FREE2_A)
@@ -317,7 +318,12 @@ _FIXTURES = {"free2": _build_free2}
 
 
 def fixture(name: str) -> tuple[SymmetricSet, PingPongCertificate]:
-    """Frozen named fixtures; 'free2' is the verified rank-2 pair in V_{2,2}."""
+    """Frozen named fixtures; 'free2' is the verified rank-2 pair in V_{2,2}.
+
+    Each fixture is built once per process and shared: its tables,
+    clopens and set are immutable.  Callers such as check_certificate
+    still verify the ping-pong certificate on every use.
+    """
     try:
         build = _FIXTURES[name]
     except KeyError:

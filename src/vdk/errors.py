@@ -79,5 +79,10 @@ class InconclusiveParameters(VdkError):
     """Exact integral does not exceed the norm bound; parameters too weak.
 
     This signals that the chosen support word is too short for the
-    sufficient criterion, not a defect in the inputs.
+    sufficient criterion, not a defect in the inputs.  The report that
+    was computed rides along as `report`.
     """
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report

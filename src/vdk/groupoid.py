@@ -41,6 +41,7 @@ from .prefixcode import (
     check_code,
     normal_form,
     normal_words,
+    pack_word,
     sort_pairs,
     swap,
     unpack_word,
@@ -148,7 +149,8 @@ def make_bisection(cells, alphabet: Alphabet | None = None) -> Bisection:
     alphabet = check_same_alphabet(*[w for p in pairs for w in p])
     if alphabet.m != 1:
         raise ArityMismatch("bisections are single-factor; use BoxTable for m > 1")
-    return Bisection(alphabet, canonical(alphabet, pairs, complete=False))
+    packed = [(pack_word(mu), pack_word(nu)) for mu, nu in pairs]
+    return Bisection(alphabet, canonical(alphabet, packed, complete=False))
 
 
 def is_full(u: Bisection) -> bool:

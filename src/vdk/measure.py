@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .cantor import Clopen, Point, Word, check_same_alphabet
 from .errors import VdkError
-from .prefixcode import cell_index, leaves
+from .prefixcode import cell_index, leaves, tail_lengths
 from .tables import TableElement, act_clopen, act_point, compose
 
 
@@ -237,19 +237,28 @@ def integral_sqrt_rn(g: TableElement) -> QuadraticValue:
 
     Equals sum_i mu(mu_i X) * d^(j_i / 2); at most 1 by Cauchy-Schwarz,
     with equality exactly when every exponent is zero.
+
+    Computed from packed lengths with integer sums: a cell mu -> nu with
+    t = |mu tail| and j = |mu| - |nu| adds d^(j//2 - t) / k to the
+    rational part when j is even and s * d^(j//2 - t) / k to the
+    coefficient of sqrt(m) when j is odd, where d = s^2 m.  With
+    E = max(t - j//2) >= 0 over the cells, each part is one fraction
+    sum d^(E - t + j//2) / (k d^E).
     """
     a = g.alphabet
     d = a.d
     s, m = _squarefree_split(d)
-    rat = Fraction(0)
-    irr = Fraction(0)
-    for mu_w, j in rn_profile(g):
-        mass = Fraction(1, a.k * d ** len(mu_w.tail))
-        if j % 2 == 0:
-            rat += mass * Fraction(d) ** (j // 2)
+    # (t, j) per cell; j is also the difference of the tail lengths
+    terms = [(t, t - u) for t, u in tail_lengths(g.packed, d, a.k)]
+    e = max([t - j // 2 for t, j in terms])
+    rat = irr = 0
+    for t, j in terms:
+        if j % 2:
+            irr += d ** (e - t + j // 2)
         else:
-            irr += mass * Fraction(d) ** ((j - 1) // 2) * s
-    return quadratic(rat, irr, m)
+            rat += d ** (e - t + j // 2)
+    den = a.k * d**e
+    return quadratic(Fraction(rat, den), Fraction(s * irr, den), m)
 
 
 def deficit(s: Clopen, elements) -> Fraction:

@@ -54,6 +54,23 @@ def unpack_word(alphabet: Alphabet, packed: int) -> Word:
     return Word(alphabet, (packed >> b * n) - (1 << rb) + 1, tail)
 
 
+def tail_lengths(pairs, d: int, k: int) -> list:
+    """(domain, range) tail-letter counts of every cell."""
+    rb, b = _widths(d, k)
+    return [((w.bit_length() - 1 - rb) // b, (r.bit_length() - 1 - rb) // b) for w, r in pairs]
+
+
+def graft(p: int, w: int) -> int:
+    """The word p followed by every letter of w, root included, as tail letters.
+
+    w must come from an alphabet with k = d, whose root field is as wide
+    as a tail letter: dropping its sentinel bit leaves exactly the run
+    of letters to append.
+    """
+    n = w.bit_length() - 1
+    return (p << n) | (w ^ (1 << n))
+
+
 def sort_pairs(pairs, side: int = 0) -> list:
     """Pairs sorted lexicographically by their domain (side 0) or range (side 1) word."""
     top = max((p[side].bit_length() for p in pairs), default=0)
@@ -168,13 +185,12 @@ def normal_words(words, d: int, k: int) -> tuple:
     return tuple([w for w, _ in _merge_siblings(kept, d, k, 2)])
 
 
-def canonical(alphabet: Alphabet, word_pairs, complete: bool) -> tuple:
-    """Checked canonical form of (domain, range) Word pairs.
+def canonical(alphabet: Alphabet, pairs, complete: bool) -> tuple:
+    """Checked canonical form of packed (domain, range) pairs.
 
     Both sides must be prefix codes, and complete ones when complete is
     set; raises Overlapping* or Incomplete* otherwise.
     """
-    pairs = [(pack_word(mu), pack_word(nu)) for mu, nu in word_pairs]
     check_code(alphabet, pairs, "domain", complete)
     check_code(alphabet, pairs, "range", complete)
     return normal_form(pairs, alphabet.d, alphabet.k)

@@ -32,10 +32,12 @@ from .errors import ArityMismatch, TransportImpossible, VdkError
 from .prefixcode import (
     canonical,
     cell_index,
+    gaps,
+    graft,
     identity_pairs,
     normal_form,
     normal_words,
-    pack_word,  # noqa: F401  re-exported
+    pack_word,
     sort_pairs,
     swap,
     unpack_word,
@@ -119,7 +121,8 @@ def make_table(pairs) -> TableElement:
     alphabet = check_same_alphabet(*words)
     if alphabet.m != 1:
         raise ArityMismatch("tables are single-factor; use BoxTable for m > 1")
-    return TableElement(alphabet, canonical(alphabet, pairs, complete=True))
+    packed = [(pack_word(mu), pack_word(nu)) for mu, nu in pairs]
+    return TableElement(alphabet, canonical(alphabet, packed, complete=True))
 
 
 def identity(alphabet: Alphabet) -> TableElement:
@@ -221,6 +224,13 @@ def embed_supported(g: TableElement, nu: Word) -> TableElement:
     g must live in V_{d,d} (k = d): its root letter r becomes the tail
     letter r appended to nu, so each word w maps to nu.(root w).(tail w).
     Off the cylinder the result is the identity.
+
+    On packed words each cell is a shift and an append (prefixcode.graft):
+    with k = d the root field of a base word is as wide as a tail
+    letter, so the base word without its sentinel bit is exactly the run
+    of letters (root w).(tail w), and it is appended to packed nu.  The
+    cells off the cylinder are the gaps of nu.  Both sides are checked
+    as complete prefix codes, as make_table does.
     """
     base = g.alphabet
     target = nu.alphabet
@@ -229,13 +239,12 @@ def embed_supported(g: TableElement, nu: Word) -> TableElement:
             "embedding needs g over (d=%d, k=%d) with k = d = %d"
             % (base.d, base.k, target.d)
         )
-
-    def enc(w: Word) -> Word:
-        return Word(target, nu.root, nu.tail + (w.root,) + w.tail)
-
-    pairs = [(enc(mu), enc(rng)) for mu, rng in g.pairs]
-    pairs.extend((c, c) for c in clopen_normalize(target, [nu]).complement().words)
-    return make_table(pairs)
+    if target.m != 1:
+        raise ArityMismatch("tables are single-factor; use BoxTable for m > 1")
+    p = pack_word(nu)
+    cells = [(graft(p, w), graft(p, r)) for w, r in g.packed]
+    cells.extend([(c, c) for c in gaps((p,), target.d, target.k)])
+    return TableElement(target, canonical(target, cells, complete=True))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ Independent oracles used here:
     streams far past both descriptions.
 """
 
+import itertools
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -268,6 +269,21 @@ def unrolled(x, n: int) -> tuple:
     while len(seq) < n:
         seq.extend(x.period)
     return tuple(seq[:n])
+
+
+def test_point_letters_match_stream():
+    # against a letter-by-letter walk of preperiod, then period forever
+    rng = Random(111)
+    for per_len in range(1, 8):
+        for _ in range(30):
+            a = ALPHABETS[rng.randrange(len(ALPHABETS))]
+            pre = random_word(rng, a, max_tail=6)
+            period = tuple(rng.randrange(1, a.d + 1) for _ in range(per_len))
+            x = point_normalize(pre, period)
+            m = len(x.preperiod)
+            for n in {0, max(m - 1, 0), m, m + 1, m + per_len, m + 3 * per_len + 2, 200}:
+                stream = itertools.chain(x.preperiod.letters, itertools.cycle(x.period))
+                assert x.letters(n) == tuple(itertools.islice(stream, n))
 
 
 def test_point_period_primitivized():

@@ -5,6 +5,7 @@ the (2r)-regular tree, computed by an explicit distance-profile dynamic
 program written here from scratch.
 """
 
+import gc
 from fractions import Fraction
 from random import Random
 
@@ -337,6 +338,34 @@ def test_check_certificate_n1_inconclusive(free2):
         f, parse_word(A22, "1:"), certificate=cert, strict=False
     )
     assert relaxed.verdict == "INCONCLUSIVE"
+
+
+def test_inconclusive_check_leaves_no_reference_cycle(free2):
+    # a raised exception bound to a local of the raising frame forms a
+    # frame <-> traceback cycle that only the cyclic collector frees
+    f, cert = free2
+    flags = gc.get_debug()
+    gc.collect()
+    start = len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(3):
+            try:
+                check_certificate(f, parse_word(A21, "1:"), certificate=cert)
+            except InconclusiveParameters as exc:
+                assert exc.report.verdict == "INCONCLUSIVE"
+        gc.collect()
+        leaked = [o for o in gc.garbage[start:] if isinstance(o, InconclusiveParameters)]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[start:]
+    assert leaked == []
+
+
+def test_fixture_built_once_and_names_checked():
+    assert fixture("free2") is fixture("free2")
+    with pytest.raises(VdkError, match="unknown fixture"):
+        fixture("free3")
 
 
 def test_check_certificate_monotone_in_depth(free2):

@@ -294,6 +294,25 @@ def test_integral_cauchy_schwarz():
         assert integral_sqrt_rn(inverse(g)) == val
 
 
+def test_integral_matches_per_cell_sum():
+    # the integer sums of integral_sqrt_rn against a per-cell sum of
+    # Fractions and quadratic values read off the Word pairs
+    rng = Random(311)
+    cases = [(2, 1), (2, 2), (3, 1), (3, 3), (4, 2), (5, 5), (11, 2)]
+    for i in range(280):
+        d, k = cases[i % len(cases)]
+        a = Alphabet(d, k)
+        g = compose(random_table(rng, a, rng.randrange(1, 9)), random_table(rng, a))
+        if i % 2:
+            g = inverse(g)
+        ref = quadratic(0)
+        for mu_w, nu_w in g.pairs:
+            j = len(mu_w) - len(nu_w)
+            term = quadratic(Fraction(1, k * d ** len(mu_w.tail)) * Fraction(d) ** (j // 2))
+            ref = ref + (term * sqrt_int(d) if j % 2 else term)
+        assert integral_sqrt_rn(g) == ref
+
+
 def test_cocycle_range_examples():
     assert cocycle_range(identity(A21)) == {0}
     s = parse_table(A21, "{11->1,12->21,2->22}")

@@ -443,6 +443,40 @@ def test_embed_arity_mismatch():
         embed_supported(identity(A21), parse_word(A21, "1"))
 
 
+def complement_words(nu):
+    """The cylinders next to the path of nu: every other root, and at each
+    tail position every other letter."""
+    a = nu.alphabet
+    out = [Word(a, r) for r in range(1, a.k + 1) if r != nu.root]
+    for i, t in enumerate(nu.tail):
+        out += [Word(a, nu.root, nu.tail[:i] + (c,)) for c in range(1, a.d + 1) if c != t]
+    return out
+
+
+@pytest.mark.parametrize("length", [1, 2, 30, 63, 100])
+def test_embed_matches_word_level_map(length):
+    # the packed shift-append against w -> nu.(root w).(tail w) on Words;
+    # at |nu| = 63 and 100 the packed words pass 64 bits
+    rng = Random(5000 + length)
+    for d in (2, 3, 4):
+        base = Alphabet(d, d)
+        for k in range(1, d + 1):
+            target = Alphabet(d, k)
+            for _ in range(6):
+                g = random_table(rng, base, rng.randrange(1, 7))
+                if rng.random() < 0.5:
+                    g = inverse(g)
+                root = rng.randrange(1, k + 1)
+                nu = Word(target, root, tuple(rng.randrange(1, d + 1) for _ in range(length - 1)))
+
+                def enc(w):
+                    return Word(target, nu.root, nu.tail + (w.root,) + w.tail)
+
+                pairs = [(enc(w), enc(r)) for w, r in g.pairs]
+                pairs += [(c, c) for c in complement_words(nu)]
+                assert embed_supported(g, nu) == make_table(pairs)
+
+
 # ---------------------------------------------------------------------------
 # text format
 
