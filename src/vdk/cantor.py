@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import MismatchedAlphabet, VdkError
-from .prefixcode import cell_index, gaps, normal_words, pack_word, unpack_word, walk
+from .prefixcode import cell_index, gaps, normal_words, pack_word, tail_lengths, unpack_word, walk
 from .words import Alphabet, Word, _format_tail, _parse_tail, format_word, parse_word, split  # noqa: F401
 
 
@@ -43,24 +43,21 @@ class Clopen:
     Canonical means: no word is a prefix of another, and no complete
     sibling family {w.1, ..., w.d} is present (such a family is merged
     into w).  The whole space is the full level-zero family {1:, ..., k:}
-    and the empty set is the empty tuple.  The prefixes are stored as
-    `packed`, a sorted tuple of packed words (vdk.prefixcode), and
-    unpacked into `words` on first use.  Build instances through
+    and the empty set is the empty tuple.  The prefixes are stored only
+    as `packed`, a sorted tuple of packed words (vdk.prefixcode);
+    `words` unpacks them on every access.  Build instances through
     clopen_normalize, not the raw constructor.
     """
 
-    __slots__ = ("alphabet", "packed", "_words")
+    __slots__ = ("alphabet", "packed")
 
     def __init__(self, alphabet: Alphabet, packed: tuple[int, ...]):
         self.alphabet = alphabet
         self.packed = packed
-        self._words = None
 
     @property
     def words(self) -> tuple[Word, ...]:
-        if self._words is None:
-            self._words = tuple([unpack_word(self.alphabet, w) for w in self.packed])
-        return self._words
+        return tuple([unpack_word(self.alphabet, w) for w in self.packed])
 
     def __eq__(self, other):
         return isinstance(other, Clopen) and (self.alphabet, self.packed) == (other.alphabet, other.packed)
@@ -209,21 +206,25 @@ def point_normalize(preperiod: Word, period) -> Point:
     while tail and tail[-1] == per[-1]:
         tail = tail[:-1]
         per = per[-1:] + per[:-1]
-    return Point(a, Word(a, preperiod.root, tail), per)
+    # Words are immutable, so an untrimmed preperiod is kept as it is
+    return Point(a, preperiod if tail is preperiod.tail else Word(a, preperiod.root, tail), per)
 
 
-def point_from_stream(alphabet: Alphabet, letters, period) -> Point:
-    """Point from a full-letter stream: finite letters then period^inf.
+def replace_prefix(x: Point, t: int, nu: Word) -> Point:
+    """The point nu . sigma^t(x): the word nu, then the tail letters of x from position t on."""
+    fin, per = x.tail_stream(t)
+    return point_normalize(Word(x.alphabet, nu.root, nu.tail + fin), per)
 
-    The first stream letter becomes the root, so it must lie in 1..k.
-    """
-    letters = tuple(letters)
-    period = tuple(period)
-    if not letters:
-        letters, period = period, period
-    return point_normalize(
-        Word(alphabet, letters[0], letters[1:]), period
-    )
+
+def act_by_cell(pairs, x: Point) -> Point | None:
+    """nu . sigma^|mu|(x) for the packed cell (mu, nu) with mu a prefix of x,
+    unpacking only nu; None when no domain word is a prefix of x."""
+    i = cell_index([w for w, _ in pairs], x)
+    if i is None:
+        return None
+    a = x.alphabet
+    ((t, _),) = tail_lengths([pairs[i]], a.d, a.k)
+    return replace_prefix(x, t, unpack_word(a, pairs[i][1]))
 
 
 def member(x: Point, s: Clopen) -> bool:

@@ -114,11 +114,11 @@ def pingpong_verify(cert: PingPongCertificate) -> bool:
         ("P_b_inv", cert.p_b_inv),
     ]
     for name, s in sets:
-        if not s.words:
+        if not s:
             raise DisjointnessViolation("attractor %s is empty" % name)
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
-            if (sets[i][1] & sets[j][1]).words:
+            if sets[i][1] & sets[j][1]:
                 raise DisjointnessViolation(
                     "attractors %s and %s intersect" % (sets[i][0], sets[j][0])
                 )

@@ -22,11 +22,13 @@ from .cantor import (
     Clopen,
     Point,
     Word,
+    act_by_cell,
     check_same_alphabet,
     clopen_normalize,
     format_word,
     parse_word,
     point_normalize,
+    replace_prefix,
 )
 from .errors import (
     ArityMismatch,
@@ -37,7 +39,6 @@ from .errors import (
 )
 from .prefixcode import (
     canonical,
-    cell_index,
     check_code,
     normal_form,
     normal_words,
@@ -78,26 +79,22 @@ def germ_maps(c: DoubleCylinder) -> tuple[Clopen, Clopen, int]:
 class Bisection:
     """Finite union of double cylinders, canonical and domain-sorted.
 
-    Cells are kept packed as (domain, range) integer pairs in the same
-    canonical form as tables, so full bisections and their tables agree
-    cell for cell.  Build through make_bisection.
+    Cells are stored only as `packed`, (domain, range) integer pairs in
+    the same canonical form as tables, so full bisections and their
+    tables agree cell for cell; `cells` unpacks them into
+    DoubleCylinders on every access.  Build through make_bisection.
     """
 
-    __slots__ = ("alphabet", "packed", "_cells")
+    __slots__ = ("alphabet", "packed")
 
     def __init__(self, alphabet: Alphabet, packed: tuple[tuple[int, int], ...]):
         self.alphabet = alphabet
         self.packed = packed
-        self._cells = None
 
     @property
     def cells(self) -> tuple[DoubleCylinder, ...]:
-        if self._cells is None:
-            a = self.alphabet
-            self._cells = tuple(
-                [DoubleCylinder(unpack_word(a, r), unpack_word(a, w)) for w, r in self.packed]
-            )
-        return self._cells
+        a = self.alphabet
+        return tuple([DoubleCylinder(unpack_word(a, r), unpack_word(a, w)) for w, r in self.packed])
 
     def source(self) -> Clopen:
         a = self.alphabet
@@ -186,13 +183,10 @@ def bisection_inverse(u: Bisection) -> Bisection:
 def bisection_act(u: Bisection, x: Point) -> Point:
     """u.x = r((s restricted to u)^{-1}(x)); x must lie in the source."""
     check_same_alphabet(u, x)
-    i = cell_index([w for w, _ in u.packed], x)
-    if i is None:
+    y = act_by_cell(u.packed, x)
+    if y is None:
         raise VdkError("point %s is outside the source of the bisection" % x)
-    c = u.cells[i]
-    nu = c.range_word
-    fin, per = x.tail_stream(len(c.domain_word.tail))
-    return point_normalize(Word(u.alphabet, nu.root, nu.tail + fin), per)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +398,9 @@ def mv_act(g: BoxTable, xs) -> tuple[Point, ...]:
         if all(
             x.letters(len(w) + 1)[1:] == w for x, w in zip(xs, A)
         ):
-            ys = []
-            for x, w, v in zip(xs, A, B):
-                fin, per = x.tail_stream(len(w))
-                ys.append(point_normalize(Word(x.alphabet, 1, v + fin), per))
-            return tuple(ys)
+            return tuple(
+                [replace_prefix(x, len(w), Word(x.alphabet, 1, v)) for x, w, v in zip(xs, A, B)]
+            )
     raise VdkError("no domain box matches the point tuple")  # unreachable when complete
 
 

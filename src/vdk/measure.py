@@ -216,8 +216,8 @@ def rn_exponent(g: TableElement, x: Point) -> int:
     i = cell_index([w for w, _ in g.packed], x)
     if i is None:
         raise VdkError("no domain block matches point %s" % x)
-    mu_w, nu_w = g.pairs[i]
-    return len(mu_w) - len(nu_w)
+    ((t, u),) = tail_lengths([g.packed[i]], g.alphabet.d, g.alphabet.k)
+    return t - u
 
 
 def cocycle_chain_check(g: TableElement, h: TableElement, x: Point) -> bool:

@@ -22,16 +22,17 @@ from .cantor import (
     Clopen,
     Point,
     Word,
+    act_by_cell,
     check_same_alphabet,
     clopen_normalize,
     format_word,
     parse_word,
     point_normalize,
+    split,
 )
 from .errors import ArityMismatch, TransportImpossible, VdkError
 from .prefixcode import (
     canonical,
-    cell_index,
     gaps,
     graft,
     identity_pairs,
@@ -46,22 +47,24 @@ from .prefixcode import (
 
 
 class TableElement:
-    """Group element of V_{d,k} in canonical reduced table form."""
+    """Group element of V_{d,k} in canonical reduced table form.
 
-    __slots__ = ("alphabet", "packed", "_pairs", "_hash")
+    The cells are stored only as `packed`, (domain, range) pairs of
+    packed words (vdk.prefixcode); `pairs` unpacks them into Words on
+    every access.
+    """
+
+    __slots__ = ("alphabet", "packed", "_hash")
 
     def __init__(self, alphabet: Alphabet, packed: tuple[tuple[int, int], ...]):
         self.alphabet = alphabet
         self.packed = packed
-        self._pairs = None
         self._hash = None
 
     @property
     def pairs(self) -> tuple[tuple[Word, Word], ...]:
-        if self._pairs is None:
-            a = self.alphabet
-            self._pairs = tuple([(unpack_word(a, w), unpack_word(a, r)) for w, r in self.packed])
-        return self._pairs
+        a = self.alphabet
+        return tuple([(unpack_word(a, w), unpack_word(a, r)) for w, r in self.packed])
 
     @property
     def block_count(self) -> int:
@@ -129,14 +132,22 @@ def identity(alphabet: Alphabet) -> TableElement:
     return TableElement(alphabet, identity_pairs(alphabet.d, alphabet.k))
 
 
+def _check_tables(*gs) -> None:
+    for g in gs:
+        if not isinstance(g, TableElement):
+            raise VdkError("expected a TableElement, got %s" % type(g).__name__)
+
+
 def compose(g: TableElement, h: TableElement) -> TableElement:
     """The element g compose h, acting by x -> g(h(x))."""
+    _check_tables(g, h)
     a = check_same_alphabet(g, h)
     cells = walk(g.packed, sort_pairs(h.packed, 1))
     return TableElement(a, normal_form(cells, a.d, a.k))
 
 
 def inverse(g: TableElement) -> TableElement:
+    _check_tables(g)
     a = g.alphabet
     return TableElement(a, swap(g.packed, a.d, a.k))
 
@@ -152,12 +163,10 @@ def equals(g: TableElement, h: TableElement) -> bool:
 
 def act_point(g: TableElement, x: Point) -> Point:
     check_same_alphabet(g, x)
-    i = cell_index([w for w, _ in g.packed], x)
-    if i is None:
+    y = act_by_cell(g.packed, x)
+    if y is None:
         raise VdkError("no domain block matches point %s" % x)  # unreachable for valid tables
-    mu, nu = g.pairs[i]
-    fin, per = x.tail_stream(len(mu.tail))
-    return point_normalize(Word(x.alphabet, nu.root, nu.tail + fin), per)
+    return y
 
 
 def act_clopen(g: TableElement, s: Clopen) -> Clopen:
@@ -212,8 +221,7 @@ def transporter(nu1: Word, nu2: Word) -> TableElement:
         )
     while len(comp1) != len(comp2):
         shorter = comp1 if len(comp1) < len(comp2) else comp2
-        last = shorter.pop()
-        shorter.extend(last.child(i) for i in range(1, a.d + 1))
+        shorter.extend(split(shorter.pop()))
     pairs = [(nu1, nu2)] + list(zip(comp1, comp2))
     return make_table(pairs)
 

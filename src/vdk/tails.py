@@ -4,8 +4,8 @@ Two points are related when their tail-letter streams agree after
 finitely many positions, allowing a shift: x_{p+i} = y_{q+i} for all
 i >= 1 (positions count tail letters; root letters never matter).
 Decision goes through primitive-period rotation classes; witnesses are
-lexicographically minimal (p, q) pairs found inside a provably
-sufficient search box.
+the lexicographically minimal (p, q) pairs, read off in closed form from
+the preperiod lengths and the rotation offset.
 """
 
 from __future__ import annotations
@@ -39,22 +39,26 @@ def related(x: Point, y: Point) -> TailWitness | None:
     """Minimal tail-equivalence witness, or None.
 
     x and y are related iff their primitive periods are rotations of one
-    another; the minimal witness then lies in the box p <= |pre_x| + 2|v|,
-    q <= |pre_y| + 2|v| (one period of slack beyond the proven bound).
+    another, v_y = v_x rotated left by r.  A canonical point is purely
+    periodic exactly from the end of its preperiod on, so the minimal
+    witness is (|pre_x|, |pre_y| + |v| - r) when r > 0, and otherwise
+    (|pre_x| - c, |pre_y| - c) with c the length of the common suffix of
+    the two preperiods.
     """
     check_same_alphabet(x, y)
     vx, vy = x.period, y.period
     if len(vx) != len(vy):
         return None
-    if not any(vx[i:] + vx[:i] == vy for i in range(len(vx))):
+    r = next((i for i in range(len(vx)) if vx[i:] + vx[:i] == vy), None)
+    if r is None:
         return None
-    pmax = len(x.preperiod.tail) + 2 * len(vx)
-    qmax = len(y.preperiod.tail) + 2 * len(vx)
-    for p in range(pmax + 1):
-        for q in range(qmax + 1):
-            if witness_holds(x, y, TailWitness(p, q)):
-                return TailWitness(p, q)
-    return None
+    px, py = x.preperiod.tail, y.preperiod.tail
+    if r:
+        return TailWitness(len(px), len(py) + len(vx) - r)
+    c = 0
+    while c < min(len(px), len(py)) and px[-1 - c] == py[-1 - c]:
+        c += 1
+    return TailWitness(len(px) - c, len(py) - c)
 
 
 def witness_cell(x: Point, y: Point, w: TailWitness | None = None) -> DoubleCylinder:

@@ -61,23 +61,8 @@ class Word:
     def letters(self) -> tuple[int, ...]:
         return (self.root,) + self.tail
 
-    def is_prefix_of(self, other: Word) -> bool:
-        return (
-            self.root == other.root
-            and len(self.tail) <= len(other.tail)
-            and other.tail[: len(self.tail)] == self.tail
-        )
-
     def extend(self, *tails: int) -> Word:
         return Word(self.alphabet, self.root, self.tail + tails)
-
-    def child(self, i: int) -> Word:
-        return self.extend(i)
-
-    def parent(self) -> Word:
-        if not self.tail:
-            raise VdkError("bare root %s has no parent" % self)
-        return Word(self.alphabet, self.root, self.tail[:-1])
 
     def __lt__(self, other: Word) -> bool:
         return self.letters < other.letters
@@ -94,7 +79,7 @@ class Word:
 
 def split(w: Word) -> tuple[Word, ...]:
     """The d children of w; their cylinders partition the cylinder of w."""
-    return tuple(w.child(i) for i in range(1, w.alphabet.d + 1))
+    return tuple([w.extend(i) for i in range(1, w.alphabet.d + 1)])
 
 
 # ---------------------------------------------------------------------------

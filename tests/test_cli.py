@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -86,6 +87,36 @@ def test_certificate_check_example(capsys):
     assert report["norm_bound"]["a"] == "0"
     assert report["norm_bound"]["b"] == "2"
     assert report["norm_bound"]["m"] == 3
+
+
+def readme_examples():
+    """(argv, expected stdout lines) for every `$ vdk ...` line in README.md.
+
+    An example's output is the lines after it up to the next blank line,
+    `$` line or fence.
+    """
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ vdk "):
+            out = []
+            for nxt in lines[i + 1 :]:
+                if not nxt.strip() or nxt.startswith(("$", "```")):
+                    break
+                out.append(nxt)
+            examples.append((shlex.split(line)[2:], out))
+    return examples
+
+
+def test_readme_examples_match(capsys):
+    examples = readme_examples()
+    assert len(examples) >= 9
+    for argv, want in examples:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert out.splitlines() == want, argv
 
 
 # ---------------------------------------------------------------------------

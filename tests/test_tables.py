@@ -50,7 +50,7 @@ from vdk.errors import (
     OverlappingRange,
     VdkError,
 )
-from vdk.sampling import random_point, random_table, random_word
+from vdk.sampling import random_bisection, random_point, random_table, random_word
 
 A21 = Alphabet(2, 1)
 A22 = Alphabet(2, 2)
@@ -172,6 +172,24 @@ def test_compose_matches_pointwise_action():
 def test_compose_mismatched_alphabet():
     with pytest.raises(MismatchedAlphabet):
         compose(identity(A21), identity(A22))
+
+
+def test_compose_and_inverse_reject_bisections():
+    # a bisection carries an alphabet and packed cells like a table, but
+    # the product with one need not be a group element
+    with pytest.raises(VdkError):
+        compose(tbl(A21, "{1->1,2->2}"), parse_bisection(A21, "{11<-11}"))
+    rng = Random(216)
+    for i in range(200):
+        a = ALPHABETS[i % len(ALPHABETS)]
+        g = random_table(rng, a)
+        u = random_bisection(rng, a, full=i % 2 == 0)
+        with pytest.raises(VdkError):
+            compose(g, u)
+        with pytest.raises(VdkError):
+            compose(u, g)
+        with pytest.raises(VdkError):
+            inverse(u)
 
 
 def test_inverse_hand_example():
@@ -495,7 +513,7 @@ def deep_code(rng, a, splits):
     leaves = [Word(a, r) for r in range(1, a.k + 1)]
     w = leaves.pop(rng.randrange(a.k))
     for _ in range(splits):
-        kids = [w.child(i) for i in range(1, a.d + 1)]
+        kids = [w.extend(i) for i in range(1, a.d + 1)]
         w = kids.pop(rng.randrange(a.d))
         leaves.extend(kids)
     return leaves + [w]

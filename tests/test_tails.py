@@ -71,9 +71,31 @@ def test_related_examples():
     assert (w2.p, w2.q) == (0, 1)
 
 
-def test_related_brute_force_oracle():
-    rng = Random(501)
-    for i in range(300):
+def long_pairs(rng, n):
+    """Pairs with preperiods and periods of up to 40 letters.
+
+    In turn: y's period is x's rotated by r > 0; y's preperiod ends in a
+    nonempty suffix of x's; y's period is a random one of x's length.
+    """
+    for i in range(n):
+        a = ALPHABETS[i % len(ALPHABETS)]
+        x = random_point(rng, a, max_pre=40, max_per=40)
+        pre, v = x.preperiod.tail, x.period
+        fresh = tuple(rng.randrange(1, a.d + 1) for _ in range(rng.randrange(0, 41)))
+        root = rng.randrange(1, a.k + 1)
+        if i % 3 == 0 and len(v) > 1:
+            r = rng.randrange(1, len(v))
+            yield x, point_normalize(Word(a, root, fresh), v[r:] + v[:r])
+        elif i % 3 == 1 and pre:
+            c = rng.randrange(1, len(pre) + 1)
+            yield x, point_normalize(Word(a, root, fresh + pre[len(pre) - c :]), v)
+        else:
+            per = tuple(rng.randrange(1, a.d + 1) for _ in v)
+            yield x, point_normalize(Word(a, root, fresh), per)
+
+
+def short_pairs(rng, n):
+    for i in range(n):
         a = ALPHABETS[i % len(ALPHABETS)]
         x = random_point(rng, a)
         if rng.random() < 0.5:
@@ -88,6 +110,12 @@ def test_related_brute_force_oracle():
             )
         else:
             y = random_point(rng, a)
+        yield x, y
+
+
+def test_related_brute_force_oracle():
+    rotated = shared = 0
+    for x, y in [*short_pairs(Random(501), 300), *long_pairs(Random(510), 150)]:
         got = related(x, y)
         want = brute_witness(x, y)
         if want is None:
@@ -95,6 +123,10 @@ def test_related_brute_force_oracle():
         else:
             assert got is not None and (got.p, got.q) == want
             assert witness_holds(x, y, got)
+            rotated += got.p == len(x.preperiod.tail) and got.q > len(y.preperiod.tail)
+            shared += got.p < len(x.preperiod.tail)
+    # both closed-form branches ran: a rotation r > 0, a shared suffix c > 0
+    assert rotated >= 30 and shared >= 30
 
 
 def test_related_roots_never_compared():
