@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import MismatchedAlphabet, VdkError
-from .prefixcode import cell_index, gaps, normal_words, pack_word, tail_lengths, unpack_word, walk
-from .words import Alphabet, Word, _format_tail, _parse_tail, format_word, parse_word, split  # noqa: F401
+from .prefixcode import cell_index, format_letters, format_packed, gaps, normal_words, pack_word
+from .prefixcode import parse_letters, parse_packed, tail_lengths, unpack_word, walk
+from .words import Alphabet, Word, format_word, parse_word, split  # noqa: F401
 
 
 def check_same_alphabet(*objs) -> Alphabet:
@@ -248,7 +249,8 @@ def streams_equal(fin1, per1, fin2, per2) -> bool:
 
 
 def format_clopen(s: Clopen) -> str:
-    return "{%s}" % ",".join(format_word(w) for w in s.words)
+    a = s.alphabet
+    return "{%s}" % ",".join([format_packed(a, w) for w in s.packed])
 
 
 def parse_clopen(alphabet: Alphabet, text: str) -> Clopen:
@@ -258,8 +260,8 @@ def parse_clopen(alphabet: Alphabet, text: str) -> Clopen:
     body = text[1:-1].strip()
     if not body:
         return empty_clopen(alphabet)
-    words = [parse_word(alphabet, p) for p in body.split(",")]
-    return clopen_normalize(alphabet, words)
+    packed = [parse_packed(alphabet, p) for p in body.split(",")]
+    return Clopen(alphabet, normal_words(packed, alphabet.d, alphabet.k))
 
 
 def format_point(x: Point) -> str:
@@ -267,7 +269,7 @@ def format_point(x: Point) -> str:
         u = ""
     else:
         u = format_word(x.preperiod)
-    return "%s(%s)^inf" % (u, _format_tail(x.alphabet, x.period))
+    return "%s(%s)^inf" % (u, format_letters(x.alphabet, x.period))
 
 
 def parse_point(alphabet: Alphabet, text: str) -> Point:
@@ -283,7 +285,7 @@ def parse_point(alphabet: Alphabet, text: str) -> Point:
         pre = Word(alphabet, 1)
     else:
         pre = parse_word(alphabet, upart)
-    period = _parse_tail(alphabet, vpart)
+    period = parse_letters(alphabet, vpart)
     if not period:
         raise VdkError("point %r has an empty period" % text)
     return point_normalize(pre, period)

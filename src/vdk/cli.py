@@ -19,6 +19,7 @@ from .cantor import (
     Alphabet,
     format_clopen,
     format_point,
+    format_word,
     parse_clopen,
     parse_point,
     parse_word,
@@ -41,7 +42,6 @@ from .tables import (
     compose,
     embed_supported,
     format_table,
-    format_word,
     inverse,
     parse_table,
     transporter,

@@ -26,7 +26,6 @@ from .cantor import (
     check_same_alphabet,
     clopen_normalize,
     format_word,
-    parse_word,
     point_normalize,
     replace_prefix,
 )
@@ -37,17 +36,8 @@ from .errors import (
     OverlappingBoxes,
     VdkError,
 )
-from .prefixcode import (
-    canonical,
-    check_code,
-    normal_form,
-    normal_words,
-    pack_word,
-    sort_pairs,
-    swap,
-    unpack_word,
-    walk,
-)
+from .prefixcode import canonical, check_code, format_packed, normal_form, normal_words, pack_word
+from .prefixcode import parse_packed, sort_pairs, swap, tail_lengths, unpack_word, walk
 from .tables import TableElement
 
 
@@ -143,17 +133,16 @@ def make_bisection(cells, alphabet: Alphabet | None = None) -> Bisection:
         if alphabet is None:
             raise VdkError("empty bisection needs an explicit alphabet")
         return Bisection(alphabet, ())
-    alphabet = check_same_alphabet(*[w for p in pairs for w in p])
-    if alphabet.m != 1:
-        raise ArityMismatch("bisections are single-factor; use BoxTable for m > 1")
+    a = check_same_alphabet(*[w for p in pairs for w in p])
     packed = [(pack_word(mu), pack_word(nu)) for mu, nu in pairs]
-    return Bisection(alphabet, canonical(alphabet, packed, complete=False))
+    return Bisection(a, canonical(a, packed, complete=False))
 
 
 def is_full(u: Bisection) -> bool:
     """Both the domain words and the range words cover the whole space."""
     a = u.alphabet
-    return check_code(a, u.packed, "domain") and check_code(a, u.packed, "range")
+    ranges = [r for _, r in sort_pairs(u.packed, 1)]
+    return check_code(a, [w for w, _ in u.packed], "domain") and check_code(a, ranges, "range")
 
 
 def to_table(u: Bisection) -> TableElement:
@@ -194,7 +183,10 @@ def bisection_act(u: Bisection, x: Point) -> Point:
 
 
 def format_bisection(u: Bisection) -> str:
-    return "{%s}" % ",".join(str(c) for c in u.cells)
+    a = u.alphabet
+    return "{%s}" % ",".join(
+        ["%s<-%s" % (format_packed(a, r), format_packed(a, w)) for w, r in u.packed]
+    )
 
 
 def parse_bisection(alphabet: Alphabet, text: str) -> Bisection:
@@ -204,23 +196,25 @@ def parse_bisection(alphabet: Alphabet, text: str) -> Bisection:
     body = text[1:-1].strip()
     if not body:
         return Bisection(alphabet, ())
-    cells = []
+    cells = set()
     for part in body.split(","):
         if "<-" not in part:
             raise VdkError("bisection cell %r must look like nu<-mu" % part.strip())
         nu, _, mu = part.partition("<-")
-        cells.append((parse_word(alphabet, nu), parse_word(alphabet, mu)))
-    return make_bisection(cells, alphabet)
+        r, w = parse_packed(alphabet, nu), parse_packed(alphabet, mu)
+        cells.add((w, r))
+    return Bisection(alphabet, canonical(alphabet, cells, complete=False))
 
 
 def bisection_to_json(u: Bisection) -> list[dict]:
+    a = u.alphabet
     return [
         {
-            "range": format_word(c.range_word),
-            "domain": format_word(c.domain_word),
-            "degree": c.degree,
+            "range": format_packed(a, r),
+            "domain": format_packed(a, w),
+            "degree": q - p,
         }
-        for c in u.cells
+        for (w, r), (p, q) in zip(u.packed, tail_lengths(u.packed, a.d, a.k))
     ]
 
 

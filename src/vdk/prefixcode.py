@@ -15,6 +15,10 @@ w2 >> (bl2 - bl1) == w1; the children of a word w are w << b plus
 common bit length, packed words compare lexicographically.  A cell is a
 (domain, range) pair of packed words.
 
+The text codec lives here too: it reads and writes packed words with no
+Word in between.  For d <= 9 a tail letter t is the base-2^b digit t - 1,
+so a tail converts with one int() or format() and a str.translate.
+
 A code is canonical when its pairs are sorted lexicographically by
 domain word and no aligned sibling family is left to merge, i.e. no d
 consecutive pairs (w.1 -> r.1, ..., w.d -> r.d) that could be written
@@ -26,7 +30,8 @@ is a sorted antichain of words whose families merge up to the roots.
 
 from __future__ import annotations
 
-from .errors import IncompleteDomain, IncompleteRange, OverlappingDomain, OverlappingRange
+from .errors import ArityMismatch, IncompleteDomain, IncompleteRange, OverlappingDomain
+from .errors import OverlappingRange, VdkError
 from .words import Alphabet, Word
 
 
@@ -52,6 +57,108 @@ def unpack_word(alphabet: Alphabet, packed: int) -> Word:
     # CPython's per-size tuple free lists growing until a full collection
     tail = tuple([(packed >> s & low) + 1 for s in range(b * (n - 1), -1, -b)])
     return Word(alphabet, (packed >> b * n) - (1 << rb) + 1, tail)
+
+
+# ---------------------------------------------------------------------------
+# text codec
+
+
+def _plain(d: int) -> tuple:
+    """(letters, letter -> digit table, digit -> letter table, format type) for d <= 9."""
+    letters, digits = "123456789"[:d], "012345678"[:d]
+    if d in (3, 4):  # base 4 has no format type: one hex digit holds two letters
+        up = {ord("%x" % i): "%d%d" % (i // 4 + 1, i % 4 + 1) for i in range(16)}
+    else:
+        up = str.maketrans(digits, letters)
+    return letters, str.maketrans(letters, digits), up, "_bxox"[(d - 1).bit_length()]
+
+
+_PLAIN = {d: _plain(d) for d in range(2, 10)}
+
+
+def _tail_text(d: int, b: int, n: int, v: int) -> str:
+    """The n tail letters in the low b * n bits of v, as text."""
+    if not n:
+        return ""
+    if d > 9:
+        return ".".join([str((v >> s & (1 << b) - 1) + 1) for s in range(b * (n - 1), -1, -b)])
+    _, _, up, spec = _PLAIN[d]
+    if b == 2:  # an odd count pads one letter in front
+        return format(v, "0%dx" % ((n + 1) // 2)).translate(up)[n & 1 :]
+    return format(v, "0%d%s" % (n, spec)).translate(up)
+
+
+def format_packed(alphabet: Alphabet, w: int) -> str:
+    """Text of the packed word w."""
+    rb, b = _widths(alphabet.d, alphabet.k)
+    n = (w.bit_length() - 1 - rb) // b
+    tail = _tail_text(alphabet.d, b, n, w & ((1 << b * n) - 1))
+    if alphabet.k == 1:
+        return tail or "1:"
+    return "%d:%s" % ((w >> b * n) - (1 << rb) + 1, tail)
+
+
+def format_letters(alphabet: Alphabet, letters) -> str:
+    """Text of a run of tail letters, such as a point's period."""
+    b = (alphabet.d - 1).bit_length()
+    v = 0
+    for t in letters:
+        v = v << b | t - 1
+    return _tail_text(alphabet.d, b, len(letters), v)
+
+
+def parse_letters(alphabet: Alphabet, text: str) -> list:
+    """The tail letters spelled by text, not yet checked against 1..d."""
+    text = text.strip()
+    if not text:
+        return []
+    parts = text.split(".") if "." in text or alphabet.d > 9 else list(text)
+    if "" in parts:
+        raise VdkError("empty letter between dots in %r" % text)
+    digits = text.replace(".", "")
+    try:
+        # int() alone also reads signs, underscores and non-ASCII digits
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        return [int(p) for p in parts]  # and refuses over 4300 digits
+    except ValueError:
+        raise VdkError("cannot read tail letters from %r" % text) from None
+
+
+def parse_packed(alphabet: Alphabet, text: str) -> int:
+    """The packed word spelled by text; raises VdkError for anything else."""
+    d, k = alphabet.d, alphabet.k
+    text = text.strip()
+    if not text:
+        raise VdkError("empty word; the bare root is spelled 'r:', e.g. '1:'")
+    head, colon, rest = text.partition(":")
+    if not colon:
+        if k != 1:
+            raise VdkError("word %r needs an explicit root 'r:' since k=%d > 1" % (text, k))
+        head, rest = "1", head
+    try:
+        # as for letters, and around the root skip only what int() skips
+        if not (head.strip().isascii() and head.strip().isdigit()):
+            raise ValueError
+        root = int(head)
+    except ValueError:
+        raise VdkError("cannot read root letter from %r" % text) from None
+    rest = rest.strip()
+    plain = _PLAIN.get(d)
+    # a tail of letters 1..d only is one base-2^b number
+    letters = None if plain and not rest.strip(plain[0]) else parse_letters(alphabet, rest)
+    if not 1 <= root <= k:
+        raise VdkError("root letter %d outside 1..%d" % (root, k))
+    rb, b = _widths(d, k)
+    if letters is None:
+        n, v = len(rest), int(rest.translate(plain[1]) or "0", 1 << b)
+    else:
+        n, v = len(letters), 0
+        for t in letters:
+            if not 1 <= t <= d:
+                raise VdkError("tail letter %d outside 1..%d" % (t, d))
+            v = v << b | t - 1
+    return ((1 << rb | root - 1) << b * n) | v
 
 
 def tail_lengths(pairs, d: int, k: int) -> list:
@@ -95,28 +202,26 @@ def leaves(words, d: int, k: int) -> tuple[int, int, int]:
     return sum(d ** (e - t) for t in tails), k * d**e, e + 1
 
 
-def check_code(alphabet: Alphabet, pairs, side: str, complete: bool = False) -> bool:
-    """Whether the `side` ("domain" or "range") words of the pairs cover the space.
+def check_code(alphabet: Alphabet, words: list, side: str, complete: bool = False) -> bool:
+    """Whether the `side` ("domain" or "range") words, sorted lexicographically, cover the space.
 
-    Raises Overlapping* when two of those words overlap and, with
+    Raises Overlapping* when two of the words overlap and, with
     complete, Incomplete* when they do not cover the whole space.  The
     empty code covers nothing.
     """
-    i = 0 if side == "domain" else 1
-    words = [p[i] for p in sort_pairs(pairs, i)]
     # in lexicographic order a word and its extensions are contiguous,
     # so any overlap shows up between neighbours
     for w1, w2 in zip(words, words[1:]):
         s = w2.bit_length() - w1.bit_length()
         if s >= 0 and w2 >> s == w1:
-            err = OverlappingDomain if i == 0 else OverlappingRange
+            err = OverlappingDomain if side == "domain" else OverlappingRange
             raise err(
                 "%s words %s and %s overlap"
-                % (side, unpack_word(alphabet, w1), unpack_word(alphabet, w2))
+                % (side, format_packed(alphabet, w1), format_packed(alphabet, w2))
             )
     covered, total, depth = leaves(words, alphabet.d, alphabet.k)
     if complete and covered != total:
-        err = IncompleteDomain if i == 0 else IncompleteRange
+        err = IncompleteDomain if side == "domain" else IncompleteRange
         raise err("%s words cover %d/%d leaves at depth %d" % (side, covered, total, depth))
     return covered == total
 
@@ -162,13 +267,14 @@ def _merge_siblings(pairs: list, d: int, k: int, minlen: int) -> list:
     return pairs
 
 
-def normal_form(pairs, d: int, k: int) -> tuple:
+def normal_form(pairs, d: int, k: int, presorted: bool = False) -> tuple:
     """Canonical form of a list of disjoint cells: domain-sorted and merged."""
     if k == 1 and len(pairs) == 1 and pairs[0] == (1, 1):
         # the bare-root identity; expand one level so the canonical form
         # never contains the unprintable empty word
         return identity_pairs(d, 1)
-    return tuple(_merge_siblings(sort_pairs(pairs), d, k, 3 if k == 1 else 2))
+    pairs = pairs if presorted else sort_pairs(pairs)
+    return tuple(_merge_siblings(pairs, d, k, 3 if k == 1 else 2))
 
 
 def normal_words(words, d: int, k: int) -> tuple:
@@ -189,11 +295,17 @@ def canonical(alphabet: Alphabet, pairs, complete: bool) -> tuple:
     """Checked canonical form of packed (domain, range) pairs.
 
     Both sides must be prefix codes, and complete ones when complete is
-    set; raises Overlapping* or Incomplete* otherwise.
+    set (a table; a bisection otherwise); raises Overlapping* or
+    Incomplete* if not, and ArityMismatch for more than one factor.
     """
-    check_code(alphabet, pairs, "domain", complete)
-    check_code(alphabet, pairs, "range", complete)
-    return normal_form(pairs, alphabet.d, alphabet.k)
+    if alphabet.m != 1:
+        what = "tables" if complete else "bisections"
+        raise ArityMismatch("%s are single-factor; use BoxTable for m > 1" % what)
+    # one domain sort serves the domain check and the sibling merge
+    pairs = sort_pairs(pairs)
+    check_code(alphabet, [w for w, _ in pairs], "domain", complete)
+    check_code(alphabet, [r for _, r in sort_pairs(pairs, 1)], "range", complete)
+    return normal_form(pairs, alphabet.d, alphabet.k, presorted=True)
 
 
 def swap(pairs, d: int, k: int) -> tuple:

@@ -25,25 +25,12 @@ from .cantor import (
     act_by_cell,
     check_same_alphabet,
     clopen_normalize,
-    format_word,
-    parse_word,
     point_normalize,
     split,
 )
 from .errors import ArityMismatch, TransportImpossible, VdkError
-from .prefixcode import (
-    canonical,
-    gaps,
-    graft,
-    identity_pairs,
-    normal_form,
-    normal_words,
-    pack_word,
-    sort_pairs,
-    swap,
-    unpack_word,
-    walk,
-)
+from .prefixcode import canonical, format_packed, gaps, graft, identity_pairs, normal_form
+from .prefixcode import normal_words, pack_word, parse_packed, sort_pairs, swap, unpack_word, walk
 
 
 class TableElement:
@@ -120,12 +107,9 @@ def make_table(pairs) -> TableElement:
     pairs = list(pairs)
     if not pairs:
         raise VdkError("a table needs at least one pair")
-    words = [w for p in pairs for w in p]
-    alphabet = check_same_alphabet(*words)
-    if alphabet.m != 1:
-        raise ArityMismatch("tables are single-factor; use BoxTable for m > 1")
+    a = check_same_alphabet(*[w for p in pairs for w in p])
     packed = [(pack_word(mu), pack_word(nu)) for mu, nu in pairs]
-    return TableElement(alphabet, canonical(alphabet, packed, complete=True))
+    return TableElement(a, canonical(a, packed, complete=True))
 
 
 def identity(alphabet: Alphabet) -> TableElement:
@@ -247,8 +231,6 @@ def embed_supported(g: TableElement, nu: Word) -> TableElement:
             "embedding needs g over (d=%d, k=%d) with k = d = %d"
             % (base.d, base.k, target.d)
         )
-    if target.m != 1:
-        raise ArityMismatch("tables are single-factor; use BoxTable for m > 1")
     p = pack_word(nu)
     cells = [(graft(p, w), graft(p, r)) for w, r in g.packed]
     cells.extend([(c, c) for c in gaps((p,), target.d, target.k)])
@@ -260,8 +242,9 @@ def embed_supported(g: TableElement, nu: Word) -> TableElement:
 
 
 def format_table(g: TableElement) -> str:
+    a = g.alphabet
     return "{%s}" % ",".join(
-        "%s->%s" % (format_word(mu), format_word(nu)) for mu, nu in g.pairs
+        ["%s->%s" % (format_packed(a, w), format_packed(a, r)) for w, r in g.packed]
     )
 
 
@@ -277,5 +260,5 @@ def parse_table(alphabet: Alphabet, text: str) -> TableElement:
         if "->" not in part:
             raise VdkError("table pair %r must look like mu->nu" % part.strip())
         mu, _, nu = part.partition("->")
-        pairs.append((parse_word(alphabet, mu), parse_word(alphabet, nu)))
-    return make_table(pairs)
+        pairs.append((parse_packed(alphabet, mu), parse_packed(alphabet, nu)))
+    return TableElement(alphabet, canonical(alphabet, pairs, complete=True))

@@ -10,6 +10,7 @@ the preperiod lengths and the rotation offset.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .cantor import Point, Word, check_same_alphabet, point_normalize, streams_equal
@@ -92,18 +93,18 @@ def finite_level_related(x: Point, y: Point, n: int) -> bool:
 
 
 def orbit_fragment(x: Point, level: int) -> frozenset[Point]:
-    """All points nu . sigma^p(x) with p <= level and |nu| <= level tail letters."""
+    """All points nu . sigma^p(x) with p <= level and |nu| <= level tail letters.
+
+    Only p = level or |nu| = level is built: nu . sigma^p(x) = (nu . x_{p+1}) . sigma^{p+1}(x).
+    """
     if level < 1:
         raise VdkError("orbit fragment level must be at least 1, got %d" % level)
     a = x.alphabet
     out = set()
     for p in range(level + 1):
         fin, per = x.tail_stream(p)
-        for root in range(1, a.k + 1):
-            stack = [()]
-            while stack:
-                tail = stack.pop()
-                out.add(point_normalize(Word(a, root, tail + fin), per))
-                if len(tail) < level:
-                    stack.extend(tail + (t,) for t in range(1, a.d + 1))
+        for n in range(level + 1) if p == level else (level,):
+            for root in range(1, a.k + 1):
+                for tail in itertools.product(range(1, a.d + 1), repeat=n):
+                    out.add(point_normalize(Word(a, root, tail + fin), per))
     return frozenset(out)

@@ -5,7 +5,8 @@ A word is a root letter from {1..k} and finitely many tail letters from
 with p tail letters the cylinder has Bernoulli mass 1 / (k * d^p).
 Text format ``r:t1t2...``, e.g. ``1:21``; for k = 1 the root may be
 omitted (``21``) and the bare root prints as ``1:``; letters above 9 are
-dot-separated.
+dot-separated.  Letters are ASCII digits.  Text is read and written by the
+codec in vdk.prefixcode, which works on packed words.
 """
 
 from __future__ import annotations
@@ -83,52 +84,16 @@ def split(w: Word) -> tuple[Word, ...]:
 
 
 # ---------------------------------------------------------------------------
-# parsing and formatting
-
-
-def _format_tail(alphabet: Alphabet, tail) -> str:
-    if alphabet.d <= 9:
-        return "".join(str(t) for t in tail)
-    return ".".join(str(t) for t in tail)
-
-
-def _parse_tail(alphabet: Alphabet, text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    if "." in text or alphabet.d > 9:
-        parts = text.split(".")
-        if "" in parts:
-            raise VdkError("empty letter between dots in %r" % text)
-    else:
-        parts = list(text)
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise VdkError("cannot read tail letters from %r" % text) from None
+# parsing and formatting, by the text codec beside the packed layout
 
 
 def format_word(w: Word) -> str:
-    if w.alphabet.k == 1:
-        if not w.tail:
-            return "1:"
-        return _format_tail(w.alphabet, w.tail)
-    return "%d:%s" % (w.root, _format_tail(w.alphabet, w.tail))
+    return prefixcode.format_packed(w.alphabet, prefixcode.pack_word(w))
 
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:
-    text = text.strip()
-    if not text:
-        raise VdkError("empty word; the bare root is spelled 'r:', e.g. '1:'")
-    if ":" in text:
-        head, _, rest = text.partition(":")
-        try:
-            root = int(head)
-        except ValueError:
-            raise VdkError("cannot read root letter from %r" % text) from None
-        return Word(alphabet, root, _parse_tail(alphabet, rest))
-    if alphabet.k != 1:
-        raise VdkError(
-            "word %r needs an explicit root 'r:' since k=%d > 1" % (text, alphabet.k)
-        )
-    return Word(alphabet, 1, _parse_tail(alphabet, text))
+    return prefixcode.unpack_word(alphabet, prefixcode.parse_packed(alphabet, text))
+
+
+# prefixcode imports this module, so it is bound last: either can load first
+from . import prefixcode  # noqa: E402

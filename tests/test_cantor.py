@@ -36,7 +36,9 @@ from vdk import (
     whole_space,
 )
 from vdk.errors import VdkError
-from vdk.sampling import random_clopen, random_point, random_word
+from vdk.groupoid import parse_bisection
+from vdk.prefixcode import format_letters, format_packed, parse_letters, parse_packed
+from vdk.sampling import random_clopen, random_point, random_table, random_word
 
 A21 = Alphabet(2, 1)
 A22 = Alphabet(2, 2)
@@ -147,6 +149,104 @@ def test_dot_separated_letters_still_parse():
     assert parse_word(A131, "10.2.13") == Word(A131, 1, (10, 2, 13))
     assert parse_word(A21, "1.2") == Word(A21, 1, (1, 2))
     assert parse_word(A22, "2:") == Word(A22, 2, ())
+
+
+# ---------------------------------------------------------------------------
+# the text codec on packed words, against a letter-tuple reference
+
+
+def reference_text(a: Alphabet, root: int, tail: tuple) -> str:
+    """Oracle: a word's text from its letters, by the README's Notation."""
+    letters = (".".join if a.d > 9 else "".join)(str(t) for t in tail)
+    if a.k == 1:
+        return letters or "1:"
+    return "%d:%s" % (root, letters)
+
+
+def reference_packed(a: Alphabet, root: int, tail: tuple) -> int:
+    """Oracle: sentinel 1, then root - 1 in (k-1).bit_length() bits, then
+    each t - 1 in (d-1).bit_length() bits, by multiplication."""
+    code = 2 ** (a.k - 1).bit_length() + root - 1
+    for t in tail:
+        code = code * 2 ** (a.d - 1).bit_length() + t - 1
+    return code
+
+
+def test_codec_matches_letter_reference():
+    # d = 2..17 covers b = 1..5, the hex-pair b = 2 and the dotted form
+    rng = Random(111)
+    for d in range(2, 18):
+        for k in (1, 2, 3, 5):
+            a = Alphabet(d, k)
+            for n in range(71):
+                root = rng.randrange(1, k + 1)
+                tail = tuple(rng.randrange(1, d + 1) for _ in range(n))
+                text = reference_text(a, root, tail)
+                packed = reference_packed(a, root, tail)
+                assert parse_packed(a, text) == packed, (a, text)
+                assert format_packed(a, packed) == text, (a, text)
+                assert format_packed(a, parse_packed(a, text)) == text
+                if n:
+                    assert format_letters(a, tail) == text.rpartition(":")[2]
+                    assert parse_letters(a, text.rpartition(":")[2]) == list(tail)
+            # the largest letter d, in runs longer than one format() digit
+            tail = (d,) * 7 + (1,) * 3
+            assert parse_packed(a, reference_text(a, k, tail)) == reference_packed(a, k, tail)
+    for d in (2, 9, 12):
+        a = Alphabet(d, 1)
+        # the k = 1 bare root, and k = 1 words spelled with their root
+        assert parse_packed(a, "1:") == reference_packed(a, 1, ()) == 1
+        assert format_packed(a, 1) == "1:"
+        assert parse_packed(a, " 1: 2 ") == parse_packed(a, "2") == reference_packed(a, 1, (2,))
+
+
+def test_parsers_accept_only_ascii_digits():
+    # int() reads signs, underscores, inner spaces and any Unicode digit;
+    # every one of these used to parse as some word
+    A121 = Alphabet(12, 1)
+    for a, text in [
+        (A22, "+1:21"), (A22, "0_1:2"), (A22, "1:\uff121"), (A22, "1:\u06612"),
+        (A121, "1. 2"), (A121, "+3.4"), (A121, "1_1.2"), (A121, "1.\u0661"),
+    ]:
+        with pytest.raises(VdkError, match="cannot read (root letter|tail letters) from"):
+            parse_word(a, text)
+    # whitespace around a word, its root and its tail stays allowed
+    assert parse_word(A22, " 1 : 21 ") == Word(A22, 1, (2, 1))
+    assert parse_word(A121, "\t10.2 ") == Word(A121, 1, (10, 2))
+
+    def spoil(rng, text):
+        """text with one letter misspelt in a way int() still reads."""
+        i = rng.choice([j for j, c in enumerate(text) if c.isdigit()])
+        c = text[i]
+        sign = "_" if i and text[i - 1].isdigit() else "+"
+        # a space inside a dotted tail, or else a Devanagari digit
+        spaced = " " + c if text[i - 1 : i] == "." else chr(0x0966 + int(c))
+        bad = [chr(0xFF10 + int(c)), chr(0x0660 + int(c)), sign + c, spaced]
+        return text[:i] + rng.choice(bad) + text[i + 1 :]
+
+    rng = Random(112)
+    for i in range(600):
+        a = [A21, A22, Alphabet(3, 2), Alphabet(5, 3), Alphabet(12, 1), Alphabet(17, 2)][i % 6]
+        kind = ["word", "point", "table", "clopen", "bisection"][i % 5]
+        if kind == "word":
+            words = [format_word(random_word(rng, a, 6))]
+        elif kind == "point":
+            words = [format_point(random_point(rng, a))]
+        else:
+            g = random_table(rng, a)
+            words = [format_word(v) for p in g.pairs for v in p]
+        j = rng.randrange(len(words))
+        words[j] = spoil(rng, words[j])
+        if kind in ("word", "point"):
+            text, parse = words[0], parse_word if kind == "word" else parse_point
+        elif kind == "clopen":
+            text, parse = "{%s}" % ",".join(words), parse_clopen
+        else:
+            arrow = "->" if kind == "table" else "<-"
+            text = "{%s}" % ",".join(arrow.join(words[m : m + 2]) for m in range(0, len(words), 2))
+            parse = parse_table if kind == "table" else parse_bisection
+        with pytest.raises(VdkError, match="cannot read (root letter|tail letters) from"):
+            parse(a, text)
 
 
 def test_normalize_merges_families_at_large_d():

@@ -427,6 +427,25 @@ def test_mv_flag_accepted(capsys):
 
 
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("measure", "--k", "2", "{+1:21}"),
+        ("measure", "--k", "2", "{0_1:2}"),
+        ("reduce", "{1->\uff12,2->1}"),
+        ("act", "{1->2,2->1}", "(\u0661)^inf"),
+        ("bisection", "is-full", "--d", "12", "{1. 2<-1}"),
+        ("measure", "--d", "12", "{+3.4}"),
+    ],
+)
+def test_exit_2_letter_not_ascii_digits(capsys, argv):
+    # int() read these as letters, so each used to name some word
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: cannot read")
+
+
 # seeded fuzzing: every input ends in an exit code, never a traceback
 
 _FUZZ_LETTERS = "{}()^inf,->:<.0123456789"

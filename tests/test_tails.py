@@ -5,6 +5,7 @@ Independent oracle: brute-force search for the lexicographically least
 agreement on the window forces agreement forever.
 """
 
+import itertools
 from math import lcm
 from random import Random
 
@@ -311,6 +312,33 @@ def test_orbit_fragment_exhausts_classes():
             + 2 * lcm(len(x.period), len(y.period))
         )
         assert y in orbit_fragment(x, level)
+
+
+def full_orbit_fragment(x, level):
+    """Oracle: nu . sigma^p(x) for every p <= level and every nu with at
+    most level tail letters, duplicates included."""
+    a = x.alphabet
+    out = set()
+    for p in range(level + 1):
+        fin, per = x.tail_stream(p)
+        for root in range(1, a.k + 1):
+            for n in range(level + 1):
+                for tail in itertools.product(range(1, a.d + 1), repeat=n):
+                    out.add(point_normalize(Word(a, root, tail + fin), per))
+    return out
+
+
+def test_orbit_fragment_matches_full_enumeration():
+    rng = Random(510)
+    for d in (2, 3, 4):
+        for k in (1, 2, 3):
+            a = Alphabet(d, k)
+            for level in range(1, 7):
+                # k * d^level <= 4^6 keeps the oracle under a second per point
+                if k * d**level > 4**6:
+                    continue
+                x = random_point(rng, a, max_pre=4, max_per=3)
+                assert orbit_fragment(x, level) == full_orbit_fragment(x, level), (x, level)
 
 
 def test_orbit_fragment_rejects_level_zero():
