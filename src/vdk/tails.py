@@ -92,14 +92,33 @@ def finite_level_related(x: Point, y: Point, n: int) -> bool:
     return streams_equal(fx, px, fy, py)
 
 
+ORBIT_CANDIDATES_MAX = 1 << 22
+
+
+def _orbit_candidates(d: int, k: int, level: int) -> int:
+    """How many points orbit_fragment builds at this level, before deduplication."""
+    return level * k * d**level + k * (d ** (level + 1) - 1) // (d - 1)
+
+
 def orbit_fragment(x: Point, level: int) -> frozenset[Point]:
     """All points nu . sigma^p(x) with p <= level and |nu| <= level tail letters.
 
     Only p = level or |nu| = level is built: nu . sigma^p(x) = (nu . x_{p+1}) . sigma^{p+1}(x).
+    A level that would build more than ORBIT_CANDIDATES_MAX points is refused.
     """
     if level < 1:
         raise VdkError("orbit fragment level must be at least 1, got %d" % level)
     a = x.alphabet
+    # the count grows at least like level * 2^level, so this loop is short;
+    # comparing levels, not counts, never raises d to a huge level
+    largest = 0
+    while _orbit_candidates(a.d, a.k, largest + 1) <= ORBIT_CANDIDATES_MAX:
+        largest += 1
+    if level > largest:
+        raise VdkError(
+            "orbit fragment level %d builds more than %d points; the largest level "
+            "allowed over d=%d, k=%d is %d" % (level, ORBIT_CANDIDATES_MAX, a.d, a.k, largest)
+        )
     out = set()
     for p in range(level + 1):
         fin, per = x.tail_stream(p)

@@ -1,10 +1,12 @@
 """Command-line surface: canonical text, JSON envelopes, exit codes."""
 
+import argparse
 import json
 import os
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from random import Random
 
@@ -28,11 +30,15 @@ def run_usage_error(capsys, *argv):
     return exc.value.code, out.out, out.err
 
 
-def run_child(argv, memory_cap=None):
-    """Run `python -m vdk.cli argv` with the vdk this test imported."""
+def child_env():
+    """The environment in which `python -m vdk.cli` imports this test's vdk."""
     src = os.path.dirname(os.path.dirname(vdk.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_child(argv, memory_cap=None):
+    """Run `python -m vdk.cli argv` with the vdk this test imported."""
 
     def cap():
         import resource
@@ -43,7 +49,7 @@ def run_child(argv, memory_cap=None):
         [sys.executable, "-m", "vdk.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         preexec_fn=cap if memory_cap else None,
     )
 
@@ -248,8 +254,57 @@ def test_exit_3_inconclusive(capsys):
 
 
 def test_selftest_exit_0(capsys):
-    code, out, _ = run_cli(capsys, "selftest", "--json")
+    # selftest prints its own lines, with or without --json, and no
+    # envelope; like the commands below it never builds the alphabet
+    code, out, _ = run_cli(capsys, "selftest", "--d", "1", "--json")
     assert code == 0
+    assert out.startswith("ok   ") and out.endswith("\nall 13 checks passed\n")
+
+
+@pytest.mark.parametrize("d", ["1", "99999999999"])
+def test_alphabet_free_commands_ignore_d(capsys, d):
+    code, out, _ = run_cli(capsys, "certificate", "pingpong-verify", "--d", d)
+    assert (code, out) == (0, "certified: the fixture pair generates a free group of rank 2\n")
+    code, out, _ = run_cli(capsys, "certificate", "convolution-count", "--d", d, "--len", "4")
+    assert (code, out) == (0, "28\n")
+
+
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_closed_stdout_exits_2(as_json):
+    # a reader that stops early used to leave a BrokenPipeError traceback
+    # and exit code 1; the output is larger than a pipe's buffer, so the
+    # child is still writing when the pipe closes
+    argv = ["tail", "orbit", "--level", "10", "2121(12)^inf", *as_json]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "vdk.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(),
+    )
+    child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--level", "40", "2121(12)^inf"],
+        ["--d", "99999999999", "--level", "1", "2121(12)^inf"],
+    ],
+)
+def test_exit_2_orbit_too_large(capsys, argv):
+    # the fragment grows like level * k * d^level; these used to run for hours
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "tail", "orbit", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: orbit fragment") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +432,100 @@ def test_tail_related_json(capsys):
     )
     envelope = json.loads(out)
     assert envelope["result"] == {"related": True, "witness": {"p": 0, "q": 1}}
+
+
+# ---------------------------------------------------------------------------
+# the command surface: every command, its envelope and its help
+
+_T = "{11->1,12->21,2->22}"
+# argv, then the envelope's command and params, written out by hand
+_ENVELOPES = [
+    (["compose", "{1->2,2->1}", _T], "compose",
+     {"d": 2, "k": 1, "m": 1, "tables": ["{1->2,2->1}", _T]}),
+    (["inverse", _T], "inverse", {"d": 2, "k": 1, "m": 1, "table": _T}),
+    (["reduce", "--d", "3", "{1->1,2->2,3->3}"], "reduce",
+     {"d": 3, "k": 1, "m": 1, "table": "{1->1,2->2,3->3}"}),
+    (["act", _T, "{1,21}"], "act", {"d": 2, "k": 1, "m": 1, "table": _T, "operand": "{1,21}"}),
+    (["measure", "--k", "2", "{1:11}"], "measure", {"d": 2, "k": 2, "m": 1, "clopen": "{1:11}"}),
+    (["cocycle", "profile", _T], "cocycle profile", {"d": 2, "k": 1, "m": 1, "table": _T}),
+    (["cocycle", "at-point", _T, "(1)^inf"], "cocycle at-point",
+     {"d": 2, "k": 1, "m": 1, "table": _T, "point": "(1)^inf"}),
+    (["cocycle", "integral-sqrt", _T], "cocycle integral-sqrt",
+     {"d": 2, "k": 1, "m": 1, "table": _T}),
+    (["deficit", "{1}", "{1->2,2->1}", _T], "deficit",
+     {"d": 2, "k": 1, "m": 1, "clopen": "{1}", "tables": ["{1->2,2->1}", _T]}),
+    (["bisection", "to-table", "{2<-1,1<-2}"], "bisection to-table",
+     {"d": 2, "k": 1, "m": 1, "bisection": "{2<-1,1<-2}"}),
+    (["bisection", "from-table", "{1->2,2->1}"], "bisection from-table",
+     {"d": 2, "k": 1, "m": 1, "table": "{1->2,2->1}"}),
+    (["bisection", "compose", "{11<-11}", "{1<-2}"], "bisection compose",
+     {"d": 2, "k": 1, "m": 1, "bisections": ["{11<-11}", "{1<-2}"]}),
+    (["bisection", "is-full", "{2<-1}"], "bisection is-full",
+     {"d": 2, "k": 1, "m": 1, "bisection": "{2<-1}"}),
+    (["tail", "related", "(1)^inf", "(2)^inf"], "tail related",
+     {"d": 2, "k": 1, "m": 1, "points": ["(1)^inf", "(2)^inf"]}),
+    (["tail", "orbit", "--level", "1", "(1)^inf"], "tail orbit",
+     {"d": 2, "k": 1, "m": 1, "point": "(1)^inf", "level": 1}),
+    (["certificate", "check", "--k", "2", "--nu", "1:11"], "certificate check",
+     {"d": 2, "k": 2, "m": 1, "nu": "1:11", "fixture": "free2"}),
+    (["certificate", "pingpong-verify", "--m", "2"], "certificate pingpong-verify",
+     {"d": 2, "k": 1, "m": 2, "fixture": "free2"}),
+    (["certificate", "convolution-count", "--len", "4", "--workers", "2"],
+     "certificate convolution-count",
+     {"d": 2, "k": 1, "m": 1, "fixture": "free2", "len": 4, "workers": 2}),
+    (["transporter", "1", "11"], "transporter", {"d": 2, "k": 1, "m": 1, "words": ["1", "11"]}),
+    (["embed", "{1:->2:,2:->1:}", "1"], "embed",
+     {"d": 2, "k": 1, "m": 1, "table": "{1:->2:,2:->1:}", "nu": "1"}),
+]
+
+
+def cli_parsers():
+    """(path, parser) for the root parser and every group and command below it."""
+    found = [((), cli._build())]
+    for path, parser in found:  # found grows while it is walked
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                found.extend((path + (name,), p) for name, p in action.choices.items())
+    return found
+
+
+def cli_commands():
+    """The path of every command: the parsers with no subcommands."""
+    return [
+        " ".join(path)
+        for path, parser in cli_parsers()
+        if not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+    ]
+
+
+def test_every_command_pinned():
+    assert sorted(cli_commands()) == sorted([c for _, c, _ in _ENVELOPES] + ["selftest"])
+    assert len(cli_commands()) == 21
+
+
+@pytest.mark.parametrize("argv, command, params", _ENVELOPES, ids=[c for _, c, _ in _ENVELOPES])
+def test_envelope_command_and_params(capsys, argv, command, params):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    envelope = json.loads(out)
+    assert (envelope["command"], envelope["params"]) == (command, params)
+
+
+def test_every_help_exits_0(capsys):
+    parsers = cli_parsers()
+    assert len(parsers) == 26
+    for path, _ in parsers:
+        code, out, err = run_usage_error(capsys, *path, "--help")
+        assert (code, err) == (0, ""), path
+        assert out.startswith("usage: " + " ".join(("vdk",) + path)), path
+
+
+def test_readme_lists_every_command():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(path, encoding="utf-8") as f:
+        readme = f.read()
+    for command in cli_commands():
+        assert "`%s`" % command in readme, command
 
 
 def test_printed_tables_reparse(capsys):
