@@ -80,7 +80,8 @@ class Clopen:
     def intersect(self, other: Clopen) -> Clopen:
         a = check_same_alphabet(self, other)
         # the finer word of every nested pair; canonical as it stands
-        cells = walk([(w, w) for w in self.packed], [(w, w) for w in other.packed])
+        right = [(w, w) for w in other.packed]
+        cells = walk([(w, w) for w in self.packed], right, range(len(right)))
         return Clopen(a, tuple([w for w, _ in cells]))
 
     def complement(self) -> Clopen:

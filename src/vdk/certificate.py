@@ -30,7 +30,7 @@ from .errors import (
     VdkError,
 )
 from .measure import QuadraticValue, integral_sqrt_rn, quad_compare, quadratic
-from .prefixcode import normal_form, sort_pairs, swap, walk
+from .prefixcode import normal_form, range_order, swap, walk
 from .tables import (
     TableElement,
     act_clopen,
@@ -142,6 +142,9 @@ def pingpong_verify(cert: PingPongCertificate) -> bool:
 # convolution counts: closed walks in the Cayley graph of <F>
 
 
+CONVOLUTION_PRODUCTS_MAX = 1 << 20
+
+
 def convolution_count(f: SymmetricSet, length: int, workers: int = 1) -> int:
     """Number of length-`length` words over F multiplying to the identity.
 
@@ -153,6 +156,14 @@ def convolution_count(f: SymmetricSet, length: int, workers: int = 1) -> int:
     lower bound for ||sum_s lambda_s||.  `workers` is accepted for
     compatibility and must be at least 1; otherwise it is ignored, and
     the count runs in the calling process.
+
+    Each step multiplies a sphere element g by a generator h with one
+    merge walk, given h's range order, which is computed once per call:
+    the product comes out sorted by domain, so its canonical form is one
+    sibling merge and no sort.  Each g^-1 is a sort of g's swapped
+    cells.  The expansion forms at most |F| + |F|^2 + ... + |F|^L
+    products; a length whose bound exceeds CONVOLUTION_PRODUCTS_MAX is
+    refused before any sphere is expanded.
     """
     if not f.symmetric:
         raise NotSymmetric("convolution counts need an inverse-closed set")
@@ -160,21 +171,35 @@ def convolution_count(f: SymmetricSet, length: int, workers: int = 1) -> int:
         raise VdkError("word length must be even and at least 2, got %d" % length)
     if workers < 1:
         raise VdkError("workers must be at least 1, got %d" % workers)
+    size = len(f.elements)
+    # the bound is summed one half-length step at a time and the loop
+    # stops at the cap, so no power of a huge length is ever formed
+    products, term, largest = 0, 1, 0
+    while largest < length:
+        term *= size
+        if products + term > CONVOLUTION_PRODUCTS_MAX:
+            raise VdkError(
+                "convolution count at length %d forms more than %d products; the largest "
+                "length allowed for |F| = %d is %d"
+                % (length, CONVOLUTION_PRODUCTS_MAX, size, largest)
+            )
+        products += term
+        largest += 2
     a = f.elements[0].alphabet
     for el in f.elements:
         if el.alphabet != a:
             raise MismatchedAlphabet("mixed alphabets in symmetric set")
     d, k = a.d, a.k
-    gens = [sort_pairs(el.packed, 1) for el in f.elements]
+    gens = [(el.packed, range_order(el.packed)) for el in f.elements]
     sphere = {identity(a).packed: 1}
     for _ in range(length // 2):
         nxt: dict[tuple, int] = {}
         for g, cnt in sphere.items():
-            for h in gens:
-                gh = normal_form(walk(g, h), d, k)
+            for h, order in gens:
+                gh = normal_form(walk(g, h, order), d, k)
                 nxt[gh] = nxt.get(gh, 0) + cnt
         sphere = nxt
-    return sum(cnt * sphere.get(swap(g, d, k), 0) for g, cnt in sphere.items())
+    return sum(cnt * sphere.get(swap(g), 0) for g, cnt in sphere.items())
 
 
 # ---------------------------------------------------------------------------

@@ -195,7 +195,7 @@ TABLE = ("table", {"metavar": "TABLE"})
 POINT = ("point", {"metavar": "POINT"})
 CLOPEN = ("clopen", {"metavar": "CLOPEN"})
 BISECTION = ("bisection", {"metavar": "BISECTION"})
-FIXTURE = ("--fixture", {"default": "free2"})
+FIXTURE = ("--fixture", {"default": "free2", "help": "frozen generator fixture (default free2)"})
 
 GROUPS = {
     "cocycle": "Radon-Nikodym cocycle tools",
@@ -231,7 +231,7 @@ COMMANDS = [
     ("certificate check", "evaluate the inequality chain", h_certificate_check, [
         ("--nu", {"required": True, "metavar": "WORD",
                   "help": "embedding word in the (d,k) alphabet"}),
-        ("--fixture", {"default": "free2", "help": "frozen generator fixture (default free2)"}),
+        FIXTURE,
     ]),
     ("certificate pingpong-verify", "verify the freeness certificate", h_certificate_pingpong,
      [FIXTURE]),

@@ -37,7 +37,7 @@ from .errors import (
     VdkError,
 )
 from .prefixcode import canonical, check_code, format_packed, normal_form, normal_words, pack_word
-from .prefixcode import parse_packed, sort_pairs, swap, tail_lengths, unpack_word, walk
+from .prefixcode import parse_packed, range_order, sort_pairs, swap, tail_lengths, unpack_word, walk
 from .tables import TableElement
 
 
@@ -160,13 +160,13 @@ def from_table(g: TableElement) -> Bisection:
 def bisection_compose(u: Bisection, v: Bisection) -> Bisection:
     """All products of composable germs, u after v; degrees add cellwise."""
     a = check_same_alphabet(u, v)
-    cells = walk(u.packed, sort_pairs(v.packed, 1))
+    cells = walk(u.packed, v.packed, range_order(v.packed))
     return Bisection(a, normal_form(cells, a.d, a.k))
 
 
 def bisection_inverse(u: Bisection) -> Bisection:
     """Cellwise inverse: swap domain and range, negate degrees."""
-    return Bisection(u.alphabet, swap(u.packed, u.alphabet.d, u.alphabet.k))
+    return Bisection(u.alphabet, swap(u.packed))
 
 
 def bisection_act(u: Bisection, x: Point) -> Point:

@@ -26,6 +26,15 @@ as the single pair w -> r.  For k = 1 the bare root names the whole
 space and would print as an empty word, so cells stop merging one level
 early and the k = 1 identity is {1->1, ..., d->d}.  A canonical clopen
 is a sorted antichain of words whose families merge up to the roots.
+
+Composition sorts nothing but the right operand's range words.  The
+merge walk reads the left code in domain order and the right code in
+range order, and lays each right cell's products out under that cell,
+so its output is domain-sorted and one pass of the sibling merge, a
+stack on which families cascade into their parents, makes it canonical.
+The merge condition reads the domain and range words alike, so the
+inverse of a canonical code is its swapped cells sorted, with nothing
+to merge.
 """
 
 from __future__ import annotations
@@ -193,6 +202,11 @@ def sort_pairs(pairs, side: int = 0) -> list:
     return sorted(pairs, key=key)
 
 
+def range_order(pairs) -> list:
+    """Indices of the pairs in the lexicographic order of their range words."""
+    return [i for _, i in sort_pairs([(r, i) for i, (_, r) in enumerate(pairs)])]
+
+
 def leaves(words, d: int, k: int) -> tuple[int, int, int]:
     """(covered, total, depth): the words cover `covered` of the `total`
     words of length `depth`, the longest length among them."""
@@ -234,46 +248,50 @@ def identity_pairs(d: int, k: int) -> tuple:
     return tuple([((1 << rb) | r, (1 << rb) | r) for r in range(k)])
 
 
-def _merge_siblings(pairs: list, d: int, k: int, minlen: int) -> list:
-    """Merge aligned sibling families to a fixpoint; pairs must be domain-sorted.
+def _merge_siblings(pairs, d: int, k: int, minlen: int) -> list:
+    """Merge aligned sibling families; pairs must be domain-sorted.
 
+    One pass over a stack: each cell is pushed, and while the top d
+    cells form a family (w.1 -> r.1, ..., w.d -> r.d) they are replaced
+    by their parent w -> r, which may in turn close a family with the
+    cells below it.  A family is contiguous in domain order, so any
+    family left would have been seen when its last cell went on top.
     Only families whose words have at least minlen letters merge.
     """
     rb, b = _widths(d, k)
     minbits = 1 + rb + b * (minlen - 1)
     low = (1 << b) - 1
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        i = 0
-        n = len(pairs)
-        while i < n:
-            w, r = pairs[i]
-            # a family starts at two words ending in letter 1, the
-            # shorter of them (the smaller int) at least minbits long
-            if i + d <= n and not (w & low or r & low) and min(w, r).bit_length() >= minbits:
-                for j in range(1, d):
-                    if pairs[i + j] != (w + j, r + j):
-                        break
-                else:
-                    out.append((w >> b, r >> b))
-                    i += d
-                    changed = True
-                    continue
-            out.append(pairs[i])
-            i += 1
-        pairs = out
-    return pairs
+    last = d - 1
+    out = []
+    for w, r in pairs:
+        # a family ends at two words ending in letter d, the shorter of
+        # them (the smaller int) at least minbits long, on top of its
+        # d - 1 siblings
+        while (
+            w & low == last
+            and r & low == last
+            and min(w, r).bit_length() >= minbits
+            and len(out) >= last
+        ):
+            for j in range(1, d):
+                if out[-j] != (w - j, r - j):
+                    break
+            else:
+                del out[-last:]
+                w >>= b
+                r >>= b
+                continue
+            break
+        out.append((w, r))
+    return out
 
 
-def normal_form(pairs, d: int, k: int, presorted: bool = False) -> tuple:
-    """Canonical form of a list of disjoint cells: domain-sorted and merged."""
+def normal_form(pairs, d: int, k: int) -> tuple:
+    """Canonical form of disjoint cells given in domain order: families merged."""
     if k == 1 and len(pairs) == 1 and pairs[0] == (1, 1):
         # the bare-root identity; expand one level so the canonical form
         # never contains the unprintable empty word
         return identity_pairs(d, 1)
-    pairs = pairs if presorted else sort_pairs(pairs)
     return tuple(_merge_siblings(pairs, d, k, 3 if k == 1 else 2))
 
 
@@ -305,12 +323,18 @@ def canonical(alphabet: Alphabet, pairs, complete: bool) -> tuple:
     pairs = sort_pairs(pairs)
     check_code(alphabet, [w for w, _ in pairs], "domain", complete)
     check_code(alphabet, [r for _, r in sort_pairs(pairs, 1)], "range", complete)
-    return normal_form(pairs, alphabet.d, alphabet.k, presorted=True)
+    return normal_form(pairs, alphabet.d, alphabet.k)
 
 
-def swap(pairs, d: int, k: int) -> tuple:
-    """Canonical form of the inverse: every cell with domain and range swapped."""
-    return normal_form([(r, w) for w, r in pairs], d, k)
+def swap(pairs) -> tuple:
+    """Canonical form of the inverse of canonical pairs: every cell with
+    domain and range swapped.
+
+    The merge condition reads both words alike, so a family of swapped
+    cells would be a family of the code itself: the swapped cells of a
+    canonical code have nothing to merge and need only a sort.
+    """
+    return tuple(sort_pairs([(r, w) for w, r in pairs]))
 
 
 def gaps(words, d: int, k: int) -> tuple:
@@ -339,48 +363,59 @@ def gaps(words, d: int, k: int) -> tuple:
     return tuple(out)
 
 
-def walk(left, right) -> list:
-    """Cells of left after right, unsorted and unreduced.
+def walk(left, right, order) -> list:
+    """Cells of left after right, sorted by domain and unreduced.
 
-    left is sorted by domain and right by range; either may be partial.
-    The two antichains, left's domain words and right's range words, are
-    merged in lexicographic order.  Where two cells nest, the product
-    cell is emitted on the finer of the two and that side advances (the
-    right one when the cells are equal); a cell that ends before the
-    other starts is skipped.
+    left and right are sorted by domain word, and order lists the
+    indices of right's cells in the lexicographic order of their range
+    words; either code may be partial.  The two antichains, left's
+    domain words and right's range words, are merged in lexicographic
+    order.  Where two cells nest, the product cell is emitted on the
+    finer of the two and that side advances (the right one when the
+    cells are equal); a cell that ends before the other starts is
+    skipped.
+
+    The products of one right cell hd -> hr have domains hd or
+    extensions of hd, and come out in lexicographic order, since left's
+    domain words do.  Each right cell's run is filed under its index,
+    so the runs read in right's domain order are sorted by domain with
+    no comparison sort.
     """
-    out = []
+    runs = [()] * len(right)
     n = len(left)
-    if not n:
-        return out
     i = 0
-    gd, gr = left[0]
-    la = gd.bit_length()
-    for hd, hr in right:
+    if n:
+        gd, gr = left[0]
+        la = gd.bit_length()
+    for j in order:
+        if i == n:
+            break
+        hd, hr = right[j]
         lb = hr.bit_length()
+        run = runs[j] = []
         while True:
             if la <= lb:
                 s = lb - la
                 q = hr >> s
                 if q == gd:
                     # the product cell appends hr's low bits to gr
-                    out.append((hd, (gr << s) | (hr & ((1 << s) - 1))))
+                    run.append((hd, (gr << s) | (hr & ((1 << s) - 1))))
                 if q <= gd:
                     break
             else:
                 s = la - lb
                 q = gd >> s
                 if q == hr:
-                    out.append(((hd << s) | (gd & ((1 << s) - 1)), gr))
+                    run.append(((hd << s) | (gd & ((1 << s) - 1)), gr))
                 elif q > hr:
                     break
             # the left cell is done
             i += 1
             if i == n:
-                return out
+                break
             gd, gr = left[i]
             la = gd.bit_length()
-    return out
+    return [c for run in runs for c in run]
 
 
 def cell_index(words, x) -> int | None:

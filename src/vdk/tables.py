@@ -30,7 +30,7 @@ from .cantor import (
 )
 from .errors import ArityMismatch, TransportImpossible, VdkError
 from .prefixcode import canonical, format_packed, gaps, graft, identity_pairs, normal_form
-from .prefixcode import normal_words, pack_word, parse_packed, sort_pairs, swap, unpack_word, walk
+from .prefixcode import normal_words, pack_word, parse_packed, range_order, swap, unpack_word, walk
 
 
 class TableElement:
@@ -126,14 +126,14 @@ def compose(g: TableElement, h: TableElement) -> TableElement:
     """The element g compose h, acting by x -> g(h(x))."""
     _check_tables(g, h)
     a = check_same_alphabet(g, h)
-    cells = walk(g.packed, sort_pairs(h.packed, 1))
+    cells = walk(g.packed, h.packed, range_order(h.packed))
     return TableElement(a, normal_form(cells, a.d, a.k))
 
 
 def inverse(g: TableElement) -> TableElement:
     _check_tables(g)
     a = g.alphabet
-    return TableElement(a, swap(g.packed, a.d, a.k))
+    return TableElement(a, swap(g.packed))
 
 
 def reduce(g: TableElement) -> TableElement:
@@ -156,7 +156,7 @@ def act_point(g: TableElement, x: Point) -> Point:
 def act_clopen(g: TableElement, s: Clopen) -> Clopen:
     a = check_same_alphabet(g, s)
     # the range words of g restricted to s
-    cells = walk(g.packed, [(w, w) for w in s.packed])
+    cells = walk(g.packed, [(w, w) for w in s.packed], range(len(s.packed)))
     return Clopen(a, normal_words([r for _, r in cells], a.d, a.k))
 
 
@@ -178,12 +178,8 @@ def probe_points(g: TableElement, h: TableElement) -> list[Point]:
     """
     a = check_same_alphabet(g, h)
     # the common refinement is the unreduced product of the two domain identities
-    cells = walk([(w, w) for w, _ in g.packed], [(w, w) for w, _ in h.packed])
-    return [
-        point_normalize(unpack_word(a, w), (c,))
-        for w, _ in sort_pairs(cells)
-        for c in (1, 2)
-    ]
+    cells = walk([(w, w) for w, _ in g.packed], [(w, w) for w, _ in h.packed], range(len(h.packed)))
+    return [point_normalize(unpack_word(a, w), (c,)) for w, _ in cells for c in (1, 2)]
 
 
 def transporter(nu1: Word, nu2: Word) -> TableElement:

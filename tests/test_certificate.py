@@ -11,6 +11,7 @@ from random import Random
 
 import pytest
 
+from vdk import certificate
 from vdk import (
     Alphabet,
     NormBound,
@@ -289,6 +290,27 @@ def test_convolution_rejects_invalid():
         convolution_count(f, 3)
     with pytest.raises(VdkError):
         convolution_count(f, 0)
+
+
+def test_convolution_length_bound(free2, monkeypatch):
+    # |F| + ... + |F|^(len/2) products may be formed; free2 at length 18
+    # forms at most 349524 and at length 20 at most 1398100
+    f, cert = free2
+    assert certificate.CONVOLUTION_PRODUCTS_MAX == 1 << 20
+    for length in (20, 40, 10**9):
+        with pytest.raises(VdkError, match="largest length allowed for \\|F\\| = 4 is 18$"):
+            convolution_count(f, length)
+    # the cap is inclusive: 4 + 16 products reach length 4 and not 6
+    monkeypatch.setattr(certificate, "CONVOLUTION_PRODUCTS_MAX", 20)
+    assert convolution_count(f, 4) == 28
+    with pytest.raises(VdkError, match="more than 20 products; .* is 4$"):
+        convolution_count(f, 6)
+    # one generator: the bound grows by one product per step, and the
+    # largest length is still found by stepping up
+    sigma = symmetric_set([parse_table(A21, "{1->2,2->1}")])
+    assert convolution_count(sigma, 40) == 1
+    with pytest.raises(VdkError, match="for \\|F\\| = 1 is 40$"):
+        convolution_count(sigma, 10**9)
 
 
 @pytest.mark.parametrize("workers", [0, -3])

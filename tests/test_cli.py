@@ -307,6 +307,19 @@ def test_exit_2_orbit_too_large(capsys, argv):
     assert err.startswith("error: orbit fragment") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("length", ["20", "40", "1000000000"])
+def test_exit_2_convolution_length_too_large(capsys, length):
+    # the spheres grow like |F|^(len/2); length 40 used to end in MemoryError
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "certificate", "convolution-count", "--len", length)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: convolution count at length %s forms more than 1048576 products; "
+        "the largest length allowed for |F| = 4 is 18\n" % length
+    )
+
+
 # ---------------------------------------------------------------------------
 # assorted commands, canonical text
 
@@ -518,6 +531,13 @@ def test_every_help_exits_0(capsys):
         code, out, err = run_usage_error(capsys, *path, "--help")
         assert (code, err) == (0, ""), path
         assert out.startswith("usage: " + " ".join(("vdk",) + path)), path
+
+
+@pytest.mark.parametrize("command", ["check", "pingpong-verify", "convolution-count"])
+def test_fixture_help(capsys, command):
+    code, out, _ = run_usage_error(capsys, "certificate", command, "--help")
+    assert code == 0
+    assert "frozen generator fixture (default free2)" in out
 
 
 def test_readme_lists_every_command():

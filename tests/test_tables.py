@@ -50,6 +50,8 @@ from vdk.errors import (
     OverlappingRange,
     VdkError,
 )
+from vdk.prefixcode import _merge_siblings, normal_form, pack_word, range_order, sort_pairs
+from vdk.prefixcode import swap, unpack_word, walk
 from vdk.sampling import random_bisection, random_point, random_table, random_word
 
 A21 = Alphabet(2, 1)
@@ -546,3 +548,129 @@ def test_long_word_roundtrips():
 def test_parse_accepts_any_order_and_spaces():
     g = parse_table(A21, "{ 2->22 , 12->21 , 11->1 }")
     assert format_table(g) == "{11->1,12->21,2->22}"
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against letter-level references: the merge walk, the
+# one-pass sibling merge and the sort-only inverse
+
+KERNEL_ALPHABETS = [Alphabet(d, k) for d in range(2, 6) for k in range(1, 4)]
+
+
+def letters_of(a, w):
+    return unpack_word(a, w).letters
+
+
+def packed_of(a, letters):
+    return pack_word(Word(a, letters[0], tuple(letters[1:])))
+
+
+def packed_by_domain(a, cells):
+    """Letter cells, packed, in the lexicographic order of their domain letters."""
+    return [(packed_of(a, w), packed_of(a, r)) for w, r in sorted(cells)]
+
+
+def pairwise_product(a, left, right):
+    """Cells of left after right, every left cell tried against every right cell."""
+    out = []
+    for gd, gr in left:
+        gd, gr = letters_of(a, gd), letters_of(a, gr)
+        for hd, hr in right:
+            hd, hr = letters_of(a, hd), letters_of(a, hr)
+            if hr[: len(gd)] == gd:
+                out.append((hd, gr + hr[len(gd) :]))
+            elif gd[: len(hr)] == hr:
+                out.append((hd + gd[len(hr) :], gr))
+    return packed_by_domain(a, out)
+
+
+def random_cells(rng, a):
+    """Packed cells of a seeded table or, one time in two, of a partial bisection."""
+    splits = rng.randrange(0, 8)
+    if rng.random() < 0.5:
+        return random_table(rng, a, splits).packed
+    return random_bisection(rng, a, splits).packed
+
+
+def test_walk_matches_pairwise_product():
+    rng = Random(909)
+    for a in KERNEL_ALPHABETS:
+        for _ in range(12):
+            left, right = random_cells(rng, a), random_cells(rng, a)
+            got = walk(left, right, range_order(right))
+            assert got == pairwise_product(a, left, right), (a, left, right)
+            # a clopen as identity cells, whose range order is its own order
+            ids = [(w, w) for w, _ in random_cells(rng, a)]
+            assert walk(left, ids, range(len(ids))) == pairwise_product(a, left, ids)
+        assert walk((), right, range_order(right)) == []
+        assert walk(left, (), []) == []
+
+
+def fixpoint_merge(cells, d, minlen):
+    """Letter cells with sibling families merged, one family at a time,
+    searched for anywhere among the cells until none is left."""
+    cells = set(cells)
+    while True:
+        for w, r in cells:
+            if min(len(w), len(r)) >= minlen and w[-1] == r[-1] == 1:
+                family = {(w[:-1] + (j,), r[:-1] + (j,)) for j in range(1, d + 1)}
+                if family <= cells:
+                    cells = (cells - family) | {(w[:-1], r[:-1])}
+                    break
+        else:
+            return cells
+
+
+def refine(cells, d, depth):
+    """Every letter cell replaced by its complete subtree of the given depth."""
+    for _ in range(depth):
+        cells = [(w + (j,), r + (j,)) for w, r in cells for j in range(1, d + 1)]
+    return cells
+
+
+def test_merge_siblings_matches_fixpoint():
+    rng = Random(910)
+    for a in KERNEL_ALPHABETS:
+        d, k = a.d, a.k
+        for _ in range(12):
+            cells = [(letters_of(a, w), letters_of(a, r)) for w, r in random_cells(rng, a)]
+            # split random cells a few levels deep, some into complete subtrees
+            for _ in range(rng.randrange(6)):
+                i = rng.randrange(len(cells)) if cells else None
+                if i is not None:
+                    cells[i : i + 1] = refine([cells[i]], d, rng.randrange(1, 4))
+            if cells and rng.random() < 0.3:  # a hole stops some cascades
+                cells.pop(rng.randrange(len(cells)))
+            for minlen in (2, 3):
+                got = _merge_siblings(packed_by_domain(a, cells), d, k, minlen)
+                assert got == packed_by_domain(a, fixpoint_merge(cells, d, minlen)), (a, cells)
+
+
+@pytest.mark.parametrize("a", KERNEL_ALPHABETS, ids=str)
+def test_merge_siblings_cascades_through_complete_subtrees(a):
+    rng = Random(911)
+    d, k = a.d, a.k
+    for g in [identity(a)] + [random_table(rng, a) for _ in range(4)]:
+        cells = [(letters_of(a, w), letters_of(a, r)) for w, r in g.packed]
+        deep = packed_by_domain(a, refine(cells, d, 3))
+        # a canonical table is what is left once its cells' subtrees merge
+        # back; for k = 1 the merge stops at one tail letter
+        assert normal_form(deep, d, k) == g.packed
+        assert _merge_siblings(deep, d, k, 3 if k == 1 else 2) == list(g.packed)
+    if k == 1:
+        floor = packed_by_domain(a, refine([((1,), (1,))], d, 1))
+        assert _merge_siblings(floor, d, k, 3) == floor
+        assert _merge_siblings(floor, d, k, 2) == [(1, 1)]
+
+
+def test_swap_is_sorted_normal_form_of_swapped_cells():
+    rng = Random(912)
+    for a in KERNEL_ALPHABETS:
+        for _ in range(12):
+            c = random_cells(rng, a)
+            swapped = [(r, w) for w, r in c]
+            assert swap(c) == normal_form(sort_pairs(swapped), a.d, a.k)
+            assert list(swap(c)) == packed_by_domain(
+                a, [(letters_of(a, w), letters_of(a, r)) for w, r in swapped]
+            )
+            assert swap(swap(c)) == tuple(c)
