@@ -6,9 +6,18 @@ cylinder of a word nu of length n in X_{d,k}:
     sum_{s in F} integral sqrt(d(s mu)/d mu)  >  |F| (1 - 1/(k d^{n-1}))
                                               >  ||sum_s lambda_s||
 
-The left side is exact in Q(sqrt(d)); the operator norm is the exact
-free-set value 2 sqrt(2r-1) once freeness of the generating pair is
-certified by ping-pong, or a caller-supplied rigorous bound otherwise.
+The embedded copy of s is the identity off the cylinder of nu, whose
+mass is c = 1/(k d^(n-1)), and on it each base cell w -> r becomes
+nu.w -> nu.r: its mass is c times the base mass d^-|w| and its cocycle
+exponent |w| - |r| is unchanged.  So each term is exactly
+
+    integral sqrt(omega(s embedded))  =  1 - c + c * integral sqrt(omega(s))
+
+and the left side is |F| (1 - c) + c * S, with S the sum of the base
+integrals over V_{d,d}: the paper bound plus c * S.  It is exact in
+Q(sqrt(d)); the operator norm is the exact free-set value 2 sqrt(2r-1)
+once freeness of the generating pair is certified by ping-pong, or a
+caller-supplied rigorous bound otherwise.
 Convolution counts (closed-walk counts in the Cayley graph) give
 independent lower bounds approaching the norm from below.
 """
@@ -21,6 +30,7 @@ from fractions import Fraction
 
 from .cantor import Alphabet, Clopen, Word, parse_clopen, parse_word
 from .errors import (
+    ArityMismatch,
     CertificateInvalid,
     DisjointnessViolation,
     InclusionViolation,
@@ -31,14 +41,7 @@ from .errors import (
 )
 from .measure import QuadraticValue, integral_sqrt_rn, quad_compare, quadratic
 from .prefixcode import normal_form, range_order, swap, walk
-from .tables import (
-    TableElement,
-    act_clopen,
-    embed_supported,
-    identity,
-    inverse,
-    parse_table,
-)
+from .tables import TableElement, act_clopen, identity, inverse, parse_table
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,6 +252,47 @@ class CertificateReport:
         ]
 
 
+def _chain(f_size: int, base_sum: QuadraticValue, d: int, k: int, n: int) -> tuple:
+    """(paper bound, lhs) at |nu| = n: |F| (1 - c) and that plus c * base_sum,
+    with c = 1/(k d^(n-1)) the mass of the cylinder of nu."""
+    c = Fraction(1, k * d ** (n - 1))
+    paper_bound = f_size * (1 - c)
+    return paper_bound, quadratic(paper_bound) + c * base_sum
+
+
+def _least_passing_n(
+    f_size: int, base_sum: QuadraticValue, d: int, k: int, n: int, norm: QuadraticValue
+) -> int | None:
+    """Least |nu| whose lhs clears norm, given that |nu| = n does not;
+    None when no |nu| does.
+
+    lhs(n) = |F| - c (|F| - S) rises toward |F| as c shrinks, since every
+    base integral is at most 1.  So no |nu| passes when |F| <= norm,
+    which covers S = |F| (then lhs = |F| at every n); otherwise the gap
+    |F| - lhs shrinks by a factor d per letter, and a doubling search
+    from n, then a bisection, finds the least passing length in a
+    number of comparisons logarithmic in it, however close the norm is
+    to |F|.
+    """
+    if quad_compare(quadratic(f_size), norm) != "greater":
+        return None
+
+    def clears(j: int) -> bool:
+        return quad_compare(_chain(f_size, base_sum, d, k, j)[1], norm) == "greater"
+
+    lo, step = n, 1
+    while not clears(lo + step):
+        lo, step = lo + step, 2 * step
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if clears(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def check_certificate(
     f: SymmetricSet,
     nu: Word,
@@ -258,10 +302,24 @@ def check_certificate(
 ) -> CertificateReport:
     """Evaluate the inequality chain for F embedded on the cylinder of nu.
 
+    The left side is computed in closed form from the integrals of the
+    base elements of F, with no embedded table built: embedding s on
+    the cylinder of nu, of mass c = 1/(k d^(n-1)), leaves the identity
+    off it and scales the base measure by c on it without changing any
+    cocycle exponent, so its integral is exactly 1 - c + c * I_s and
+
+        lhs = |F| (1 - c) + c * sum_s I_s
+
+    with I_s = integral_sqrt_rn(s) over V_{d,d}: the sum of
+    integral_sqrt_rn(embed_supported(s, nu)), exactly.  Like the
+    embedding, it needs nu over a single factor (ArityMismatch
+    otherwise).
+
     Exactly one of certificate / norm_bound must be given.  With strict
     (the default) an InconclusiveParameters error is raised when the
-    exact left side fails to clear the norm bound; the report rides on
-    the exception as its `report` attribute.
+    exact left side fails to clear the norm bound; its message names the
+    least |nu| that passes, or says that none does, and the report rides
+    on the exception as its `report` attribute.
     """
     if (certificate is None) == (norm_bound is None):
         raise VdkError("give exactly one of certificate or norm_bound")
@@ -284,11 +342,15 @@ def check_certificate(
                 "F must be exactly the certified generators and their inverses"
             )
         norm_bound = free_norm(2)
+    if target.m != 1:
+        # the embedded copies would be tables over nu's alphabet
+        raise ArityMismatch("tables are single-factor; use BoxTable for m > 1")
     n = len(nu)
-    lhs = quadratic(0)
+    f_size = len(f.elements)
+    base_sum = quadratic(0)
     for el in f.elements:
-        lhs = lhs + integral_sqrt_rn(embed_supported(el, nu))
-    paper_bound = len(f.elements) * (1 - Fraction(1, k * d ** (n - 1)))
+        base_sum = base_sum + integral_sqrt_rn(el)
+    paper_bound, lhs = _chain(f_size, base_sum, d, k, n)
     lhs_vs_norm = quad_compare(lhs, norm_bound.value)
     paper_vs_norm = quad_compare(quadratic(paper_bound), norm_bound.value)
     if quad_compare(lhs, quadratic(paper_bound)) == "less":
@@ -298,7 +360,7 @@ def check_certificate(
         k=k,
         n=n,
         nu=nu,
-        f_size=len(f.elements),
+        f_size=f_size,
         lhs=lhs,
         paper_lower_bound=paper_bound,
         norm_bound=norm_bound,
@@ -307,9 +369,13 @@ def check_certificate(
         verdict="PASS" if lhs_vs_norm == "greater" else "INCONCLUSIVE",
     )
     if strict and report.verdict != "PASS":
+        least = _least_passing_n(f_size, base_sum, d, k, n, norm_bound.value)
+        if least is None:
+            advice = "no |nu| passes, as the lhs is at most |F| = %d" % f_size
+        else:
+            advice = "the least |nu| that passes is %d" % least
         raise InconclusiveParameters(
-            "lhs %s is not greater than norm bound %s; increase |nu|"
-            % (lhs, norm_bound.value),
+            "lhs %s is not greater than norm bound %s; %s" % (lhs, norm_bound.value, advice),
             report,
         )
     return report

@@ -262,8 +262,14 @@ def integral_sqrt_rn(g: TableElement) -> QuadraticValue:
 
 
 def deficit(s: Clopen, elements) -> Fraction:
-    """Largest mass moved off s by the listed elements: max mu(s xor g s)."""
+    """Largest mass moved off s by the listed elements: max mu(s xor g s).
+
+    Each term is mu(s) + mu(g s) - 2 mu(s & g s): one intersection, with
+    no complement built, and mu(s) computed once.
+    """
     elements = list(elements)
     if not elements:
         raise VdkError("deficit needs at least one element")
-    return max(mu(s.symmetric_difference(act_clopen(g, s))) for g in elements)
+    mass = mu(s)
+    images = [act_clopen(g, s) for g in elements]
+    return max(mass + mu(t) - 2 * mu(s & t) for t in images)

@@ -6,6 +6,7 @@ program written here from scratch.
 """
 
 import gc
+import re
 from fractions import Fraction
 from random import Random
 
@@ -20,10 +21,12 @@ from vdk import (
     check_certificate,
     compose,
     convolution_count,
+    embed_supported,
     equals,
     fixture,
     free_norm,
     identity,
+    integral_sqrt_rn,
     inverse,
     parse_clopen,
     parse_table,
@@ -33,7 +36,9 @@ from vdk import (
     quadratic,
     symmetric_set,
 )
+from vdk.cantor import Word
 from vdk.errors import (
+    ArityMismatch,
     CertificateInvalid,
     DisjointnessViolation,
     InclusionViolation,
@@ -41,6 +46,7 @@ from vdk.errors import (
     NotSymmetric,
     VdkError,
 )
+from vdk.sampling import random_table
 
 A21 = Alphabet(2, 1)
 A22 = Alphabet(2, 2)
@@ -452,3 +458,154 @@ def test_check_certificate_json_schema(free2):
         {"paper_bound_vs_norm": "greater"},
     ]
     assert blob["verdict"] == "PASS"
+
+
+# ---------------------------------------------------------------------------
+# the closed-form left side
+
+
+def embedded_lhs(f, nu):
+    """The left side through embedded tables, sum_s integral(embed(s, nu)):
+    the per-cell oracle for check_certificate's closed form."""
+    total = quadratic(0)
+    for el in f.elements:
+        total = total + integral_sqrt_rn(embed_supported(el, nu))
+    return total
+
+
+def random_nu(rng, a, n):
+    return Word(a, rng.randrange(1, a.k + 1), tuple(rng.randrange(1, a.d + 1) for _ in range(n - 1)))
+
+
+def random_symmetric_set(rng, d):
+    """One or two random non-identity generators of V_{d,d} and their inverses."""
+    gens = []
+    while len(gens) < rng.randrange(1, 3):
+        g = random_table(rng, Alphabet(d, d), rng.randrange(1, 5))
+        if not g.is_identity():
+            gens.append(g)
+    return symmetric_set([h for g in gens for h in (g, inverse(g))])
+
+
+def test_closed_form_lhs_matches_embedded_tables(free2):
+    f, cert = free2
+    rng = Random(401)
+    for k in (1, 2, 3):
+        for n in range(1, 71):
+            nu = random_nu(rng, Alphabet(2, k), n)
+            report = check_certificate(f, nu, certificate=cert, strict=False)
+            assert report.lhs == embedded_lhs(f, nu), (k, n)
+    zero = NormBound(quadratic(0), "user-supplied", None)
+    for d in range(2, 6):
+        for k in range(1, d + 1):
+            fs = random_symmetric_set(rng, d)
+            for n in range(1, 71):
+                nu = random_nu(rng, Alphabet(d, k), n)
+                report = check_certificate(fs, nu, norm_bound=zero)
+                assert report.lhs == embedded_lhs(fs, nu), (d, k, n)
+
+
+def test_embedding_integral_identity():
+    # off the cylinder of nu the embedding is the identity; on it the
+    # measure is c = mu(nu) times the base measure, exponents unchanged
+    rng = Random(402)
+    for i in range(300):
+        d = 2 + i % 4
+        k = rng.randrange(1, d + 1)
+        g = random_table(rng, Alphabet(d, d))
+        nu = random_nu(rng, Alphabet(d, k), rng.randrange(1, 12))
+        c = Fraction(1, k * d ** (len(nu) - 1))
+        expected = quadratic(1 - c) + c * integral_sqrt_rn(g)
+        assert integral_sqrt_rn(embed_supported(g, nu)) == expected
+
+
+def test_check_certificate_rejects_multi_factor_nu(free2):
+    f, cert = free2
+    nu = Word(Alphabet(2, 2, 2), 1, (1, 1))
+    with pytest.raises(ArityMismatch, match=r"^tables are single-factor; use BoxTable for m > 1$"):
+        check_certificate(f, nu, certificate=cert)
+    with pytest.raises(ArityMismatch, match="single-factor"):
+        check_certificate(f, nu, norm_bound=NormBound(quadratic(3), "user-supplied", None))
+
+
+def test_check_certificate_deep_nu_closed_form(free2):
+    f, cert = free2
+    n = 5000
+    report = check_certificate(f, Word(A22, 1, (2,) * (n - 1)), certificate=cert)
+    c = Fraction(1, 2 * 2 ** (n - 1))
+    base_sum = sum((integral_sqrt_rn(el) for el in f.elements), quadratic(0))
+    assert report.verdict == "PASS" and report.n == n
+    assert report.paper_lower_bound == 4 * (1 - c)
+    assert report.lhs == quadratic(report.paper_lower_bound) + c * base_sum
+
+
+def least_passing(exc):
+    """The |nu| named by an InconclusiveParameters message, or None."""
+    message = str(exc.value)
+    if message.endswith("no |nu| passes, as the lhs is at most |F| = %d" % exc.value.report.f_size):
+        return None
+    found = re.search(r"; the least \|nu\| that passes is (\d+)$", message)
+    assert found, message
+    return int(found.group(1))
+
+
+def passes(f, nu, **kw):
+    return check_certificate(f, nu, strict=False, **kw).verdict == "PASS"
+
+
+def test_inconclusive_names_least_passing_nu(free2):
+    f, cert = free2
+    named = {}
+    for k in (1, 2):
+        a = Alphabet(2, k)
+        with pytest.raises(InconclusiveParameters) as exc:
+            check_certificate(f, Word(a, 1, ()), certificate=cert)
+        n = least_passing(exc)
+        assert passes(f, Word(a, 1, (1,) * (n - 1)), certificate=cert)
+        assert not passes(f, Word(a, 1, (1,) * (n - 2)), certificate=cert)
+        named[k] = n
+    assert named == {1: 3, 2: 2}
+    # at k = 3 free2 passes from |nu| = 1 against its exact norm, so the
+    # naming is checked against user bounds between that norm and |F| = 4,
+    # one of them equal to the lhs at |nu| = 3, which therefore fails
+    a = Alphabet(2, 3)
+    at_3 = check_certificate(f, Word(a, 1, (2, 2)), certificate=cert).lhs
+    norms = [Fraction(7, 2), Fraction(39, 10), Fraction(399, 100), 4 - Fraction(1, 10**40)]
+    for norm in [at_3] + [quadratic(v) for v in norms]:
+        bound = NormBound(norm, "user-supplied", None)
+        with pytest.raises(InconclusiveParameters) as exc:
+            check_certificate(f, Word(a, 1, ()), norm_bound=bound)
+        n = least_passing(exc)
+        assert passes(f, Word(a, 1, (2,) * (n - 1)), norm_bound=bound)
+        assert not passes(f, Word(a, 1, (2,) * (n - 2)), norm_bound=bound)
+    # seeded sets and bounds over d = 2..5, from a failing |nu| upward
+    rng = Random(403)
+    for i in range(40):
+        d = 2 + i % 4
+        a = Alphabet(d, rng.randrange(1, d + 1))
+        fs = random_symmetric_set(rng, d)
+        size = len(fs.elements)
+        bound = NormBound(
+            quadratic(size - Fraction(1, rng.randrange(2, 10**rng.randrange(1, 6)))),
+            "user-supplied",
+            None,
+        )
+        nu = random_nu(rng, a, rng.randrange(1, 4))
+        if passes(fs, nu, norm_bound=bound):
+            continue
+        with pytest.raises(InconclusiveParameters) as exc:
+            check_certificate(fs, nu, norm_bound=bound)
+        n = least_passing(exc)
+        assert n > len(nu)
+        assert passes(fs, random_nu(rng, a, n), norm_bound=bound)
+        assert not passes(fs, random_nu(rng, a, n - 1), norm_bound=bound)
+
+
+def test_inconclusive_no_nu_passes_above_set_size(free2):
+    f, cert = free2
+    for norm in (quadratic(4), quadratic(Fraction(9, 2)), quadratic(3, 1, 2)):
+        bound = NormBound(norm, "user-supplied", None)
+        for nu_text in ("1:", "1:1", "2:1212"):
+            with pytest.raises(InconclusiveParameters) as exc:
+                check_certificate(f, parse_word(A22, nu_text), norm_bound=bound)
+            assert least_passing(exc) is None

@@ -385,6 +385,17 @@ def test_deficit_complement_symmetry():
         assert deficit(s, f) >= 0
 
 
+def test_deficit_matches_symmetric_difference():
+    # one intersection, mu(s) + mu(g s) - 2 mu(s & g s), against the
+    # measure of the symmetric difference built from complements
+    rng = Random(315)
+    for i in range(200):
+        a = ALPHABETS[i % len(ALPHABETS)]
+        s = random_clopen(rng, a, max_words=4)
+        f = [random_table(rng, a) for _ in range(rng.randrange(1, 4))]
+        assert deficit(s, f) == max(mu(s.symmetric_difference(act_clopen(g, s))) for g in f)
+
+
 def test_deficit_empty_family_rejected():
     with pytest.raises(VdkError):
         deficit(whole_space(A21), [])
