@@ -9,13 +9,19 @@ elements, and to_table/from_table realize that isomorphism.
 The mV part represents elements of the m-fold product groupoid of
 G_{2,1} as tables of boxes: m-tuples of plain words over {1, 2}, acting
 by coordinatewise prefix substitution.  Boxes have no root letter, and
-the empty word is a legal coordinate.
+the empty word is a legal coordinate.  Outside input is checked once, at
+mv_make and mv_from_json; compose, inverse and embed build their tables
+directly, since products of valid partitions are valid.  Every table is
+reduced by the one greedy merge order of _mv_reduce (lowest coordinate
+first, then the first sorted cell), which is no normal form: == and
+hash compare actions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .cantor import (
     Alphabet,
@@ -263,32 +269,33 @@ def _check_box_side(boxes: list[Box], side: str) -> None:
 
 
 def _mv_reduce(pairs: list[tuple[Box, Box]], m: int) -> list[tuple[Box, Box]]:
-    """Greedy coordinatewise merge, fixed coordinate order, to fixpoint."""
-    pairs = sorted(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for c in range(m):
-            buckets: dict = {}
-            for A, B in pairs:
-                if A[c] and B[c] and A[c][-1] == B[c][-1]:
-                    key = (A[:c], A[c + 1 :], B[:c], B[c + 1 :], A[c][:-1], B[c][:-1])
-                    buckets.setdefault(key, {})[A[c][-1]] = (A, B)
-            for key, members in buckets.items():
-                if len(members) == 2:
-                    a1, a2, b1, b2, wa, wb = key
-                    merged = (
-                        a1 + (wa,) + a2,
-                        b1 + (wb,) + b2,
-                    )
-                    pairs = [p for p in pairs if p not in members.values()]
-                    pairs.append(merged)
-                    pairs.sort()
-                    changed = True
-                    break
-            if changed:
-                break
-    return pairs
+    """Greedy merge of sibling cells, equal but for a last letter 1 vs 2
+    at one coordinate on both sides, in one ordered pass: lowest
+    coordinate first, then by the sorted order of the letter-1 cell, as
+    a restart loop over the sorted cells goes.  The greedy result is no
+    normal form, so this order is part of the output.  A heap of (c,
+    letter-1 cell) keeps it.  Cells must be valid: mv_make checks input.
+    """
+    live, heap = set(), []
+
+    def at(cell, c, tail):  # last letter of coordinate c -> tail, both sides
+        return tuple(box[:c] + (box[c][:-1] + tail,) + box[c + 1 :] for box in cell)
+
+    def add(cell):
+        live.add(cell)
+        for c, (a, b) in enumerate(zip(*cell)):
+            if a and b and a[-1] == b[-1] and (other := at(cell, c, (3 - a[-1],))) in live:
+                heappush(heap, (c, min(cell, other)))
+
+    for cell in pairs:
+        add(cell)
+    while heap:
+        c, one = heappop(heap)
+        two = at(one, c, (2,))
+        if one in live and two in live:
+            live -= {one, two}
+            add(at(one, c, ()))
+    return sorted(live)
 
 
 class BoxTable:
@@ -331,6 +338,12 @@ class BoxTable:
         return "BoxTable(%r)" % str(self)
 
 
+def _check_box_tables(*gs) -> None:
+    for g in gs:
+        if not isinstance(g, BoxTable):
+            raise VdkError("expected a BoxTable, got %s" % type(g).__name__)
+
+
 def mv_make(pairs, m: int) -> BoxTable:
     """Validated canonical BoxTable from (domain box, range box) pairs."""
     if m < 1:
@@ -350,29 +363,29 @@ def mv_identity(m: int) -> BoxTable:
 
 def mv_compose(g: BoxTable, h: BoxTable) -> BoxTable:
     """The element g compose h, acting by xs -> g(h(xs))."""
+    _check_box_tables(g, h)
     if g.m != h.m:
         raise ArityMismatch("factor counts differ: %d vs %d" % (g.m, h.m))
     out = []
     for A, B in h.pairs:
         for C, D in g.pairs:
             dom, ran = [], []
-            for w_b, w_c, w_a, w_d in zip(B, C, A, D):
-                n = min(len(w_b), len(w_c))
-                if w_b[:n] != w_c[:n]:
-                    dom = None
-                    break
-                if len(w_c) <= len(w_b):
+            for w_a, w_b, w_c, w_d in zip(A, B, C, D):
+                if w_b[: len(w_c)] == w_c:
                     dom.append(w_a)
-                    ran.append(w_d + w_b[len(w_c):])
-                else:
-                    dom.append(w_a + w_c[len(w_b):])
+                    ran.append(w_d + w_b[len(w_c) :])
+                elif w_c[: len(w_b)] == w_b:
+                    dom.append(w_a + w_c[len(w_b) :])
                     ran.append(w_d)
-            if dom is not None:
+                else:
+                    break
+            else:
                 out.append((tuple(dom), tuple(ran)))
-    return mv_make(out, g.m)
+    return BoxTable(g.m, tuple(_mv_reduce(out, g.m)))
 
 
 def mv_inverse(g: BoxTable) -> BoxTable:
+    _check_box_tables(g)
     return BoxTable(g.m, tuple(_mv_reduce([(b, a) for a, b in g.pairs], g.m)))
 
 
@@ -382,6 +395,7 @@ _MV_PROBE = point_normalize(Word(_COORD_ALPHABET, 1), (1, 1, 2))
 
 def mv_act(g: BoxTable, xs) -> tuple[Point, ...]:
     """Apply the unique matching domain box coordinatewise."""
+    _check_box_tables(g)
     xs = tuple(xs)
     if len(xs) != g.m:
         raise ArityMismatch("expected %d points, got %d" % (g.m, len(xs)))
@@ -400,6 +414,8 @@ def mv_act(g: BoxTable, xs) -> tuple[Point, ...]:
 
 def mv_embed_factor(g: TableElement, m: int, coord: int) -> BoxTable:
     """Copy of a V_{2,1} table acting on one coordinate of the product."""
+    if not isinstance(g, TableElement):
+        raise VdkError("expected a TableElement, got %s" % type(g).__name__)
     a = g.alphabet
     if (a.d, a.k) != (2, 1):
         raise ArityMismatch("only V_{2,1} tables embed coordinatewise")
@@ -410,7 +426,7 @@ def mv_embed_factor(g: TableElement, m: int, coord: int) -> BoxTable:
         dom = tuple(mu.tail if i == coord else () for i in range(m))
         ran = tuple(nu.tail if i == coord else () for i in range(m))
         pairs.append((dom, ran))
-    return mv_make(pairs, m)
+    return BoxTable(m, tuple(_mv_reduce(pairs, m)))
 
 
 def mv_to_json(g: BoxTable) -> dict:
@@ -426,14 +442,28 @@ def mv_to_json(g: BoxTable) -> dict:
     }
 
 
+def _json_box(box) -> Box:
+    words = isinstance(box, list) and all(isinstance(w, str) and set(w) <= {"1", "2"} for w in box)
+    if not words:
+        raise VdkError("mv JSON box must be a list of words over 1 and 2, got %r" % (box,))
+    return tuple(tuple(map(int, w)) for w in box)
+
+
 def mv_from_json(data: dict) -> BoxTable:
-    m = int(data["m"])
+    """Inverse of mv_to_json; malformed data raises a VdkError naming the problem."""
+    if not isinstance(data, dict):
+        raise VdkError("mv JSON must be an object, got %s" % type(data).__name__)
+    for key in ("m", "pairs"):
+        if key not in data:
+            raise VdkError("mv JSON is missing key %r" % key)
+    m, rows = data["m"], data["pairs"]
+    if type(m) is not int:
+        raise VdkError("mv JSON 'm' must be an integer, got %r" % (m,))
+    if not isinstance(rows, list):
+        raise VdkError("mv JSON 'pairs' must be a list, got %r" % (rows,))
     pairs = []
-    for a, b in data["pairs"]:
-        pairs.append(
-            (
-                tuple(tuple(int(t) for t in w) for w in a),
-                tuple(tuple(int(t) for t in w) for w in b),
-            )
-        )
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == 2):
+            raise VdkError("mv JSON pair must be [domain box, range box], got %r" % (row,))
+        pairs.append((_json_box(row[0]), _json_box(row[1])))
     return mv_make(pairs, m)

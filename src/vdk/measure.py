@@ -228,8 +228,8 @@ def cocycle_chain_check(g: TableElement, h: TableElement, x: Point) -> bool:
 
 
 def cocycle_range(g: TableElement) -> frozenset[int]:
-    """The set of exponents attained by the cocycle of g."""
-    return frozenset(j for _, j in rn_profile(g))
+    """The set of exponents attained by the cocycle of g, from packed tail lengths."""
+    return frozenset(t - u for t, u in tail_lengths(g.packed, g.alphabet.d, g.alphabet.k))
 
 
 def integral_sqrt_rn(g: TableElement) -> QuadraticValue:

@@ -426,3 +426,137 @@ def test_mv_equality_is_action_equality():
             for xs in [tuple(parse_point(A21, "%s(%s)^inf" % ("".join(map(str, w)), c)) for w in cell)]
         )
         assert (g == h) == agree, (i, g, h)
+
+
+def _restart_loop_reduce(pairs, m):
+    """The greedy reduce as a restart loop: rescan from coordinate 0 after every merge."""
+    pairs = sorted(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for c in range(m):
+            buckets: dict = {}
+            for A, B in pairs:
+                if A[c] and B[c] and A[c][-1] == B[c][-1]:
+                    key = (A[:c], A[c + 1 :], B[:c], B[c + 1 :], A[c][:-1], B[c][:-1])
+                    buckets.setdefault(key, {})[A[c][-1]] = (A, B)
+            for key, members in buckets.items():
+                if len(members) == 2:
+                    a1, a2, b1, b2, wa, wb = key
+                    merged = (a1 + (wa,) + a2, b1 + (wb,) + b2)
+                    pairs = [p for p in pairs if p not in members.values()]
+                    pairs.append(merged)
+                    pairs.sort()
+                    changed = True
+                    break
+            if changed:
+                break
+    return pairs
+
+
+def _refine(rng, pairs, m, rounds):
+    """Split random cells in a random coordinate, on both sides alike."""
+    for _ in range(rounds):
+        out = []
+        for dom, ran in pairs:
+            if rng.random() < 0.5:
+                c = rng.randrange(m)
+                for letter in (1, 2):
+                    out.append(
+                        (
+                            dom[:c] + (dom[c] + (letter,),) + dom[c + 1 :],
+                            ran[:c] + (ran[c] + (letter,),) + ran[c + 1 :],
+                        )
+                    )
+            else:
+                out.append((dom, ran))
+        pairs = out
+    rng.shuffle(pairs)
+    return pairs
+
+
+def test_mv_reduce_matches_restart_loop():
+    from vdk.groupoid import _mv_reduce
+    from vdk.sampling import random_box_table
+
+    rng = Random(415)
+    for i in range(300):
+        m = 1 + i % 4
+        g = random_box_table(rng, m, rng.randrange(1, 7))
+        pairs = _refine(rng, list(g.pairs), m, rng.randrange(1, 4))
+        assert _mv_reduce(pairs, m) == _restart_loop_reduce(pairs, m), (m, pairs)
+        # the product of g and h acting on 2m coordinates, refined
+        h = random_box_table(rng, m, rng.randrange(1, 6))
+        prod = [(A + C, B + D) for A, B in g.pairs for C, D in h.pairs]
+        prod = _refine(rng, prod, 2 * m, rng.randrange(1, 3))
+        assert _mv_reduce(prod, 2 * m) == _restart_loop_reduce(prod, 2 * m), (m, prod)
+
+
+def test_mv_reduce_order_hand_case():
+    # identity cells (1,11) (1,12) (2,1) (2,2): merging coordinate 1 first
+    # frees (1,1) to merge with (2,1) at coordinate 0; a batch merge of
+    # coordinate 1 would take (2,1)+(2,2) as well and end on
+    # {(1,1)->(1,1),(2,e)->(2,e)}
+    from vdk.groupoid import BoxTable, _mv_reduce
+
+    boxes = [((1,), (1, 1)), ((1,), (1, 2)), ((2,), (1,)), ((2,), (2,))]
+    pairs = [(b, b) for b in boxes]
+    got = _mv_reduce(pairs, 2)
+    assert got == _restart_loop_reduce(pairs, 2)
+    assert str(BoxTable(2, tuple(got))) == "{(e,1)->(e,1),(2,2)->(2,2)}"
+    assert _mv_reduce(pairs[::-1], 2) == got
+
+
+def test_mv_built_results_are_partitions():
+    # compose, inverse and embed skip validation; re-check their sides
+    from vdk.groupoid import _check_box_side
+    from vdk.sampling import random_box_table
+
+    rng = Random(416)
+    for i in range(300):
+        m = 1 + i % 3
+        g = random_box_table(rng, m, rng.randrange(1, 6))
+        h = random_box_table(rng, m, rng.randrange(1, 6))
+        for r in (
+            mv_compose(g, h),
+            mv_inverse(g),
+            mv_embed_factor(random_table(rng, A21), m, rng.randrange(m)),
+        ):
+            assert r.m == m
+            _check_box_side([a for a, _ in r.pairs], "domain")
+            _check_box_side([b for _, b in r.pairs], "range")
+
+
+def test_mv_operands_must_be_box_tables():
+    from vdk.sampling import random_box_table
+
+    rng = Random(417)
+    g = random_box_table(rng, 1)
+    t = random_table(rng, A21)
+    swap = parse_table(A21, "{1->2,2->1}")
+    for call in (
+        lambda: mv_compose(swap, mv_identity(1)),
+        lambda: mv_compose(g, t),
+        lambda: mv_inverse(t),
+        lambda: mv_act(t, (random_point(rng, A21),)),
+        lambda: mv_compose(g, g.pairs),
+    ):
+        with pytest.raises(VdkError, match="expected a BoxTable"):
+            call()
+    with pytest.raises(VdkError, match="expected a TableElement"):
+        mv_embed_factor(g, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "data, problem",
+    [
+        ({"m": 1, "pairs": [[["x"], [""]]]}, "words over 1 and 2"),
+        ({"m": 1}, "missing key 'pairs'"),
+        ({"m": "a", "pairs": [[[""], [""]]]}, "'m' must be an integer"),
+        ({"m": 1, "pairs": [[[""]]]}, r"\[domain box, range box\]"),
+    ],
+    ids=["bad-letter", "missing-pairs", "m-not-int", "one-box-pair"],
+)
+def test_mv_from_json_rejects_malformed(data, problem):
+    with pytest.raises(VdkError, match=problem):
+        mv_from_json(data)

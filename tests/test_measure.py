@@ -319,6 +319,14 @@ def test_cocycle_range_examples():
     assert cocycle_range(s) == {-1, 0, 1}
 
 
+def test_cocycle_range_matches_rn_profile():
+    rng = Random(312)
+    for i in range(300):
+        a = ALPHABETS[i % len(ALPHABETS)]
+        g = compose(random_table(rng, a, rng.randrange(1, 9)), random_table(rng, a))
+        assert cocycle_range(g) == frozenset(j for _, j in rn_profile(g))
+
+
 def test_measure_preserving_elements():
     # permuting the blocks of a single code keeps every exponent at zero
     rng = Random(310)
