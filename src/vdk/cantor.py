@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import MismatchedAlphabet, VdkError
-from .prefixcode import cell_index, format_letters, format_packed, gaps, normal_words, pack_word
-from .prefixcode import parse_letters, parse_packed, tail_lengths, unpack_word, walk
+from .prefixcode import PackedCode, cell_index, format_letters, format_packed, gaps, normal_words
+from .prefixcode import pack_word, parse_letters, parse_packed, tail_lengths, unpack_word, walk
 from .words import Alphabet, Word, format_word, parse_word, split  # noqa: F401
 
 
@@ -38,7 +38,7 @@ def check_same_alphabet(*objs) -> Alphabet:
 # clopen sets
 
 
-class Clopen:
+class Clopen(PackedCode):
     """Canonical antichain of cylinder prefixes, sorted lexicographically.
 
     Canonical means: no word is a prefix of another, and no complete
@@ -50,21 +50,11 @@ class Clopen:
     clopen_normalize, not the raw constructor.
     """
 
-    __slots__ = ("alphabet", "packed")
-
-    def __init__(self, alphabet: Alphabet, packed: tuple[int, ...]):
-        self.alphabet = alphabet
-        self.packed = packed
+    __slots__ = ()
 
     @property
     def words(self) -> tuple[Word, ...]:
         return tuple([unpack_word(self.alphabet, w) for w in self.packed])
-
-    def __eq__(self, other):
-        return isinstance(other, Clopen) and (self.alphabet, self.packed) == (other.alphabet, other.packed)
-
-    def __hash__(self):
-        return hash((self.alphabet, self.packed))
 
     def __bool__(self):
         return bool(self.packed)
@@ -97,9 +87,6 @@ class Clopen:
     def is_subset(self, other: Clopen) -> bool:
         return self.intersect(other) == self
 
-    def contains_point(self, x: Point) -> bool:
-        return member(x, self)
-
     __or__ = union
     __and__ = intersect
     __invert__ = complement
@@ -109,9 +96,6 @@ class Clopen:
 
     def __str__(self):
         return format_clopen(self)
-
-    def __repr__(self):
-        return "Clopen(%r)" % format_clopen(self)
 
 
 def whole_space(alphabet: Alphabet) -> Clopen:

@@ -28,7 +28,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cantor import Alphabet, Clopen, Word, parse_clopen, parse_word
+from .cantor import Alphabet, Clopen, Word, parse_clopen
 from .errors import (
     ArityMismatch,
     CertificateInvalid,

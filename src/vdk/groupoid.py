@@ -28,7 +28,6 @@ from .cantor import (
     Clopen,
     Point,
     Word,
-    act_by_cell,
     check_same_alphabet,
     clopen_normalize,
     format_word,
@@ -42,9 +41,9 @@ from .errors import (
     OverlappingBoxes,
     VdkError,
 )
-from .prefixcode import canonical, check_code, format_packed, normal_form, normal_words, pack_word
-from .prefixcode import parse_packed, range_order, sort_pairs, swap, tail_lengths, unpack_word, walk
-from .tables import TableElement
+from .prefixcode import PackedCode, canonical, check_code, format_packed, normal_words, pack_word
+from .prefixcode import parse_packed, sort_pairs, tail_lengths, unpack_word
+from .tables import TableElement, check_class, code_act, code_inverse, code_product
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +71,7 @@ def germ_maps(c: DoubleCylinder) -> tuple[Clopen, Clopen, int]:
     )
 
 
-class Bisection:
+class Bisection(PackedCode):
     """Finite union of double cylinders, canonical and domain-sorted.
 
     Cells are stored only as `packed`, (domain, range) integer pairs in
@@ -81,11 +80,7 @@ class Bisection:
     DoubleCylinders on every access.  Build through make_bisection.
     """
 
-    __slots__ = ("alphabet", "packed")
-
-    def __init__(self, alphabet: Alphabet, packed: tuple[tuple[int, int], ...]):
-        self.alphabet = alphabet
-        self.packed = packed
+    __slots__ = ()
 
     @property
     def cells(self) -> tuple[DoubleCylinder, ...]:
@@ -100,16 +95,6 @@ class Bisection:
         a = self.alphabet
         return Clopen(a, normal_words([r for _, r in self.packed], a.d, a.k))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Bisection)
-            and self.alphabet == other.alphabet
-            and self.packed == other.packed
-        )
-
-    def __hash__(self):
-        return hash((self.alphabet, self.packed))
-
     def __mul__(self, other: Bisection) -> Bisection:
         return bisection_compose(self, other)
 
@@ -118,9 +103,6 @@ class Bisection:
 
     def __str__(self):
         return format_bisection(self)
-
-    def __repr__(self):
-        return "Bisection(%r)" % format_bisection(self)
 
 
 def make_bisection(cells, alphabet: Alphabet | None = None) -> Bisection:
@@ -165,23 +147,20 @@ def from_table(g: TableElement) -> Bisection:
 
 def bisection_compose(u: Bisection, v: Bisection) -> Bisection:
     """All products of composable germs, u after v; degrees add cellwise."""
-    a = check_same_alphabet(u, v)
-    cells = walk(u.packed, v.packed, range_order(v.packed))
-    return Bisection(a, normal_form(cells, a.d, a.k))
+    check_class(Bisection, u, v)
+    return code_product(u, v)
 
 
 def bisection_inverse(u: Bisection) -> Bisection:
     """Cellwise inverse: swap domain and range, negate degrees."""
-    return Bisection(u.alphabet, swap(u.packed))
+    check_class(Bisection, u)
+    return code_inverse(u)
 
 
 def bisection_act(u: Bisection, x: Point) -> Point:
     """u.x = r((s restricted to u)^{-1}(x)); x must lie in the source."""
-    check_same_alphabet(u, x)
-    y = act_by_cell(u.packed, x)
-    if y is None:
-        raise VdkError("point %s is outside the source of the bisection" % x)
-    return y
+    check_class(Bisection, u)
+    return code_act(u, x, "point %s is outside the source of the bisection")
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +214,8 @@ def _box_text(box: Box) -> str:
 
 
 def _check_box(box, m: int) -> Box:
+    if not (isinstance(box, (tuple, list)) and all(isinstance(w, (tuple, list)) for w in box)):
+        raise VdkError("a box must be a tuple of letter tuples, got %r" % (box,))
     box = tuple(tuple(w) for w in box)
     if len(box) != m:
         raise VdkError("box %s has %d coordinates, expected %d" % (_box_text(box), len(box), m))
@@ -338,17 +319,21 @@ class BoxTable:
         return "BoxTable(%r)" % str(self)
 
 
-def _check_box_tables(*gs) -> None:
-    for g in gs:
-        if not isinstance(g, BoxTable):
-            raise VdkError("expected a BoxTable, got %s" % type(g).__name__)
+def _check_factor_count(m) -> None:
+    if type(m) is not int or m < 1:
+        raise VdkError("factor count m must be an integer at least 1, got %r" % (m,))
+
+
+def _check_pair(pair, m: int) -> tuple[Box, Box]:
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+        raise VdkError("a box table pair must be (domain box, range box), got %r" % (pair,))
+    return _check_box(pair[0], m), _check_box(pair[1], m)
 
 
 def mv_make(pairs, m: int) -> BoxTable:
     """Validated canonical BoxTable from (domain box, range box) pairs."""
-    if m < 1:
-        raise VdkError("factor count m must be at least 1, got %d" % m)
-    checked = [(_check_box(a, m), _check_box(b, m)) for a, b in pairs]
+    _check_factor_count(m)
+    checked = [_check_pair(p, m) for p in pairs]
     if not checked:
         raise VdkError("a box table needs at least one pair")
     _check_box_side([a for a, _ in checked], "domain")
@@ -363,7 +348,7 @@ def mv_identity(m: int) -> BoxTable:
 
 def mv_compose(g: BoxTable, h: BoxTable) -> BoxTable:
     """The element g compose h, acting by xs -> g(h(xs))."""
-    _check_box_tables(g, h)
+    check_class(BoxTable, g, h)
     if g.m != h.m:
         raise ArityMismatch("factor counts differ: %d vs %d" % (g.m, h.m))
     out = []
@@ -385,7 +370,7 @@ def mv_compose(g: BoxTable, h: BoxTable) -> BoxTable:
 
 
 def mv_inverse(g: BoxTable) -> BoxTable:
-    _check_box_tables(g)
+    check_class(BoxTable, g)
     return BoxTable(g.m, tuple(_mv_reduce([(b, a) for a, b in g.pairs], g.m)))
 
 
@@ -395,10 +380,11 @@ _MV_PROBE = point_normalize(Word(_COORD_ALPHABET, 1), (1, 1, 2))
 
 def mv_act(g: BoxTable, xs) -> tuple[Point, ...]:
     """Apply the unique matching domain box coordinatewise."""
-    _check_box_tables(g)
+    check_class(BoxTable, g)
     xs = tuple(xs)
     if len(xs) != g.m:
         raise ArityMismatch("expected %d points, got %d" % (g.m, len(xs)))
+    check_class(Point, *xs)
     for x in xs:
         if (x.alphabet.d, x.alphabet.k) != (2, 1):
             raise ArityMismatch("mv points live over d=2, k=1 coordinates")
@@ -414,13 +400,13 @@ def mv_act(g: BoxTable, xs) -> tuple[Point, ...]:
 
 def mv_embed_factor(g: TableElement, m: int, coord: int) -> BoxTable:
     """Copy of a V_{2,1} table acting on one coordinate of the product."""
-    if not isinstance(g, TableElement):
-        raise VdkError("expected a TableElement, got %s" % type(g).__name__)
+    check_class(TableElement, g)
     a = g.alphabet
     if (a.d, a.k) != (2, 1):
         raise ArityMismatch("only V_{2,1} tables embed coordinatewise")
-    if not 0 <= coord < m:
-        raise VdkError("coordinate %d out of range for m=%d" % (coord, m))
+    _check_factor_count(m)
+    if type(coord) is not int or not 0 <= coord < m:
+        raise VdkError("coordinate %r out of range for m=%d" % (coord, m))
     pairs = []
     for mu, nu in g.pairs:
         dom = tuple(mu.tail if i == coord else () for i in range(m))

@@ -44,6 +44,36 @@ from .errors import OverlappingRange, VdkError
 from .words import Alphabet, Word
 
 
+class PackedCode:
+    """An alphabet and a packed code: the storage of clopens, tables and bisections.
+
+    `packed` is a canonical tuple of packed words (a clopen) or of
+    (domain, range) pairs of them (a table or bisection).  Two codes are
+    equal only when they are of the same class, over the same alphabet,
+    with equal packed data, so a table never equals its bisection.
+    Subclasses define __str__; repr is ClassName('text').
+    """
+
+    __slots__ = ("alphabet", "packed")
+
+    def __init__(self, alphabet: Alphabet, packed: tuple):
+        self.alphabet = alphabet
+        self.packed = packed
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.alphabet == other.alphabet
+            and self.packed == other.packed
+        )
+
+    def __hash__(self):
+        return hash((self.alphabet, self.packed))
+
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, str(self))
+
+
 def _widths(d: int, k: int) -> tuple[int, int]:
     """Bits of the root letter and of each tail letter."""
     return (k - 1).bit_length(), (d - 1).bit_length()

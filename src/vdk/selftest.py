@@ -11,7 +11,7 @@ from fractions import Fraction
 from random import Random
 
 from . import certificate as cert_mod
-from .cantor import Alphabet, Word, clopen_normalize, member, parse_clopen, parse_point, whole_space
+from .cantor import Alphabet, Word, clopen_normalize, member, parse_clopen, whole_space
 from .groupoid import (
     bisection_act,
     bisection_compose,

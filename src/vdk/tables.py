@@ -12,7 +12,9 @@ early and the k = 1 identity is {1->1, ..., d->d}.  Composition follows
 (g compose h)(x) = g(h(x)).
 
 The packed layout and the code algorithms behind all of this live in
-vdk.prefixcode.
+vdk.prefixcode.  Tables and bisections share one product, inverse and
+point action (code_product, code_inverse, code_act), each returning the
+class of its left operand; their public operations check that class.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from .cantor import (
     split,
 )
 from .errors import ArityMismatch, TransportImpossible, VdkError
-from .prefixcode import canonical, format_packed, gaps, graft, identity_pairs, normal_form
-from .prefixcode import normal_words, pack_word, parse_packed, range_order, swap, unpack_word, walk
+from .prefixcode import PackedCode, canonical, format_packed, gaps, graft, identity_pairs
+from .prefixcode import normal_form, normal_words, pack_word, parse_packed, range_order, swap
+from .prefixcode import unpack_word, walk
 
 
-class TableElement:
+class TableElement(PackedCode):
     """Group element of V_{d,k} in canonical reduced table form.
 
     The cells are stored only as `packed`, (domain, range) pairs of
@@ -41,12 +44,7 @@ class TableElement:
     every access.
     """
 
-    __slots__ = ("alphabet", "packed", "_hash")
-
-    def __init__(self, alphabet: Alphabet, packed: tuple[tuple[int, int], ...]):
-        self.alphabet = alphabet
-        self.packed = packed
-        self._hash = None
+    __slots__ = ()
 
     @property
     def pairs(self) -> tuple[tuple[Word, Word], ...]:
@@ -56,18 +54,6 @@ class TableElement:
     @property
     def block_count(self) -> int:
         return len(self.packed)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TableElement)
-            and self.alphabet == other.alphabet
-            and self.packed == other.packed
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.alphabet, self.packed))
-        return self._hash
 
     def __mul__(self, other: TableElement) -> TableElement:
         return compose(self, other)
@@ -86,20 +72,8 @@ class TableElement:
     def is_identity(self) -> bool:
         return all(w == r for w, r in self.packed)
 
-    def act_point(self, x: Point) -> Point:
-        return act_point(self, x)
-
-    def act_clopen(self, s: Clopen) -> Clopen:
-        return act_clopen(self, s)
-
-    def support(self) -> Clopen:
-        return support(self)
-
     def __str__(self):
         return format_table(self)
-
-    def __repr__(self):
-        return "TableElement(%r)" % format_table(self)
 
 
 def make_table(pairs) -> TableElement:
@@ -116,24 +90,43 @@ def identity(alphabet: Alphabet) -> TableElement:
     return TableElement(alphabet, identity_pairs(alphabet.d, alphabet.k))
 
 
-def _check_tables(*gs) -> None:
-    for g in gs:
-        if not isinstance(g, TableElement):
-            raise VdkError("expected a TableElement, got %s" % type(g).__name__)
+def check_class(cls: type, *objs) -> None:
+    for o in objs:
+        if not isinstance(o, cls):
+            raise VdkError("expected a %s, got %s" % (cls.__name__, type(o).__name__))
+
+
+def code_product(u: PackedCode, v: PackedCode) -> PackedCode:
+    """All products of composable cells, u after v, as the class of u."""
+    a = check_same_alphabet(u, v)
+    cells = walk(u.packed, v.packed, range_order(v.packed))
+    return type(u)(a, normal_form(cells, a.d, a.k))
+
+
+def code_inverse(u: PackedCode) -> PackedCode:
+    """Cellwise inverse, as the class of u: swap domain and range."""
+    return type(u)(u.alphabet, swap(u.packed))
+
+
+def code_act(u: PackedCode, x: Point, missing: str) -> Point:
+    """The image of x under the cell whose domain word is a prefix of x;
+    VdkError(missing % x) when there is none."""
+    check_same_alphabet(u, x)
+    y = act_by_cell(u.packed, x)
+    if y is None:
+        raise VdkError(missing % x)
+    return y
 
 
 def compose(g: TableElement, h: TableElement) -> TableElement:
     """The element g compose h, acting by x -> g(h(x))."""
-    _check_tables(g, h)
-    a = check_same_alphabet(g, h)
-    cells = walk(g.packed, h.packed, range_order(h.packed))
-    return TableElement(a, normal_form(cells, a.d, a.k))
+    check_class(TableElement, g, h)
+    return code_product(g, h)
 
 
 def inverse(g: TableElement) -> TableElement:
-    _check_tables(g)
-    a = g.alphabet
-    return TableElement(a, swap(g.packed))
+    check_class(TableElement, g)
+    return code_inverse(g)
 
 
 def reduce(g: TableElement) -> TableElement:
@@ -146,11 +139,9 @@ def equals(g: TableElement, h: TableElement) -> bool:
 
 
 def act_point(g: TableElement, x: Point) -> Point:
-    check_same_alphabet(g, x)
-    y = act_by_cell(g.packed, x)
-    if y is None:
-        raise VdkError("no domain block matches point %s" % x)  # unreachable for valid tables
-    return y
+    check_class(TableElement, g)
+    # a complete domain code always matches: unreachable for valid tables
+    return code_act(g, x, "no domain block matches point %s")
 
 
 def act_clopen(g: TableElement, s: Clopen) -> Clopen:

@@ -560,3 +560,62 @@ def test_mv_operands_must_be_box_tables():
 def test_mv_from_json_rejects_malformed(data, problem):
     with pytest.raises(VdkError, match=problem):
         mv_from_json(data)
+
+
+def _seeded_box_pairs(seed):
+    from vdk.sampling import random_box_table
+
+    rng = Random(seed)
+    m = rng.choice([1, 2, 3])
+    return rng, m, list(random_box_table(rng, m).pairs)
+
+
+def test_mv_make_rejects_a_non_integer_factor_count():
+    rng, m, pairs = _seeded_box_pairs(418)
+    for bad in ("a", True, 2.0, None, 0, -1):
+        with pytest.raises(VdkError, match="factor count m must be an integer at least 1"):
+            mv_make(pairs, bad)
+    assert mv_make(pairs, m).pairs == tuple(pairs)
+
+
+def test_mv_make_rejects_a_pair_that_is_not_two_boxes():
+    rng, m, pairs = _seeded_box_pairs(419)
+    dom, ran = pairs[0]
+    for bad in [(dom,), (dom, ran, ran), 5, None, "ab"]:
+        mangled = pairs[1:] + [bad]
+        rng.shuffle(mangled)
+        with pytest.raises(VdkError, match=r"must be \(domain box, range box\)"):
+            mv_make(mangled, m)
+    with pytest.raises(VdkError, match="must be \\(domain box, range box\\), got 5"):
+        mv_make([5], 1)
+    for bad_box in (5, (5,) * m, "12"):
+        with pytest.raises(VdkError, match="a box must be a tuple of letter tuples"):
+            mv_make(pairs[1:] + [(bad_box, ran)], m)
+
+
+def test_mv_embed_factor_rejects_bad_counts_and_coordinates():
+    rng = Random(420)
+    g = random_table(rng, A21)
+    for m in ("2", True, 2.5, 0):
+        with pytest.raises(VdkError, match="factor count m must be an integer at least 1"):
+            mv_embed_factor(g, m, 0)
+    for coord in ("0", False, 1.0, -1, 2):
+        with pytest.raises(VdkError, match="coordinate .* out of range for m=2"):
+            mv_embed_factor(g, 2, coord)
+    assert mv_embed_factor(g, 2, 1) == mv_embed_factor(g, 2, 1)
+
+
+def test_mv_act_rejects_points_that_are_not_points():
+    from vdk.sampling import random_box_table
+
+    rng = Random(421)
+    for m in (1, 2, 3):
+        g = random_box_table(rng, m)
+        xs = [random_point(rng, A21) for _ in range(m)]
+        for bad in ("p", None, 7, xs[0].preperiod):
+            mangled = list(xs)
+            mangled[rng.randrange(m)] = bad
+            with pytest.raises(VdkError, match="expected a Point, got %s" % type(bad).__name__):
+                mv_act(g, mangled)
+    with pytest.raises(VdkError, match="expected a Point, got str"):
+        mv_act(mv_identity(1), ["p"])

@@ -12,9 +12,15 @@ import pytest
 
 from vdk import (
     Alphabet,
+    Bisection,
+    Clopen,
+    TableElement,
     Word,
     act_clopen,
     act_point,
+    bisection_act,
+    bisection_compose,
+    bisection_inverse,
     clopen_normalize,
     compose,
     embed_supported,
@@ -25,6 +31,7 @@ from vdk import (
     format_point,
     format_table,
     format_word,
+    from_table,
     identity,
     inverse,
     make_bisection,
@@ -39,6 +46,7 @@ from vdk import (
     probe_points,
     reduce,
     support,
+    to_table,
     transporter,
     whole_space,
 )
@@ -674,3 +682,64 @@ def test_swap_is_sorted_normal_form_of_swapped_cells():
                 a, [(letters_of(a, w), letters_of(a, r)) for w, r in swapped]
             )
             assert swap(swap(c)) == tuple(c)
+
+
+# ---------------------------------------------------------------------------
+# one storage class, prefixcode.PackedCode, under clopens, tables and bisections
+
+
+def _packed_sample(cls, rng, a):
+    from vdk.sampling import random_clopen
+
+    if cls is Clopen:
+        return random_clopen(rng, a)
+    return random_table(rng, a) if cls is TableElement else random_bisection(rng, a)
+
+
+def _products(x):
+    """The product, inverse and a power of x, through its class's own operations."""
+    if isinstance(x, Clopen):
+        return [x | x, x & ~x, ~x]
+    if isinstance(x, TableElement):
+        return [compose(x, x), inverse(x), x**-2, x * x, ~x]
+    return [bisection_compose(x, x), bisection_inverse(x), x * x, ~x]
+
+
+@pytest.mark.parametrize("cls", [Clopen, TableElement, Bisection], ids=lambda c: c.__name__)
+def test_packed_code_classes_share_one_equality_product_and_check(cls):
+    rng = Random(913)
+    parse = {Clopen: parse_clopen, TableElement: parse_table, Bisection: parse_bisection}[cls]
+    others = [c for c in (Clopen, TableElement, Bisection) if c is not cls]
+    for a in (A21, A22, A32, A33):
+        g, u = random_table(rng, a), random_bisection(rng, a)
+        x0 = random_point(rng, a)
+        for _ in range(15):
+            x = _packed_sample(cls, rng, a)
+            y = parse(a, str(x))
+            assert type(x) is cls and y == x and hash(y) == hash(x)
+            assert repr(x) == "%s(%r)" % (cls.__name__, str(x))
+            # the same alphabet and packed data under another class is unequal
+            for other in others:
+                assert other(a, x.packed) != x and x != other(a, x.packed)
+            for r in _products(x):
+                assert type(r) is cls
+            wrong = []
+            if cls is not TableElement:
+                wrong += [
+                    ("TableElement", lambda: compose(x, g)),
+                    ("TableElement", lambda: compose(g, x)),
+                    ("TableElement", lambda: inverse(x)),
+                    ("TableElement", lambda: act_point(x, x0)),
+                ]
+            if cls is not Bisection:
+                wrong += [
+                    ("Bisection", lambda: bisection_compose(x, u)),
+                    ("Bisection", lambda: bisection_compose(u, x)),
+                    ("Bisection", lambda: bisection_inverse(x)),
+                    ("Bisection", lambda: bisection_act(x, x0)),
+                ]
+            for name, call in wrong:
+                with pytest.raises(VdkError, match="expected a %s, got %s" % (name, cls.__name__)):
+                    call()
+        assert from_table(g) != g and to_table(from_table(g)) == g
+        assert clopen_normalize(a, [w for w, _ in g.pairs]) != from_table(g)
