@@ -34,6 +34,12 @@ def check_same_alphabet(*objs) -> Alphabet:
     return next(iter(alphabets))
 
 
+def check_class(cls: type, *objs) -> None:
+    for o in objs:
+        if not isinstance(o, cls):
+            raise VdkError("expected a %s, got %s" % (cls.__name__, type(o).__name__))
+
+
 # ---------------------------------------------------------------------------
 # clopen sets
 
@@ -215,6 +221,8 @@ def act_by_cell(pairs, x: Point) -> Point | None:
 
 def member(x: Point, s: Clopen) -> bool:
     """True iff the point x lies in the clopen set s."""
+    check_class(Point, x)
+    check_class(Clopen, s)
     check_same_alphabet(x, s)
     return cell_index(s.packed, x) is not None
 

@@ -19,7 +19,9 @@ Q(sqrt(d)); the operator norm is the exact free-set value 2 sqrt(2r-1)
 once freeness of the generating pair is certified by ping-pong, or a
 caller-supplied rigorous bound otherwise.
 Convolution counts (closed-walk counts in the Cayley graph) give
-independent lower bounds approaching the norm from below.
+independent lower bounds approaching the norm from below; for an
+inverse-closed F, checked on every call, each is a sum of squares of
+half-length word counts.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import (
 )
 from .measure import QuadraticValue, integral_sqrt_rn, quad_compare, quadratic
 from .prefixcode import normal_form, range_order, swap, walk
-from .tables import TableElement, act_clopen, identity, inverse, parse_table
+from .tables import TableElement, act_clopen, check_class, identity, inverse, parse_table
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,27 +155,38 @@ def convolution_count(f: SymmetricSet, length: int, workers: int = 1) -> int:
 
     Meet in the middle: with N(g) the number of words of half length
     L = length/2 that evaluate to g, the count is sum_g N(g) N(g^-1).
-    Only the L spheres up to the middle are expanded, as a dict keyed by
-    canonical packed tables, and each g^-1 is computed and looked up, so
-    no symmetry of N is assumed.  The result to the power 1/length is a
-    lower bound for ||sum_s lambda_s||.  `workers` is accepted for
-    compatibility and must be at least 1; otherwise it is ignored, and
-    the count runs in the calling process.
+    F is inverse-closed as a multiset, so s_1...s_L -> s_L^-1...s_1^-1
+    is a bijection from the words that evaluate to g onto those that
+    evaluate to g^-1; hence N(g^-1) = N(g) and the count is sum_g N(g)^2,
+    with no inverse formed.  The closure is checked, not trusted: the
+    multiset of F's packed tables must equal the multiset of their
+    swaps, or NotSymmetric is raised.  Only the L spheres up to the
+    middle are expanded, as a dict keyed by canonical packed tables.
+    The result to the power 1/length is a lower bound for
+    ||sum_s lambda_s||.  `workers` is accepted for compatibility and
+    must be an int of at least 1; otherwise it is ignored, and the count
+    runs in the calling process.
 
     Each step multiplies a sphere element g by a generator h with one
     merge walk, given h's range order, which is computed once per call:
     the product comes out sorted by domain, so its canonical form is one
-    sibling merge and no sort.  Each g^-1 is a sort of g's swapped
-    cells.  The expansion forms at most |F| + |F|^2 + ... + |F|^L
-    products; a length whose bound exceeds CONVOLUTION_PRODUCTS_MAX is
-    refused before any sphere is expanded.
+    sibling merge and no sort.  The expansion forms at most
+    |F| + |F|^2 + ... + |F|^L products; a length whose bound exceeds
+    CONVOLUTION_PRODUCTS_MAX is refused before any sphere is expanded.
     """
+    check_class(SymmetricSet, f)
+    for name, value in (("word length", length), ("workers", workers)):
+        if type(value) is not int:
+            raise VdkError("%s must be an int, got %s" % (name, type(value).__name__))
     if not f.symmetric:
         raise NotSymmetric("convolution counts need an inverse-closed set")
     if length < 2 or length % 2 != 0:
         raise VdkError("word length must be even and at least 2, got %d" % length)
     if workers < 1:
         raise VdkError("workers must be at least 1, got %d" % workers)
+    if not f.elements:
+        raise NotSymmetric("a symmetric set needs at least one element")
+    check_class(TableElement, *f.elements)
     size = len(f.elements)
     # the bound is summed one half-length step at a time and the loop
     # stops at the cap, so no power of a huge length is ever formed
@@ -192,6 +205,9 @@ def convolution_count(f: SymmetricSet, length: int, workers: int = 1) -> int:
     for el in f.elements:
         if el.alphabet != a:
             raise MismatchedAlphabet("mixed alphabets in symmetric set")
+    tables = sorted([el.packed for el in f.elements])
+    if tables != sorted([swap(t) for t in tables]):
+        raise NotSymmetric("convolution counts need an inverse-closed set")
     d, k = a.d, a.k
     gens = [(el.packed, range_order(el.packed)) for el in f.elements]
     sphere = {identity(a).packed: 1}
@@ -202,7 +218,7 @@ def convolution_count(f: SymmetricSet, length: int, workers: int = 1) -> int:
                 gh = normal_form(walk(g, h, order), d, k)
                 nxt[gh] = nxt.get(gh, 0) + cnt
         sphere = nxt
-    return sum(cnt * sphere.get(swap(g), 0) for g, cnt in sphere.items())
+    return sum([cnt * cnt for cnt in sphere.values()])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cantor import Clopen, Point, Word, check_same_alphabet
+from .cantor import Clopen, Point, Word, check_class, check_same_alphabet
 from .errors import VdkError
 from .prefixcode import cell_index, leaves, tail_lengths
 from .tables import TableElement, act_clopen, act_point, compose
@@ -22,6 +22,7 @@ from .tables import TableElement, act_clopen, act_point, compose
 
 def mu(s: Clopen) -> Fraction:
     """Exact Bernoulli mass of a clopen set."""
+    check_class(Clopen, s)
     covered, total, _ = leaves(s.packed, s.alphabet.d, s.alphabet.k)
     return Fraction(covered, total)
 
@@ -212,6 +213,8 @@ def rn_profile(g: TableElement) -> tuple[tuple[Word, int], ...]:
 
 def rn_exponent(g: TableElement, x: Point) -> int:
     """Exponent j with dgmu/dmu = d^j on the block of g containing x."""
+    check_class(TableElement, g)
+    check_class(Point, x)
     check_same_alphabet(g, x)
     i = cell_index([w for w, _ in g.packed], x)
     if i is None:
@@ -245,6 +248,7 @@ def integral_sqrt_rn(g: TableElement) -> QuadraticValue:
     E = max(t - j//2) >= 0 over the cells, each part is one fraction
     sum d^(E - t + j//2) / (k d^E).
     """
+    check_class(TableElement, g)
     a = g.alphabet
     d = a.d
     s, m = _squarefree_split(d)

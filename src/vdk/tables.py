@@ -25,6 +25,7 @@ from .cantor import (
     Point,
     Word,
     act_by_cell,
+    check_class,
     check_same_alphabet,
     clopen_normalize,
     point_normalize,
@@ -90,12 +91,6 @@ def identity(alphabet: Alphabet) -> TableElement:
     return TableElement(alphabet, identity_pairs(alphabet.d, alphabet.k))
 
 
-def check_class(cls: type, *objs) -> None:
-    for o in objs:
-        if not isinstance(o, cls):
-            raise VdkError("expected a %s, got %s" % (cls.__name__, type(o).__name__))
-
-
 def code_product(u: PackedCode, v: PackedCode) -> PackedCode:
     """All products of composable cells, u after v, as the class of u."""
     a = check_same_alphabet(u, v)
@@ -111,6 +106,7 @@ def code_inverse(u: PackedCode) -> PackedCode:
 def code_act(u: PackedCode, x: Point, missing: str) -> Point:
     """The image of x under the cell whose domain word is a prefix of x;
     VdkError(missing % x) when there is none."""
+    check_class(Point, x)
     check_same_alphabet(u, x)
     y = act_by_cell(u.packed, x)
     if y is None:
@@ -145,6 +141,8 @@ def act_point(g: TableElement, x: Point) -> Point:
 
 
 def act_clopen(g: TableElement, s: Clopen) -> Clopen:
+    check_class(TableElement, g)
+    check_class(Clopen, s)
     a = check_same_alphabet(g, s)
     # the range words of g restricted to s
     cells = walk(g.packed, [(w, w) for w in s.packed], range(len(s.packed)))
@@ -156,6 +154,7 @@ def support(g: TableElement) -> Clopen:
 
     Points outside the returned clopen are fixed by g.
     """
+    check_class(TableElement, g)
     a = g.alphabet
     return Clopen(a, normal_words([w for w, r in g.packed if w != r], a.d, a.k))
 

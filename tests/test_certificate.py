@@ -17,6 +17,7 @@ from vdk import (
     Alphabet,
     NormBound,
     PingPongCertificate,
+    SymmetricSet,
     act_clopen,
     check_certificate,
     compose,
@@ -28,6 +29,7 @@ from vdk import (
     identity,
     integral_sqrt_rn,
     inverse,
+    make_table,
     parse_clopen,
     parse_table,
     parse_word,
@@ -46,7 +48,7 @@ from vdk.errors import (
     NotSymmetric,
     VdkError,
 )
-from vdk.sampling import random_table
+from vdk.sampling import random_code, random_table
 
 A21 = Alphabet(2, 1)
 A22 = Alphabet(2, 2)
@@ -324,6 +326,102 @@ def test_convolution_rejects_bad_workers(free2, workers):
     f, cert = free2
     with pytest.raises(VdkError, match="workers must be at least 1, got %d" % workers):
         convolution_count(f, 4, workers=workers)
+
+
+def test_convolution_rejects_unflagged_closure():
+    # flagged symmetric by hand but not inverse-closed: the sum of squares
+    # would be wrong here, so the closure is checked and nothing is counted
+    rng = Random(1311)
+    for a in (A21, A22, Alphabet(3, 2)):
+        s = random_table(rng, a, 3)
+        assert inverse(s) != s
+        for elements in ((s, s), (s, s, inverse(s)), (s, inverse(s), inverse(s), inverse(s))):
+            with pytest.raises(NotSymmetric, match="need an inverse-closed set$"):
+                convolution_count(SymmetricSet(elements, True), 4)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("f", 4), "expected a SymmetricSet, got str"),
+        ((None, 4.0), "word length must be an int, got float"),
+        ((None, "4"), "word length must be an int, got str"),
+        ((None, True), "word length must be an int, got bool"),
+        ((None, 4, "2"), "workers must be an int, got str"),
+        ((None, 4, 1.5), "workers must be an int, got float"),
+        ((None, 4, True), "workers must be an int, got bool"),
+    ],
+    ids=["set_str", "length_float", "length_str", "length_bool", "workers_str",
+         "workers_float", "workers_bool"],
+)
+def test_convolution_rejects_wrong_input_types(free2, args, message):
+    f, cert = free2
+    args = tuple([f if a is None else a for a in args])
+    with pytest.raises(VdkError, match="^%s$" % message):
+        convolution_count(*args)
+
+
+def test_convolution_rejects_empty_or_foreign_elements():
+    with pytest.raises(NotSymmetric, match="at least one element"):
+        convolution_count(SymmetricSet((), True), 4)
+    with pytest.raises(VdkError, match="expected a TableElement, got str"):
+        convolution_count(SymmetricSet(("s", "s"), True), 4)
+
+
+def sphere_pair_count(gens, length: int) -> int:
+    """sum_g N(g) N(g^-1) over the half-length sphere, expanded by compose."""
+    sphere = {identity(gens[0].alphabet): 1}
+    for _ in range(length // 2):
+        nxt = {}
+        for g, ways in sphere.items():
+            for s in gens:
+                h = compose(g, s)
+                nxt[h] = nxt.get(h, 0) + ways
+        sphere = nxt
+    return sum(ways * sphere.get(inverse(g), 0) for g, ways in sphere.items())
+
+
+def random_involution(rng: Random, a: Alphabet):
+    """A table swapping two cylinders of a random complete code, fixing the rest."""
+    code = random_code(rng, a, rng.randrange(1, 4))
+    i, j = rng.sample(range(len(code)), 2)
+    image = list(code)
+    image[i], image[j] = code[j], code[i]
+    return make_table(list(zip(code, image)))
+
+
+def random_non_involution(rng: Random, a: Alphabet):
+    """A random table that is not its own inverse."""
+    while True:
+        s = random_table(rng, a, 2)
+        if inverse(s) != s:
+            return s
+
+
+def test_convolution_sum_of_squares_matches_pair_count():
+    # the sum of squares against the pairing of each element with its
+    # inverse, on seeded inverse-closed multisets with involutions and
+    # repeated pairs
+    rng = Random(1312)
+    for d in (2, 3, 4, 5):
+        for k in (1, 2):
+            a = Alphabet(d, k)
+            s, t = random_non_involution(rng, a), random_non_involution(rng, a)
+            sigma = random_involution(rng, a)
+            assert compose(sigma, sigma) == identity(a) and not sigma.is_identity()
+            sets = [
+                [sigma],
+                [sigma, sigma],
+                [s, inverse(s)],
+                [s, s, inverse(s), inverse(s)],
+                [s, inverse(s), sigma],
+                [t, s, inverse(t), inverse(s)],
+            ]
+            for gens in sets:
+                rng.shuffle(gens)
+                f = SymmetricSet(tuple(gens), True)
+                for length in (2, 4, 6, 8):
+                    assert convolution_count(f, length) == sphere_pair_count(gens, length)
 
 
 def test_convolution_workers_start_no_process(free2, monkeypatch):

@@ -407,3 +407,24 @@ def test_deficit_matches_symmetric_difference():
 def test_deficit_empty_family_rejected():
     with pytest.raises(VdkError):
         deficit(whole_space(A21), [])
+
+
+# each measure operation names the class it expected when given a str
+_OPERAND_CASES = {
+    "mu": ("Clopen", lambda g, s, x: mu("s")),
+    "deficit_clopen": ("Clopen", lambda g, s, x: deficit("s", [g])),
+    "deficit_element": ("TableElement", lambda g, s, x: deficit(s, [g, "g"])),
+    "rn_exponent_element": ("TableElement", lambda g, s, x: rn_exponent("g", x)),
+    "rn_exponent_point": ("Point", lambda g, s, x: rn_exponent(g, "x")),
+    "integral_sqrt_rn": ("TableElement", lambda g, s, x: integral_sqrt_rn("g")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OPERAND_CASES))
+def test_operand_class_checked(case):
+    expected, call = _OPERAND_CASES[case]
+    rng = Random(1308)
+    for a in ALPHABETS:
+        g, s, x = random_table(rng, a), random_clopen(rng, a), random_point(rng, a)
+        with pytest.raises(VdkError, match="^expected a %s, got str$" % expected):
+            call(g, s, x)

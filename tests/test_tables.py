@@ -743,3 +743,29 @@ def test_packed_code_classes_share_one_equality_product_and_check(cls):
                     call()
         assert from_table(g) != g and to_table(from_table(g)) == g
         assert clopen_normalize(a, [w for w, _ in g.pairs]) != from_table(g)
+
+
+# the table and point operations name the class they expected, in one
+# line, for a bisection in place of a table and a str in place of a
+# point or clopen; each case names (expected class, given class, call)
+_OPERAND_CASES = {
+    "act_clopen_bisection": ("TableElement", "Bisection", lambda g, s, x: act_clopen(from_table(g), s)),
+    "support_bisection": ("TableElement", "Bisection", lambda g, s, x: support(from_table(g))),
+    "act_point_str": ("Point", "str", lambda g, s, x: act_point(g, "p")),
+    "bisection_act_str": ("Point", "str", lambda g, s, x: bisection_act(from_table(g), "p")),
+    "act_clopen_str": ("Clopen", "str", lambda g, s, x: act_clopen(g, "s")),
+    "member_point_str": ("Point", "str", lambda g, s, x: member("p", s)),
+    "member_clopen_str": ("Clopen", "str", lambda g, s, x: member(x, "s")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OPERAND_CASES))
+def test_operand_class_checked(case):
+    from vdk.sampling import random_clopen
+
+    expected, given, call = _OPERAND_CASES[case]
+    rng = Random(1307)
+    for a in ALPHABETS:
+        g, s, x = random_table(rng, a), random_clopen(rng, a), random_point(rng, a)
+        with pytest.raises(VdkError, match="^expected a %s, got %s$" % (expected, given)):
+            call(g, s, x)
