@@ -21,7 +21,7 @@ from math import gcd
 
 from .errors import MismatchedAlphabet, VdkError
 from .prefixcode import PackedCode, cell_index, format_letters, format_packed, gaps, normal_words
-from .prefixcode import pack_word, parse_letters, parse_packed, tail_lengths, unpack_word, walk
+from .prefixcode import pack_word, parse_letters, parse_packed, unpack_word, walk
 from .words import Alphabet, Word, format_word, parse_word, split  # noqa: F401
 
 
@@ -38,6 +38,11 @@ def check_class(cls: type, *objs) -> None:
     for o in objs:
         if not isinstance(o, cls):
             raise VdkError("expected a %s, got %s" % (cls.__name__, type(o).__name__))
+
+
+def check_int(name: str, value) -> None:
+    if type(value) is not int:
+        raise VdkError("%s must be an int, got %s" % (name, type(value).__name__))
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +211,6 @@ def replace_prefix(x: Point, t: int, nu: Word) -> Point:
     """The point nu . sigma^t(x): the word nu, then the tail letters of x from position t on."""
     fin, per = x.tail_stream(t)
     return point_normalize(Word(x.alphabet, nu.root, nu.tail + fin), per)
-
-
-def act_by_cell(pairs, x: Point) -> Point | None:
-    """nu . sigma^|mu|(x) for the packed cell (mu, nu) with mu a prefix of x,
-    unpacking only nu; None when no domain word is a prefix of x."""
-    i = cell_index([w for w, _ in pairs], x)
-    if i is None:
-        return None
-    a = x.alphabet
-    ((t, _),) = tail_lengths([pairs[i]], a.d, a.k)
-    return replace_prefix(x, t, unpack_word(a, pairs[i][1]))
 
 
 def member(x: Point, s: Clopen) -> bool:

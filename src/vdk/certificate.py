@@ -20,17 +20,18 @@ once freeness of the generating pair is certified by ping-pong, or a
 caller-supplied rigorous bound otherwise.
 Convolution counts (closed-walk counts in the Cayley graph) give
 independent lower bounds approaching the norm from below; for an
-inverse-closed F, checked on every call, each is a sum of squares of
-half-length word counts.
+inverse-closed F, checked once when the set is made, each is a sum of
+squares of half-length word counts.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cantor import Alphabet, Clopen, Word, parse_clopen
+from .cantor import Alphabet, Clopen, Word, check_int, parse_clopen
 from .errors import (
     ArityMismatch,
     CertificateInvalid,
@@ -48,27 +49,32 @@ from .tables import TableElement, act_clopen, check_class, identity, inverse, pa
 
 @dataclass(frozen=True, slots=True)
 class SymmetricSet:
-    """Finite multiset of table elements, flagged when closed under inverse."""
+    """Nonempty multiset of TableElements over one alphabet, flagged when
+    closed under inverse.  Checked once, when made: a flagged set holding
+    the identity, or whose sorted packed tables differ from their sorted
+    swaps, raises NotSymmetric; counts and the chain trust the flag."""
 
     elements: tuple[TableElement, ...]
     symmetric: bool
 
+    def __post_init__(self):
+        if not self.elements:
+            raise NotSymmetric("a symmetric set needs at least one element")
+        check_class(TableElement, *self.elements)
+        if len({el.alphabet for el in self.elements}) != 1:
+            raise MismatchedAlphabet("mixed alphabets in symmetric set")
+        if not self.symmetric:
+            return
+        if any([el.is_identity() for el in self.elements]):
+            raise NotSymmetric("symmetric sets must not contain the identity")
+        tables = sorted([el.packed for el in self.elements])
+        if tables != sorted([swap(t) for t in tables]):
+            raise NotSymmetric("F is not inverse-closed; counts and the chain need an inverse-closed set")
+
 
 def symmetric_set(elements) -> SymmetricSet:
     """Flagged SymmetricSet; NotSymmetric if not inverse-closed or with identity."""
-    elements = tuple(elements)
-    if not elements:
-        raise NotSymmetric("a symmetric set needs at least one element")
-    for el in elements:
-        if el.is_identity():
-            raise NotSymmetric("symmetric sets must not contain the identity")
-    pool = list(elements)
-    for el in elements:
-        inv = inverse(el)
-        if inv not in pool:
-            raise NotSymmetric("inverse of %s is missing" % el)
-        pool.remove(inv)
-    return SymmetricSet(elements, True)
+    return SymmetricSet(tuple(elements), True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,6 +94,7 @@ class NormBound:
 
 def free_norm(r: int) -> NormBound:
     """Exact norm 2*sqrt(2r-1) of a free symmetric set of rank r."""
+    check_int("free rank", r)
     if r < 2:
         raise VdkError("free rank must be at least 2, got %d" % r)
     return NormBound(quadratic(0, 2, 2 * r - 1), "exact-free-rank-r", r)
@@ -105,6 +112,17 @@ class PingPongCertificate:
     p_b_inv: Clopen
 
 
+def _players(cert: PingPongCertificate) -> list:
+    """(name, generator, attractor, repeller) for a, a^-1, b and b^-1;
+    player i ^ 1 is the inverse of player i."""
+    return [
+        ("a", cert.a, cert.p_a, cert.p_a_inv),
+        ("a^-1", inverse(cert.a), cert.p_a_inv, cert.p_a),
+        ("b", cert.b, cert.p_b, cert.p_b_inv),
+        ("b^-1", inverse(cert.b), cert.p_b_inv, cert.p_b),
+    ]
+
+
 def pingpong_verify(cert: PingPongCertificate) -> bool:
     """Exact ping-pong check; True means <a, b> is free of rank 2.
 
@@ -112,34 +130,23 @@ def pingpong_verify(cert: PingPongCertificate) -> bool:
     jointly proper (a basepoint outside all four must exist), and each
     generator to push the complement of its repeller into its attractor.
     """
-    sets = [
-        ("P_a", cert.p_a),
-        ("P_a_inv", cert.p_a_inv),
-        ("P_b", cert.p_b),
-        ("P_b_inv", cert.p_b_inv),
-    ]
-    for name, s in sets:
-        if not s:
+    check_class(PingPongCertificate, cert)
+    players = _players(cert)
+    names = ["P_" + name.replace("^-1", "_inv") for name, _, _, _ in players]
+    attractors = [p for _, _, p, _ in players]
+    for name, p in zip(names, attractors):
+        if not p:
             raise DisjointnessViolation("attractor %s is empty" % name)
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if sets[i][1] & sets[j][1]:
-                raise DisjointnessViolation(
-                    "attractors %s and %s intersect" % (sets[i][0], sets[j][0])
-                )
-    union = cert.p_a | cert.p_a_inv | cert.p_b | cert.p_b_inv
-    if union.is_whole():
+    for i, j in itertools.combinations(range(len(players)), 2):
+        if attractors[i] & attractors[j]:
+            raise DisjointnessViolation("attractors %s and %s intersect" % (names[i], names[j]))
+    if functools.reduce(Clopen.union, attractors).is_whole():
         raise CertificateInvalid("attractors cover the whole space; no basepoint left")
-    conditions = [
-        ("a.(X - P_a_inv) inside P_a", cert.a, cert.p_a_inv, cert.p_a),
-        ("a^-1.(X - P_a) inside P_a_inv", inverse(cert.a), cert.p_a, cert.p_a_inv),
-        ("b.(X - P_b_inv) inside P_b", cert.b, cert.p_b_inv, cert.p_b),
-        ("b^-1.(X - P_b) inside P_b_inv", inverse(cert.b), cert.p_b, cert.p_b_inv),
-    ]
-    for name, g, repeller, attractor in conditions:
-        image = act_clopen(g, ~repeller)
-        if not image.is_subset(attractor):
-            raise InclusionViolation("condition %s fails" % name)
+    for i, (name, g, attractor, repeller) in enumerate(players):
+        if not act_clopen(g, ~repeller).is_subset(attractor):
+            raise InclusionViolation(
+                "condition %s.(X - %s) inside %s fails" % (name, names[i ^ 1], names[i])
+            )
     return True
 
 
@@ -158,9 +165,8 @@ def convolution_count(f: SymmetricSet, length: int, workers: int = 1) -> int:
     F is inverse-closed as a multiset, so s_1...s_L -> s_L^-1...s_1^-1
     is a bijection from the words that evaluate to g onto those that
     evaluate to g^-1; hence N(g^-1) = N(g) and the count is sum_g N(g)^2,
-    with no inverse formed.  The closure is checked, not trusted: the
-    multiset of F's packed tables must equal the multiset of their
-    swaps, or NotSymmetric is raised.  Only the L spheres up to the
+    with no inverse formed.  The closure was checked when F was made;
+    an unflagged F raises NotSymmetric.  Only the L spheres up to the
     middle are expanded, as a dict keyed by canonical packed tables.
     The result to the power 1/length is a lower bound for
     ||sum_s lambda_s||.  `workers` is accepted for compatibility and
@@ -175,18 +181,14 @@ def convolution_count(f: SymmetricSet, length: int, workers: int = 1) -> int:
     CONVOLUTION_PRODUCTS_MAX is refused before any sphere is expanded.
     """
     check_class(SymmetricSet, f)
-    for name, value in (("word length", length), ("workers", workers)):
-        if type(value) is not int:
-            raise VdkError("%s must be an int, got %s" % (name, type(value).__name__))
+    check_int("word length", length)
+    check_int("workers", workers)
     if not f.symmetric:
         raise NotSymmetric("convolution counts need an inverse-closed set")
     if length < 2 or length % 2 != 0:
         raise VdkError("word length must be even and at least 2, got %d" % length)
     if workers < 1:
         raise VdkError("workers must be at least 1, got %d" % workers)
-    if not f.elements:
-        raise NotSymmetric("a symmetric set needs at least one element")
-    check_class(TableElement, *f.elements)
     size = len(f.elements)
     # the bound is summed one half-length step at a time and the loop
     # stops at the cap, so no power of a huge length is ever formed
@@ -202,12 +204,6 @@ def convolution_count(f: SymmetricSet, length: int, workers: int = 1) -> int:
         products += term
         largest += 2
     a = f.elements[0].alphabet
-    for el in f.elements:
-        if el.alphabet != a:
-            raise MismatchedAlphabet("mixed alphabets in symmetric set")
-    tables = sorted([el.packed for el in f.elements])
-    if tables != sorted([swap(t) for t in tables]):
-        raise NotSymmetric("convolution counts need an inverse-closed set")
     d, k = a.d, a.k
     gens = [(el.packed, range_order(el.packed)) for el in f.elements]
     sphere = {identity(a).packed: 1}
@@ -337,22 +333,23 @@ def check_certificate(
     least |nu| that passes, or says that none does, and the report rides
     on the exception as its `report` attribute.
     """
+    check_class(SymmetricSet, f)
+    check_class(Word, nu)
     if (certificate is None) == (norm_bound is None):
         raise VdkError("give exactly one of certificate or norm_bound")
     if not f.symmetric:
         raise NotSymmetric("the set F must be symmetric")
     target = nu.alphabet
     d, k = target.d, target.k
-    base = Alphabet(d, d)
-    for el in f.elements:
-        if el.alphabet != base:
-            raise MismatchedAlphabet(
-                "F must live in V_{%d,%d}, found element over (d=%d, k=%d)"
-                % (d, d, el.alphabet.d, el.alphabet.k)
-            )
+    found = f.elements[0].alphabet
+    if found != Alphabet(d, d):
+        raise MismatchedAlphabet(
+            "F must live in V_{%d,%d}, found element over (d=%d, k=%d)"
+            % (d, d, found.d, found.k)
+        )
     if certificate is not None:
         pingpong_verify(certificate)
-        gens = {certificate.a, inverse(certificate.a), certificate.b, inverse(certificate.b)}
+        gens = {g for _, g, _, _ in _players(certificate)}
         if set(f.elements) != gens or len(f.elements) != 4:
             raise CertificateInvalid(
                 "F must be exactly the certified generators and their inverses"

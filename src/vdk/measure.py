@@ -11,6 +11,7 @@ QuadraticValue with sign decided by iterated squaring.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -208,6 +209,7 @@ def quad_compare(u: QuadraticValue, v: QuadraticValue) -> str:
 
 def rn_profile(g: TableElement) -> tuple[tuple[Word, int], ...]:
     """Per-block cocycle exponents [(mu_i, |mu_i| - |nu_i|), ...]."""
+    check_class(TableElement, g)
     return tuple([(mu_w, len(mu_w) - len(nu_w)) for mu_w, nu_w in g.pairs])
 
 
@@ -232,6 +234,7 @@ def cocycle_chain_check(g: TableElement, h: TableElement, x: Point) -> bool:
 
 def cocycle_range(g: TableElement) -> frozenset[int]:
     """The set of exponents attained by the cocycle of g, from packed tail lengths."""
+    check_class(TableElement, g)
     return frozenset(t - u for t, u in tail_lengths(g.packed, g.alphabet.d, g.alphabet.k))
 
 
@@ -271,6 +274,8 @@ def deficit(s: Clopen, elements) -> Fraction:
     Each term is mu(s) + mu(g s) - 2 mu(s & g s): one intersection, with
     no complement built, and mu(s) computed once.
     """
+    if not isinstance(elements, Iterable):
+        raise VdkError("deficit elements must be an iterable, got %s" % type(elements).__name__)
     elements = list(elements)
     if not elements:
         raise VdkError("deficit needs at least one element")

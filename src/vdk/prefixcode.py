@@ -393,6 +393,17 @@ def gaps(words, d: int, k: int) -> tuple:
     return tuple(out)
 
 
+def split_last(words, n: int, d: int, k: int) -> list:
+    """The words with the last one split into its d children, again and
+    again, until there are n; n - len(words) must be a multiple of d - 1."""
+    _, b = _widths(d, k)
+    out = list(words)
+    while len(out) < n:
+        c = out.pop() << b
+        out.extend(range(c, c + d))
+    return out
+
+
 def walk(left, right, order) -> list:
     """Cells of left after right, sorted by domain and unreduced.
 

@@ -19,22 +19,12 @@ class of its left operand; their public operations check that class.
 
 from __future__ import annotations
 
-from .cantor import (
-    Alphabet,
-    Clopen,
-    Point,
-    Word,
-    act_by_cell,
-    check_class,
-    check_same_alphabet,
-    clopen_normalize,
-    point_normalize,
-    split,
-)
+from .cantor import Alphabet, Clopen, Point, Word, check_class, check_same_alphabet
+from .cantor import point_normalize, replace_prefix
 from .errors import ArityMismatch, TransportImpossible, VdkError
-from .prefixcode import PackedCode, canonical, format_packed, gaps, graft, identity_pairs
-from .prefixcode import normal_form, normal_words, pack_word, parse_packed, range_order, swap
-from .prefixcode import unpack_word, walk
+from .prefixcode import PackedCode, canonical, cell_index, format_packed, gaps, graft
+from .prefixcode import identity_pairs, normal_form, normal_words, pack_word, parse_packed
+from .prefixcode import range_order, split_last, swap, tail_lengths, unpack_word, walk
 
 
 class TableElement(PackedCode):
@@ -107,11 +97,13 @@ def code_act(u: PackedCode, x: Point, missing: str) -> Point:
     """The image of x under the cell whose domain word is a prefix of x;
     VdkError(missing % x) when there is none."""
     check_class(Point, x)
-    check_same_alphabet(u, x)
-    y = act_by_cell(u.packed, x)
-    if y is None:
+    a = check_same_alphabet(u, x)
+    i = cell_index([w for w, _ in u.packed], x)
+    if i is None:
         raise VdkError(missing % x)
-    return y
+    # x = mu.y goes to nu.y for the cell (mu, nu); only nu is unpacked
+    ((t, _),) = tail_lengths([u.packed[i]], a.d, a.k)
+    return replace_prefix(x, t, unpack_word(a, u.packed[i][1]))
 
 
 def compose(g: TableElement, h: TableElement) -> TableElement:
@@ -166,6 +158,7 @@ def probe_points(g: TableElement, h: TableElement) -> list[Point]:
     list contains the points cell.c^inf for c = 1, 2; two canonical
     tables are equal iff they act identically on all of these.
     """
+    check_class(TableElement, g, h)
     a = check_same_alphabet(g, h)
     # the common refinement is the unreduced product of the two domain identities
     cells = walk([(w, w) for w, _ in g.packed], [(w, w) for w, _ in h.packed], range(len(h.packed)))
@@ -175,25 +168,24 @@ def probe_points(g: TableElement, h: TableElement) -> list[Point]:
 def transporter(nu1: Word, nu2: Word) -> TableElement:
     """An element carrying the cylinder of nu1 onto the cylinder of nu2.
 
-    Deterministic: complements of the two cylinders are decomposed into
-    canonical cylinder lists, the shorter list repeatedly splits its
-    last cylinder into d children until lengths match (block counts are
-    congruent mod d-1, so this terminates), and the lists are paired in
-    lexicographic order.
+    Deterministic, on packed words: the complements of the cylinders are
+    their gaps, canonical codes in lexicographic order; the shorter code
+    splits its last word into d children until the counts match
+    (prefixcode.split_last; they are congruent mod d-1), and the codes
+    are paired in order and checked by canonical, as make_table does.
     """
+    check_class(Word, nu1, nu2)
     a = check_same_alphabet(nu1, nu2)
-    comp1 = list(clopen_normalize(a, [nu1]).complement().words)
-    comp2 = list(clopen_normalize(a, [nu2]).complement().words)
+    p1, p2 = pack_word(nu1), pack_word(nu2)
+    comp1, comp2 = gaps((p1,), a.d, a.k), gaps((p2,), a.d, a.k)
     if bool(comp1) != bool(comp2):
         full = nu1 if not comp1 else nu2
         raise TransportImpossible(
             "cylinder of %s is the whole space but the other is proper" % full
         )
-    while len(comp1) != len(comp2):
-        shorter = comp1 if len(comp1) < len(comp2) else comp2
-        shorter.extend(split(shorter.pop()))
-    pairs = [(nu1, nu2)] + list(zip(comp1, comp2))
-    return make_table(pairs)
+    n = max(len(comp1), len(comp2))
+    comp1, comp2 = split_last(comp1, n, a.d, a.k), split_last(comp2, n, a.d, a.k)
+    return TableElement(a, canonical(a, [(p1, p2)] + list(zip(comp1, comp2)), complete=True))
 
 
 def embed_supported(g: TableElement, nu: Word) -> TableElement:
@@ -210,6 +202,8 @@ def embed_supported(g: TableElement, nu: Word) -> TableElement:
     cells off the cylinder are the gaps of nu.  Both sides are checked
     as complete prefix codes, as make_table does.
     """
+    check_class(TableElement, g)
+    check_class(Word, nu)
     base = g.alphabet
     target = nu.alphabet
     if base.d != target.d or base.k != base.d:
@@ -228,6 +222,7 @@ def embed_supported(g: TableElement, nu: Word) -> TableElement:
 
 
 def format_table(g: TableElement) -> str:
+    check_class(TableElement, g)
     a = g.alphabet
     return "{%s}" % ",".join(
         ["%s->%s" % (format_packed(a, w), format_packed(a, r)) for w, r in g.packed]

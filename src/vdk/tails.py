@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cantor import Point, Word, check_same_alphabet, point_normalize, streams_equal
+from .cantor import Point, Word, check_int, check_same_alphabet, point_normalize, streams_equal
 from .errors import NotRelated, VdkError
 from .groupoid import DoubleCylinder
 
@@ -85,6 +85,7 @@ def witness_cell(x: Point, y: Point, w: TailWitness | None = None) -> DoubleCyli
 def finite_level_related(x: Point, y: Point, n: int) -> bool:
     """Lag-free approximation: tails agree at every position past n."""
     check_same_alphabet(x, y)
+    check_int("level", n)
     if n < 0:
         raise VdkError("level must be nonnegative, got %d" % n)
     fx, px = x.tail_stream(n)
@@ -106,6 +107,7 @@ def orbit_fragment(x: Point, level: int) -> frozenset[Point]:
     Only p = level or |nu| = level is built: nu . sigma^p(x) = (nu . x_{p+1}) . sigma^{p+1}(x).
     A level that would build more than ORBIT_CANDIDATES_MAX points is refused.
     """
+    check_int("orbit fragment level", level)
     if level < 1:
         raise VdkError("orbit fragment level must be at least 1, got %d" % level)
     a = x.alphabet

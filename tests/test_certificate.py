@@ -5,7 +5,9 @@ the (2r)-regular tree, computed by an explicit distance-profile dynamic
 program written here from scratch.
 """
 
+import dataclasses
 import gc
+import itertools
 import re
 from fractions import Fraction
 from random import Random
@@ -20,6 +22,7 @@ from vdk import (
     SymmetricSet,
     act_clopen,
     check_certificate,
+    clopen_normalize,
     compose,
     convolution_count,
     embed_supported,
@@ -48,7 +51,7 @@ from vdk.errors import (
     NotSymmetric,
     VdkError,
 )
-from vdk.sampling import random_code, random_table
+from vdk.sampling import random_code, random_table, random_word
 
 A21 = Alphabet(2, 1)
 A22 = Alphabet(2, 2)
@@ -155,8 +158,73 @@ def test_pingpong_inclusions_hold_exactly(free2):
     assert act_clopen(inverse(cert.b), whole - cert.p_b).is_subset(cert.p_b_inv)
 
 
+# the four players of a certificate, written out here: (generator,
+# attractor field, repeller field) for a, a^-1, b and b^-1
+_PLAYERS = [
+    (lambda c: c.a, "p_a", "p_a_inv"),
+    (lambda c: inverse(c.a), "p_a_inv", "p_a"),
+    (lambda c: c.b, "p_b", "p_b_inv"),
+    (lambda c: inverse(c.b), "p_b_inv", "p_b"),
+]
+
+
+def random_subcylinder(rng: Random, s):
+    """The cylinder of a random word of s extended by one to three letters."""
+    w = rng.choice(s.words)
+    tail = [rng.randrange(1, w.alphabet.d + 1) for _ in range(rng.randrange(1, 4))]
+    return clopen_normalize(w.alphabet, [w.extend(*tail)])
+
+
+def test_pingpong_refuses_meeting_attractors(free2):
+    # a piece of one attractor added to another makes exactly that pair meet
+    f, cert = free2
+    rng = Random(1401)
+    fields = [att for _, att, _ in _PLAYERS]
+    for i, j in itertools.combinations(range(4), 2):
+        names = tuple(["P" + fields[t][1:] for t in (i, j)])
+        for _ in range(5):
+            src, dst = rng.sample((i, j), 2)
+            grown = getattr(cert, fields[dst]) | random_subcylinder(rng, getattr(cert, fields[src]))
+            bad = dataclasses.replace(cert, **{fields[dst]: grown})
+            with pytest.raises(DisjointnessViolation, match="^attractors %s and %s intersect$" % names):
+                pingpong_verify(bad)
+
+
+def test_pingpong_refuses_broken_inclusions(free2):
+    # a piece of a generator's image cut from its attractor breaks its
+    # inclusion and leaves the attractors nonempty, disjoint and proper
+    f, cert = free2
+    rng = Random(1402)
+    for gen, att, rep in _PLAYERS:
+        for _ in range(5):
+            image = act_clopen(gen(cert), ~getattr(cert, rep))
+            bad = dataclasses.replace(cert, **{att: getattr(cert, att) - random_subcylinder(rng, image)})
+            assert getattr(bad, att) and not image.is_subset(getattr(bad, att))
+            with pytest.raises(InclusionViolation):
+                pingpong_verify(bad)
+
+
 # ---------------------------------------------------------------------------
 # symmetric sets
+
+
+def test_flagged_set_refused_when_made():
+    # a flagged set is checked once, when it is made; unflagged, the same
+    # elements make a set
+    rng = Random(1403)
+    for a in (A21, A22, Alphabet(3, 2)):
+        s, e = random_non_involution(rng, a), identity(a)
+        for elements in ((s,), (s, s), (s, inverse(s), s), (inverse(s), s, inverse(s))):
+            with pytest.raises(NotSymmetric, match="need an inverse-closed set$"):
+                SymmetricSet(elements, True)
+            assert SymmetricSet(elements, False).elements == elements
+        for elements in ((e,), (s, e, inverse(s)), (e, e)):
+            with pytest.raises(NotSymmetric, match="must not contain the identity$"):
+                SymmetricSet(elements, True)
+        with pytest.raises(VdkError, match="^expected a TableElement, got str$"):
+            symmetric_set([s, inverse(s), "s"])
+        with pytest.raises(VdkError, match="^mixed alphabets in symmetric set$"):
+            SymmetricSet((s, identity(Alphabet(a.d + 1, a.k))), False)
 
 
 def test_symmetric_set_rejects_identity():
@@ -530,6 +598,39 @@ def test_check_certificate_user_norm_path(free2):
     report = check_certificate(f, parse_word(A22, "1:11"), norm_bound=tiny)
     assert report.verdict == "PASS"
     assert report.norm_bound.kind == "user-supplied"
+
+
+def test_check_certificate_refuses_unclosed_flagged_set(free2):
+    # four copies of a, flagged symmetric, are refused before any chain
+    f, cert = free2
+    g = f.elements[0]
+    assert inverse(g) != g
+    with pytest.raises(NotSymmetric):
+        check_certificate(SymmetricSet((g,) * 4, True), parse_word(A22, "1:1111"),
+                          norm_bound=free_norm(2))
+
+
+# each certificate operation names what it expected, in one line
+_OPERAND_CASES = {
+    "pingpong_verify": ("expected a PingPongCertificate, got str",
+                        lambda f, nu: pingpong_verify("c")),
+    "check_certificate_set": ("expected a SymmetricSet, got str",
+                              lambda f, nu: check_certificate("f", nu, norm_bound=free_norm(2))),
+    "check_certificate_word": ("expected a Word, got str",
+                               lambda f, nu: check_certificate(f, str(nu), norm_bound=free_norm(2))),
+    "free_norm": ("free rank must be an int, got str", lambda f, nu: free_norm("2")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OPERAND_CASES))
+def test_certificate_operands_checked(free2, case):
+    message, call = _OPERAND_CASES[case]
+    f, cert = free2
+    rng = Random(1404)
+    for k in (1, 2, 3):
+        nu = random_word(rng, Alphabet(2, k))
+        with pytest.raises(VdkError, match="^%s$" % re.escape(message)):
+            call(f, nu)
 
 
 def test_check_certificate_requires_matching_set(free2):

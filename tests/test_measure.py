@@ -428,3 +428,21 @@ def test_operand_class_checked(case):
         g, s, x = random_table(rng, a), random_clopen(rng, a), random_point(rng, a)
         with pytest.raises(VdkError, match="^expected a %s, got str$" % expected):
             call(g, s, x)
+
+
+# the profile and range of the cocycle check their element too, and a
+# deficit family that is no iterable is named in one line
+_COCYCLE_OPERAND_CASES = {
+    "rn_profile": ("expected a TableElement, got str", lambda s: rn_profile("g")),
+    "cocycle_range": ("expected a TableElement, got str", lambda s: cocycle_range("g")),
+    "deficit_family": ("deficit elements must be an iterable, got int", lambda s: deficit(s, 5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COCYCLE_OPERAND_CASES))
+def test_cocycle_operands_checked(case):
+    message, call = _COCYCLE_OPERAND_CASES[case]
+    rng = Random(1407)
+    for a in ALPHABETS:
+        with pytest.raises(VdkError, match="^%s$" % message):
+            call(random_clopen(rng, a))

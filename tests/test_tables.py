@@ -56,8 +56,10 @@ from vdk.errors import (
     MismatchedAlphabet,
     OverlappingDomain,
     OverlappingRange,
+    TransportImpossible,
     VdkError,
 )
+from vdk.words import split
 from vdk.prefixcode import _merge_siblings, normal_form, pack_word, range_order, sort_pairs
 from vdk.prefixcode import swap, unpack_word, walk
 from vdk.sampling import random_bisection, random_point, random_table, random_word
@@ -433,6 +435,42 @@ def test_transporter_random():
     assert done >= 200
 
 
+def word_transporter(nu1, nu2):
+    """The reference algorithm on Words: complement each cylinder as a
+    clopen, split the last word of the shorter list until the lengths
+    match, pair the lists in order and make the table."""
+    a = nu1.alphabet
+    comp1 = list(clopen_normalize(a, [nu1]).complement().words)
+    comp2 = list(clopen_normalize(a, [nu2]).complement().words)
+    if bool(comp1) != bool(comp2):
+        raise TransportImpossible("one cylinder is the whole space")
+    while len(comp1) != len(comp2):
+        shorter = comp1 if len(comp1) < len(comp2) else comp2
+        shorter.extend(split(shorter.pop()))
+    return make_table([(nu1, nu2)] + list(zip(comp1, comp2)))
+
+
+def test_transporter_matches_word_algorithm():
+    # the packed gaps and kernel split give the reference's table exactly;
+    # for k = 1 the bare root is the whole space on one side or both
+    rng = Random(1405)
+    for d in range(2, 7):
+        for k in range(1, 5):
+            a = Alphabet(d, k)
+            pairs = [(random_word(rng, a), random_word(rng, a, 6)) for _ in range(40)]
+            if k == 1:
+                root, v = Word(a, 1), random_word(rng, a).extend(1)
+                pairs += [(root, v), (v, root), (root, root)]
+            for v1, v2 in pairs + [(v2, v1) for v1, v2 in pairs]:
+                try:
+                    expected = word_transporter(v1, v2)
+                except TransportImpossible:
+                    with pytest.raises(TransportImpossible):
+                        transporter(v1, v2)
+                    continue
+                assert format_table(transporter(v1, v2)) == format_table(expected)
+
+
 # ---------------------------------------------------------------------------
 # supported embedding of V_{d,d}
 
@@ -769,3 +807,24 @@ def test_operand_class_checked(case):
         g, s, x = random_table(rng, a), random_clopen(rng, a), random_point(rng, a)
         with pytest.raises(VdkError, match="^expected a %s, got %s$" % (expected, given)):
             call(g, s, x)
+
+
+# the element and word operands of embedding, transport, probes and
+# formatting are checked too; each case names (expected class, call)
+_WORD_OPERAND_CASES = {
+    "embed_supported_element": ("TableElement", lambda g, v: embed_supported("g", v)),
+    "embed_supported_word": ("Word", lambda g, v: embed_supported(g, str(v))),
+    "probe_points": ("TableElement", lambda g, v: probe_points("g", "h")),
+    "format_table": ("TableElement", lambda g, v: format_table("g")),
+    "transporter": ("Word", lambda g, v: transporter(str(v), str(v))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WORD_OPERAND_CASES))
+def test_word_operand_class_checked(case):
+    expected, call = _WORD_OPERAND_CASES[case]
+    rng = Random(1406)
+    for a in (A22, A33):
+        g, v = random_table(rng, a), random_word(rng, a)
+        with pytest.raises(VdkError, match="^expected a %s, got str$" % expected):
+            call(g, v)

@@ -357,3 +357,23 @@ def test_group_action_preserves_tail_classes():
         g = random_table(rng, a)
         x = random_point(rng, a)
         assert related(act_point(g, x), x) is not None
+
+
+# levels must be ints, named in the words of convolution_count
+_LEVEL_CASES = {
+    "orbit_fragment_str": ("orbit fragment level must be an int, got str",
+                           lambda x, y: orbit_fragment(x, "2")),
+    "orbit_fragment_float": ("orbit fragment level must be an int, got float",
+                             lambda x, y: orbit_fragment(x, 2.0)),
+    "finite_level_related_str": ("level must be an int, got str",
+                                 lambda x, y: finite_level_related(x, y, "1")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LEVEL_CASES))
+def test_level_must_be_int(case):
+    message, call = _LEVEL_CASES[case]
+    rng = Random(1408)
+    for a in ALPHABETS:
+        with pytest.raises(VdkError, match="^%s$" % message):
+            call(random_point(rng, a), random_point(rng, a))
