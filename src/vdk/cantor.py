@@ -22,7 +22,7 @@ from math import gcd
 from .errors import MismatchedAlphabet, VdkError
 from .prefixcode import PackedCode, cell_index, format_letters, format_packed, gaps, normal_words
 from .prefixcode import pack_word, parse_letters, parse_packed, unpack_word, walk
-from .words import Alphabet, Word, format_word, parse_word, split  # noqa: F401
+from .words import Alphabet, Word, check_int, format_word, parse_word, split  # noqa: F401
 
 
 def check_same_alphabet(*objs) -> Alphabet:
@@ -38,11 +38,6 @@ def check_class(cls: type, *objs) -> None:
     for o in objs:
         if not isinstance(o, cls):
             raise VdkError("expected a %s, got %s" % (cls.__name__, type(o).__name__))
-
-
-def check_int(name: str, value) -> None:
-    if type(value) is not int:
-        raise VdkError("%s must be an int, got %s" % (name, type(value).__name__))
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +120,7 @@ def clopen_normalize(alphabet: Alphabet, words) -> Clopen:
     """
     packed = []
     for w in words:
+        check_class(Word, w)
         if w.alphabet != alphabet:
             raise MismatchedAlphabet(
                 "word %s is over %r, not %r" % (w, w.alphabet, alphabet)
@@ -191,6 +187,7 @@ def _primitive(period: tuple[int, ...]) -> tuple[int, ...]:
 
 def point_normalize(preperiod: Word, period) -> Point:
     """Canonical Point for the infinite word preperiod . period^inf."""
+    check_class(Word, preperiod)
     a = preperiod.alphabet
     per = tuple(period)
     if not per:

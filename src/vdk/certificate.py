@@ -58,6 +58,7 @@ class SymmetricSet:
     symmetric: bool
 
     def __post_init__(self):
+        check_class(tuple, self.elements)
         if not self.elements:
             raise NotSymmetric("a symmetric set needs at least one element")
         check_class(TableElement, *self.elements)
@@ -337,6 +338,8 @@ def check_certificate(
     check_class(Word, nu)
     if (certificate is None) == (norm_bound is None):
         raise VdkError("give exactly one of certificate or norm_bound")
+    if norm_bound is not None:
+        check_class(NormBound, norm_bound)
     if not f.symmetric:
         raise NotSymmetric("the set F must be symmetric")
     target = nu.alphabet

@@ -112,11 +112,11 @@ def make_bisection(cells, alphabet: Alphabet | None = None) -> Bisection:
     """
     pairs = set()
     for c in cells:
-        if isinstance(c, DoubleCylinder):
-            pairs.add((c.domain_word, c.range_word))
-        else:
-            nu, mu = c
-            pairs.add((mu, nu))
+        if isinstance(c, (tuple, list)) and len(c) == 2:
+            c = DoubleCylinder(*c)
+        check_class(DoubleCylinder, c)
+        check_class(Word, c.range_word, c.domain_word)
+        pairs.add((c.domain_word, c.range_word))
     if not pairs:
         if alphabet is None:
             raise VdkError("empty bisection needs an explicit alphabet")
@@ -147,20 +147,17 @@ def from_table(g: TableElement) -> Bisection:
 
 def bisection_compose(u: Bisection, v: Bisection) -> Bisection:
     """All products of composable germs, u after v; degrees add cellwise."""
-    check_class(Bisection, u, v)
-    return code_product(u, v)
+    return code_product(Bisection, u, v)
 
 
 def bisection_inverse(u: Bisection) -> Bisection:
     """Cellwise inverse: swap domain and range, negate degrees."""
-    check_class(Bisection, u)
-    return code_inverse(u)
+    return code_inverse(Bisection, u)
 
 
 def bisection_act(u: Bisection, x: Point) -> Point:
     """u.x = r((s restricted to u)^{-1}(x)); x must lie in the source."""
-    check_class(Bisection, u)
-    return code_act(u, x, "point %s is outside the source of the bisection")
+    return code_act(Bisection, u, x, "point %s is outside the source of the bisection")
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +339,7 @@ def mv_make(pairs, m: int) -> BoxTable:
 
 
 def mv_identity(m: int) -> BoxTable:
+    _check_factor_count(m)
     empty = tuple(() for _ in range(m))
     return BoxTable(m, (((empty), (empty)),))
 

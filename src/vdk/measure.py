@@ -15,10 +15,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cantor import Clopen, Point, Word, check_class, check_same_alphabet
+from .cantor import Clopen, Point, Word, check_class, check_int
 from .errors import VdkError
-from .prefixcode import cell_index, leaves, tail_lengths
-from .tables import TableElement, act_clopen, act_point, compose
+from .prefixcode import leaves, tail_lengths
+from .tables import TableElement, act_clopen, act_point, code_cell, compose
 
 
 def mu(s: Clopen) -> Fraction:
@@ -134,6 +134,7 @@ class QuadraticValue:
 
 def quadratic(a, b=0, m: int = 1) -> QuadraticValue:
     """Normalized QuadraticValue: square part of m folded into b."""
+    check_int("radicand", m)
     a, b = Fraction(a), Fraction(b)
     if b == 0:
         return QuadraticValue(a, Fraction(0), 1)
@@ -215,13 +216,7 @@ def rn_profile(g: TableElement) -> tuple[tuple[Word, int], ...]:
 
 def rn_exponent(g: TableElement, x: Point) -> int:
     """Exponent j with dgmu/dmu = d^j on the block of g containing x."""
-    check_class(TableElement, g)
-    check_class(Point, x)
-    check_same_alphabet(g, x)
-    i = cell_index([w for w, _ in g.packed], x)
-    if i is None:
-        raise VdkError("no domain block matches point %s" % x)
-    ((t, u),) = tail_lengths([g.packed[i]], g.alphabet.d, g.alphabet.k)
+    _, t, u = code_cell(TableElement, g, x)
     return t - u
 
 

@@ -11,8 +11,10 @@ bits, then each tail letter minus 1 in b = (d-1).bit_length() bits.  The
 length is read off the bit length, so words of any length pack.  With
 bl the bit length, w1 is a prefix of w2 exactly when
 w2 >> (bl2 - bl1) == w1; the children of a word w are w << b plus
-0, ..., d-1, and the parent of a tail word is w >> b.  Shifted left to a
-common bit length, packed words compare lexicographically.  A cell is a
+0, ..., d-1, and the parent of a tail word is w >> b.  Every letter
+takes the same bits after the same sentinel and root field, so the text
+order of bin(w) is the lexicographic order of the words, a prefix right
+before its extensions; codes are sorted by that key.  A cell is a
 (domain, range) pair of packed words.
 
 The text codec lives here too: it reads and writes packed words with no
@@ -219,22 +221,12 @@ def graft(p: int, w: int) -> int:
 
 def sort_pairs(pairs, side: int = 0) -> list:
     """Pairs sorted lexicographically by their domain (side 0) or range (side 1) word."""
-    top = max((p[side].bit_length() for p in pairs), default=0)
-    t = top.bit_length()
-
-    def key(p):
-        # the word shifted to the longest bit length, then its bit
-        # length: a prefix sorts right before its extensions
-        w = p[side]
-        n = w.bit_length()
-        return (w << (top - n + t)) | n
-
-    return sorted(pairs, key=key)
+    return sorted(pairs, key=lambda p: bin(p[side]))
 
 
 def range_order(pairs) -> list:
     """Indices of the pairs in the lexicographic order of their range words."""
-    return [i for _, i in sort_pairs([(r, i) for i, (_, r) in enumerate(pairs)])]
+    return sorted(range(len(pairs)), key=lambda i: bin(pairs[i][1]))
 
 
 def leaves(words, d: int, k: int) -> tuple[int, int, int]:
@@ -329,14 +321,14 @@ def normal_words(words, d: int, k: int) -> tuple:
     """Canonical clopen of packed words: sorted, nested words absorbed,
     families merged up to the roots."""
     kept = []
-    for p in sort_pairs([(w, w) for w in words]):
+    for w in sorted(words, key=bin):
         # after sorting, a word follows the kept word it extends
         if kept:
-            s = p[0].bit_length() - kept[-1][0].bit_length()
-            if s >= 0 and p[0] >> s == kept[-1][0]:
+            s = w.bit_length() - kept[-1].bit_length()
+            if s >= 0 and w >> s == kept[-1]:
                 continue
-        kept.append(p)
-    return tuple([w for w, _ in _merge_siblings(kept, d, k, 2)])
+        kept.append(w)
+    return tuple([w for w, _ in _merge_siblings([(w, w) for w in kept], d, k, 2)])
 
 
 def canonical(alphabet: Alphabet, pairs, complete: bool) -> tuple:

@@ -1,8 +1,9 @@
 """Curated invariant suite behind `vdk selftest`.
 
 Each check re-derives a law from scratch on seeded random batches and
-raises AssertionError with detail on the first violation.  One output
-line per check; exit code 0 only if every check passes.
+raises AssertionError with detail on the first violation, through
+_require rather than assert, so the checks also run under python -O.
+One output line per check; exit code 0 only if every check passes.
 """
 
 from __future__ import annotations
@@ -62,16 +63,22 @@ def _rng(tag: int) -> Random:
     return Random(99991 + tag)
 
 
+def _require(ok, message: str = "") -> None:
+    """AssertionError(message) unless ok; unlike assert, kept under python -O."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def check_clopen_algebra():
     rng = _rng(1)
     for i in range(60):
         a = _ALPHABETS[i % len(_ALPHABETS)]
         s = random_clopen(rng, a)
         t = random_clopen(rng, a)
-        assert ~(s | t) == (~s) & (~t), "De Morgan fails for %s, %s" % (s, t)
-        assert ~(~s) == s, "double complement fails for %s" % s
-        assert (s | ~s).is_whole(), "excluded middle fails for %s" % s
-        assert not (s & ~s), "contradiction law fails for %s" % s
+        _require(~(s | t) == (~s) & (~t), "De Morgan fails for %s, %s" % (s, t))
+        _require(~(~s) == s, "double complement fails for %s" % s)
+        _require((s | ~s).is_whole(), "excluded middle fails for %s" % s)
+        _require(not (s & ~s), "contradiction law fails for %s" % s)
 
 
 def check_split_measure():
@@ -85,7 +92,7 @@ def check_split_measure():
         total = sum(
             (mu(clopen_normalize(a, [c])) for c in kids), Fraction(0)
         )
-        assert total == mu(clopen_normalize(a, [w])), "children masses differ at %s" % w
+        _require(total == mu(clopen_normalize(a, [w])), "children masses differ at %s" % w)
 
 
 def check_point_canonical():
@@ -99,7 +106,7 @@ def check_point_canonical():
         absorbed = point_normalize(
             Word(a, pre.root, pre.tail + x.period), x.period
         )
-        assert absorbed == x, "period absorption changes %s" % x
+        _require(absorbed == x, "period absorption changes %s" % x)
 
 
 def check_member_indicator():
@@ -108,7 +115,7 @@ def check_member_indicator():
         a = _ALPHABETS[i % len(_ALPHABETS)]
         x = random_point(rng, a)
         s = random_clopen(rng, a)
-        assert member(x, s) != member(x, ~s), "indicator clash at %s in %s" % (x, s)
+        _require(member(x, s) != member(x, ~s), "indicator clash at %s in %s" % (x, s))
 
 
 def check_table_group_laws():
@@ -118,11 +125,11 @@ def check_table_group_laws():
         f = random_table(rng, a)
         g = random_table(rng, a)
         h = random_table(rng, a)
-        assert compose(compose(f, g), h) == compose(f, compose(g, h)), "associativity"
-        assert compose(g, inverse(g)) == identity(a), "right inverse"
-        assert compose(identity(a), g) == g == compose(g, identity(a)), "identity law"
+        _require(compose(compose(f, g), h) == compose(f, compose(g, h)), "associativity")
+        _require(compose(g, inverse(g)) == identity(a), "right inverse")
+        _require(compose(identity(a), g) == g == compose(g, identity(a)), "identity law")
         for el in (f, g, h):
-            assert el.block_count % (a.d - 1) == a.k % (a.d - 1), "block count residue"
+            _require(el.block_count % (a.d - 1) == a.k % (a.d - 1), "block count residue")
 
 
 def check_equality_vs_action():
@@ -134,7 +141,7 @@ def check_equality_vs_action():
         agree = all(
             act_point(g, x) == act_point(h, x) for x in probe_points(g, h)
         )
-        assert agree == (g == h), "probe agreement disagrees with equality"
+        _require(agree == (g == h), "probe agreement disagrees with equality")
 
 
 def check_cocycle():
@@ -144,7 +151,7 @@ def check_cocycle():
         g = random_table(rng, a)
         h = random_table(rng, a)
         x = random_point(rng, a)
-        assert cocycle_chain_check(g, h, x), "chain rule at %s" % x
+        _require(cocycle_chain_check(g, h, x), "chain rule at %s" % x)
         moved = sum(
             (
                 mu(clopen_normalize(a, [w])) * Fraction(a.d) ** j
@@ -152,11 +159,11 @@ def check_cocycle():
             ),
             Fraction(0),
         )
-        assert moved == 1, "transported mass %s != 1" % moved
+        _require(moved == 1, "transported mass %s != 1" % moved)
         integral = integral_sqrt_rn(g)
         cmp = quad_compare(integral, quadratic(1))
-        assert cmp != "greater", "integral above 1"
-        assert (cmp == "equal") == (cocycle_range(g) == {0}), "equality case"
+        _require(cmp != "greater", "integral above 1")
+        _require((cmp == "equal") == (cocycle_range(g) == {0}), "equality case")
 
 
 def check_isomorphism():
@@ -165,12 +172,11 @@ def check_isomorphism():
         a = _ALPHABETS[i % len(_ALPHABETS)]
         g = random_table(rng, a)
         h = random_table(rng, a)
-        assert to_table(from_table(g)) == g, "roundtrip"
-        assert to_table(bisection_compose(from_table(g), from_table(h))) == compose(
-            g, h
-        ), "homomorphism"
+        _require(to_table(from_table(g)) == g, "roundtrip")
+        gh = to_table(bisection_compose(from_table(g), from_table(h)))
+        _require(gh == compose(g, h), "homomorphism")
         x = random_point(rng, a)
-        assert bisection_act(from_table(g), x) == act_point(g, x), "action compat"
+        _require(bisection_act(from_table(g), x) == act_point(g, x), "action compat")
 
 
 def check_partial_bisections():
@@ -179,10 +185,10 @@ def check_partial_bisections():
         a = _ALPHABETS[i % len(_ALPHABETS)]
         u = random_bisection(rng, a)
         ide = bisection_compose(u, bisection_inverse(u))
-        assert all(w == r for w, r in ide.packed), "u u^-1 not diagonal"
-        assert ide.source() == u.range(), "u u^-1 support"
+        _require(all(w == r for w, r in ide.packed), "u u^-1 not diagonal")
+        _require(ide.source() == u.range(), "u u^-1 support")
         if is_full(u):
-            assert to_table(u) is not None
+            _require(to_table(u) is not None)
 
 
 def check_tails():
@@ -192,15 +198,15 @@ def check_tails():
         x = random_point(rng, a)
         g = random_table(rng, a)
         w = related(x, x)
-        assert w is not None and (w.p, w.q) == (0, 0), "reflexivity"
+        _require(w is not None and (w.p, w.q) == (0, 0), "reflexivity")
         y = act_point(g, x)
-        assert related(y, x) is not None, "action left the tail class"
+        _require(related(y, x) is not None, "action left the tail class")
         z = random_point(rng, a)
         wxz = related(x, z)
         wzx = related(z, x)
-        assert (wxz is None) == (wzx is None), "symmetry"
+        _require((wxz is None) == (wzx is None), "symmetry")
         if wxz is not None:
-            assert (wxz.p, wxz.q) == (wzx.q, wzx.p), "witness symmetry"
+            _require((wxz.p, wxz.q) == (wzx.q, wzx.p), "witness symmetry")
 
 
 def check_mv():
@@ -211,12 +217,12 @@ def check_mv():
         g2 = random_table(rng, a21)
         bg1 = mv_embed_factor(g1, 2, 0)
         bg2 = mv_embed_factor(g2, 2, 1)
-        assert mv_compose(bg1, mv_inverse(bg1)) == mv_identity(2), "mv inverse law"
-        assert mv_compose(bg1, bg2) == mv_compose(bg2, bg1), "disjoint factors commute"
+        _require(mv_compose(bg1, mv_inverse(bg1)) == mv_identity(2), "mv inverse law")
+        _require(mv_compose(bg1, bg2) == mv_compose(bg2, bg1), "disjoint factors commute")
         x = random_point(rng, a21)
         y = random_point(rng, a21)
         got = mv_act(bg1, (x, y))
-        assert got == (act_point(g1, x), y), "single-factor compatibility"
+        _require(got == (act_point(g1, x), y), "single-factor compatibility")
 
 
 def check_transporter_and_deficit():
@@ -229,30 +235,29 @@ def check_transporter_and_deficit():
             g = transporter(n1, n2)
         except Exception:
             continue
-        assert act_clopen(g, clopen_normalize(a, [n1])) == clopen_normalize(
-            a, [n2]
-        ), "transporter misses"
+        image = act_clopen(g, clopen_normalize(a, [n1]))
+        _require(image == clopen_normalize(a, [n2]), "transporter misses")
     a21 = Alphabet(2, 1)
     sigma = parse_table(a21, "{1->2,2->1}")
-    assert deficit(whole_space(a21), [sigma]) == 0, "invariant set deficit"
-    assert deficit(parse_clopen(a21, "{1}"), [sigma]) == 1, "swap deficit"
+    _require(deficit(whole_space(a21), [sigma]) == 0, "invariant set deficit")
+    _require(deficit(parse_clopen(a21, "{1}"), [sigma]) == 1, "swap deficit")
 
 
 def check_certificate():
     f, cert = cert_mod.fixture("free2")
-    assert cert_mod.pingpong_verify(cert)
+    _require(cert_mod.pingpong_verify(cert))
     a22 = Alphabet(2, 2)
     nu3 = Word(a22, 1, (1, 1))
     rep = cert_mod.check_certificate(f, nu3, certificate=cert)
-    assert rep.verdict == "PASS" and rep.paper_lower_bound == Fraction(7, 2)
+    _require(rep.verdict == "PASS" and rep.paper_lower_bound == Fraction(7, 2))
     nu1 = Word(a22, 1, ())
     try:
         cert_mod.check_certificate(f, nu1, certificate=cert)
         raise AssertionError("n=1 unexpectedly conclusive")
     except InconclusiveParameters as e:
-        assert e.report.verdict == "INCONCLUSIVE"
-    assert cert_mod.convolution_count(f, 2) == 4
-    assert cert_mod.convolution_count(f, 4) == 28
+        _require(e.report.verdict == "INCONCLUSIVE")
+    _require(cert_mod.convolution_count(f, 2) == 4)
+    _require(cert_mod.convolution_count(f, 4) == 28)
 
 
 _CHECKS = [

@@ -13,8 +13,9 @@ early and the k = 1 identity is {1->1, ..., d->d}.  Composition follows
 
 The packed layout and the code algorithms behind all of this live in
 vdk.prefixcode.  Tables and bisections share one product, inverse and
-point action (code_product, code_inverse, code_act), each returning the
-class of its left operand; their public operations check that class.
+cell lookup (code_product, code_inverse, code_cell, with code_act on
+top of the lookup); each takes the class it accepts, checks its operands
+against it and returns that class, so every public operation is one call.
 """
 
 from __future__ import annotations
@@ -72,7 +73,9 @@ def make_table(pairs) -> TableElement:
     pairs = list(pairs)
     if not pairs:
         raise VdkError("a table needs at least one pair")
-    a = check_same_alphabet(*[w for p in pairs for w in p])
+    words = [w for p in pairs for w in p]
+    check_class(Word, *words)
+    a = check_same_alphabet(*words)
     packed = [(pack_word(mu), pack_word(nu)) for mu, nu in pairs]
     return TableElement(a, canonical(a, packed, complete=True))
 
@@ -81,40 +84,51 @@ def identity(alphabet: Alphabet) -> TableElement:
     return TableElement(alphabet, identity_pairs(alphabet.d, alphabet.k))
 
 
-def code_product(u: PackedCode, v: PackedCode) -> PackedCode:
-    """All products of composable cells, u after v, as the class of u."""
+def code_product(cls: type, u: PackedCode, v: PackedCode) -> PackedCode:
+    """All products of composable cells, u after v; both must be of class cls."""
+    check_class(cls, u, v)
     a = check_same_alphabet(u, v)
     cells = walk(u.packed, v.packed, range_order(v.packed))
-    return type(u)(a, normal_form(cells, a.d, a.k))
+    return cls(a, normal_form(cells, a.d, a.k))
 
 
-def code_inverse(u: PackedCode) -> PackedCode:
-    """Cellwise inverse, as the class of u: swap domain and range."""
-    return type(u)(u.alphabet, swap(u.packed))
+def code_inverse(cls: type, u: PackedCode) -> PackedCode:
+    """Cellwise inverse of u, of class cls: swap domain and range."""
+    check_class(cls, u)
+    return cls(u.alphabet, swap(u.packed))
 
 
-def code_act(u: PackedCode, x: Point, missing: str) -> Point:
-    """The image of x under the cell whose domain word is a prefix of x;
-    VdkError(missing % x) when there is none."""
+_NO_CELL = "no domain block matches point %s"
+
+
+def code_cell(cls: type, u: PackedCode, x: Point, missing: str = _NO_CELL) -> tuple[int, int, int]:
+    """(range word, domain tail length, range tail length) of the cell of
+    u whose domain word is a prefix of the point x, VdkError(missing % x)
+    if none is: the one lookup behind the point action and the cocycle."""
+    check_class(cls, u)
     check_class(Point, x)
     a = check_same_alphabet(u, x)
     i = cell_index([w for w, _ in u.packed], x)
     if i is None:
         raise VdkError(missing % x)
-    # x = mu.y goes to nu.y for the cell (mu, nu); only nu is unpacked
-    ((t, _),) = tail_lengths([u.packed[i]], a.d, a.k)
-    return replace_prefix(x, t, unpack_word(a, u.packed[i][1]))
+    ((t, s),) = tail_lengths([u.packed[i]], a.d, a.k)
+    return u.packed[i][1], t, s
+
+
+def code_act(cls: type, u: PackedCode, x: Point, missing: str = _NO_CELL) -> Point:
+    """The image nu.y of x = mu.y under its cell mu -> nu of u (code_cell);
+    only nu is unpacked."""
+    r, t, _ = code_cell(cls, u, x, missing)
+    return replace_prefix(x, t, unpack_word(u.alphabet, r))
 
 
 def compose(g: TableElement, h: TableElement) -> TableElement:
     """The element g compose h, acting by x -> g(h(x))."""
-    check_class(TableElement, g, h)
-    return code_product(g, h)
+    return code_product(TableElement, g, h)
 
 
 def inverse(g: TableElement) -> TableElement:
-    check_class(TableElement, g)
-    return code_inverse(g)
+    return code_inverse(TableElement, g)
 
 
 def reduce(g: TableElement) -> TableElement:
@@ -127,9 +141,8 @@ def equals(g: TableElement, h: TableElement) -> bool:
 
 
 def act_point(g: TableElement, x: Point) -> Point:
-    check_class(TableElement, g)
-    # a complete domain code always matches: unreachable for valid tables
-    return code_act(g, x, "no domain block matches point %s")
+    # a complete domain code always matches: the miss is unreachable for valid tables
+    return code_act(TableElement, g, x)
 
 
 def act_clopen(g: TableElement, s: Clopen) -> Clopen:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cantor import Point, Word, check_int, check_same_alphabet, point_normalize, streams_equal
+from .cantor import Point, Word, check_class, check_int, check_same_alphabet, point_normalize
+from .cantor import streams_equal
 from .errors import NotRelated, VdkError
 from .groupoid import DoubleCylinder
 
@@ -46,6 +47,7 @@ def related(x: Point, y: Point) -> TailWitness | None:
     (|pre_x| - c, |pre_y| - c) with c the length of the common suffix of
     the two preperiods.
     """
+    check_class(Point, x, y)
     check_same_alphabet(x, y)
     vx, vy = x.period, y.period
     if len(vx) != len(vy):
@@ -69,6 +71,7 @@ def witness_cell(x: Point, y: Point, w: TailWitness | None = None) -> DoubleCyli
     count is zero, both are extended one aligned letter so the cell's
     words stay proper cylinders completable to a table.
     """
+    check_class(Point, x, y)
     check_same_alphabet(x, y)
     if w is None:
         w = related(x, y)
@@ -84,13 +87,12 @@ def witness_cell(x: Point, y: Point, w: TailWitness | None = None) -> DoubleCyli
 
 def finite_level_related(x: Point, y: Point, n: int) -> bool:
     """Lag-free approximation: tails agree at every position past n."""
+    check_class(Point, x, y)
     check_same_alphabet(x, y)
     check_int("level", n)
     if n < 0:
         raise VdkError("level must be nonnegative, got %d" % n)
-    fx, px = x.tail_stream(n)
-    fy, py = y.tail_stream(n)
-    return streams_equal(fx, px, fy, py)
+    return witness_holds(x, y, TailWitness(n, n))
 
 
 ORBIT_CANDIDATES_MAX = 1 << 22
@@ -107,6 +109,7 @@ def orbit_fragment(x: Point, level: int) -> frozenset[Point]:
     Only p = level or |nu| = level is built: nu . sigma^p(x) = (nu . x_{p+1}) . sigma^{p+1}(x).
     A level that would build more than ORBIT_CANDIDATES_MAX points is refused.
     """
+    check_class(Point, x)
     check_int("orbit fragment level", level)
     if level < 1:
         raise VdkError("orbit fragment level must be at least 1, got %d" % level)

@@ -16,6 +16,11 @@ from dataclasses import dataclass
 from .errors import VdkError
 
 
+def check_int(name: str, value) -> None:
+    if type(value) is not int:
+        raise VdkError("%s must be an int, got %s" % (name, type(value).__name__))
+
+
 @dataclass(frozen=True, slots=True)
 class Alphabet:
     """Parameters of X_{d,k}; m counts product factors (1 except nV use)."""
@@ -25,6 +30,9 @@ class Alphabet:
     m: int = 1
 
     def __post_init__(self):
+        check_int("tail alphabet size d", self.d)
+        check_int("root alphabet size k", self.k)
+        check_int("factor count m", self.m)
         if self.d < 2:
             raise VdkError("tail alphabet needs d >= 2, got d=%d" % self.d)
         if self.k < 1:
@@ -36,7 +44,6 @@ class Alphabet:
         if self.m == 1:
             return "Alphabet(d=%d, k=%d)" % (self.d, self.k)
         return "Alphabet(d=%d, k=%d, m=%d)" % (self.d, self.k, self.m)
-
 
 
 @dataclass(frozen=True, slots=True)

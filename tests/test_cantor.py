@@ -494,3 +494,24 @@ def test_point_rejects_empty_period():
         point_normalize(Word(A21, 1, ()), ())
     with pytest.raises(VdkError):
         parse_point(A21, "1()^inf")
+
+
+# d, k and m are checked as ints when the alphabet is made, not met as
+# an AttributeError or TypeError in the first parse
+_ALPHABET_CASES = {
+    "d_float": ("tail alphabet size d", "float", lambda d, k, m: Alphabet(d + 0.5, k)),
+    "d_bool": ("tail alphabet size d", "bool", lambda d, k, m: Alphabet(True, k)),
+    "k_float": ("root alphabet size k", "float", lambda d, k, m: Alphabet(d, float(k))),
+    "k_bool": ("root alphabet size k", "bool", lambda d, k, m: Alphabet(d, True)),
+    "m_str": ("factor count m", "str", lambda d, k, m: Alphabet(d, k, str(m))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ALPHABET_CASES))
+def test_alphabet_sizes_must_be_ints(case):
+    name, given, call = _ALPHABET_CASES[case]
+    rng = Random(1507)
+    for _ in range(10):
+        d, k, m = rng.randrange(2, 18), rng.randrange(1, 6), rng.randrange(1, 4)
+        with pytest.raises(VdkError, match="^%s must be an int, got %s$" % (name, given)):
+            call(d, k, m)

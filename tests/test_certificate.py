@@ -808,3 +808,21 @@ def test_inconclusive_no_nu_passes_above_set_size(free2):
             with pytest.raises(InconclusiveParameters) as exc:
                 check_certificate(f, parse_word(A22, nu_text), norm_bound=bound)
             assert least_passing(exc) is None
+
+
+# the norm bound and the element tuple are checked by class up front
+_CERTIFICATE_INPUT_CASES = {
+    "norm_bound_str": (
+        "expected a NormBound, got str",
+        lambda f: check_certificate(f, parse_word(A22, "1:11"), norm_bound="n"),
+    ),
+    "symmetric_set_int": ("expected a tuple, got int", lambda f: SymmetricSet(5, True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CERTIFICATE_INPUT_CASES))
+def test_certificate_inputs_class_checked(case, free2):
+    message, call = _CERTIFICATE_INPUT_CASES[case]
+    f, _ = free2
+    with pytest.raises(VdkError, match="^%s$" % message):
+        call(f)

@@ -668,3 +668,15 @@ def test_cli_fuzz_exit_codes(capsys):
         assert code in (0, 1, 2, 3), argv
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_selftest_catches_a_broken_law_under_optimize():
+    """python -O strips assert statements; the selftest checks must still
+    run there, so a compose that ignores its right operand exits 1."""
+    sabotage = "import sys, vdk.selftest as s; s.compose = lambda g, h: g; sys.exit(s.run())"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", sabotage], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 1, proc.stdout
+    assert "FAIL table group laws: right inverse" in proc.stdout.splitlines()
+    assert proc.stdout.endswith(" checks failed\n")

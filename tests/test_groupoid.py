@@ -619,3 +619,14 @@ def test_mv_act_rejects_points_that_are_not_points():
                 mv_act(g, mangled)
     with pytest.raises(VdkError, match="expected a Point, got str"):
         mv_act(mv_identity(1), ["p"])
+
+
+def test_mv_identity_needs_a_factor_count():
+    """mv_identity refuses what mv_from_json refuses: m below 1 or no int."""
+    rng = Random(1506)
+    for m in [rng.randrange(-5, 1) for _ in range(5)] + [True, 2.0, "2"]:
+        with pytest.raises(VdkError, match="^factor count m must be an integer at least 1"):
+            mv_identity(m)
+    for _ in range(5):
+        g = mv_identity(rng.randrange(1, 5))
+        assert mv_from_json(json.loads(json.dumps(mv_to_json(g)))) == g

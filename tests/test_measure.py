@@ -446,3 +446,41 @@ def test_cocycle_operands_checked(case):
     for a in ALPHABETS:
         with pytest.raises(VdkError, match="^%s$" % message):
             call(random_clopen(rng, a))
+
+
+def test_rn_exponent_is_the_exponent_of_the_acting_cell():
+    """rn_exponent(g, x) is |mu| - |nu| for the one cell mu -> nu whose
+    substitution act_point applies to x; the cell is found here by a
+    scan of the unpacked cells, on composites and inverses."""
+    from vdk import Word
+
+    rng = Random(1504)
+    for i in range(120):
+        a = ALPHABETS[i % len(ALPHABETS)]
+        g, h = random_table(rng, a), random_table(rng, a)
+        for el in (compose(g, h), inverse(g), compose(inverse(h), g)):
+            x = random_point(rng, a)
+            ((mu_w, nu_w),) = [c for c in el.pairs if x.prefix(len(c[0]) - 1) == c[0]]
+            fin, per = x.tail_stream(len(mu_w) - 1)
+            assert act_point(el, x) == point_normalize(Word(a, nu_w.root, nu_w.tail + fin), per)
+            assert rn_exponent(el, x) == len(mu_w) - len(nu_w)
+
+
+# an exact value needs an integer radicand: a float or a bool is refused,
+# not carried along (sqrt_int(2.5) printed sqrt(2) but held m = 2.5)
+_RADICAND_CASES = {
+    "sqrt_int_float": ("float", lambda n: sqrt_int(n + 0.5)),
+    "sqrt_int_bool": ("bool", lambda n: sqrt_int(True)),
+    "quadratic_float": ("float", lambda n: quadratic(1, 1, float(n))),
+    "quadratic_fraction": ("Fraction", lambda n: quadratic(0, 2, Fraction(n))),
+    "quadratic_str": ("str", lambda n: quadratic(0, 1, str(n))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RADICAND_CASES))
+def test_radicand_must_be_int(case):
+    given, call = _RADICAND_CASES[case]
+    rng = Random(1505)
+    for _ in range(10):
+        with pytest.raises(VdkError, match="^radicand must be an int, got %s$" % given):
+            call(rng.randrange(2, 50))

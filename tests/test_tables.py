@@ -828,3 +828,106 @@ def test_word_operand_class_checked(case):
         g, v = random_table(rng, a), random_word(rng, a)
         with pytest.raises(VdkError, match="^expected a %s, got str$" % expected):
             call(g, v)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's order: packed words sorted by their binary text
+
+
+def _aligned_sort(items, side=0):
+    """The kernel's former sort, kept as the oracle: each word shifted left
+    to the longest bit length, then its bit length, so a prefix sorts right
+    before its extensions."""
+    top = max((p[side].bit_length() for p in items), default=0)
+    t = top.bit_length()
+
+    def key(p):
+        n = p[side].bit_length()
+        return (p[side] << (top - n + t)) | n
+
+    return sorted(items, key=key)
+
+
+def _crowded_words(rng, a):
+    """Seeded packed words with shared prefixes, nested pairs and repeats."""
+    b = (a.d - 1).bit_length()
+    words = [pack_word(random_word(rng, a, 5)) for _ in range(rng.randrange(1, 10))]
+    for w in list(words):
+        choice = rng.randrange(4)
+        if choice == 0 and w.bit_length() > 1 + (a.k - 1).bit_length():
+            words.append(w >> b)  # its parent
+        elif choice == 1:
+            words.append(w << b | rng.randrange(a.d))  # a child
+        elif choice == 2:
+            words.append(w)  # a repeat
+    rng.shuffle(words)
+    return words
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except VdkError as e:
+        return type(e).__name__, str(e)
+
+
+def test_binary_text_order_matches_aligned_key():
+    """sort_pairs (both sides), range_order, normal_words, swap and
+    canonical against the old shift-and-length key, over d = 2..17 and
+    k = 1..5; equal words in the input keep their order, as before."""
+    from vdk.prefixcode import canonical, check_code, normal_words
+
+    def normal_words_oracle(words, d, k):
+        kept = []
+        for w in [w for w, in _aligned_sort([(w,) for w in words])]:
+            if kept:
+                s = w.bit_length() - kept[-1].bit_length()
+                if s >= 0 and w >> s == kept[-1]:
+                    continue
+            kept.append(w)
+        return tuple([w for w, _ in _merge_siblings([(w, w) for w in kept], d, k, 2)])
+
+    def canonical_oracle(a, pairs, complete):
+        pairs = _aligned_sort(pairs)
+        check_code(a, [w for w, _ in pairs], "domain", complete)
+        check_code(a, [r for _, r in _aligned_sort(pairs, 1)], "range", complete)
+        return normal_form(pairs, a.d, a.k)
+
+    rng = Random(1503)
+    for d in range(2, 18):
+        for k in range(1, 6):
+            a = Alphabet(d, k)
+            for _ in range(4):
+                words = _crowded_words(rng, a)
+                ranges = [rng.choice(words) for _ in words]
+                # the third entry tags each pair, so a reordering of equal words shows
+                tagged = [(w, r, i) for i, (w, r) in enumerate(zip(words, ranges))]
+                assert sort_pairs(tagged) == _aligned_sort(tagged)
+                assert sort_pairs(tagged, 1) == _aligned_sort(tagged, 1)
+                pairs = [(w, r) for w, r, _ in tagged]
+                assert range_order(pairs) == [i for _, _, i in _aligned_sort(tagged, 1)]
+                assert normal_words(words, d, k) == normal_words_oracle(words, d, k)
+                got = _outcome(canonical, a, pairs, False)
+                assert got == _outcome(canonical_oracle, a, pairs, False)
+                g = random_table(rng, a, rng.randrange(1, 5))
+                cells = list(g.packed)
+                rng.shuffle(cells)
+                assert canonical(a, cells, True) == canonical_oracle(a, cells, True) == g.packed
+                assert swap(g.packed) == tuple(_aligned_sort([(r, w) for w, r in g.packed]))
+
+
+# a str or a malformed cell in place of a word is refused by name
+_CONSTRUCTOR_CASES = {
+    "make_table": ("Word", lambda a: make_table("ab")),
+    "clopen_normalize": ("Word", lambda a: clopen_normalize(a, ["1"])),
+    "point_normalize": ("Word", lambda a: point_normalize("1", (1,))),
+    "make_bisection": ("DoubleCylinder", lambda a: make_bisection(["x"])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONSTRUCTOR_CASES))
+def test_constructor_operands_class_checked(case):
+    expected, call = _CONSTRUCTOR_CASES[case]
+    for a in ALPHABETS:
+        with pytest.raises(VdkError, match="^expected a %s, got str$" % expected):
+            call(a)

@@ -377,3 +377,43 @@ def test_level_must_be_int(case):
     for a in ALPHABETS:
         with pytest.raises(VdkError, match="^%s$" % message):
             call(random_point(rng, a), random_point(rng, a))
+
+
+def test_finite_level_related_matches_two_stream_comparison():
+    """finite_level_related against its former body: the tail streams of
+    x and y from position n, compared by streams_equal."""
+    from vdk.cantor import streams_equal
+
+    rng = Random(1501)
+    seen = set()
+    for i in range(240):
+        a = ALPHABETS[i % len(ALPHABETS)]
+        x = random_point(rng, a)
+        # an image under a table shares x's tail from some position on
+        y = act_point(random_table(rng, a), x) if i % 2 else random_point(rng, a)
+        for n in range(9):
+            fx, px = x.tail_stream(n)
+            fy, py = y.tail_stream(n)
+            expected = streams_equal(fx, px, fy, py)
+            assert finite_level_related(x, y, n) == expected, (x, y, n)
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+# a str in place of a point is refused by name, not met by AttributeError
+_POINT_OPERAND_CASES = {
+    "related_first": lambda x: related("x", x),
+    "related_second": lambda x: related(x, "y"),
+    "finite_level_related": lambda x: finite_level_related("x", x, 1),
+    "witness_cell": lambda x: witness_cell(x, "y"),
+    "orbit_fragment": lambda x: orbit_fragment("x", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_POINT_OPERAND_CASES))
+def test_point_operand_class_checked(case):
+    call = _POINT_OPERAND_CASES[case]
+    rng = Random(1502)
+    for a in ALPHABETS:
+        with pytest.raises(VdkError, match="^expected a Point, got str$"):
+            call(random_point(rng, a))
