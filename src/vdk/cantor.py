@@ -22,7 +22,8 @@ from math import gcd
 from .errors import MismatchedAlphabet, VdkError
 from .prefixcode import PackedCode, cell_index, format_letters, format_packed, gaps, normal_words
 from .prefixcode import pack_word, parse_letters, parse_packed, unpack_word, walk
-from .words import Alphabet, Word, check_int, format_word, parse_word, split  # noqa: F401
+from .words import Alphabet, Word, check_class, check_int, format_word, parse_word  # noqa: F401
+from .words import split  # noqa: F401
 
 
 def check_same_alphabet(*objs) -> Alphabet:
@@ -32,12 +33,6 @@ def check_same_alphabet(*objs) -> Alphabet:
             "mixed alphabets: " + ", ".join(sorted(repr(a) for a in alphabets))
         )
     return next(iter(alphabets))
-
-
-def check_class(cls: type, *objs) -> None:
-    for o in objs:
-        if not isinstance(o, cls):
-            raise VdkError("expected a %s, got %s" % (cls.__name__, type(o).__name__))
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +233,7 @@ def format_clopen(s: Clopen) -> str:
 
 
 def parse_clopen(alphabet: Alphabet, text: str) -> Clopen:
+    check_class(str, text)
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise VdkError("clopen must look like {w1,w2,...}, got %r" % text)
@@ -257,6 +253,7 @@ def format_point(x: Point) -> str:
 
 
 def parse_point(alphabet: Alphabet, text: str) -> Point:
+    check_class(str, text)
     text = text.strip()
     if not text.endswith("^inf"):
         raise VdkError("point must look like u(v)^inf, got %r" % text)

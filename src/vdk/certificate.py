@@ -168,17 +168,29 @@ def convolution_count(f: SymmetricSet, length: int, workers: int = 1) -> int:
     evaluate to g^-1; hence N(g^-1) = N(g) and the count is sum_g N(g)^2,
     with no inverse formed.  The closure was checked when F was made;
     an unflagged F raises NotSymmetric.  Only the L spheres up to the
-    middle are expanded, as a dict keyed by canonical packed tables.
-    The result to the power 1/length is a lower bound for
-    ||sum_s lambda_s||.  `workers` is accepted for compatibility and
-    must be an int of at least 1; otherwise it is ignored, and the count
-    runs in the calling process.
+    middle are expanded, from the identity on each call, with nothing
+    kept between calls.  The result to the power 1/length is a lower
+    bound for ||sum_s lambda_s||.  `workers` is accepted for
+    compatibility and must be an int of at least 1; otherwise it is
+    ignored, and the count runs in the calling process.
 
-    Each step multiplies a sphere element g by a generator h with one
-    merge walk, given h's range order, which is computed once per call:
-    the product comes out sorted by domain, so its canonical form is one
-    sibling merge and no sort.  The expansion forms at most
-    |F| + |F|^2 + ... + |F|^L products; a length whose bound exceeds
+    Each step multiplies every sphere element g by every generator h_j,
+    and reads back the products the step before formed: where it found
+    x h_i = g, it filed x in g's slot for inv(i), the first index whose
+    table is h_i^-1, and g h_inv(i) = x h_i h_i^-1 = x.  Such an index
+    exists because F is inverse-closed, and any one is sound, duplicates
+    and involutions included, since only its table is read.  The other
+    products are one merge walk each, given h_j's range order, which is
+    computed once per call: the product comes out sorted by domain, so
+    its canonical form is one sibling merge and no sort.  An element
+    first met at step i is not in sphere i - 2, so it is formed at least
+    once; for a free set each element of the radius-L ball but the
+    identity is formed exactly once, 2 (3^L - 1) products for free2.
+    A step keeps one dict from element to position, whose insertion
+    order lists the elements, beside flat lists of word counts and of
+    |F| slots per element, so each product is hashed once.  At most
+    |F| + |F|^2 + ... + |F|^L products are formed, read-backs only
+    lowering the number; a length whose bound exceeds
     CONVOLUTION_PRODUCTS_MAX is refused before any sphere is expanded.
     """
     check_class(SymmetricSet, f)
@@ -206,16 +218,35 @@ def convolution_count(f: SymmetricSet, length: int, workers: int = 1) -> int:
         largest += 2
     a = f.elements[0].alphabet
     d, k = a.d, a.k
-    gens = [(el.packed, range_order(el.packed)) for el in f.elements]
-    sphere = {identity(a).packed: 1}
+    tables = [el.packed for el in f.elements]
+    orders = [range_order(t) for t in tables]
+    inv = [tables.index(swap(t)) for t in tables]
+    # a sphere is its elements in order (a step's index dict lists them),
+    # their word counts, and in back[i * size + j] the product of element
+    # i and h_j when the step before has already formed it
+    blank = [None] * size
+    sphere, counts, back = [identity(a).packed], [1], blank
     for _ in range(length // 2):
-        nxt: dict[tuple, int] = {}
-        for g, cnt in sphere.items():
-            for h, order in gens:
-                gh = normal_form(walk(g, h, order), d, k)
-                nxt[gh] = nxt.get(gh, 0) + cnt
-        sphere = nxt
-    return sum([cnt * cnt for cnt in sphere.values()])
+        index: dict[tuple, int] = {}
+        nxt_counts, nxt_back = [], []
+        for i, g in enumerate(sphere):
+            cnt = counts[i]
+            row = i * size
+            for j in range(size):
+                gh = back[row + j]
+                if gh is None:
+                    gh = normal_form(walk(g, tables[j], orders[j]), d, k)
+                new = len(index)
+                pos = index.setdefault(gh, new)
+                if pos == new:
+                    nxt_counts.append(cnt)
+                    nxt_back += blank
+                else:
+                    nxt_counts[pos] += cnt
+                # the edge walked back: gh h_j^-1 = g
+                nxt_back[pos * size + inv[j]] = g
+        sphere, counts, back = index, nxt_counts, nxt_back
+    return sum([cnt * cnt for cnt in counts])
 
 
 # ---------------------------------------------------------------------------

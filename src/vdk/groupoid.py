@@ -172,6 +172,7 @@ def format_bisection(u: Bisection) -> str:
 
 
 def parse_bisection(alphabet: Alphabet, text: str) -> Bisection:
+    check_class(str, text)
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise VdkError("bisection must look like {nu<-mu,...}, got %r" % text)

@@ -281,18 +281,19 @@ def _merge_siblings(pairs, d: int, k: int, minlen: int) -> list:
     Only families whose words have at least minlen letters merge.
     """
     rb, b = _widths(d, k)
-    minbits = 1 + rb + b * (minlen - 1)
+    # the least packed word with minlen letters
+    least = 1 << (rb + b * (minlen - 1))
     low = (1 << b) - 1
     last = d - 1
     out = []
     for w, r in pairs:
-        # a family ends at two words ending in letter d, the shorter of
-        # them (the smaller int) at least minbits long, on top of its
-        # d - 1 siblings
+        # a family ends at two words ending in letter d, both at least
+        # minlen letters long, on top of its d - 1 siblings
         while (
             w & low == last
             and r & low == last
-            and min(w, r).bit_length() >= minbits
+            and w >= least
+            and r >= least
             and len(out) >= last
         ):
             for j in range(1, d):

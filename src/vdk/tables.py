@@ -73,8 +73,12 @@ def make_table(pairs) -> TableElement:
     pairs = list(pairs)
     if not pairs:
         raise VdkError("a table needs at least one pair")
-    words = [w for p in pairs for w in p]
+    # what is not a pair is checked as a word, so a stray str is named
+    words = [w for p in pairs for w in (p if type(p) in (tuple, list) else (p,))]
     check_class(Word, *words)
+    for p in pairs:
+        if type(p) not in (tuple, list) or len(p) != 2:
+            raise VdkError("expected a (domain, range) pair of Words, got %r" % (p,))
     a = check_same_alphabet(*words)
     packed = [(pack_word(mu), pack_word(nu)) for mu, nu in pairs]
     return TableElement(a, canonical(a, packed, complete=True))
@@ -243,6 +247,7 @@ def format_table(g: TableElement) -> str:
 
 
 def parse_table(alphabet: Alphabet, text: str) -> TableElement:
+    check_class(str, text)
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise VdkError("table must look like {mu->nu,...}, got %r" % text)

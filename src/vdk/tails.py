@@ -77,6 +77,8 @@ def witness_cell(x: Point, y: Point, w: TailWitness | None = None) -> DoubleCyli
         w = related(x, y)
         if w is None:
             raise NotRelated("points %s and %s have different tail classes" % (x, y))
+    else:
+        check_class(TailWitness, w)
     if not witness_holds(x, y, w):
         raise NotRelated("witness (%d, %d) does not hold for %s and %s" % (w.p, w.q, x, y))
     p, q = w.p, w.q

@@ -21,6 +21,12 @@ def check_int(name: str, value) -> None:
         raise VdkError("%s must be an int, got %s" % (name, type(value).__name__))
 
 
+def check_class(cls: type, *objs) -> None:
+    for o in objs:
+        if not isinstance(o, cls):
+            raise VdkError("expected a %s, got %s" % (cls.__name__, type(o).__name__))
+
+
 @dataclass(frozen=True, slots=True)
 class Alphabet:
     """Parameters of X_{d,k}; m counts product factors (1 except nV use)."""
@@ -99,6 +105,7 @@ def format_word(w: Word) -> str:
 
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:
+    check_class(str, text)
     return prefixcode.unpack_word(alphabet, prefixcode.parse_packed(alphabet, text))
 
 

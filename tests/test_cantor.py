@@ -249,6 +249,18 @@ def test_parsers_accept_only_ascii_digits():
             parse(a, text)
 
 
+@pytest.mark.parametrize(
+    "parse", [parse_word, parse_point, parse_clopen, parse_table, parse_bisection],
+    ids=["word", "point", "clopen", "table", "bisection"],
+)
+def test_parsers_take_only_str(parse):
+    # bytes strip like text, so they need the class check as much as int
+    for a in ALPHABETS:
+        for text in (5, None, b"1:", b"{1:}"):
+            with pytest.raises(VdkError, match="^expected a str, got %s$" % type(text).__name__):
+                parse(a, text)
+
+
 def test_normalize_merges_families_at_large_d():
     # the huge-d case (no allocation of size d) runs in a memory-capped
     # child in test_cli.py; this checks merging still happens at large d

@@ -504,6 +504,96 @@ def test_convolution_workers_start_no_process(free2, monkeypatch):
     assert convolution_count(f, 8, workers=4) == 2092
 
 
+def sphere_supports(gens, half: int) -> list:
+    """The supports of the word-count spheres 0..half, expanded by compose."""
+    spheres = [{identity(gens[0].alphabet)}]
+    for _ in range(half):
+        spheres.append({compose(g, s) for g in spheres[-1] for s in gens})
+    return spheres
+
+
+@pytest.fixture
+def formed(monkeypatch):
+    """A one-item list counting the merge walks convolution_count forms."""
+    count = [0]
+    real_walk = certificate.walk
+
+    def counting_walk(*args):
+        count[0] += 1
+        return real_walk(*args)
+
+    monkeypatch.setattr(certificate, "walk", counting_walk)
+    return count
+
+
+def assert_product_bounds(gens, half: int, formed: int) -> None:
+    """Each element of the ball but the identity is formed at least once,
+    since it is not two steps back where it first appears; and no more
+    products are formed than one per sphere element and generator, with
+    fewer from length 4 on, where the identity's products are read back."""
+    spheres = sphere_supports(gens, half)
+    ball = set().union(*spheres[1:]) - {identity(gens[0].alphabet)}
+    expanded = len(gens) * sum([len(s) for s in spheres[:half]])
+    assert len(ball) <= formed <= expanded
+    if half >= 2:
+        assert formed < expanded
+
+
+def test_convolution_forms_one_product_per_ball_element(free2, formed):
+    # free2 at half length L: the ball has 1 + 2 (3^L - 1) elements, and
+    # each one but the identity is formed exactly once; the sphere-by-sphere
+    # expansion formed |F| products for every element of every sphere
+    f, cert = free2
+    for half in range(1, 9):
+        formed[0] = 0
+        assert convolution_count(f, 2 * half) == tree_walk_count(4, 2 * half)
+        assert formed[0] == 2 * (3**half - 1)
+        supports = [(3 ** (i + 1) - 1) // 2 for i in range(half)]  # |S_i| in the free group
+        assert formed[0] <= 4 * sum(supports)
+
+
+def random_order_three(rng: Random, a: Alphabet):
+    """A table cycling three cylinders of a random complete code, fixing the rest."""
+    code = random_code(rng, a, rng.randrange(2, 4))
+    i, j, m = rng.sample(range(len(code)), 3)
+    image = list(code)
+    image[i], image[j], image[m] = code[j], code[m], code[i]
+    return make_table(list(zip(code, image)))
+
+
+def test_convolution_read_back_matches_oracles(formed):
+    # seeded inverse-closed multisets against the sum over g of N(g) N(g^-1)
+    # to length 10 and the letter-by-letter walk to length 6: elements of
+    # order 3, whose products reach two spheres back and are formed again,
+    # involutions, duplicated pairs and Thompson's F
+    rng = Random(1603)
+    x0 = parse_table(A21, "{11->1,12->21,2->22}")
+    x1 = parse_table(A21, "{1->1,21->211,221->212,222->22}")
+    cases = [[x0, inverse(x0), x1, inverse(x1)]]
+    for d in (2, 3, 4, 5):
+        for k in (1, 2, 3):
+            a = Alphabet(d, k)
+            s = random_non_involution(rng, a)
+            rho, sigma = random_order_three(rng, a), random_involution(rng, a)
+            assert compose(rho, compose(rho, rho)) == identity(a) != compose(rho, rho)
+            cases += [
+                [rho, inverse(rho)],
+                [rho, inverse(rho), sigma],
+                [sigma, sigma, s, inverse(s)],
+                [s, rho, inverse(s), inverse(rho), inverse(s), s],
+            ]
+    for gens in cases:
+        rng.shuffle(gens)
+        f = SymmetricSet(tuple(gens), True)
+        for length in (2, 4, 6, 8, 10):
+            formed[0] = 0
+            count = convolution_count(f, length)
+            assert count == sphere_pair_count(gens, length), (gens, length)
+            if length <= 6:
+                assert count == naive_closed_walks(gens, length)
+        assert_product_bounds(gens, 5, formed[0])
+
+
 # ---------------------------------------------------------------------------
 # the full chain
 

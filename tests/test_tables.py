@@ -112,6 +112,20 @@ def test_make_table_errors():
         make_table([])
 
 
+def test_make_table_takes_pairs_only():
+    # a word, a one-word tuple or a triple in place of a pair is refused
+    # in one line; a str is still named as a word
+    for a in ALPHABETS:
+        w = random_word(Random(1602), a, 2)
+        good = [(w, w)]
+        message = "^expected a \\(domain, range\\) pair of Words, got "
+        for bad in ([w], [(w,)], [(w, w, w)], good + [w], good + [[w]]):
+            with pytest.raises(VdkError, match=message):
+                make_table(bad)
+        with pytest.raises(VdkError, match="^expected a Word, got str$"):
+            make_table([(w, "1")])
+
+
 def test_block_count_residue():
     rng = Random(201)
     for i in range(200):

@@ -218,6 +218,15 @@ def test_witness_cell_rejects_bad_witness():
         witness_cell(x, y, TailWitness(0, 0))
 
 
+@pytest.mark.parametrize("w", ["w", (0, 0), 0], ids=["str", "tuple", "int"])
+def test_witness_cell_witness_class_checked(w):
+    rng = Random(1601)
+    for a in ALPHABETS:
+        x = random_point(rng, a)
+        with pytest.raises(VdkError, match="^expected a TailWitness, got %s$" % type(w).__name__):
+            witness_cell(x, x, w)
+
+
 # ---------------------------------------------------------------------------
 # finite levels
 
