@@ -32,7 +32,7 @@ from .cantor import (
     parse_word,
 )
 from .certificate import check_certificate, convolution_count, fixture, pingpong_verify
-from .errors import InconclusiveParameters, VdkError
+from .errors import ArityMismatch, InconclusiveParameters, VdkError
 from .groupoid import (
     bisection_compose,
     bisection_to_json,
@@ -65,7 +65,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _alphabet(args) -> Alphabet:
-    return Alphabet(args.d, args.k, args.m)
+    a = Alphabet(args.d, args.k, args.m)
+    if a.m != 1:
+        raise ArityMismatch(
+            "this command reads single-factor words and needs --m 1, got --m %d" % a.m
+        )
+    return a
 
 
 def h_compose(args):

@@ -12,7 +12,8 @@ from fractions import Fraction
 from random import Random
 
 from . import certificate as cert_mod
-from .cantor import Alphabet, Word, clopen_normalize, member, parse_clopen, whole_space
+from .cantor import Alphabet, Word, clopen_normalize, member, parse_clopen, point_normalize
+from .cantor import split, whole_space
 from .groupoid import (
     bisection_act,
     bisection_compose,
@@ -54,13 +55,15 @@ from .tables import (
     transporter,
 )
 from .tails import related
-from .errors import InconclusiveParameters
+from .errors import InconclusiveParameters, TransportImpossible
 
 _ALPHABETS = [Alphabet(2, 1), Alphabet(2, 2), Alphabet(3, 1), Alphabet(3, 2)]
 
 
-def _rng(tag: int) -> Random:
-    return Random(99991 + tag)
+def _cases(tag: int, n: int) -> list[tuple[Random, Alphabet]]:
+    """n (rng, alphabet) pairs: one Random seeded by tag, the alphabets in turn."""
+    rng = Random(99991 + tag)
+    return [(rng, _ALPHABETS[i % len(_ALPHABETS)]) for i in range(n)]
 
 
 def _require(ok, message: str = "") -> None:
@@ -70,9 +73,7 @@ def _require(ok, message: str = "") -> None:
 
 
 def check_clopen_algebra():
-    rng = _rng(1)
-    for i in range(60):
-        a = _ALPHABETS[i % len(_ALPHABETS)]
+    for rng, a in _cases(1, 60):
         s = random_clopen(rng, a)
         t = random_clopen(rng, a)
         _require(~(s | t) == (~s) & (~t), "De Morgan fails for %s, %s" % (s, t))
@@ -82,11 +83,7 @@ def check_clopen_algebra():
 
 
 def check_split_measure():
-    rng = _rng(2)
-    from .cantor import split
-
-    for i in range(60):
-        a = _ALPHABETS[i % len(_ALPHABETS)]
+    for rng, a in _cases(2, 60):
         w = random_word(rng, a)
         kids = split(w)
         total = sum(
@@ -96,11 +93,7 @@ def check_split_measure():
 
 
 def check_point_canonical():
-    rng = _rng(3)
-    from .cantor import point_normalize
-
-    for i in range(60):
-        a = _ALPHABETS[i % len(_ALPHABETS)]
+    for rng, a in _cases(3, 60):
         x = random_point(rng, a)
         pre = x.preperiod
         absorbed = point_normalize(
@@ -110,18 +103,14 @@ def check_point_canonical():
 
 
 def check_member_indicator():
-    rng = _rng(4)
-    for i in range(100):
-        a = _ALPHABETS[i % len(_ALPHABETS)]
+    for rng, a in _cases(4, 100):
         x = random_point(rng, a)
         s = random_clopen(rng, a)
         _require(member(x, s) != member(x, ~s), "indicator clash at %s in %s" % (x, s))
 
 
 def check_table_group_laws():
-    rng = _rng(5)
-    for i in range(50):
-        a = _ALPHABETS[i % len(_ALPHABETS)]
+    for rng, a in _cases(5, 50):
         f = random_table(rng, a)
         g = random_table(rng, a)
         h = random_table(rng, a)
@@ -133,9 +122,7 @@ def check_table_group_laws():
 
 
 def check_equality_vs_action():
-    rng = _rng(6)
-    for i in range(40):
-        a = _ALPHABETS[i % len(_ALPHABETS)]
+    for rng, a in _cases(6, 40):
         g = random_table(rng, a)
         h = random_table(rng, a)
         agree = all(
@@ -145,9 +132,7 @@ def check_equality_vs_action():
 
 
 def check_cocycle():
-    rng = _rng(7)
-    for i in range(100):
-        a = _ALPHABETS[i % len(_ALPHABETS)]
+    for rng, a in _cases(7, 100):
         g = random_table(rng, a)
         h = random_table(rng, a)
         x = random_point(rng, a)
@@ -167,9 +152,7 @@ def check_cocycle():
 
 
 def check_isomorphism():
-    rng = _rng(8)
-    for i in range(50):
-        a = _ALPHABETS[i % len(_ALPHABETS)]
+    for rng, a in _cases(8, 50):
         g = random_table(rng, a)
         h = random_table(rng, a)
         _require(to_table(from_table(g)) == g, "roundtrip")
@@ -180,9 +163,7 @@ def check_isomorphism():
 
 
 def check_partial_bisections():
-    rng = _rng(9)
-    for i in range(50):
-        a = _ALPHABETS[i % len(_ALPHABETS)]
+    for rng, a in _cases(9, 50):
         u = random_bisection(rng, a)
         ide = bisection_compose(u, bisection_inverse(u))
         _require(all(w == r for w, r in ide.packed), "u u^-1 not diagonal")
@@ -192,9 +173,7 @@ def check_partial_bisections():
 
 
 def check_tails():
-    rng = _rng(10)
-    for i in range(50):
-        a = _ALPHABETS[i % len(_ALPHABETS)]
+    for rng, a in _cases(10, 50):
         x = random_point(rng, a)
         g = random_table(rng, a)
         w = related(x, x)
@@ -210,9 +189,8 @@ def check_tails():
 
 
 def check_mv():
-    rng = _rng(11)
     a21 = Alphabet(2, 1)
-    for i in range(30):
+    for rng, _ in _cases(11, 30):
         g1 = random_table(rng, a21)
         g2 = random_table(rng, a21)
         bg1 = mv_embed_factor(g1, 2, 0)
@@ -226,14 +204,12 @@ def check_mv():
 
 
 def check_transporter_and_deficit():
-    rng = _rng(12)
-    for i in range(50):
-        a = _ALPHABETS[i % len(_ALPHABETS)]
+    for rng, a in _cases(12, 50):
         n1 = random_word(rng, a)
         n2 = random_word(rng, a)
         try:
             g = transporter(n1, n2)
-        except Exception:
+        except TransportImpossible:
             continue
         image = act_clopen(g, clopen_normalize(a, [n1]))
         _require(image == clopen_normalize(a, [n2]), "transporter misses")

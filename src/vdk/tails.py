@@ -26,12 +26,21 @@ class TailWitness:
     p: int
     q: int
 
+    def __post_init__(self):
+        check_int("witness position p", self.p)
+        check_int("witness position q", self.q)
+        if self.p < 0 or self.q < 0:
+            raise VdkError("witness positions must be nonnegative, got (%d, %d)" % (self.p, self.q))
+
     def to_json(self) -> dict:
         return {"p": self.p, "q": self.q}
 
 
 def witness_holds(x: Point, y: Point, w: TailWitness) -> bool:
     """Whether x_{p+i} = y_{q+i} for all i >= 1, exactly."""
+    check_class(Point, x, y)
+    check_same_alphabet(x, y)
+    check_class(TailWitness, w)
     fx, px = x.tail_stream(w.p)
     fy, py = y.tail_stream(w.q)
     return streams_equal(fx, px, fy, py)
@@ -71,14 +80,10 @@ def witness_cell(x: Point, y: Point, w: TailWitness | None = None) -> DoubleCyli
     count is zero, both are extended one aligned letter so the cell's
     words stay proper cylinders completable to a table.
     """
-    check_class(Point, x, y)
-    check_same_alphabet(x, y)
     if w is None:
         w = related(x, y)
         if w is None:
             raise NotRelated("points %s and %s have different tail classes" % (x, y))
-    else:
-        check_class(TailWitness, w)
     if not witness_holds(x, y, w):
         raise NotRelated("witness (%d, %d) does not hold for %s and %s" % (w.p, w.q, x, y))
     p, q = w.p, w.q
@@ -89,8 +94,6 @@ def witness_cell(x: Point, y: Point, w: TailWitness | None = None) -> DoubleCyli
 
 def finite_level_related(x: Point, y: Point, n: int) -> bool:
     """Lag-free approximation: tails agree at every position past n."""
-    check_class(Point, x, y)
-    check_same_alphabet(x, y)
     check_int("level", n)
     if n < 0:
         raise VdkError("level must be nonnegative, got %d" % n)

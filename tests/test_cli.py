@@ -595,6 +595,36 @@ def test_mv_flag_accepted(capsys):
     assert (code, out) == (0, "{1->1,2->2}\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("measure", "--m", "2", "{1}"),
+        ("cocycle", "profile", "--m", "2", "{1->2,2->1}"),
+        ("bisection", "is-full", "--m", "2", "{2<-1}"),
+        ("tail", "related", "--m", "3", "(1)^inf", "(2)^inf"),
+        ("tail", "orbit", "--m", "2", "(1)^inf"),
+        ("certificate", "check", "--m", "2", "--k", "2", "--nu", "1:11"),
+    ],
+    ids=lambda argv: " ".join(argv[: argv.index("--m")]),
+)
+def test_exit_2_alphabet_commands_refuse_m(capsys, argv):
+    # these read words over one factor; --m 2 used to be ignored or
+    # refused deeper down, depending on the command
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    m = argv[argv.index("--m") + 1]
+    assert err == "error: this command reads single-factor words and needs --m 1, got --m %s\n" % m
+
+
+def test_alphabet_free_commands_accept_m(capsys):
+    code, out, _ = run_cli(capsys, "certificate", "convolution-count", "--m", "2", "--len", "4")
+    assert (code, out) == (0, "28\n")
+    code, out, _ = run_cli(capsys, "selftest", "--m", "2")
+    assert code == 0 and out.endswith("\nall 13 checks passed\n")
+    code, _, err = run_cli(capsys, "measure", "--m", "0", "{1}")
+    assert (code, err) == (2, "error: factor count needs m >= 1, got m=0\n")
+
+
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize(
     "argv",
@@ -680,3 +710,21 @@ def test_selftest_catches_a_broken_law_under_optimize():
     assert proc.returncode == 1, proc.stdout
     assert "FAIL table group laws: right inverse" in proc.stdout.splitlines()
     assert proc.stdout.endswith(" checks failed\n")
+
+
+def test_selftest_fails_a_law_that_raises():
+    """Only TransportImpossible is an expected outcome of transporter; a
+    check that meets any other error fails."""
+    sabotage = (
+        "import sys, vdk.selftest as s\n"
+        "def broken(n1, n2):\n"
+        "    raise TypeError('broken transporter')\n"
+        "s.transporter = broken\n"
+        "sys.exit(s.run())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", sabotage], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 1, proc.stdout
+    assert "FAIL transporter and deficit: broken transporter" in proc.stdout.splitlines()
+    assert proc.stdout.endswith("\n1 of 13 checks failed\n")

@@ -1,0 +1,163 @@
+"""Refusals of library entry points: each input below ends in its error
+class and a one-line message that names the problem."""
+
+import dataclasses
+import re
+
+import pytest
+
+from vdk import (
+    Alphabet,
+    ArityMismatch,
+    DisjointnessViolation,
+    MismatchedAlphabet,
+    NotRelated,
+    NotSymmetric,
+    SymmetricSet,
+    TailWitness,
+    VdkError,
+    Word,
+    bisection_act,
+    check_certificate,
+    clopen_normalize,
+    fixture,
+    free_norm,
+    make_bisection,
+    mv_act,
+    mv_compose,
+    mv_embed_factor,
+    mv_from_json,
+    mv_make,
+    parse_bisection,
+    parse_point,
+    parse_table,
+    pingpong_verify,
+    quadratic,
+    sqrt_int,
+    witness_cell,
+    witness_holds,
+)
+from vdk.prefixcode import canonical
+
+A21 = Alphabet(2, 1)
+A22 = Alphabet(2, 2)
+X1 = parse_point(A21, "(1)^inf")
+X2 = parse_point(A21, "(2)^inf")
+X31 = parse_point(Alphabet(3, 1), "(1)^inf")
+SWAP = parse_table(A21, "{1->2,2->1}")
+F, CERT = fixture("free2")
+NU = Word(A22, 1, (1, 1))
+
+
+def swap_on(m):
+    return mv_embed_factor(SWAP, m, 0)
+
+
+# id: (call, error class, the whole message)
+_CASES = {
+    "witness_cell_unrelated_default": (
+        lambda: witness_cell(X1, X2), NotRelated,
+        "points (1)^inf and (2)^inf have different tail classes"),
+    # a witness holds two nonnegative ints and is checked against two
+    # points of one alphabet; each of these used to pass, or to end in
+    # AttributeError or TypeError
+    "witness_cell_negative": (
+        lambda: witness_cell(X1, X1, TailWitness(-1, -1)), VdkError,
+        "witness positions must be nonnegative, got (-1, -1)"),
+    "witness_holds_negative": (
+        lambda: witness_holds(X1, X1, TailWitness(-3, -3)), VdkError,
+        "witness positions must be nonnegative, got (-3, -3)"),
+    "witness_bool_position": (
+        lambda: witness_cell(X1, X1, TailWitness(True, 0)), VdkError,
+        "witness position p must be an int, got bool"),
+    "witness_str_position": (
+        lambda: witness_cell(X1, X1, TailWitness(1, "a")), VdkError,
+        "witness position q must be an int, got str"),
+    "witness_holds_mixed_alphabets": (
+        lambda: witness_holds(X1, X31, TailWitness(0, 0)), MismatchedAlphabet,
+        "mixed alphabets: Alphabet(d=2, k=1), Alphabet(d=3, k=1)"),
+    "witness_holds_str_witness": (
+        lambda: witness_holds(X1, X1, "w"), VdkError, "expected a TailWitness, got str"),
+    "witness_holds_str_point": (
+        lambda: witness_holds("x", X1, TailWitness(0, 0)), VdkError,
+        "expected a Point, got str"),
+    "canonical_table_m2": (
+        lambda: canonical(Alphabet(2, 1, 2), [], True), ArityMismatch,
+        "tables are single-factor; use BoxTable for m > 1"),
+    "canonical_bisection_m2": (
+        lambda: canonical(Alphabet(2, 1, 2), [], False), ArityMismatch,
+        "bisections are single-factor; use BoxTable for m > 1"),
+    "bisection_act_outside_source": (
+        lambda: bisection_act(parse_bisection(A21, "{1<-1}"), X2), VdkError,
+        "point (2)^inf is outside the source of the bisection"),
+    "parse_table_no_pairs": (
+        lambda: parse_table(A21, "{}"), VdkError, "a table needs at least one pair"),
+    "make_bisection_no_alphabet": (
+        lambda: make_bisection([]), VdkError, "empty bisection needs an explicit alphabet"),
+    "mv_make_box_arity": (
+        lambda: mv_make([(((1,),), ((1,),))], 2), VdkError,
+        "box (1) has 1 coordinates, expected 2"),
+    "mv_make_letter": (
+        lambda: mv_make([(((3,), ()), ((3,), ()))], 2), VdkError,
+        "box coordinate letters must be 1 or 2, got (3,e)"),
+    "mv_make_no_pairs": (
+        lambda: mv_make([], 2), VdkError, "a box table needs at least one pair"),
+    "mv_compose_factor_counts": (
+        lambda: mv_compose(swap_on(2), swap_on(3)), ArityMismatch,
+        "factor counts differ: 2 vs 3"),
+    "mv_act_point_count": (
+        lambda: mv_act(swap_on(2), (X1,)), ArityMismatch, "expected 2 points, got 1"),
+    "mv_act_point_alphabet": (
+        lambda: mv_act(swap_on(2), (X1, X31)),
+        ArityMismatch, "mv points live over d=2, k=1 coordinates"),
+    "mv_embed_factor_not_v21": (
+        lambda: mv_embed_factor(parse_table(Alphabet(3, 1), "{1->1,2->2,3->3}"), 2, 0),
+        ArityMismatch, "only V_{2,1} tables embed coordinatewise"),
+    "mv_from_json_not_object": (
+        lambda: mv_from_json([1]), VdkError, "mv JSON must be an object, got list"),
+    "mv_from_json_pairs_not_list": (
+        lambda: mv_from_json({"m": 2, "pairs": "x"}), VdkError,
+        "mv JSON 'pairs' must be a list, got 'x'"),
+    "check_certificate_both": (
+        lambda: check_certificate(F, NU, certificate=CERT, norm_bound=free_norm(2)), VdkError,
+        "give exactly one of certificate or norm_bound"),
+    "check_certificate_neither": (
+        lambda: check_certificate(F, NU), VdkError,
+        "give exactly one of certificate or norm_bound"),
+    "check_certificate_unflagged": (
+        lambda: check_certificate(SymmetricSet(F.elements, False), NU, certificate=CERT),
+        NotSymmetric, "the set F must be symmetric"),
+    "check_certificate_F_alphabet": (
+        lambda: check_certificate(F, Word(Alphabet(3, 3), 1, (1,)), certificate=CERT),
+        MismatchedAlphabet, "F must live in V_{3,3}, found element over (d=2, k=2)"),
+    "pingpong_verify_empty_attractor": (
+        lambda: pingpong_verify(dataclasses.replace(CERT, p_a=clopen_normalize(A22, []))),
+        DisjointnessViolation, "attractor P_a is empty"),
+    "clopen_normalize_other_alphabet": (
+        lambda: clopen_normalize(A21, [Word(A22, 2)]), MismatchedAlphabet,
+        "word 2: is over Alphabet(d=2, k=2), not Alphabet(d=2, k=1)"),
+    "radicand_zero": (
+        lambda: quadratic(0, 1, 0), VdkError, "radicand must be positive, got 0"),
+    "radicand_negative": (
+        lambda: sqrt_int(-3), VdkError, "radicand must be positive, got -3"),
+    "add_sqrt2_sqrt3": (
+        lambda: sqrt_int(2) + sqrt_int(3), VdkError,
+        "cannot add sqrt(2) and sqrt(3) terms exactly"),
+    "multiply_sqrt2_sqrt3": (
+        lambda: sqrt_int(2) * sqrt_int(3), VdkError,
+        "cannot multiply sqrt(2) by sqrt(3) exactly"),
+    "alphabet_d1": (
+        lambda: Alphabet(1, 1), VdkError, "tail alphabet needs d >= 2, got d=1"),
+    "alphabet_k0": (
+        lambda: Alphabet(2, 0), VdkError, "root alphabet needs k >= 1, got k=0"),
+    "alphabet_m0": (
+        lambda: Alphabet(2, 1, 0), VdkError, "factor count needs m >= 1, got m=0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_refusal_class_and_one_line_message(case):
+    call, error, message = _CASES[case]
+    with pytest.raises(error, match="^%s$" % re.escape(message)) as exc:
+        call()
+    assert "\n" not in str(exc.value)

@@ -227,6 +227,15 @@ def test_witness_cell_witness_class_checked(w):
             witness_cell(x, x, w)
 
 
+def test_witness_cell_default_witness_is_related():
+    rng = Random(1603)
+    for i in range(40):
+        a = ALPHABETS[i % len(ALPHABETS)]
+        x = random_point(rng, a)
+        y = act_point(random_table(rng, a), x)
+        assert witness_cell(x, y) == witness_cell(x, y, related(x, y))
+
+
 # ---------------------------------------------------------------------------
 # finite levels
 
