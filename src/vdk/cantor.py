@@ -65,10 +65,12 @@ class Clopen(PackedCode):
         return len(self.packed) == a.k and self.packed == gaps((), a.d, a.k)
 
     def union(self, other: Clopen) -> Clopen:
+        check_class(Clopen, other)
         a = check_same_alphabet(self, other)
         return Clopen(a, normal_words(self.packed + other.packed, a.d, a.k))
 
     def intersect(self, other: Clopen) -> Clopen:
+        check_class(Clopen, other)
         a = check_same_alphabet(self, other)
         # the finer word of every nested pair; canonical as it stands
         right = [(w, w) for w in other.packed]
@@ -80,6 +82,7 @@ class Clopen(PackedCode):
         return Clopen(a, gaps(self.packed, a.d, a.k))
 
     def minus(self, other: Clopen) -> Clopen:
+        check_class(Clopen, other)
         return self.intersect(other.complement())
 
     def symmetric_difference(self, other: Clopen) -> Clopen:
@@ -100,10 +103,12 @@ class Clopen(PackedCode):
 
 
 def whole_space(alphabet: Alphabet) -> Clopen:
+    check_class(Alphabet, alphabet)
     return Clopen(alphabet, gaps((), alphabet.d, alphabet.k))
 
 
 def empty_clopen(alphabet: Alphabet) -> Clopen:
+    check_class(Alphabet, alphabet)
     return Clopen(alphabet, ())
 
 
@@ -113,6 +118,7 @@ def clopen_normalize(alphabet: Alphabet, words) -> Clopen:
     Idempotent, order independent, and invariant under refining any word
     into its d children.
     """
+    check_class(Alphabet, alphabet)
     packed = []
     for w in words:
         check_class(Word, w)
@@ -188,7 +194,8 @@ def point_normalize(preperiod: Word, period) -> Point:
     if not per:
         raise VdkError("period must be nonempty")
     for t in per:
-        if not 1 <= t <= a.d:
+        if type(t) is not int or not 1 <= t <= a.d:
+            check_int("period letter", t)
             raise VdkError("period letter %d outside 1..%d" % (t, a.d))
     per = _primitive(per)
     tail = preperiod.tail
@@ -228,11 +235,13 @@ def streams_equal(fin1, per1, fin2, per2) -> bool:
 
 
 def format_clopen(s: Clopen) -> str:
+    check_class(Clopen, s)
     a = s.alphabet
     return "{%s}" % ",".join([format_packed(a, w) for w in s.packed])
 
 
 def parse_clopen(alphabet: Alphabet, text: str) -> Clopen:
+    check_class(Alphabet, alphabet)
     check_class(str, text)
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
@@ -245,6 +254,7 @@ def parse_clopen(alphabet: Alphabet, text: str) -> Clopen:
 
 
 def format_point(x: Point) -> str:
+    check_class(Point, x)
     if x.alphabet.k == 1 and not x.preperiod.tail:
         u = ""
     else:
@@ -253,6 +263,7 @@ def format_point(x: Point) -> str:
 
 
 def parse_point(alphabet: Alphabet, text: str) -> Point:
+    check_class(Alphabet, alphabet)
     check_class(str, text)
     text = text.strip()
     if not text.endswith("^inf"):

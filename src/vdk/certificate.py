@@ -33,7 +33,6 @@ from fractions import Fraction
 
 from .cantor import Alphabet, Clopen, Word, check_int, parse_clopen
 from .errors import (
-    ArityMismatch,
     CertificateInvalid,
     DisjointnessViolation,
     InclusionViolation,
@@ -49,13 +48,13 @@ from .tables import TableElement, act_clopen, check_class, identity, inverse, pa
 
 @dataclass(frozen=True, slots=True)
 class SymmetricSet:
-    """Nonempty multiset of TableElements over one alphabet, flagged when
-    closed under inverse.  Checked once, when made: a flagged set holding
-    the identity, or whose sorted packed tables differ from their sorted
-    swaps, raises NotSymmetric; counts and the chain trust the flag."""
+    """Nonempty multiset of TableElements over one alphabet, free of the
+    identity and closed under inverse.  Checked once, when made: a set
+    holding the identity, or whose sorted packed tables differ from
+    their sorted swaps, raises NotSymmetric; counts and the chain trust
+    the check."""
 
     elements: tuple[TableElement, ...]
-    symmetric: bool
 
     def __post_init__(self):
         check_class(tuple, self.elements)
@@ -64,8 +63,6 @@ class SymmetricSet:
         check_class(TableElement, *self.elements)
         if len({el.alphabet for el in self.elements}) != 1:
             raise MismatchedAlphabet("mixed alphabets in symmetric set")
-        if not self.symmetric:
-            return
         if any([el.is_identity() for el in self.elements]):
             raise NotSymmetric("symmetric sets must not contain the identity")
         tables = sorted([el.packed for el in self.elements])
@@ -74,8 +71,8 @@ class SymmetricSet:
 
 
 def symmetric_set(elements) -> SymmetricSet:
-    """Flagged SymmetricSet; NotSymmetric if not inverse-closed or with identity."""
-    return SymmetricSet(tuple(elements), True)
+    """SymmetricSet of the given elements; NotSymmetric if not inverse-closed or with identity."""
+    return SymmetricSet(tuple(elements))
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,13 +163,12 @@ def convolution_count(f: SymmetricSet, length: int, workers: int = 1) -> int:
     F is inverse-closed as a multiset, so s_1...s_L -> s_L^-1...s_1^-1
     is a bijection from the words that evaluate to g onto those that
     evaluate to g^-1; hence N(g^-1) = N(g) and the count is sum_g N(g)^2,
-    with no inverse formed.  The closure was checked when F was made;
-    an unflagged F raises NotSymmetric.  Only the L spheres up to the
-    middle are expanded, from the identity on each call, with nothing
-    kept between calls.  The result to the power 1/length is a lower
-    bound for ||sum_s lambda_s||.  `workers` is accepted for
-    compatibility and must be an int of at least 1; otherwise it is
-    ignored, and the count runs in the calling process.
+    with no inverse formed.  The closure was checked when F was made.
+    Only the L spheres up to the middle are expanded, from the identity
+    on each call, with nothing kept between calls.  The result to the
+    power 1/length is a lower bound for ||sum_s lambda_s||.  `workers`
+    is accepted for compatibility and must be an int of at least 1;
+    otherwise it is ignored, and the count runs in the calling process.
 
     Each step multiplies every sphere element g by every generator h_j,
     and reads back the products the step before formed: where it found
@@ -196,8 +192,6 @@ def convolution_count(f: SymmetricSet, length: int, workers: int = 1) -> int:
     check_class(SymmetricSet, f)
     check_int("word length", length)
     check_int("workers", workers)
-    if not f.symmetric:
-        raise NotSymmetric("convolution counts need an inverse-closed set")
     if length < 2 or length % 2 != 0:
         raise VdkError("word length must be even and at least 2, got %d" % length)
     if workers < 1:
@@ -355,9 +349,7 @@ def check_certificate(
         lhs = |F| (1 - c) + c * sum_s I_s
 
     with I_s = integral_sqrt_rn(s) over V_{d,d}: the sum of
-    integral_sqrt_rn(embed_supported(s, nu)), exactly.  Like the
-    embedding, it needs nu over a single factor (ArityMismatch
-    otherwise).
+    integral_sqrt_rn(embed_supported(s, nu)), exactly.
 
     Exactly one of certificate / norm_bound must be given.  With strict
     (the default) an InconclusiveParameters error is raised when the
@@ -371,8 +363,6 @@ def check_certificate(
         raise VdkError("give exactly one of certificate or norm_bound")
     if norm_bound is not None:
         check_class(NormBound, norm_bound)
-    if not f.symmetric:
-        raise NotSymmetric("the set F must be symmetric")
     target = nu.alphabet
     d, k = target.d, target.k
     found = f.elements[0].alphabet
@@ -389,9 +379,6 @@ def check_certificate(
                 "F must be exactly the certified generators and their inverses"
             )
         norm_bound = free_norm(2)
-    if target.m != 1:
-        # the embedded copies would be tables over nu's alphabet
-        raise ArityMismatch("tables are single-factor; use BoxTable for m > 1")
     n = len(nu)
     f_size = len(f.elements)
     base_sum = quadratic(0)
@@ -462,6 +449,7 @@ def fixture(name: str) -> tuple[SymmetricSet, PingPongCertificate]:
     clopens and set are immutable.  Callers such as check_certificate
     still verify the ping-pong certificate on every use.
     """
+    check_class(str, name)
     try:
         build = _FIXTURES[name]
     except KeyError:

@@ -65,10 +65,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _alphabet(args) -> Alphabet:
-    a = Alphabet(args.d, args.k, args.m)
-    if a.m != 1:
+    a = Alphabet(args.d, args.k)
+    if args.m < 1:
+        raise VdkError("factor count needs m >= 1, got m=%d" % args.m)
+    if args.m != 1:
         raise ArityMismatch(
-            "this command reads single-factor words and needs --m 1, got --m %d" % a.m
+            "this command reads single-factor words and needs --m 1, got --m %d" % args.m
         )
     return a
 

@@ -11,7 +11,7 @@ class VdkError(Exception):
 
 
 class MismatchedAlphabet(VdkError):
-    """Operands live over different alphabets (d, k, m)."""
+    """Operands live over different alphabets (d, k)."""
 
 
 class ArityMismatch(VdkError):

@@ -63,6 +63,7 @@ class DoubleCylinder:
 
 def germ_maps(c: DoubleCylinder) -> tuple[Clopen, Clopen, int]:
     """(source cylinder, range cylinder, degree) of a cell."""
+    check_class(DoubleCylinder, c)
     a = check_same_alphabet(c.range_word, c.domain_word)
     return (
         clopen_normalize(a, [c.domain_word]),
@@ -110,6 +111,8 @@ def make_bisection(cells, alphabet: Alphabet | None = None) -> Bisection:
 
     The empty bisection is allowed; pass the alphabet explicitly for it.
     """
+    if alphabet is not None:
+        check_class(Alphabet, alphabet)
     pairs = set()
     for c in cells:
         if isinstance(c, (tuple, list)) and len(c) == 2:
@@ -128,6 +131,7 @@ def make_bisection(cells, alphabet: Alphabet | None = None) -> Bisection:
 
 def is_full(u: Bisection) -> bool:
     """Both the domain words and the range words cover the whole space."""
+    check_class(Bisection, u)
     a = u.alphabet
     ranges = [r for _, r in sort_pairs(u.packed, 1)]
     return check_code(a, [w for w, _ in u.packed], "domain") and check_code(a, ranges, "range")
@@ -142,6 +146,7 @@ def to_table(u: Bisection) -> TableElement:
 
 def from_table(g: TableElement) -> Bisection:
     """The full bisection of a table element (cells = table pairs)."""
+    check_class(TableElement, g)
     return Bisection(g.alphabet, g.packed)
 
 
@@ -165,6 +170,7 @@ def bisection_act(u: Bisection, x: Point) -> Point:
 
 
 def format_bisection(u: Bisection) -> str:
+    check_class(Bisection, u)
     a = u.alphabet
     return "{%s}" % ",".join(
         ["%s<-%s" % (format_packed(a, r), format_packed(a, w)) for w, r in u.packed]
@@ -172,6 +178,7 @@ def format_bisection(u: Bisection) -> str:
 
 
 def parse_bisection(alphabet: Alphabet, text: str) -> Bisection:
+    check_class(Alphabet, alphabet)
     check_class(str, text)
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
@@ -190,6 +197,7 @@ def parse_bisection(alphabet: Alphabet, text: str) -> Bisection:
 
 
 def bisection_to_json(u: Bisection) -> list[dict]:
+    check_class(Bisection, u)
     a = u.alphabet
     return [
         {
@@ -385,7 +393,7 @@ def mv_act(g: BoxTable, xs) -> tuple[Point, ...]:
         raise ArityMismatch("expected %d points, got %d" % (g.m, len(xs)))
     check_class(Point, *xs)
     for x in xs:
-        if (x.alphabet.d, x.alphabet.k) != (2, 1):
+        if x.alphabet != _COORD_ALPHABET:
             raise ArityMismatch("mv points live over d=2, k=1 coordinates")
     for A, B in g.pairs:
         if all(
@@ -400,8 +408,7 @@ def mv_act(g: BoxTable, xs) -> tuple[Point, ...]:
 def mv_embed_factor(g: TableElement, m: int, coord: int) -> BoxTable:
     """Copy of a V_{2,1} table acting on one coordinate of the product."""
     check_class(TableElement, g)
-    a = g.alphabet
-    if (a.d, a.k) != (2, 1):
+    if g.alphabet != _COORD_ALPHABET:
         raise ArityMismatch("only V_{2,1} tables embed coordinatewise")
     _check_factor_count(m)
     if type(coord) is not int or not 0 <= coord < m:
@@ -415,6 +422,7 @@ def mv_embed_factor(g: TableElement, m: int, coord: int) -> BoxTable:
 
 
 def mv_to_json(g: BoxTable) -> dict:
+    check_class(BoxTable, g)
     return {
         "m": g.m,
         "pairs": [

@@ -41,7 +41,7 @@ to merge.
 
 from __future__ import annotations
 
-from .errors import ArityMismatch, IncompleteDomain, IncompleteRange, OverlappingDomain
+from .errors import IncompleteDomain, IncompleteRange, OverlappingDomain
 from .errors import OverlappingRange, VdkError
 from .words import Alphabet, Word
 
@@ -337,11 +337,8 @@ def canonical(alphabet: Alphabet, pairs, complete: bool) -> tuple:
 
     Both sides must be prefix codes, and complete ones when complete is
     set (a table; a bisection otherwise); raises Overlapping* or
-    Incomplete* if not, and ArityMismatch for more than one factor.
+    Incomplete* if not.
     """
-    if alphabet.m != 1:
-        what = "tables" if complete else "bisections"
-        raise ArityMismatch("%s are single-factor; use BoxTable for m > 1" % what)
     # one domain sort serves the domain check and the sibling merge
     pairs = sort_pairs(pairs)
     check_code(alphabet, [w for w, _ in pairs], "domain", complete)

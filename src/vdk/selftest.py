@@ -253,21 +253,18 @@ _CHECKS = [
 ]
 
 
-def run(out=None) -> int:
-    import sys
-
-    out = out or sys.stdout
+def run() -> int:
     failures = 0
     for name, fn in _CHECKS:
         try:
             fn()
         except Exception as e:
             failures += 1
-            print("FAIL %s: %s" % (name, e), file=out)
+            print("FAIL %s: %s" % (name, e))
         else:
-            print("ok   %s" % name, file=out)
+            print("ok   %s" % name)
     if failures:
-        print("%d of %d checks failed" % (failures, len(_CHECKS)), file=out)
+        print("%d of %d checks failed" % (failures, len(_CHECKS)))
     else:
-        print("all %d checks passed" % len(_CHECKS), file=out)
+        print("all %d checks passed" % len(_CHECKS))
     return 1 if failures else 0

@@ -20,7 +20,7 @@ against it and returns that class, so every public operation is one call.
 
 from __future__ import annotations
 
-from .cantor import Alphabet, Clopen, Point, Word, check_class, check_same_alphabet
+from .cantor import Alphabet, Clopen, Point, Word, check_class, check_int, check_same_alphabet
 from .cantor import point_normalize, replace_prefix
 from .errors import ArityMismatch, TransportImpossible, VdkError
 from .prefixcode import PackedCode, canonical, cell_index, format_packed, gaps, graft
@@ -54,6 +54,7 @@ class TableElement(PackedCode):
         return inverse(self)
 
     def __pow__(self, n: int) -> TableElement:
+        check_int("exponent", n)
         if n < 0:
             return inverse(self) ** (-n)
         acc = identity(self.alphabet)
@@ -85,6 +86,7 @@ def make_table(pairs) -> TableElement:
 
 
 def identity(alphabet: Alphabet) -> TableElement:
+    check_class(Alphabet, alphabet)
     return TableElement(alphabet, identity_pairs(alphabet.d, alphabet.k))
 
 
@@ -247,6 +249,7 @@ def format_table(g: TableElement) -> str:
 
 
 def parse_table(alphabet: Alphabet, text: str) -> TableElement:
+    check_class(Alphabet, alphabet)
     check_class(str, text)
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):

@@ -24,32 +24,24 @@ def check_int(name: str, value) -> None:
 def check_class(cls: type, *objs) -> None:
     for o in objs:
         if not isinstance(o, cls):
-            raise VdkError("expected a %s, got %s" % (cls.__name__, type(o).__name__))
+            article = "an" if cls.__name__[0] in "AEIOU" else "a"
+            raise VdkError("expected %s %s, got %s" % (article, cls.__name__, type(o).__name__))
 
 
 @dataclass(frozen=True, slots=True)
 class Alphabet:
-    """Parameters of X_{d,k}; m counts product factors (1 except nV use)."""
+    """The sizes (d, k) of X_{d,k}: d tail letters and k root letters."""
 
     d: int
     k: int
-    m: int = 1
 
     def __post_init__(self):
         check_int("tail alphabet size d", self.d)
         check_int("root alphabet size k", self.k)
-        check_int("factor count m", self.m)
         if self.d < 2:
             raise VdkError("tail alphabet needs d >= 2, got d=%d" % self.d)
         if self.k < 1:
             raise VdkError("root alphabet needs k >= 1, got k=%d" % self.k)
-        if self.m < 1:
-            raise VdkError("factor count needs m >= 1, got m=%d" % self.m)
-
-    def __repr__(self):
-        if self.m == 1:
-            return "Alphabet(d=%d, k=%d)" % (self.d, self.k)
-        return "Alphabet(d=%d, k=%d, m=%d)" % (self.d, self.k, self.m)
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,11 +53,19 @@ class Word:
     tail: tuple[int, ...] = ()
 
     def __post_init__(self):
-        a = self.alphabet
-        if not 1 <= self.root <= a.k:
-            raise VdkError("root letter %d outside 1..%d" % (self.root, a.k))
-        for t in self.tail:
-            if not 1 <= t <= a.d:
+        # inline type tests on the hot path; check_* only names a failure
+        a, root, tail = self.alphabet, self.root, self.tail
+        if type(a) is not Alphabet:
+            check_class(Alphabet, a)
+        if type(root) is not int:
+            check_int("root letter", root)
+        if not 1 <= root <= a.k:
+            raise VdkError("root letter %d outside 1..%d" % (root, a.k))
+        if type(tail) is not tuple:
+            check_class(tuple, tail)
+        for t in tail:
+            if type(t) is not int or not 1 <= t <= a.d:
+                check_int("tail letter", t)
                 raise VdkError("tail letter %d outside 1..%d" % (t, a.d))
 
     def __len__(self):
@@ -101,10 +101,12 @@ def split(w: Word) -> tuple[Word, ...]:
 
 
 def format_word(w: Word) -> str:
+    check_class(Word, w)
     return prefixcode.format_packed(w.alphabet, prefixcode.pack_word(w))
 
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:
+    check_class(Alphabet, alphabet)
     check_class(str, text)
     return prefixcode.unpack_word(alphabet, prefixcode.parse_packed(alphabet, text))
 

@@ -515,7 +515,6 @@ _ALPHABET_CASES = {
     "d_bool": ("tail alphabet size d", "bool", lambda d, k, m: Alphabet(True, k)),
     "k_float": ("root alphabet size k", "float", lambda d, k, m: Alphabet(d, float(k))),
     "k_bool": ("root alphabet size k", "bool", lambda d, k, m: Alphabet(d, True)),
-    "m_str": ("factor count m", "str", lambda d, k, m: Alphabet(d, k, str(m))),
 }
 
 
@@ -527,3 +526,57 @@ def test_alphabet_sizes_must_be_ints(case):
         d, k, m = rng.randrange(2, 18), rng.randrange(1, 6), rng.randrange(1, 4)
         with pytest.raises(VdkError, match="^%s must be an int, got %s$" % (name, given)):
             call(d, k, m)
+
+
+# a word holds an Alphabet, an int root and a tuple of int letters, and a
+# point period holds int letters; each of these used to build an object
+# whose hash, str or repr raised, or to end in TypeError
+_LETTER_CASES = {
+    "alphabet_tuple": ("expected an Alphabet, got tuple",
+                       lambda a, r, t: Word((a.d, a.k), r, t)),
+    "root_str": ("root letter must be an int, got str", lambda a, r, t: Word(a, str(r), t)),
+    "root_float": ("root letter must be an int, got float", lambda a, r, t: Word(a, r + 0.0, t)),
+    "root_bool": ("root letter must be an int, got bool", lambda a, r, t: Word(a, True, t)),
+    "tail_list": ("expected a tuple, got list", lambda a, r, t: Word(a, r, list(t))),
+    "tail_float": ("tail letter must be an int, got float",
+                   lambda a, r, t: Word(a, r, t + (1.5,))),
+    "tail_bool": ("tail letter must be an int, got bool", lambda a, r, t: Word(a, r, t + (True,))),
+    "period_float": ("period letter must be an int, got float",
+                     lambda a, r, t: point_normalize(Word(a, r, t), (1.5,))),
+    "period_bool": ("period letter must be an int, got bool",
+                    lambda a, r, t: point_normalize(Word(a, r, t), (1, True))),
+    "period_str": ("period letter must be an int, got str",
+                   lambda a, r, t: point_normalize(Word(a, r, t), "12")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LETTER_CASES))
+def test_word_and_period_letters_must_be_ints(case):
+    message, call = _LETTER_CASES[case]
+    rng = Random(1811)
+    for _ in range(20):
+        a = Alphabet(rng.randrange(2, 12), rng.randrange(1, 5))
+        r = rng.randrange(1, a.k + 1)
+        t = tuple([rng.randrange(1, a.d + 1) for _ in range(rng.randrange(6))])
+        assert Word(a, r, t).letters == (r,) + t
+        with pytest.raises(VdkError, match="^%s$" % message):
+            call(a, r, t)
+
+
+def test_word_order_is_letter_tuple_order():
+    # <= and < of words against their letter tuples, over one alphabet
+    rng = Random(1812)
+    for a in (Alphabet(2, 1), Alphabet(3, 2), Alphabet(11, 3)):
+        words = [random_word(rng, a, rng.randrange(4)) for _ in range(30)]
+        words += [words[0], words[0].extend(1)]
+        for v, w in itertools.product(words, repeat=2):
+            assert (v <= w) == (v.letters <= w.letters)
+            assert (v < w) == (v.letters < w.letters)
+        assert [w.letters for w in sorted(words)] == sorted([w.letters for w in words])
+
+
+def test_point_repr():
+    a = Alphabet(3, 2)
+    for text in ("1:2(13)^inf", "2:(3)^inf", "1:(1)^inf"):
+        x = parse_point(a, text)
+        assert repr(x) == "Point(%r)" % text

@@ -26,7 +26,6 @@ from vdk import (
     compose,
     convolution_count,
     embed_supported,
-    equals,
     fixture,
     free_norm,
     identity,
@@ -43,7 +42,6 @@ from vdk import (
 )
 from vdk.cantor import Word
 from vdk.errors import (
-    ArityMismatch,
     CertificateInvalid,
     DisjointnessViolation,
     InclusionViolation,
@@ -89,7 +87,6 @@ def test_fixture_verifies(free2):
     f, cert = free2
     assert pingpong_verify(cert)
     assert len(f.elements) == 4
-    assert f.symmetric
 
 
 def test_pingpong_soundness_972_words(free2):
@@ -216,15 +213,14 @@ def test_flagged_set_refused_when_made():
         s, e = random_non_involution(rng, a), identity(a)
         for elements in ((s,), (s, s), (s, inverse(s), s), (inverse(s), s, inverse(s))):
             with pytest.raises(NotSymmetric, match="need an inverse-closed set$"):
-                SymmetricSet(elements, True)
-            assert SymmetricSet(elements, False).elements == elements
+                SymmetricSet(elements)
         for elements in ((e,), (s, e, inverse(s)), (e, e)):
             with pytest.raises(NotSymmetric, match="must not contain the identity$"):
-                SymmetricSet(elements, True)
+                SymmetricSet(elements)
         with pytest.raises(VdkError, match="^expected a TableElement, got str$"):
             symmetric_set([s, inverse(s), "s"])
         with pytest.raises(VdkError, match="^mixed alphabets in symmetric set$"):
-            SymmetricSet((s, identity(Alphabet(a.d + 1, a.k))), False)
+            SymmetricSet((s, identity(Alphabet(a.d + 1, a.k))))
 
 
 def test_symmetric_set_rejects_identity():
@@ -236,14 +232,13 @@ def test_symmetric_set_requires_inverses():
     s = parse_table(A21, "{11->1,12->21,2->22}")
     with pytest.raises(NotSymmetric):
         symmetric_set([s, s])
-    ok = symmetric_set([s, inverse(s)])
-    assert ok.symmetric
+    symmetric_set([s, inverse(s)])
 
 
 def test_symmetric_set_involution_single():
     sigma = parse_table(A21, "{1->2,2->1}")
     f = symmetric_set([sigma])
-    assert f.symmetric and len(f.elements) == 1
+    assert len(f.elements) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +355,7 @@ def test_convolution_rejects_invalid():
     from vdk import SymmetricSet
 
     with pytest.raises(NotSymmetric):
-        convolution_count(SymmetricSet((s,), False), 4)
+        convolution_count(SymmetricSet((s,)), 4)
     f = symmetric_set([s, inverse(s)])
     with pytest.raises(VdkError):
         convolution_count(f, 3)
@@ -405,7 +400,7 @@ def test_convolution_rejects_unflagged_closure():
         assert inverse(s) != s
         for elements in ((s, s), (s, s, inverse(s)), (s, inverse(s), inverse(s), inverse(s))):
             with pytest.raises(NotSymmetric, match="need an inverse-closed set$"):
-                convolution_count(SymmetricSet(elements, True), 4)
+                convolution_count(SymmetricSet(elements), 4)
 
 
 @pytest.mark.parametrize(
@@ -431,9 +426,9 @@ def test_convolution_rejects_wrong_input_types(free2, args, message):
 
 def test_convolution_rejects_empty_or_foreign_elements():
     with pytest.raises(NotSymmetric, match="at least one element"):
-        convolution_count(SymmetricSet((), True), 4)
+        convolution_count(SymmetricSet(()), 4)
     with pytest.raises(VdkError, match="expected a TableElement, got str"):
-        convolution_count(SymmetricSet(("s", "s"), True), 4)
+        convolution_count(SymmetricSet(("s", "s")), 4)
 
 
 def sphere_pair_count(gens, length: int) -> int:
@@ -487,7 +482,7 @@ def test_convolution_sum_of_squares_matches_pair_count():
             ]
             for gens in sets:
                 rng.shuffle(gens)
-                f = SymmetricSet(tuple(gens), True)
+                f = SymmetricSet(tuple(gens))
                 for length in (2, 4, 6, 8):
                     assert convolution_count(f, length) == sphere_pair_count(gens, length)
 
@@ -584,7 +579,7 @@ def test_convolution_read_back_matches_oracles(formed):
             ]
     for gens in cases:
         rng.shuffle(gens)
-        f = SymmetricSet(tuple(gens), True)
+        f = SymmetricSet(tuple(gens))
         for length in (2, 4, 6, 8, 10):
             formed[0] = 0
             count = convolution_count(f, length)
@@ -696,7 +691,7 @@ def test_check_certificate_refuses_unclosed_flagged_set(free2):
     g = f.elements[0]
     assert inverse(g) != g
     with pytest.raises(NotSymmetric):
-        check_certificate(SymmetricSet((g,) * 4, True), parse_word(A22, "1:1111"),
+        check_certificate(SymmetricSet((g,) * 4), parse_word(A22, "1:1111"),
                           norm_bound=free_norm(2))
 
 
@@ -808,15 +803,6 @@ def test_embedding_integral_identity():
         assert integral_sqrt_rn(embed_supported(g, nu)) == expected
 
 
-def test_check_certificate_rejects_multi_factor_nu(free2):
-    f, cert = free2
-    nu = Word(Alphabet(2, 2, 2), 1, (1, 1))
-    with pytest.raises(ArityMismatch, match=r"^tables are single-factor; use BoxTable for m > 1$"):
-        check_certificate(f, nu, certificate=cert)
-    with pytest.raises(ArityMismatch, match="single-factor"):
-        check_certificate(f, nu, norm_bound=NormBound(quadratic(3), "user-supplied", None))
-
-
 def test_check_certificate_deep_nu_closed_form(free2):
     f, cert = free2
     n = 5000
@@ -906,7 +892,7 @@ _CERTIFICATE_INPUT_CASES = {
         "expected a NormBound, got str",
         lambda f: check_certificate(f, parse_word(A22, "1:11"), norm_bound="n"),
     ),
-    "symmetric_set_int": ("expected a tuple, got int", lambda f: SymmetricSet(5, True)),
+    "symmetric_set_int": ("expected a tuple, got int", lambda f: SymmetricSet(5)),
 }
 
 

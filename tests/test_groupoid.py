@@ -11,18 +11,15 @@ import pytest
 
 from vdk import (
     Alphabet,
-    Bisection,
     DoubleCylinder,
     act_point,
     bisection_act,
     bisection_compose,
     bisection_inverse,
     compose,
-    equals,
     format_bisection,
     format_clopen,
     format_point,
-    format_table,
     from_table,
     germ_maps,
     identity,
@@ -31,7 +28,6 @@ from vdk import (
     make_bisection,
     make_table,
     member,
-    mu,
     mv_act,
     mv_compose,
     mv_embed_factor,
@@ -321,6 +317,29 @@ def test_mv_act_matches_composition():
         h = random_box_table(rng, m)
         xs = tuple(random_point(rng, A21) for _ in range(m))
         assert mv_act(mv_compose(g, h), xs) == mv_act(g, mv_act(h, xs))
+
+
+def test_mv_operators_match_compose_and_inverse():
+    # g * h and ~g are mv_compose and mv_inverse, cell for cell, and act
+    # as g after h and as the undoing of g on random point tuples
+    from vdk.sampling import random_box_table
+
+    rng = Random(418)
+    for _ in range(100):
+        m = rng.choice([1, 2, 3])
+        g = random_box_table(rng, m)
+        h = random_box_table(rng, m)
+        assert (g * h).pairs == mv_compose(g, h).pairs
+        assert (~g).pairs == mv_inverse(g).pairs
+        xs = tuple([random_point(rng, A21) for _ in range(m)])
+        assert mv_act(g * h, xs) == mv_act(g, mv_act(h, xs))
+        assert mv_act(~g, mv_act(g, xs)) == xs
+
+
+def test_box_table_repr():
+    g = mv_make([(box("1", ""), box("2", "")), (box("2", ""), box("1", ""))], 2)
+    assert repr(g) == "BoxTable('{(1,e)->(2,e),(2,e)->(1,e)}')"
+    assert repr(mv_identity(1)) == "BoxTable(%r)" % str(mv_identity(1))
 
 
 def test_mv_single_factor_matches_tables():

@@ -1,4 +1,5 @@
-"""Every name a vdk module imports at module level is used in that module.
+"""Every name a vdk module or a test module imports at module level is
+used in that module.
 
 Stdlib ast only.  vdk/__init__.py re-exports by design and is exempt, as
 is any import statement marked `# noqa: F401`.
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "vdk"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "vdk"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(text: str) -> list[str]:

@@ -39,7 +39,6 @@ from vdk import (
     rn_exponent,
     rn_profile,
     sqrt_int,
-    transporter,
     whole_space,
 )
 from vdk.errors import VdkError
@@ -175,6 +174,37 @@ def test_quadratic_ordering_operators():
     assert quadratic(0, 1, 2) > quadratic(1)
     assert quadratic(2) >= quadratic(0, 1, 2)
     assert not quadratic(1) == quadratic(0, 1, 2)
+
+
+def test_quadratic_operators_against_oracles():
+    # __le__ against quad_compare; sign and float against the 50-digit
+    # Decimal value; r - u for a Fraction r against its exact parts
+    rng = Random(1814)
+
+    def mk():
+        m = rng.choice([1, 2, 3, 5, 6])
+        b = 0 if rng.random() < 0.3 else Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+        return quadratic(Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)), b, m)
+
+    for _ in range(300):
+        u, v = mk(), mk()
+        assert (u <= v) == (quad_compare(u, v) != "greater")
+        assert u <= u and (u <= u + 1) and not (u + 1 <= u)
+        # a + b sqrt(m) with b != 0 and m squarefree > 1 is irrational, never 0
+        exact = approx(u)
+        assert u.sign() == (exact > 0) - (exact < 0)
+        assert abs(Decimal(float(u)) - exact) <= Decimal("1e-14") * max(1, abs(exact))
+        r = Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+        for left in (r, rng.randrange(-5, 6)):
+            diff = left - u
+            assert isinstance(diff, QuadraticValue)
+            assert (diff.a, diff.b, diff.m) == (left - u.a, -u.b, u.m)
+
+
+def test_quadratic_repr():
+    assert repr(quadratic(Fraction(1, 4), Fraction(1, 2), 2)) == "QuadraticValue(1/4 + 1/2*sqrt(2))"
+    assert repr(quadratic(7, -1, 3)) == "QuadraticValue(7 - sqrt(3))"
+    assert repr(quadratic(Fraction(-2, 3))) == "QuadraticValue(-2/3)"
 
 
 # ---------------------------------------------------------------------------

@@ -12,38 +12,51 @@ from vdk import (
     DisjointnessViolation,
     MismatchedAlphabet,
     NotRelated,
-    NotSymmetric,
-    SymmetricSet,
     TailWitness,
     VdkError,
     Word,
     bisection_act,
     check_certificate,
     clopen_normalize,
+    empty_clopen,
     fixture,
+    format_bisection,
+    format_clopen,
+    format_point,
+    format_word,
     free_norm,
+    from_table,
+    germ_maps,
+    identity,
+    is_full,
     make_bisection,
     mv_act,
     mv_compose,
     mv_embed_factor,
     mv_from_json,
     mv_make,
+    mv_to_json,
     parse_bisection,
+    parse_clopen,
     parse_point,
     parse_table,
+    parse_word,
     pingpong_verify,
     quadratic,
     sqrt_int,
+    to_table,
+    whole_space,
     witness_cell,
     witness_holds,
 )
-from vdk.prefixcode import canonical
+from vdk.groupoid import bisection_to_json
 
 A21 = Alphabet(2, 1)
 A22 = Alphabet(2, 2)
 X1 = parse_point(A21, "(1)^inf")
 X2 = parse_point(A21, "(2)^inf")
 X31 = parse_point(Alphabet(3, 1), "(1)^inf")
+C1 = parse_clopen(A21, "{1}")
 SWAP = parse_table(A21, "{1->2,2->1}")
 F, CERT = fixture("free2")
 NU = Word(A22, 1, (1, 1))
@@ -81,12 +94,6 @@ _CASES = {
     "witness_holds_str_point": (
         lambda: witness_holds("x", X1, TailWitness(0, 0)), VdkError,
         "expected a Point, got str"),
-    "canonical_table_m2": (
-        lambda: canonical(Alphabet(2, 1, 2), [], True), ArityMismatch,
-        "tables are single-factor; use BoxTable for m > 1"),
-    "canonical_bisection_m2": (
-        lambda: canonical(Alphabet(2, 1, 2), [], False), ArityMismatch,
-        "bisections are single-factor; use BoxTable for m > 1"),
     "bisection_act_outside_source": (
         lambda: bisection_act(parse_bisection(A21, "{1<-1}"), X2), VdkError,
         "point (2)^inf is outside the source of the bisection"),
@@ -124,9 +131,6 @@ _CASES = {
     "check_certificate_neither": (
         lambda: check_certificate(F, NU), VdkError,
         "give exactly one of certificate or norm_bound"),
-    "check_certificate_unflagged": (
-        lambda: check_certificate(SymmetricSet(F.elements, False), NU, certificate=CERT),
-        NotSymmetric, "the set F must be symmetric"),
     "check_certificate_F_alphabet": (
         lambda: check_certificate(F, Word(Alphabet(3, 3), 1, (1,)), certificate=CERT),
         MismatchedAlphabet, "F must live in V_{3,3}, found element over (d=2, k=2)"),
@@ -150,8 +154,53 @@ _CASES = {
         lambda: Alphabet(1, 1), VdkError, "tail alphabet needs d >= 2, got d=1"),
     "alphabet_k0": (
         lambda: Alphabet(2, 0), VdkError, "root alphabet needs k >= 1, got k=0"),
-    "alphabet_m0": (
-        lambda: Alphabet(2, 1, 0), VdkError, "factor count needs m >= 1, got m=0"),
+    # every entry point that takes an alphabet checks its class: these
+    # used to build objects over a str or None, or to end in AttributeError
+    "make_bisection_str_alphabet": (
+        lambda: make_bisection([], "a"), VdkError, "expected an Alphabet, got str"),
+    "parse_bisection_none_alphabet": (
+        lambda: parse_bisection(None, "{}"), VdkError, "expected an Alphabet, got NoneType"),
+    "parse_clopen_str_alphabet": (
+        lambda: parse_clopen("a", "{}"), VdkError, "expected an Alphabet, got str"),
+    "empty_clopen_str_alphabet": (
+        lambda: empty_clopen("a"), VdkError, "expected an Alphabet, got str"),
+    "whole_space_str_alphabet": (
+        lambda: whole_space("a"), VdkError, "expected an Alphabet, got str"),
+    "clopen_normalize_tuple_alphabet": (
+        lambda: clopen_normalize((2, 1), []), VdkError, "expected an Alphabet, got tuple"),
+    "parse_word_str_alphabet": (
+        lambda: parse_word("a", "1:1"), VdkError, "expected an Alphabet, got str"),
+    "parse_point_str_alphabet": (
+        lambda: parse_point("a", "(1)^inf"), VdkError, "expected an Alphabet, got str"),
+    "parse_table_str_alphabet": (
+        lambda: parse_table("a", "{1->1,2->2}"), VdkError, "expected an Alphabet, got str"),
+    "identity_int_alphabet": (
+        lambda: identity(2), VdkError, "expected an Alphabet, got int"),
+    # operands of the wrong class, which used to end in AttributeError,
+    # TypeError or ValueError, or (for ** True) to pass as ** 1
+    "clopen_union_int": (lambda: C1 | 1, VdkError, "expected a Clopen, got int"),
+    "clopen_union_table": (lambda: C1.union(SWAP), VdkError, "expected a Clopen, got TableElement"),
+    "clopen_intersect_str": (lambda: C1 & "{1}", VdkError, "expected a Clopen, got str"),
+    "clopen_minus_none": (lambda: C1 - None, VdkError, "expected a Clopen, got NoneType"),
+    "clopen_xor_point": (lambda: C1 ^ X1, VdkError, "expected a Clopen, got Point"),
+    "clopen_le_int": (lambda: C1 <= 3, VdkError, "expected a Clopen, got int"),
+    "table_pow_float": (lambda: SWAP ** 1.5, VdkError, "exponent must be an int, got float"),
+    "table_pow_str": (lambda: SWAP ** "2", VdkError, "exponent must be an int, got str"),
+    "table_pow_bool": (lambda: SWAP ** True, VdkError, "exponent must be an int, got bool"),
+    "is_full_table": (lambda: is_full(SWAP), VdkError, "expected a Bisection, got TableElement"),
+    "to_table_table": (lambda: to_table(SWAP), VdkError, "expected a Bisection, got TableElement"),
+    "from_table_bisection": (
+        lambda: from_table(from_table(SWAP)), VdkError, "expected a TableElement, got Bisection"),
+    "format_bisection_table": (
+        lambda: format_bisection(SWAP), VdkError, "expected a Bisection, got TableElement"),
+    "bisection_to_json_table": (
+        lambda: bisection_to_json(SWAP), VdkError, "expected a Bisection, got TableElement"),
+    "germ_maps_str": (lambda: germ_maps("c"), VdkError, "expected a DoubleCylinder, got str"),
+    "mv_to_json_table": (lambda: mv_to_json(SWAP), VdkError, "expected a BoxTable, got TableElement"),
+    "format_clopen_point": (lambda: format_clopen(X1), VdkError, "expected a Clopen, got Point"),
+    "format_point_clopen": (lambda: format_point(C1), VdkError, "expected a Point, got Clopen"),
+    "format_word_point": (lambda: format_word(X1), VdkError, "expected a Word, got Point"),
+    "fixture_list": (lambda: fixture([]), VdkError, "expected a str, got list"),
 }
 
 
