@@ -5,7 +5,8 @@ infinite stream of tail letters from {1..d}.  Finite words (root plus
 finitely many tails, vdk.words) name cylinder sets; a Clopen is a finite
 disjoint union of cylinders kept as a canonical antichain of prefixes on
 the packed prefix-code kernel (vdk.prefixcode); a Point is an eventually
-periodic infinite word stored exactly as preperiod plus primitive period.
+periodic infinite word stored exactly as preperiod plus primitive period,
+both packed into ints, so a point is looked up and acted on with no Word.
 
 Text formats:
   word    ``r:t1t2...``        see vdk.words
@@ -20,19 +21,21 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import MismatchedAlphabet, VdkError
-from .prefixcode import PackedCode, cell_index, format_letters, format_packed, gaps, normal_words
-from .prefixcode import pack_word, parse_letters, parse_packed, unpack_word, walk
-from .words import Alphabet, Word, check_class, check_int, format_word, parse_word  # noqa: F401
-from .words import split  # noqa: F401
+from .prefixcode import PackedCode, cell_index, format_packed, format_run, gaps, normal_words
+from .prefixcode import pack_letters, pack_word, parse_letters, parse_packed, tail_letters
+from .prefixcode import unpack_word, walk, widths
+from .words import Alphabet, Word, check_class, check_int, check_iterable  # noqa: F401
+from .words import format_word, parse_word, split  # noqa: F401
 
 
 def check_same_alphabet(*objs) -> Alphabet:
-    alphabets = {o.alphabet for o in objs}
-    if len(alphabets) != 1:
-        raise MismatchedAlphabet(
-            "mixed alphabets: " + ", ".join(sorted(repr(a) for a in alphabets))
-        )
-    return next(iter(alphabets))
+    a = objs[0].alphabet
+    for o in objs:
+        if o.alphabet is not a and o.alphabet != a:
+            raise MismatchedAlphabet(
+                "mixed alphabets: " + ", ".join(sorted({repr(o.alphabet) for o in objs}))
+            )
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +123,7 @@ def clopen_normalize(alphabet: Alphabet, words) -> Clopen:
     """
     check_class(Alphabet, alphabet)
     packed = []
-    for w in words:
+    for w in check_iterable("clopen words", words):
         check_class(Word, w)
         if w.alphabet != alphabet:
             raise MismatchedAlphabet(
@@ -140,42 +143,99 @@ class Point:
 
     Stored canonically: the period is primitive and the preperiod is the
     shortest possible (trailing preperiod letters equal to the matching
-    period letter are rotated into the period).  Build through
-    point_normalize so equality and hashing are exact point equality.
+    period letter are rotated into the period).  Both are packed ints:
+    `pre` is the preperiod word in the layout of vdk.prefixcode, and
+    `per` is a sentinel bit followed by the period's letters, b bits
+    each.  `preperiod` and `period` unpack them on every access.  Build
+    through point_normalize or parse_point, so equality and hashing are
+    exact point equality.
     """
 
     alphabet: Alphabet
-    preperiod: Word
-    period: tuple[int, ...]
+    pre: int
+    per: int
+
+    @property
+    def preperiod(self) -> Word:
+        return unpack_word(self.alphabet, self.pre)
+
+    @property
+    def period(self) -> tuple[int, ...]:
+        b = (self.alphabet.d - 1).bit_length()
+        return tail_letters(self.per, b, (self.per.bit_length() - 1) // b)
+
+    def packed_prefix(self, n: int) -> int:
+        """The packed prefix word of this point carrying exactly n tail letters.
+
+        Either pre shifted right, or pre followed by the period repeated:
+        q whole periods are one multiply by the rep-unit of q periods.
+        """
+        a = self.alphabet
+        rb, b = widths(a.d, a.k)
+        m = (self.pre.bit_length() - 1 - rb) // b
+        if n <= m:
+            return self.pre >> b * (m - n)
+        bl = self.per.bit_length() - 1
+        body = self.per ^ (1 << bl)
+        # whole periods, and the bits of the part period after them
+        q, r = divmod(b * (n - m), bl)
+        return (self.pre << bl * q | _repeat(body, bl, q)) << r | body >> (bl - r)
 
     def letters(self, n: int) -> tuple[int, ...]:
         """First n letters of the infinite word (root included)."""
-        pre = self.preperiod.letters
-        # periods needed past the preperiod, rounded up; none when <= 0
-        reps = -(-(n - len(pre)) // len(self.period))
-        return (pre + self.period * reps)[:n]
+        return self.prefix(n - 1).letters if n > 0 else ()
 
     def tail_stream(self, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Tail letters from position p on, as (finite part, period).
 
         Position 0 is the first tail letter; the root never appears.
         """
-        pre = self.preperiod.tail
+        rb, b = widths(self.alphabet.d, self.alphabet.k)
+        m = (self.pre.bit_length() - 1 - rb) // b
         per = self.period
-        if p <= len(pre):
-            return pre[p:], per
-        off = (p - len(pre)) % len(per)
-        return (), per[off:] + per[:off]
+        off = max(p - m, 0) % len(per)
+        return tail_letters(self.pre, b, max(m - p, 0)), per[off:] + per[:off]
 
     def prefix(self, p: int) -> Word:
         """The prefix word of this point carrying exactly p tail letters."""
-        return Word(self.alphabet, self.preperiod.root, self.letters(p + 1)[1:])
+        return unpack_word(self.alphabet, self.packed_prefix(p))
 
     def __str__(self):
         return format_point(self)
 
     def __repr__(self):
         return "Point(%r)" % format_point(self)
+
+
+def _repeat(body: int, bl: int, q: int) -> int:
+    """q copies of the bl-bit run body, one after another."""
+    return body * (((1 << bl * q) - 1) // ((1 << bl) - 1))
+
+
+def _rotate(per: int, s: int) -> int:
+    """The packed period per with its letters rotated left by s bits."""
+    bl = per.bit_length() - 1
+    s %= bl
+    body = per ^ (1 << bl)
+    return 1 << bl | body << s & (1 << bl) - 1 | body >> (bl - s)
+
+
+def packed_point(a: Alphabet, pre: int, per: int) -> Point:
+    """Canonical Point of the packed word pre, then the primitive packed
+    period per repeated: the trailing tail letters of pre that repeat
+    the period, read backwards, are rotated into it."""
+    rb, b = widths(a.d, a.k)
+    n = (pre.bit_length() - 1 - rb) // b
+    if not n or (pre ^ per) & (1 << b) - 1:
+        return Point(a, pre, per)
+    bl = per.bit_length() - 1
+    # n or more letters of the period, ending with its last letter
+    run = _repeat(per ^ (1 << bl), bl, -(-b * n // bl))
+    z = (pre ^ run) & (1 << b * n) - 1
+    # the bits of the common tail: whole letters below the lowest differing bit
+    c = (z & -z).bit_length() - 1 if z else b * n
+    c -= c % b
+    return Point(a, pre >> c, _rotate(per, -c))
 
 
 def _primitive(period: tuple[int, ...]) -> tuple[int, ...]:
@@ -186,30 +246,38 @@ def _primitive(period: tuple[int, ...]) -> tuple[int, ...]:
     return period
 
 
-def point_normalize(preperiod: Word, period) -> Point:
-    """Canonical Point for the infinite word preperiod . period^inf."""
-    check_class(Word, preperiod)
-    a = preperiod.alphabet
-    per = tuple(period)
-    if not per:
-        raise VdkError("period must be nonempty")
-    for t in per:
+def _packed_period(a: Alphabet, letters: tuple) -> int:
+    """The checked primitive period of the letters, packed."""
+    for t in letters:
         if type(t) is not int or not 1 <= t <= a.d:
             check_int("period letter", t)
             raise VdkError("period letter %d outside 1..%d" % (t, a.d))
-    per = _primitive(per)
-    tail = preperiod.tail
-    while tail and tail[-1] == per[-1]:
-        tail = tail[:-1]
-        per = per[-1:] + per[:-1]
-    # Words are immutable, so an untrimmed preperiod is kept as it is
-    return Point(a, preperiod if tail is preperiod.tail else Word(a, preperiod.root, tail), per)
+    return pack_letters(1, (a.d - 1).bit_length(), _primitive(letters))
 
 
-def replace_prefix(x: Point, t: int, nu: Word) -> Point:
-    """The point nu . sigma^t(x): the word nu, then the tail letters of x from position t on."""
-    fin, per = x.tail_stream(t)
-    return point_normalize(Word(x.alphabet, nu.root, nu.tail + fin), per)
+def point_normalize(preperiod: Word, period) -> Point:
+    """Canonical Point for the infinite word preperiod . period^inf."""
+    check_class(Word, preperiod)
+    per = tuple(check_iterable("period", period))
+    if not per:
+        raise VdkError("period must be nonempty")
+    a = preperiod.alphabet
+    return packed_point(a, pack_word(preperiod), _packed_period(a, per))
+
+
+def replace_prefix(x: Point, t: int, nu: int) -> Point:
+    """The point nu . sigma^t(x): the packed word nu, then the tail letters of x from position t on.
+
+    Every rotation of a primitive period is primitive, so the period is
+    not checked again.
+    """
+    a = x.alphabet
+    rb, b = widths(a.d, a.k)
+    s = x.pre.bit_length() - 1 - rb - b * t
+    if s > 0:
+        # x's last preperiod letter, which differs from the period's last, stays last
+        return Point(a, nu << s | x.pre & (1 << s) - 1, x.per)
+    return packed_point(a, nu, _rotate(x.per, -s))
 
 
 def member(x: Point, s: Clopen) -> bool:
@@ -255,11 +323,10 @@ def parse_clopen(alphabet: Alphabet, text: str) -> Clopen:
 
 def format_point(x: Point) -> str:
     check_class(Point, x)
-    if x.alphabet.k == 1 and not x.preperiod.tail:
-        u = ""
-    else:
-        u = format_word(x.preperiod)
-    return "%s(%s)^inf" % (u, format_letters(x.alphabet, x.period))
+    a = x.alphabet
+    # for k = 1 the bare root, packed as the sentinel bit alone, is left out
+    u = "" if a.k == 1 and x.pre == 1 else format_packed(a, x.pre)
+    return "%s(%s)^inf" % (u, format_run(a, x.per))
 
 
 def parse_point(alphabet: Alphabet, text: str) -> Point:
@@ -273,11 +340,8 @@ def parse_point(alphabet: Alphabet, text: str) -> Point:
         raise VdkError("point must look like u(v)^inf, got %r" % text)
     upart, _, vpart = body[:-1].rpartition("(")
     upart = upart.strip()
-    if not upart and alphabet.k == 1:
-        pre = Word(alphabet, 1)
-    else:
-        pre = parse_word(alphabet, upart)
+    pre = 1 if not upart and alphabet.k == 1 else parse_packed(alphabet, upart)
     period = parse_letters(alphabet, vpart)
     if not period:
         raise VdkError("point %r has an empty period" % text)
-    return point_normalize(pre, period)
+    return packed_point(alphabet, pre, _packed_period(alphabet, tuple(period)))

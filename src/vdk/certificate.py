@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cantor import Alphabet, Clopen, Word, check_int, parse_clopen
+from .cantor import Alphabet, Clopen, Word, check_int, check_iterable, parse_clopen
 from .errors import (
     CertificateInvalid,
     DisjointnessViolation,
@@ -72,7 +72,7 @@ class SymmetricSet:
 
 def symmetric_set(elements) -> SymmetricSet:
     """SymmetricSet of the given elements; NotSymmetric if not inverse-closed or with identity."""
-    return SymmetricSet(tuple(elements))
+    return SymmetricSet(tuple(check_iterable("symmetric set elements", elements)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -37,12 +37,13 @@ from .cantor import (
 from .errors import (
     ArityMismatch,
     IncompleteBoxes,
+    MismatchedAlphabet,
     NotFull,
     OverlappingBoxes,
     VdkError,
 )
-from .prefixcode import PackedCode, canonical, check_code, format_packed, normal_words, pack_word
-from .prefixcode import parse_packed, sort_pairs, tail_lengths, unpack_word
+from .prefixcode import PackedCode, canonical, check_code, format_packed, normal_words, pack_letters
+from .prefixcode import pack_word, parse_packed, sort_pairs, tail_lengths, unpack_word
 from .tables import TableElement, check_class, code_act, code_inverse, code_product
 
 
@@ -125,6 +126,8 @@ def make_bisection(cells, alphabet: Alphabet | None = None) -> Bisection:
             raise VdkError("empty bisection needs an explicit alphabet")
         return Bisection(alphabet, ())
     a = check_same_alphabet(*[w for p in pairs for w in p])
+    if alphabet is not None and a != alphabet:
+        raise MismatchedAlphabet("cells are over %r, not %r" % (a, alphabet))
     packed = [(pack_word(mu), pack_word(nu)) for mu, nu in pairs]
     return Bisection(a, canonical(a, packed, complete=False))
 
@@ -395,12 +398,11 @@ def mv_act(g: BoxTable, xs) -> tuple[Point, ...]:
     for x in xs:
         if x.alphabet != _COORD_ALPHABET:
             raise ArityMismatch("mv points live over d=2, k=1 coordinates")
+    # a coordinate word over d = 2, k = 1 packs as a sentinel bit and one bit a letter
     for A, B in g.pairs:
-        if all(
-            x.letters(len(w) + 1)[1:] == w for x, w in zip(xs, A)
-        ):
+        if all(x.packed_prefix(len(w)) == pack_letters(1, 1, w) for x, w in zip(xs, A)):
             return tuple(
-                [replace_prefix(x, len(w), Word(x.alphabet, 1, v)) for x, w, v in zip(xs, A, B)]
+                [replace_prefix(x, len(w), pack_letters(1, 1, v)) for x, w, v in zip(xs, A, B)]
             )
     raise VdkError("no domain box matches the point tuple")  # unreachable when complete
 

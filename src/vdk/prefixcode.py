@@ -41,6 +41,8 @@ to merge.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .errors import IncompleteDomain, IncompleteRange, OverlappingDomain
 from .errors import OverlappingRange, VdkError
 from .words import Alphabet, Word
@@ -76,28 +78,36 @@ class PackedCode:
         return "%s(%r)" % (type(self).__name__, str(self))
 
 
-def _widths(d: int, k: int) -> tuple[int, int]:
+def widths(d: int, k: int) -> tuple[int, int]:
     """Bits of the root letter and of each tail letter."""
     return (k - 1).bit_length(), (d - 1).bit_length()
 
 
-def pack_word(w: Word) -> int:
-    rb, b = _widths(w.alphabet.d, w.alphabet.k)
-    code = (1 << rb) | (w.root - 1)
-    for t in w.tail:
-        code = (code << b) | (t - 1)
-    return code
+def pack_letters(w: int, b: int, letters) -> int:
+    """The packed word w followed by the tail letters, b bits each."""
+    for t in letters:
+        w = w << b | t - 1
+    return w
 
 
-def unpack_word(alphabet: Alphabet, packed: int) -> Word:
-    rb, b = _widths(alphabet.d, alphabet.k)
-    n = (packed.bit_length() - 1 - rb) // b
+def tail_letters(w: int, b: int, n: int) -> tuple[int, ...]:
+    """The last n tail letters of the packed word w, b bits each."""
     low = (1 << b) - 1
     # built from a list, here and in the other code on packed words:
     # tuple() of a generator guesses a size and resizes, which leaves
     # CPython's per-size tuple free lists growing until a full collection
-    tail = tuple([(packed >> s & low) + 1 for s in range(b * (n - 1), -1, -b)])
-    return Word(alphabet, (packed >> b * n) - (1 << rb) + 1, tail)
+    return tuple([(w >> s & low) + 1 for s in range(b * (n - 1), -1, -b)])
+
+
+def pack_word(w: Word) -> int:
+    rb, b = widths(w.alphabet.d, w.alphabet.k)
+    return pack_letters((1 << rb) | (w.root - 1), b, w.tail)
+
+
+def unpack_word(alphabet: Alphabet, packed: int) -> Word:
+    rb, b = widths(alphabet.d, alphabet.k)
+    n = (packed.bit_length() - 1 - rb) // b
+    return Word(alphabet, (packed >> b * n) - (1 << rb) + 1, tail_letters(packed, b, n))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +141,7 @@ def _tail_text(d: int, b: int, n: int, v: int) -> str:
 
 def format_packed(alphabet: Alphabet, w: int) -> str:
     """Text of the packed word w."""
-    rb, b = _widths(alphabet.d, alphabet.k)
+    rb, b = widths(alphabet.d, alphabet.k)
     n = (w.bit_length() - 1 - rb) // b
     tail = _tail_text(alphabet.d, b, n, w & ((1 << b * n) - 1))
     if alphabet.k == 1:
@@ -140,12 +150,15 @@ def format_packed(alphabet: Alphabet, w: int) -> str:
 
 
 def format_letters(alphabet: Alphabet, letters) -> str:
-    """Text of a run of tail letters, such as a point's period."""
+    """Text of a run of tail letters."""
+    return format_run(alphabet, pack_letters(1, (alphabet.d - 1).bit_length(), letters))
+
+
+def format_run(alphabet: Alphabet, v: int) -> str:
+    """Text of the tail letters packed after the sentinel bit of v, such as a point's period."""
     b = (alphabet.d - 1).bit_length()
-    v = 0
-    for t in letters:
-        v = v << b | t - 1
-    return _tail_text(alphabet.d, b, len(letters), v)
+    n = (v.bit_length() - 1) // b
+    return _tail_text(alphabet.d, b, n, v ^ (1 << b * n))
 
 
 def parse_letters(alphabet: Alphabet, text: str) -> list:
@@ -190,7 +203,7 @@ def parse_packed(alphabet: Alphabet, text: str) -> int:
     letters = None if plain and not rest.strip(plain[0]) else parse_letters(alphabet, rest)
     if not 1 <= root <= k:
         raise VdkError("root letter %d outside 1..%d" % (root, k))
-    rb, b = _widths(d, k)
+    rb, b = widths(d, k)
     if letters is None:
         n, v = len(rest), int(rest.translate(plain[1]) or "0", 1 << b)
     else:
@@ -204,7 +217,7 @@ def parse_packed(alphabet: Alphabet, text: str) -> int:
 
 def tail_lengths(pairs, d: int, k: int) -> list:
     """(domain, range) tail-letter counts of every cell."""
-    rb, b = _widths(d, k)
+    rb, b = widths(d, k)
     return [((w.bit_length() - 1 - rb) // b, (r.bit_length() - 1 - rb) // b) for w, r in pairs]
 
 
@@ -232,7 +245,7 @@ def range_order(pairs) -> list:
 def leaves(words, d: int, k: int) -> tuple[int, int, int]:
     """(covered, total, depth): the words cover `covered` of the `total`
     words of length `depth`, the longest length among them."""
-    rb, b = _widths(d, k)
+    rb, b = widths(d, k)
     tails = [(w.bit_length() - 1 - rb) // b for w in words]
     e = max(tails, default=0)
     return sum(d ** (e - t) for t in tails), k * d**e, e + 1
@@ -264,7 +277,7 @@ def check_code(alphabet: Alphabet, words: list, side: str, complete: bool = Fals
 
 def identity_pairs(d: int, k: int) -> tuple:
     """Canonical packed identity: the k roots, or for k = 1 the d one-letter tails."""
-    rb, b = _widths(d, k)
+    rb, b = widths(d, k)
     if k == 1:
         return tuple([((1 << b) | i, (1 << b) | i) for i in range(d)])
     return tuple([((1 << rb) | r, (1 << rb) | r) for r in range(k)])
@@ -280,7 +293,7 @@ def _merge_siblings(pairs, d: int, k: int, minlen: int) -> list:
     family left would have been seen when its last cell went on top.
     Only families whose words have at least minlen letters merge.
     """
-    rb, b = _widths(d, k)
+    rb, b = widths(d, k)
     # the least packed word with minlen letters
     least = 1 << (rb + b * (minlen - 1))
     low = (1 << b) - 1
@@ -365,7 +378,7 @@ def gaps(words, d: int, k: int) -> tuple:
     one that is a proper prefix of it splits into its d children, and
     any other one lies in a gap between the words and is kept.
     """
-    rb, b = _widths(d, k)
+    rb, b = widths(d, k)
     out = []
     it = iter(words)
     nxt = next(it, 0)
@@ -386,7 +399,7 @@ def gaps(words, d: int, k: int) -> tuple:
 def split_last(words, n: int, d: int, k: int) -> list:
     """The words with the last one split into its d children, again and
     again, until there are n; n - len(words) must be a multiple of d - 1."""
-    _, b = _widths(d, k)
+    _, b = widths(d, k)
     out = list(words)
     while len(out) < n:
         c = out.pop() << b
@@ -449,15 +462,26 @@ def walk(left, right, order) -> list:
     return [c for run in runs for c in run]
 
 
-def cell_index(words, x) -> int | None:
-    """Index of the word that is a prefix of the point x, or None."""
-    top = max(map(int.bit_length, words), default=0)
-    if not top:
+def cell_index(code, x) -> int | None:
+    """Index of the cell of code whose word is a prefix of the point x, or None.
+
+    code is a clopen's sorted words or a table's or bisection's
+    domain-sorted pairs, read in place.  Shifted left to the longest
+    word's bit length top, a sorted antichain increases strictly, and the
+    one candidate is the last word at or below x's prefix of top bits.
+    """
+    if not code:
         return None
+    pairs = type(code[0]) is tuple
+    # bit length grows with value, so the largest word is a longest one
+    top = (max(code)[0] if pairs else max(code)).bit_length()
     a = x.alphabet
-    rb, b = _widths(a.d, a.k)
-    p = pack_word(x.prefix((top - 1 - rb) // b))
-    for i, w in enumerate(words):
-        if p >> (top - w.bit_length()) == w:
-            return i
-    return None
+    rb, b = widths(a.d, a.k)
+    p = x.packed_prefix((top - 1 - rb) // b)
+    if pairs:
+        i = bisect_right(code, p, key=lambda c: c[0] << (top - c[0].bit_length())) - 1
+        w = code[i][0]
+    else:
+        i = bisect_right(code, p, key=lambda w: w << (top - w.bit_length())) - 1
+        w = code[i]
+    return i if i >= 0 and p >> (top - w.bit_length()) == w else None

@@ -114,7 +114,7 @@ def code_cell(cls: type, u: PackedCode, x: Point, missing: str = _NO_CELL) -> tu
     check_class(cls, u)
     check_class(Point, x)
     a = check_same_alphabet(u, x)
-    i = cell_index([w for w, _ in u.packed], x)
+    i = cell_index(u.packed, x)
     if i is None:
         raise VdkError(missing % x)
     ((t, s),) = tail_lengths([u.packed[i]], a.d, a.k)
@@ -122,10 +122,10 @@ def code_cell(cls: type, u: PackedCode, x: Point, missing: str = _NO_CELL) -> tu
 
 
 def code_act(cls: type, u: PackedCode, x: Point, missing: str = _NO_CELL) -> Point:
-    """The image nu.y of x = mu.y under its cell mu -> nu of u (code_cell);
-    only nu is unpacked."""
+    """The image nu.y of x = mu.y under its cell mu -> nu of u (code_cell),
+    all on packed words."""
     r, t, _ = code_cell(cls, u, x, missing)
-    return replace_prefix(x, t, unpack_word(u.alphabet, r))
+    return replace_prefix(x, t, r)
 
 
 def compose(g: TableElement, h: TableElement) -> TableElement:

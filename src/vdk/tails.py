@@ -10,13 +10,13 @@ the preperiod lengths and the rotation offset.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .cantor import Point, Word, check_class, check_int, check_same_alphabet, point_normalize
+from .cantor import Point, check_class, check_int, check_same_alphabet, replace_prefix
 from .cantor import streams_equal
 from .errors import NotRelated, VdkError
 from .groupoid import DoubleCylinder
+from .prefixcode import widths
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,20 +57,26 @@ def related(x: Point, y: Point) -> TailWitness | None:
     the two preperiods.
     """
     check_class(Point, x, y)
-    check_same_alphabet(x, y)
-    vx, vy = x.period, y.period
-    if len(vx) != len(vy):
+    a = check_same_alphabet(x, y)
+    bl = x.per.bit_length() - 1
+    if y.per.bit_length() - 1 != bl:
         return None
-    r = next((i for i in range(len(vx)) if vx[i:] + vx[:i] == vy), None)
+    rb, b = widths(a.d, a.k)
+    # v_x rotated left by r letters is a window of v_x v_x; r counts bits here
+    vx, vy, full = x.per ^ (1 << bl), y.per ^ (1 << bl), (1 << bl) - 1
+    twice = vx << bl | vx
+    r = next((r for r in range(0, bl, b) if twice >> (bl - r) & full == vy), None)
     if r is None:
         return None
-    px, py = x.preperiod.tail, y.preperiod.tail
+    mx = (x.pre.bit_length() - 1 - rb) // b
+    my = (y.pre.bit_length() - 1 - rb) // b
     if r:
-        return TailWitness(len(px), len(py) + len(vx) - r)
-    c = 0
-    while c < min(len(px), len(py)) and px[-1 - c] == py[-1 - c]:
-        c += 1
-    return TailWitness(len(px) - c, len(py) - c)
+        return TailWitness(mx, my + (bl - r) // b)
+    # the common suffix of the preperiods ends below their lowest differing bit
+    n = min(mx, my)
+    z = (x.pre ^ y.pre) & (1 << b * n) - 1
+    c = ((z & -z).bit_length() - 1) // b if z else n
+    return TailWitness(mx - c, my - c)
 
 
 def witness_cell(x: Point, y: Point, w: TailWitness | None = None) -> DoubleCylinder:
@@ -129,11 +135,15 @@ def orbit_fragment(x: Point, level: int) -> frozenset[Point]:
             "orbit fragment level %d builds more than %d points; the largest level "
             "allowed over d=%d, k=%d is %d" % (level, ORBIT_CANDIDATES_MAX, a.d, a.k, largest)
         )
+    rb, b = widths(a.d, a.k)
+    # tails[n]: every run of n tail letters, packed
+    tails = [[0]]
+    for _ in range(level):
+        tails.append([t << b | c for t in tails[-1] for c in range(a.d)])
     out = set()
     for p in range(level + 1):
-        fin, per = x.tail_stream(p)
         for n in range(level + 1) if p == level else (level,):
-            for root in range(1, a.k + 1):
-                for tail in itertools.product(range(1, a.d + 1), repeat=n):
-                    out.add(point_normalize(Word(a, root, tail + fin), per))
+            for root in range(a.k):
+                head = (1 << rb | root) << b * n
+                out.update([replace_prefix(x, p, head | t) for t in tails[n]])
     return frozenset(out)

@@ -28,6 +28,14 @@ def check_class(cls: type, *objs) -> None:
             raise VdkError("expected %s %s, got %s" % (article, cls.__name__, type(o).__name__))
 
 
+def check_iterable(name: str, values):
+    """An iterator over values; a one-line VdkError if they cannot be iterated."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise VdkError("%s must be iterable, got %s" % (name, type(values).__name__)) from None
+
+
 @dataclass(frozen=True, slots=True)
 class Alphabet:
     """The sizes (d, k) of X_{d,k}: d tail letters and k root letters."""

@@ -20,11 +20,14 @@ from vdk import (
     Alphabet,
     Clopen,
     Word,
+    act_point,
+    bisection_act,
     clopen_normalize,
     empty_clopen,
     format_clopen,
     format_point,
     format_word,
+    from_table,
     member,
     mu,
     parse_clopen,
@@ -32,12 +35,15 @@ from vdk import (
     parse_table,
     parse_word,
     point_normalize,
+    rn_exponent,
     split,
+    transporter,
     whole_space,
 )
 from vdk.errors import VdkError
 from vdk.groupoid import parse_bisection
-from vdk.prefixcode import format_letters, format_packed, parse_letters, parse_packed
+from vdk.prefixcode import cell_index, format_letters, format_packed, parse_letters, parse_packed
+from vdk.prefixcode import unpack_word
 from vdk.sampling import random_clopen, random_point, random_table, random_word
 
 A21 = Alphabet(2, 1)
@@ -499,6 +505,89 @@ def test_clopen_algebra_on_long_words():
                     assert member(x, inter) == (in_s and in_t)
                     assert member(x, comp) == (not in_s)
                     assert member(x, xor) == (in_s != in_t)
+
+
+# ---------------------------------------------------------------------------
+# packed points: the prefix routine and the bisected cell lookup
+
+PACKED_ALPHABETS = [Alphabet(d, k) for d in (2, 3, 4, 5, 11) for k in (1, 2, 3)]
+
+
+def packed_oracle(a, letters) -> int:
+    """Oracle: the packed word of root-first letters, spelled in binary text."""
+    rb, b = (a.k - 1).bit_length(), (a.d - 1).bit_length()
+    bits = "1" + (format(letters[0] - 1, "0%db" % rb) if rb else "")
+    return int(bits + "".join([format(t - 1, "0%db" % b) for t in letters[1:]]), 2)
+
+
+def raw_point(rng, a):
+    """A point with a preperiod of 0-300 tail letters and a period of 1-40,
+    and the first 800 letters of its stream, unrolled from the raw letters."""
+    root = rng.randrange(1, a.k + 1)
+    tail = [rng.randrange(1, a.d + 1) for _ in range(rng.randrange(rng.choice((1, 4, 40, 301))))]
+    per = [rng.randrange(1, a.d + 1) for _ in range(rng.randrange(1, 41))]
+    if rng.random() < 0.3:
+        # a preperiod ending in period letters, to be rotated into the period
+        tail += per[rng.randrange(len(per)):] + per * rng.randrange(3)
+    stream = [root] + tail
+    while len(stream) < 800:
+        stream += per
+    return point_normalize(Word(a, root, tuple(tail)), per), tuple(stream[:800])
+
+
+def test_packed_prefix_matches_letter_scan():
+    rng = Random(121)
+    for a in PACKED_ALPHABETS:
+        for _ in range(12):
+            x, stream = raw_point(rng, a)
+            for n in {0, 1, 2, rng.randrange(60), rng.randrange(500), rng.randrange(500)}:
+                assert x.packed_prefix(n) == packed_oracle(a, stream[: n + 1])
+                assert x.letters(n + 1) == stream[: n + 1]
+                assert x.prefix(n).letters == stream[: n + 1]
+
+
+def test_cell_index_matches_letter_scan():
+    rng = Random(122)
+    for a in PACKED_ALPHABETS:
+        for _ in range(12):
+            x, stream = raw_point(rng, a)
+            # words along the stream of x, half of them with the last letter
+            # redrawn, and random short words
+            words = []
+            for _ in range(rng.randrange(1, 12)):
+                w = list(stream[: rng.randrange(2, 500)])
+                if rng.random() < 0.5:
+                    w[-1] = rng.randrange(1, a.d + 1)
+                words.append(Word(a, w[0], tuple(w[1:])))
+            words += [random_word(rng, a, 6) for _ in range(rng.randrange(6))]
+            s = clopen_normalize(a, words)
+            scan = [i for i, w in enumerate(s.words) if stream[: len(w)] == w.letters]
+            assert cell_index(s.packed, x) == (scan[0] if scan else None)
+            assert cell_index([(w, w) for w in s.packed], x) == (scan[0] if scan else None)
+            assert member(x, s) == bool(scan)
+            # a table whose cells lie along x: a deep prefix of x and its gaps
+            mu = Word(a, stream[0], stream[1 : rng.randrange(2, 120)])
+            g = transporter(mu, Word(a, 1, (rng.randrange(1, a.d + 1),)))
+            domains = [unpack_word(a, w).letters for w, _ in g.packed]
+            (i,) = [i for i, w in enumerate(domains) if stream[: len(w)] == w]
+            assert cell_index(g.packed, x) == i
+            mu, nu = unpack_word(a, g.packed[i][0]), unpack_word(a, g.packed[i][1])
+            assert rn_exponent(g, x) == len(mu) - len(nu)
+            image = nu.letters + stream[len(mu) :]
+            assert act_point(g, x).letters(len(image)) == image
+
+
+def test_acted_points_are_canonical():
+    rng = Random(123)
+    for a in PACKED_ALPHABETS:
+        for _ in range(10):
+            x, _ = raw_point(rng, a)
+            g = random_table(rng, a, rng.randrange(1, 20))
+            u = from_table(random_table(rng, a, rng.randrange(1, 20)))
+            for y in (x, act_point(g, x), bisection_act(u, x)):
+                z = parse_point(a, format_point(y))
+                assert z == y and hash(z) == hash(y)
+                assert point_normalize(y.preperiod, y.period) == y
 
 
 def test_point_rejects_empty_period():

@@ -99,6 +99,24 @@ def test_make_bisection_overlap_rejected():
         make_bisection([cell(A21, "1", "1"), cell(A21, "2", "11")])
 
 
+def test_make_bisection_refuses_other_alphabet():
+    # an explicit alphabet that differs from the cells' used to be ignored
+    assert make_bisection([cell(A21, "1", "1")], A21) == make_bisection([cell(A21, "1", "1")])
+    with pytest.raises(MismatchedAlphabet, match=r"^cells are over Alphabet\(d=2, k=1\), "
+                       r"not Alphabet\(d=3, k=1\)$"):
+        make_bisection([cell(A21, "1", "1")], Alphabet(3, 1))
+    rng = Random(409)
+    for i in range(100):
+        a = ALPHABETS[i % len(ALPHABETS)]
+        other = ALPHABETS[(i + 1 + rng.randrange(len(ALPHABETS) - 1)) % len(ALPHABETS)]
+        cells = random_bisection(rng, a).cells
+        if not cells:
+            continue
+        with pytest.raises(MismatchedAlphabet) as exc:
+            make_bisection(cells, other)
+        assert str(exc.value) == "cells are over %r, not %r" % (a, other)
+
+
 def test_partial_bisection_allowed():
     u = make_bisection([cell(A21, "2", "1")])
     assert not is_full(u)

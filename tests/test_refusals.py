@@ -42,8 +42,10 @@ from vdk import (
     parse_table,
     parse_word,
     pingpong_verify,
+    point_normalize,
     quadratic,
     sqrt_int,
+    symmetric_set,
     to_table,
     whole_space,
     witness_cell,
@@ -166,6 +168,13 @@ _CASES = {
         lambda: empty_clopen("a"), VdkError, "expected an Alphabet, got str"),
     "whole_space_str_alphabet": (
         lambda: whole_space("a"), VdkError, "expected an Alphabet, got str"),
+    # a non-iterable collection used to end in TypeError
+    "point_normalize_int_period": (
+        lambda: point_normalize(Word(A21, 1), 5), VdkError, "period must be iterable, got int"),
+    "symmetric_set_int": (
+        lambda: symmetric_set(5), VdkError, "symmetric set elements must be iterable, got int"),
+    "clopen_normalize_int_words": (
+        lambda: clopen_normalize(A21, 5), VdkError, "clopen words must be iterable, got int"),
     "clopen_normalize_tuple_alphabet": (
         lambda: clopen_normalize((2, 1), []), VdkError, "expected an Alphabet, got tuple"),
     "parse_word_str_alphabet": (
