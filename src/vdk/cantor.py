@@ -16,9 +16,7 @@ Text formats:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import MismatchedAlphabet, VdkError
 from .prefixcode import PackedCode, cell_index, format_packed, format_run, gaps, normal_words
@@ -170,6 +168,8 @@ class Point:
         Either pre shifted right, or pre followed by the period repeated:
         q whole periods are one multiply by the rep-unit of q periods.
         """
+        if type(n) is not int or n < 0:
+            _check_count("prefix length", n)
         a = self.alphabet
         rb, b = widths(a.d, a.k)
         m = (self.pre.bit_length() - 1 - rb) // b
@@ -183,18 +183,20 @@ class Point:
 
     def letters(self, n: int) -> tuple[int, ...]:
         """First n letters of the infinite word (root included)."""
+        check_int("letter count", n)
         return self.prefix(n - 1).letters if n > 0 else ()
 
     def tail_stream(self, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Tail letters from position p on, as (finite part, period).
 
-        Position 0 is the first tail letter; the root never appears.
+        Position 0 is the first tail letter; the root never appears.  The
+        pair is exact: it is the preperiod tail and the period of the
+        canonical point r . sigma^p(x), r the first root.
         """
+        _check_count("tail position", p)
         rb, b = widths(self.alphabet.d, self.alphabet.k)
-        m = (self.pre.bit_length() - 1 - rb) // b
-        per = self.period
-        off = max(p - m, 0) % len(per)
-        return tail_letters(self.pre, b, max(m - p, 0)), per[off:] + per[:off]
+        z = replace_prefix(self, p, 1 << rb)
+        return tail_letters(z.pre, b, (z.pre.bit_length() - 1 - rb) // b), z.period
 
     def prefix(self, p: int) -> Word:
         """The prefix word of this point carrying exactly p tail letters."""
@@ -220,6 +222,19 @@ def _rotate(per: int, s: int) -> int:
     return 1 << bl | body << s & (1 << bl) - 1 | body >> (bl - s)
 
 
+def _common_tail(u: int, v: int, b: int, n: int) -> int:
+    """Bits of the common suffix of the last n letters of the packed words u and v."""
+    z = (u ^ v) & (1 << b * n) - 1
+    c = (z & -z).bit_length() - 1 if z else b * n
+    return c - c % b
+
+
+def _check_count(name: str, n) -> None:
+    check_int(name, n)
+    if n < 0:
+        raise VdkError("%s must be nonnegative, got %d" % (name, n))
+
+
 def packed_point(a: Alphabet, pre: int, per: int) -> Point:
     """Canonical Point of the packed word pre, then the primitive packed
     period per repeated: the trailing tail letters of pre that repeat
@@ -231,10 +246,7 @@ def packed_point(a: Alphabet, pre: int, per: int) -> Point:
     bl = per.bit_length() - 1
     # n or more letters of the period, ending with its last letter
     run = _repeat(per ^ (1 << bl), bl, -(-b * n // bl))
-    z = (pre ^ run) & (1 << b * n) - 1
-    # the bits of the common tail: whole letters below the lowest differing bit
-    c = (z & -z).bit_length() - 1 if z else b * n
-    c -= c % b
+    c = _common_tail(pre, run, b, n)
     return Point(a, pre >> c, _rotate(per, -c))
 
 
@@ -286,16 +298,6 @@ def member(x: Point, s: Clopen) -> bool:
     check_class(Clopen, s)
     check_same_alphabet(x, s)
     return cell_index(s.packed, x) is not None
-
-
-def streams_equal(fin1, per1, fin2, per2) -> bool:
-    """Exact equality of two eventually periodic letter streams."""
-    n = max(len(fin1), len(fin2)) + (len(per1) * len(per2)) // gcd(
-        len(per1), len(per2)
-    )
-    s1 = itertools.chain(fin1, itertools.cycle(per1))
-    s2 = itertools.chain(fin2, itertools.cycle(per2))
-    return all(a == b for a, b, _ in zip(s1, s2, range(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .cantor import (
     Clopen,
     Point,
     Word,
+    check_iterable,
     check_same_alphabet,
     clopen_normalize,
     format_word,
@@ -380,8 +381,10 @@ def mv_compose(g: BoxTable, h: BoxTable) -> BoxTable:
 
 
 def mv_inverse(g: BoxTable) -> BoxTable:
+    """The swapped cells, sorted.  Two swapped cells merge exactly when
+    the cells do, so the inverse of a reduced table is reduced."""
     check_class(BoxTable, g)
-    return BoxTable(g.m, tuple(_mv_reduce([(b, a) for a, b in g.pairs], g.m)))
+    return BoxTable(g.m, tuple(sorted([(b, a) for a, b in g.pairs])))
 
 
 _COORD_ALPHABET = Alphabet(2, 1)
@@ -391,7 +394,7 @@ _MV_PROBE = point_normalize(Word(_COORD_ALPHABET, 1), (1, 1, 2))
 def mv_act(g: BoxTable, xs) -> tuple[Point, ...]:
     """Apply the unique matching domain box coordinatewise."""
     check_class(BoxTable, g)
-    xs = tuple(xs)
+    xs = tuple(check_iterable("mv points", xs))
     if len(xs) != g.m:
         raise ArityMismatch("expected %d points, got %d" % (g.m, len(xs)))
     check_class(Point, *xs)

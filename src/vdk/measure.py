@@ -132,10 +132,17 @@ class QuadraticValue:
         return "QuadraticValue(%s)" % self
 
 
+def _fraction(v) -> Fraction:
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, OverflowError):
+        raise VdkError("expected a rational number, got %r" % (v,)) from None
+
+
 def quadratic(a, b=0, m: int = 1) -> QuadraticValue:
     """Normalized QuadraticValue: square part of m folded into b."""
     check_int("radicand", m)
-    a, b = Fraction(a), Fraction(b)
+    a, b = _fraction(a), _fraction(b)
     if b == 0:
         return QuadraticValue(a, Fraction(0), 1)
     s, m = _squarefree_split(m)
@@ -153,7 +160,7 @@ def sqrt_int(n: int) -> QuadraticValue:
 def _coerce(v) -> QuadraticValue:
     if isinstance(v, QuadraticValue):
         return v
-    return quadratic(Fraction(v))
+    return quadratic(v)
 
 
 def _sign1(a: Fraction, b: Fraction, m: int) -> int:

@@ -21,11 +21,11 @@ against it and returns that class, so every public operation is one call.
 from __future__ import annotations
 
 from .cantor import Alphabet, Clopen, Point, Word, check_class, check_int, check_same_alphabet
-from .cantor import point_normalize, replace_prefix
+from .cantor import packed_point, replace_prefix
 from .errors import ArityMismatch, TransportImpossible, VdkError
 from .prefixcode import PackedCode, canonical, cell_index, format_packed, gaps, graft
 from .prefixcode import identity_pairs, normal_form, normal_words, pack_word, parse_packed
-from .prefixcode import range_order, split_last, swap, tail_lengths, unpack_word, walk
+from .prefixcode import range_order, split_last, swap, tail_lengths, unpack_word, walk, widths
 
 
 class TableElement(PackedCode):
@@ -181,7 +181,9 @@ def probe_points(g: TableElement, h: TableElement) -> list[Point]:
     a = check_same_alphabet(g, h)
     # the common refinement is the unreduced product of the two domain identities
     cells = walk([(w, w) for w, _ in g.packed], [(w, w) for w, _ in h.packed], range(len(h.packed)))
-    return [point_normalize(unpack_word(a, w), (c,)) for w, _ in cells for c in (1, 2)]
+    b = widths(a.d, a.k)[1]
+    # the periods (1) and (2), packed
+    return [packed_point(a, w, 1 << b | c) for w, _ in cells for c in (0, 1)]
 
 
 def transporter(nu1: Word, nu2: Word) -> TableElement:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cantor import Point, check_class, check_int, check_same_alphabet, replace_prefix
-from .cantor import streams_equal
+from .cantor import Point, _common_tail, _rotate, check_class, check_int, check_same_alphabet
+from .cantor import replace_prefix
 from .errors import NotRelated, VdkError
 from .groupoid import DoubleCylinder
 from .prefixcode import widths
@@ -37,13 +37,14 @@ class TailWitness:
 
 
 def witness_holds(x: Point, y: Point, w: TailWitness) -> bool:
-    """Whether x_{p+i} = y_{q+i} for all i >= 1, exactly."""
+    """Whether x_{p+i} = y_{q+i} for all i >= 1, exactly: canonical points
+    are equal exactly when their infinite words are, so the points
+    r . sigma^p(x) and r . sigma^q(y), r the first root, decide it."""
     check_class(Point, x, y)
-    check_same_alphabet(x, y)
+    a = check_same_alphabet(x, y)
     check_class(TailWitness, w)
-    fx, px = x.tail_stream(w.p)
-    fy, py = y.tail_stream(w.q)
-    return streams_equal(fx, px, fy, py)
+    r = 1 << widths(a.d, a.k)[0]
+    return replace_prefix(x, w.p, r) == replace_prefix(y, w.q, r)
 
 
 def related(x: Point, y: Point) -> TailWitness | None:
@@ -62,20 +63,15 @@ def related(x: Point, y: Point) -> TailWitness | None:
     if y.per.bit_length() - 1 != bl:
         return None
     rb, b = widths(a.d, a.k)
-    # v_x rotated left by r letters is a window of v_x v_x; r counts bits here
-    vx, vy, full = x.per ^ (1 << bl), y.per ^ (1 << bl), (1 << bl) - 1
-    twice = vx << bl | vx
-    r = next((r for r in range(0, bl, b) if twice >> (bl - r) & full == vy), None)
+    # r counts bits here
+    r = next((r for r in range(0, bl, b) if _rotate(x.per, r) == y.per), None)
     if r is None:
         return None
     mx = (x.pre.bit_length() - 1 - rb) // b
     my = (y.pre.bit_length() - 1 - rb) // b
     if r:
         return TailWitness(mx, my + (bl - r) // b)
-    # the common suffix of the preperiods ends below their lowest differing bit
-    n = min(mx, my)
-    z = (x.pre ^ y.pre) & (1 << b * n) - 1
-    c = ((z & -z).bit_length() - 1) // b if z else n
+    c = _common_tail(x.pre, y.pre, b, min(mx, my)) // b
     return TailWitness(mx - c, my - c)
 
 

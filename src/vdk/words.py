@@ -101,6 +101,7 @@ class Word:
 
 def split(w: Word) -> tuple[Word, ...]:
     """The d children of w; their cylinders partition the cylinder of w."""
+    check_class(Word, w)
     return tuple([w.extend(i) for i in range(1, w.alphabet.d + 1)])
 
 

@@ -43,7 +43,9 @@ from vdk import (
     parse_word,
     pingpong_verify,
     point_normalize,
+    quad_compare,
     quadratic,
+    split,
     sqrt_int,
     symmetric_set,
     to_table,
@@ -58,6 +60,8 @@ A22 = Alphabet(2, 2)
 X1 = parse_point(A21, "(1)^inf")
 X2 = parse_point(A21, "(2)^inf")
 X31 = parse_point(Alphabet(3, 1), "(1)^inf")
+X22 = parse_point(A22, "2:12(1)^inf")
+X211 = parse_point(A21, "1(12)^inf")
 C1 = parse_clopen(A21, "{1}")
 SWAP = parse_table(A21, "{1->2,2->1}")
 F, CERT = fixture("free2")
@@ -210,6 +214,26 @@ _CASES = {
     "format_point_clopen": (lambda: format_point(C1), VdkError, "expected a Point, got Clopen"),
     "format_word_point": (lambda: format_word(X1), VdkError, "expected a Word, got Point"),
     "fixture_list": (lambda: fixture([]), VdkError, "expected a str, got list"),
+    "split_str": (lambda: split("x"), VdkError, "expected a Word, got str"),
+    "mv_act_int_points": (
+        lambda: mv_act(swap_on(2), 5), VdkError, "mv points must be iterable, got int"),
+    # point positions count tail letters: a negative one used to read the
+    # root as a tail letter, give a packed word of 0, or raise ValueError,
+    # and a str one raised TypeError
+    "tail_stream_negative": (
+        lambda: X22.tail_stream(-1), VdkError, "tail position must be nonnegative, got -1"),
+    "packed_prefix_negative": (
+        lambda: X211.packed_prefix(-1), VdkError, "prefix length must be nonnegative, got -1"),
+    "prefix_negative": (
+        lambda: X211.prefix(-1), VdkError, "prefix length must be nonnegative, got -1"),
+    "tail_stream_str": (
+        lambda: X22.tail_stream("1"), VdkError, "tail position must be an int, got str"),
+    "packed_prefix_float": (
+        lambda: X211.packed_prefix(1.0), VdkError, "prefix length must be an int, got float"),
+    "prefix_str": (lambda: X211.prefix("1"), VdkError, "prefix length must be an int, got str"),
+    "letters_str": (lambda: X211.letters("1"), VdkError, "letter count must be an int, got str"),
+    "letters_none": (
+        lambda: X211.letters(None), VdkError, "letter count must be an int, got NoneType"),
 }
 
 
@@ -219,3 +243,41 @@ def test_refusal_class_and_one_line_message(case):
     with pytest.raises(error, match="^%s$" % re.escape(message)) as exc:
         call()
     assert "\n" not in str(exc.value)
+
+
+def test_point_positions_at_zero_and_letter_counts_below_it():
+    assert X211.letters(0) == () and X211.letters(-3) == ()
+    assert X22.tail_stream(0) == ((1, 2), (1,))
+    assert X211.prefix(0) == Word(A21, 1)
+
+
+# every call that takes an exact value converts it once; these values
+# used to end in ValueError, TypeError or OverflowError from Fraction
+_NOT_RATIONAL = ["a", None, float("nan"), float("inf"), [1]]
+_EXACT_VALUE_CALLS = {
+    "quadratic_a": lambda v: quadratic(v),
+    "quadratic_b": lambda v: quadratic(1, v, 2),
+    "add": lambda v: sqrt_int(2) + v,
+    "radd": lambda v: v + sqrt_int(2),
+    "sub": lambda v: sqrt_int(2) - v,
+    "rsub": lambda v: v - sqrt_int(2),
+    "mul": lambda v: sqrt_int(2) * v,
+    "lt": lambda v: sqrt_int(2) < v,
+    "le": lambda v: sqrt_int(2) <= v,
+    "gt": lambda v: sqrt_int(2) > v,
+    "ge": lambda v: sqrt_int(2) >= v,
+    "quad_compare_first": lambda v: quad_compare(v, sqrt_int(2)),
+    "quad_compare_second": lambda v: quad_compare(sqrt_int(2), v),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXACT_VALUE_CALLS))
+def test_exact_value_refusals_name_the_value(case):
+    call = _EXACT_VALUE_CALLS[case]
+    for v in _NOT_RATIONAL:
+        message = "expected a rational number, got %r" % (v,)
+        with pytest.raises(VdkError, match="^%s$" % re.escape(message)):
+            call(v)
+    # ints, rational strings and binary floats keep working
+    for v in (3, "1/2", 0.5):
+        call(v)

@@ -40,6 +40,24 @@ def tails_of(x, n):
     return seq[:n]
 
 
+def sliced_stream(x, p):
+    """Oracle of x.tail_stream(p): x's preperiod tail and period, sliced."""
+    pre, per = x.preperiod.tail, x.period
+    if p <= len(pre):
+        return pre[p:], per
+    off = (p - len(pre)) % len(per)
+    return (), per[off:] + per[:off]
+
+
+def streams_equal(fin1, per1, fin2, per2):
+    """Exact equality of two eventually periodic letter streams: past both
+    finite parts, one common period of the two periods decides it."""
+    n = max(len(fin1), len(fin2)) + lcm(len(per1), len(per2))
+    s1 = itertools.chain(fin1, itertools.cycle(per1))
+    s2 = itertools.chain(fin2, itertools.cycle(per2))
+    return all(a == b for a, b, _ in zip(s1, s2, range(n)))
+
+
 def brute_witness(x, y, bound=None):
     """Least (p, q) with x_{p+i} = y_{q+i} for all i, or None."""
     if bound is None:
@@ -156,6 +174,52 @@ def test_equivalence_laws():
         assert wz is not None
         if wxy is not None:
             assert related(y, z) is not None
+
+
+def test_tail_stream_matches_sliced_oracle():
+    """tail_stream(p) at every p up to two periods past the preperiod,
+    over long preperiods and periods, against the sliced oracle."""
+    rng = Random(2001)
+    for d in (2, 3, 5, 11):
+        for k in (1, 2, 3):
+            for _ in range(3):
+                x = random_point(rng, Alphabet(d, k), max_pre=300, max_per=40)
+                top = len(x.preperiod.tail) + 2 * len(x.period)
+                for p in range(top + 1):
+                    assert x.tail_stream(p) == sliced_stream(x, p), (x, p)
+
+
+def horizon_holds(x, y, p, q):
+    """Oracle of witness_holds: the unrolled streams agree from p and q on
+    a window long enough that agreement on it forces agreement forever."""
+    horizon = len(x.preperiod.tail) + len(y.preperiod.tail) + lcm(
+        len(x.period), len(y.period)
+    ) + 2
+    sx, sy = tails_of(x, p + horizon), tails_of(y, q + horizon)
+    return sx[p:] == sy[q:]
+
+
+def test_witness_holds_matches_horizon_oracle():
+    """Every related witness holds; its shifts (p+1, q) and (p, q+1), and
+    random lags p != q, agree with the unrolled streams."""
+    rng = Random(2002)
+    seen = set()
+    for x, y in [*short_pairs(Random(2003), 200), *long_pairs(Random(2004), 90)]:
+        w = related(x, y)
+        lags = [(rng.randrange(12), rng.randrange(12)) for _ in range(3)]
+        if w is not None:
+            assert witness_holds(x, y, w), (x, y, w)
+            lags += [(w.p + 1, w.q), (w.p, w.q + 1)]
+            # past a witness, both tails move on together, or x by whole periods
+            j = rng.randrange(5)
+            lags.append((w.p + j + len(x.period) * rng.randrange(1, 3), w.q + j))
+        for p, q in lags:
+            if p == q:
+                continue
+            expected = horizon_holds(x, y, p, q)
+            assert witness_holds(x, y, TailWitness(p, q)) == expected, (x, y, p, q)
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_witness_json():
@@ -398,10 +462,8 @@ def test_level_must_be_int(case):
 
 
 def test_finite_level_related_matches_two_stream_comparison():
-    """finite_level_related against its former body: the tail streams of
-    x and y from position n, compared by streams_equal."""
-    from vdk.cantor import streams_equal
-
+    """finite_level_related against a walk of the tail streams of x and y
+    from position n, sliced from their preperiods and periods."""
     rng = Random(1501)
     seen = set()
     for i in range(240):
@@ -410,8 +472,8 @@ def test_finite_level_related_matches_two_stream_comparison():
         # an image under a table shares x's tail from some position on
         y = act_point(random_table(rng, a), x) if i % 2 else random_point(rng, a)
         for n in range(9):
-            fx, px = x.tail_stream(n)
-            fy, py = y.tail_stream(n)
+            fx, px = sliced_stream(x, n)
+            fy, py = sliced_stream(y, n)
             expected = streams_equal(fx, px, fy, py)
             assert finite_level_related(x, y, n) == expected, (x, y, n)
             seen.add(expected)
