@@ -42,7 +42,7 @@ from .errors import (
     VdkError,
 )
 from .measure import QuadraticValue, integral_sqrt_rn, quad_compare, quadratic
-from .prefixcode import normal_form, range_order, swap, walk
+from .prefixcode import leaves, normal_form, range_order, swap, walk
 from .tables import TableElement, act_clopen, check_class, identity, inverse, parse_table
 
 
@@ -110,26 +110,17 @@ class PingPongCertificate:
     p_b_inv: Clopen
 
 
-def _players(cert: PingPongCertificate) -> list:
-    """(name, generator, attractor, repeller) for a, a^-1, b and b^-1;
-    player i ^ 1 is the inverse of player i."""
-    return [
+def _pingpong(cert: PingPongCertificate) -> list:
+    """The ping-pong check of pingpong_verify; returns the generators
+    a, a^-1, b and b^-1, each inverse formed once."""
+    check_class(PingPongCertificate, cert)
+    # (name, generator, attractor, repeller); player i ^ 1 is the inverse of player i
+    players = [
         ("a", cert.a, cert.p_a, cert.p_a_inv),
         ("a^-1", inverse(cert.a), cert.p_a_inv, cert.p_a),
         ("b", cert.b, cert.p_b, cert.p_b_inv),
         ("b^-1", inverse(cert.b), cert.p_b_inv, cert.p_b),
     ]
-
-
-def pingpong_verify(cert: PingPongCertificate) -> bool:
-    """Exact ping-pong check; True means <a, b> is free of rank 2.
-
-    Requires the four attractors to be nonempty, pairwise disjoint and
-    jointly proper (a basepoint outside all four must exist), and each
-    generator to push the complement of its repeller into its attractor.
-    """
-    check_class(PingPongCertificate, cert)
-    players = _players(cert)
     names = ["P_" + name.replace("^-1", "_inv") for name, _, _, _ in players]
     attractors = [p for _, _, p, _ in players]
     for name, p in zip(names, attractors):
@@ -138,13 +129,31 @@ def pingpong_verify(cert: PingPongCertificate) -> bool:
     for i, j in itertools.combinations(range(len(players)), 2):
         if attractors[i] & attractors[j]:
             raise DisjointnessViolation("attractors %s and %s intersect" % (names[i], names[j]))
-    if functools.reduce(Clopen.union, attractors).is_whole():
+    # disjoint, so their masses add: they cover X exactly when their
+    # words, taken together, cover every leaf at the deepest length
+    a = attractors[0].alphabet
+    covered, total, _ = leaves([w for p in attractors for w in p.packed], a.d, a.k)
+    if covered == total:
         raise CertificateInvalid("attractors cover the whole space; no basepoint left")
     for i, (name, g, attractor, repeller) in enumerate(players):
         if not act_clopen(g, ~repeller).is_subset(attractor):
             raise InclusionViolation(
                 "condition %s.(X - %s) inside %s fails" % (name, names[i ^ 1], names[i])
             )
+    return [g for _, g, _, _ in players]
+
+
+def pingpong_verify(cert: PingPongCertificate) -> bool:
+    """Exact ping-pong check; True means <a, b> is free of rank 2.
+
+    Requires the four attractors to be nonempty, pairwise disjoint and
+    jointly proper (a basepoint outside all four must exist), and each
+    generator to push the complement of its repeller into its attractor.
+    Properness is a mass test, sound because it runs after the
+    disjointness checks: disjoint attractors cover X exactly when their
+    masses sum to 1.
+    """
+    _pingpong(cert)
     return True
 
 
@@ -372,8 +381,7 @@ def check_certificate(
             % (d, d, found.d, found.k)
         )
     if certificate is not None:
-        pingpong_verify(certificate)
-        gens = {g for _, g, _, _ in _players(certificate)}
+        gens = set(_pingpong(certificate))
         if set(f.elements) != gens or len(f.elements) != 4:
             raise CertificateInvalid(
                 "F must be exactly the certified generators and their inverses"

@@ -6,7 +6,8 @@ on the tail, so a cylinder named by a word with p tail letters has mass
 mu_i -> nu_i by d^(|mu_i| - |nu_i|); that exponent is the cocycle value
 and the integral of its square root lands in Q(sqrt(d)).  Everything
 here is exact: rationals via Fraction, quadratic irrationals via
-QuadraticValue with sign decided by iterated squaring.
+QuadraticValue with sign decided by iterated squaring, which runs on
+the integer numerators of the coefficients over one common denominator.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm
 
 from .cantor import Clopen, Point, Word, check_class, check_int
 from .errors import VdkError
@@ -32,17 +34,37 @@ def mu(s: Clopen) -> Fraction:
 # quadratic values a + b*sqrt(m)
 
 
+RADICAND_LIMIT = 1 << 64
+
+
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """n = s*s*m with m squarefree; returns (s, m)."""
+    """n = s*s*m with m squarefree; returns (s, m).
+
+    Trial division by 2 and the odd p runs only while p^3 <= the
+    undivided rest, under 2^21 steps below RADICAND_LIMIT.  The rest then
+    has no prime factor below p, hence at most two, and is 1, a prime, a
+    product of two distinct primes, or a prime squared: isqrt tells
+    these apart.
+    """
     if n < 1:
         raise VdkError("radicand must be positive, got %d" % n)
-    s, m, p = 1, n, 2
-    while p * p <= m:
-        while m % (p * p) == 0:
-            m //= p * p
-            s *= p
-        p += 1
-    return s, m
+    if n >= RADICAND_LIMIT:
+        raise VdkError("radicand must be below 2**64, got a %d-bit int" % n.bit_length())
+    s, m, rest, p = 1, 1, n, 2
+    while p * p * p <= rest:
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            s *= p ** (e // 2)
+            if e % 2:
+                m *= p
+        p += 1 if p == 2 else 2
+    r = isqrt(rest)
+    if r * r == rest:
+        return s * r, m
+    return s, m * rest
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,7 +73,8 @@ class QuadraticValue:
 
     Build through the quadratic() factory (or sqrt_int) so the radicand
     is normalized; comparisons are exact, including across different
-    radicands, via sign determination by squaring.
+    radicands, via sign determination by squaring, done on the integer
+    numerators of the coefficients over one common denominator.
     """
 
     a: Fraction
@@ -95,7 +118,9 @@ class QuadraticValue:
     __rmul__ = __mul__
 
     def sign(self) -> int:
-        return _sign1(self.a, self.b, self.m)
+        # times the positive denominators, a and b become ints
+        a, b = self.a, self.b
+        return _sign1(a.numerator * b.denominator, b.numerator * a.denominator, self.m)
 
     def __float__(self):
         return float(self.a) + float(self.b) * self.m**0.5
@@ -142,11 +167,15 @@ def _fraction(v) -> Fraction:
 def quadratic(a, b=0, m: int = 1) -> QuadraticValue:
     """Normalized QuadraticValue: square part of m folded into b."""
     check_int("radicand", m)
-    a, b = _fraction(a), _fraction(b)
+    if type(a) is not Fraction:
+        a = _fraction(a)
+    if type(b) is not Fraction:
+        b = _fraction(b)
     if b == 0:
         return QuadraticValue(a, Fraction(0), 1)
     s, m = _squarefree_split(m)
-    b *= s
+    if s != 1:
+        b *= s
     if m == 1:
         return QuadraticValue(a + b, Fraction(0), 1)
     return QuadraticValue(a, b, m)
@@ -163,8 +192,8 @@ def _coerce(v) -> QuadraticValue:
     return quadratic(v)
 
 
-def _sign1(a: Fraction, b: Fraction, m: int) -> int:
-    """Exact sign of a + b*sqrt(m)."""
+def _sign1(a: int, b: int, m: int) -> int:
+    """Exact sign of a + b*sqrt(m), for ints a and b and m >= 1."""
     if b == 0:
         return (a > 0) - (a < 0)
     if a == 0:
@@ -173,27 +202,30 @@ def _sign1(a: Fraction, b: Fraction, m: int) -> int:
         return 1
     if a < 0 and b < 0:
         return -1
-    lhs = a * a
-    rhs = b * b * m
+    t = a * a - b * b * m
     if a > 0:
-        return (lhs > rhs) - (lhs < rhs)
-    return (rhs > lhs) - (rhs < lhs)
+        return (t > 0) - (t < 0)
+    return (t < 0) - (t > 0)
 
 
 def _sign_diff(u: QuadraticValue, v: QuadraticValue) -> int:
-    """Exact sign of u - v, allowing different radicands."""
-    a = u.a - v.a
-    terms = []
-    if u.b != 0:
-        terms.append((u.b, u.m))
-    if v.b != 0:
-        terms.append((-v.b, v.m))
-    if not terms:
-        return (a > 0) - (a < 0)
-    if len(terms) == 1 or terms[0][1] == terms[1][1]:
-        b = sum(t[0] for t in terms)
-        return _sign1(a, b, terms[0][1])
-    (b, m1), (c, m2) = terms
+    """Exact sign of u - v, allowing different radicands.
+
+    u - v = (a + b*sqrt(m1) + c*sqrt(m2)) / den for ints a, b and c, with
+    den > 0 the least common denominator of the four coefficients.
+    """
+    ua, ub, va, vb = u.a, u.b, v.a, v.b
+    den = lcm(ua.denominator, ub.denominator, va.denominator, vb.denominator)
+    a = ua.numerator * (den // ua.denominator) - va.numerator * (den // va.denominator)
+    b = ub.numerator * (den // ub.denominator)
+    c = -vb.numerator * (den // vb.denominator)
+    m1, m2 = u.m, v.m
+    if c == 0:
+        return _sign1(a, b, m1)
+    if b == 0:
+        return _sign1(a, c, m2)
+    if m1 == m2:
+        return _sign1(a, b + c, m1)
     s1 = _sign1(a, b, m1)
     sc = 1 if c > 0 else -1
     if s1 == 0:
@@ -251,12 +283,12 @@ def integral_sqrt_rn(g: TableElement) -> QuadraticValue:
     rational part when j is even and s * d^(j//2 - t) / k to the
     coefficient of sqrt(m) when j is odd, where d = s^2 m.  With
     E = max(t - j//2) >= 0 over the cells, each part is one fraction
-    sum d^(E - t + j//2) / (k d^E).
+    sum d^(E - t + j//2) / (k d^E); quadratic() splits d into s^2 m,
+    and only when some exponent is odd.
     """
     check_class(TableElement, g)
     a = g.alphabet
     d = a.d
-    s, m = _squarefree_split(d)
     # (t, j) per cell; j is also the difference of the tail lengths
     terms = [(t, t - u) for t, u in tail_lengths(g.packed, d, a.k)]
     e = max([t - j // 2 for t, j in terms])
@@ -267,7 +299,7 @@ def integral_sqrt_rn(g: TableElement) -> QuadraticValue:
         else:
             rat += d ** (e - t + j // 2)
     den = a.k * d**e
-    return quadratic(Fraction(rat, den), Fraction(s * irr, den), m)
+    return quadratic(Fraction(rat, den), Fraction(irr, den), d)
 
 
 def deficit(s: Clopen, elements) -> Fraction:

@@ -135,14 +135,6 @@ def test_pingpong_detects_bad_inclusion(free2):
         pingpong_verify(bad)
 
 
-def test_pingpong_rejects_covering_attractors(free2):
-    f, cert = free2
-    quarters = [parse_clopen(A22, "{%s}" % t) for t in ("1:1", "1:2", "2:1", "2:2")]
-    bad = PingPongCertificate(cert.a, cert.b, *quarters)
-    with pytest.raises(CertificateInvalid):
-        pingpong_verify(bad)
-
-
 def test_pingpong_inclusions_hold_exactly(free2):
     f, cert = free2
     x = cert.a.alphabet
@@ -199,6 +191,108 @@ def test_pingpong_refuses_broken_inclusions(free2):
             assert getattr(bad, att) and not image.is_subset(getattr(bad, att))
             with pytest.raises(InclusionViolation):
                 pingpong_verify(bad)
+
+
+def leaf_tuples(s, depth: int) -> set:
+    """The letters of every word of length `depth` under the clopen s."""
+    d = s.alphabet.d
+    return {
+        w.letters + ext
+        for w in s.words
+        for ext in itertools.product(range(1, d + 1), repeat=depth - len(w))
+    }
+
+
+def first_attractor_refusal(attractors) -> tuple | None:
+    """(error class, message) of the first failing attractor condition of
+    pingpong_verify, from the attractors' leaf sets; None if all hold."""
+    names = ["P" + att[1:] for _, att, _ in _PLAYERS]
+    depth = max([len(w) for s in attractors for w in s.words], default=1)
+    sets = [leaf_tuples(s, depth) for s in attractors]
+    for name, leaves in zip(names, sets):
+        if not leaves:
+            return DisjointnessViolation, "attractor %s is empty" % name
+    for i, j in itertools.combinations(range(4), 2):
+        if sets[i] & sets[j]:
+            return DisjointnessViolation, "attractors %s and %s intersect" % (names[i], names[j])
+    a = attractors[0].alphabet
+    if len(set().union(*sets)) == a.k * a.d ** (depth - 1):
+        return CertificateInvalid, "attractors cover the whole space; no basepoint left"
+    return None
+
+
+def first_refusal(cert) -> tuple | None:
+    try:
+        pingpong_verify(cert)
+    except InclusionViolation:
+        pass
+    except (DisjointnessViolation, CertificateInvalid) as e:
+        return type(e), str(e)
+    return None
+
+
+def tiling(rng: Random, splits: int) -> list:
+    """Four nonempty clopens that partition X_{2,2}: a random complete
+    code cut into four runs."""
+    code = random_code(rng, A22, splits)
+    rng.shuffle(code)
+    cuts = sorted(rng.sample(range(1, len(code)), 3))
+    return [clopen_normalize(A22, code[i:j]) for i, j in zip([0] + cuts, cuts + [len(code)])]
+
+
+def test_pingpong_rejects_covering_attractors(free2):
+    # disjoint attractors that tile X, the four quarters and seeded deeper
+    # tilings, leave no basepoint
+    f, cert = free2
+    rng = Random(2105)
+    message = "^attractors cover the whole space; no basepoint left$"
+    quarters = [parse_clopen(A22, "{%s}" % t) for t in ("1:1", "1:2", "2:1", "2:2")]
+    for attractors in [quarters] + [tiling(rng, rng.randrange(2, 14)) for _ in range(60)]:
+        bad = PingPongCertificate(cert.a, cert.b, *attractors)
+        with pytest.raises(CertificateInvalid, match=message):
+            pingpong_verify(bad)
+        with pytest.raises(CertificateInvalid, match=message):
+            check_certificate(f, Word(A22, 1, (1, 2)), certificate=bad)
+
+
+def test_pingpong_overlap_is_refused_before_the_mass_test(free2):
+    # overlapping attractors whose masses sum to 1 without covering X,
+    # or to more than 1: the disjointness check speaks first
+    f, cert = free2
+    cases = [
+        (("1:", "1:11", "2:1", "1:12"), "P_a and P_a_inv"),
+        (("1:1", "1:1", "2:1", "2:2"), "P_a and P_a_inv"),
+        (("1:1", "2:", "2:1", "1:2"), "P_a_inv and P_b"),
+        (("1:,2:", "1:2", "2:1", "2:2"), "P_a and P_a_inv"),
+    ]
+    fields = [att for _, att, _ in _PLAYERS]
+    for words, pair in cases:
+        attractors = [parse_clopen(A22, "{%s}" % w) for w in words]
+        bad = dataclasses.replace(cert, **dict(zip(fields, attractors)))
+        with pytest.raises(DisjointnessViolation, match="^attractors %s intersect$" % pair):
+            pingpong_verify(bad)
+
+
+def test_pingpong_attractor_refusals_match_leaf_oracle(free2):
+    # seeded attractors: tilings with words moved, dropped or added, so
+    # that some overlap, some leave a gap and some still tile
+    f, cert = free2
+    rng = Random(2106)
+    fields = [att for _, att, _ in _PLAYERS]
+    seen = set()
+    for _ in range(300):
+        attractors = tiling(rng, rng.randrange(2, 10))
+        i = rng.randrange(4)
+        roll = rng.random()
+        if roll < 0.3:
+            attractors[i] = attractors[i] | clopen_normalize(A22, [random_word(rng, A22, 3)])
+        elif roll < 0.6:
+            words = attractors[i].words
+            attractors[i] = clopen_normalize(A22, rng.sample(words, rng.randrange(len(words))))
+        want = first_attractor_refusal(attractors)
+        assert first_refusal(dataclasses.replace(cert, **dict(zip(fields, attractors)))) == want
+        seen.add(want and want[1].split()[-1])
+    assert seen == {None, "empty", "intersect", "left"}
 
 
 # ---------------------------------------------------------------------------

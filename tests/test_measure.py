@@ -4,11 +4,16 @@ Independent oracles:
   * cylinder-ratio oracle for exponents: mu(g C)/mu(C) on deep cylinders
     around a point must equal d^j;
   * 50-digit Decimal evaluation for quadratic comparisons (exact ties
-    are constructed, never sampled).
+    are constructed, never sampled);
+  * integer-only deciders for comparisons far closer than 1e-30: the Pell
+    sign of p/q - sqrt(m), a^2 m1 - b^2 m2 across radicands, and isqrt
+    bounds for mixed signs;
+  * the trial-division square-free split of earlier versions.
 """
 
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from math import isqrt
 from random import Random
 
 import pytest
@@ -42,6 +47,7 @@ from vdk import (
     whole_space,
 )
 from vdk.errors import VdkError
+from vdk.measure import _squarefree_split
 from vdk.sampling import random_clopen, random_point, random_table, random_word
 
 A21 = Alphabet(2, 1)
@@ -169,6 +175,109 @@ def test_quad_compare_engineered_ties():
     assert quad_compare(quadratic(7, -2, 3), quadratic(-2, 5, 2)) == "less"
 
 
+# ---------------------------------------------------------------------------
+# near ties, decided in integers with no call into vdk.measure
+
+
+SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13]
+FLIP = {"less": "greater", "greater": "less"}
+
+
+def pell_convergents(m: int, digits: int = 300) -> list[tuple[int, int, int]]:
+    """(p, q, e) for the convergents p/q of sqrt(m) with p^2 - m q^2 = e = +-1
+    and p below 10^digits, from the continued fraction of sqrt(m)."""
+    a0 = isqrt(m)
+    big_p, big_q, a = 0, 1, a0
+    p0, p, q0, q = 1, a0, 0, 1
+    out = []
+    while p < 10**digits:
+        e = p * p - m * q * q
+        if abs(e) == 1:
+            out.append((p, q, e))
+        big_p = a * big_q - big_p
+        big_q = (m - big_p * big_p) // big_q
+        a = (a0 + big_p) // big_q
+        p0, p = p, a * p + p0
+        q0, q = q, a * q + q0
+    return out
+
+
+@pytest.mark.parametrize("m", SQUAREFREE)
+def test_quad_compare_pell_near_ties(m):
+    # p/q - sqrt(m) = e / (q (p + q sqrt(m))): its sign is e, and it is
+    # about 10^-600 at the last convergent
+    sols = pell_convergents(m)
+    assert len(str(sols[-1][0])) >= 290
+    rng = Random(2100 + m)
+    for p, q, e in sols:
+        want = "greater" if e > 0 else "less"
+        r = Fraction(p, q)
+        assert quad_compare(quadratic(r), sqrt_int(m)) == want
+        assert quad_compare(sqrt_int(m), quadratic(r)) == FLIP[want]
+        assert quadratic(r, -1, m).sign() == e and quadratic(-r, 1, m).sign() == -e
+        # shifted and scaled: c + b p/q against c + b sqrt(m), b > 0
+        b, c = rng.randrange(1, 10**6), Fraction(rng.randrange(-999, 1000), rng.randrange(1, 99))
+        assert quad_compare(quadratic(c + b * r), quadratic(c, b, m)) == want
+        assert (quadratic(c, b, m) < c + b * r) == (e > 0)
+
+
+def test_quad_compare_cross_radicand_near_ties():
+    # a sqrt(m1) against b sqrt(m2) for a, b > 0 has the sign of a^2 m1 - b^2 m2;
+    # b is the rational of denominator e next to a sqrt(m1/m2), either side
+    rng = Random(2102)
+    for _ in range(300):
+        m1, m2 = rng.sample(SQUAREFREE, 2)
+        a = Fraction(rng.randrange(1, 10 ** rng.randrange(1, 150)), rng.randrange(1, 10**6))
+        e = rng.randrange(1, 10**6)
+        num = a.numerator * a.numerator * m1 * e * e
+        den = a.denominator * a.denominator * m2
+        b = Fraction(isqrt(num // den) + rng.randrange(2), e)
+        diff = a * a * m1 - b * b * m2
+        want = "greater" if diff > 0 else "less" if diff < 0 else "equal"
+        assert quad_compare(quadratic(0, a, m1), quadratic(0, b, m2)) == want
+        if want != "equal":
+            assert quad_compare(quadratic(0, -a, m1), quadratic(0, -b, m2)) == FLIP[want]
+
+
+def floor_root(x: Fraction, m: int) -> int:
+    """floor(x sqrt(m)) for a rational x >= 0."""
+    return isqrt(x.numerator * x.numerator * m // (x.denominator * x.denominator))
+
+
+def sign_by_bounds(a: Fraction, b: Fraction, m1: int, c: Fraction, m2: int) -> int:
+    """Sign of a + b sqrt(m1) - c sqrt(m2), known to be nonzero, from isqrt
+    bounds on 10^j times each root term, j growing until they decide it."""
+    scale = 1
+    while True:
+        f1, f2 = floor_root(abs(b) * scale, m1), floor_root(abs(c) * scale, m2)
+        # each term lies in [f, f + 1] times its sign
+        t1 = (f1, f1 + 1) if b >= 0 else (-f1 - 1, -f1)
+        t2 = (f2, f2 + 1) if c >= 0 else (-f2 - 1, -f2)
+        lo = a * scale + t1[0] - t2[1]
+        hi = a * scale + t1[1] - t2[0]
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        scale *= 10**8
+
+
+def test_quad_compare_mixed_sign_near_ties():
+    # a - B sqrt(m1) against c sqrt(m2), with a within about 10^-e of
+    # c sqrt(m2) + B sqrt(m1); then the same with every sign flipped
+    rng = Random(2103)
+    for _ in range(300):
+        m1, m2 = rng.sample(SQUAREFREE, 2)
+        big_b, c = rng.randrange(1, 10**40), rng.randrange(1, 10**40)
+        e = rng.randrange(1, 60)
+        top = isqrt(c * c * m2 * 10 ** (2 * e)) + isqrt(big_b * big_b * m1 * 10 ** (2 * e))
+        a, b = Fraction(top + rng.randrange(-1, 3), 10**e), Fraction(-big_b)
+        for sign in (1, -1):
+            a, b, c = sign * a, sign * b, sign * c
+            want = ("less", "greater")[sign_by_bounds(a, b, m1, Fraction(c), m2) > 0]
+            assert quad_compare(quadratic(a, b, m1), quadratic(0, c, m2)) == want
+
+
 def test_quadratic_ordering_operators():
     assert quadratic(0, 1, 2) < quadratic(Fraction(3, 2))
     assert quadratic(0, 1, 2) > quadratic(1)
@@ -199,6 +308,51 @@ def test_quadratic_operators_against_oracles():
             diff = left - u
             assert isinstance(diff, QuadraticValue)
             assert (diff.a, diff.b, diff.m) == (left - u.a, -u.b, u.m)
+
+
+# the trial-division split of earlier versions, copied here as the oracle
+def trial_division_split(n):
+    s, m, p = 1, n, 2
+    while p * p <= m:
+        while m % (p * p) == 0:
+            m //= p * p
+            s *= p
+        p += 1
+    return s, m
+
+
+def split_of(n: int) -> tuple[int, int]:
+    """(s, m) with sqrt(n) = s sqrt(m), read off sqrt_int(n)."""
+    v = sqrt_int(n)
+    return (v.a, 1) if v.m == 1 else (v.b, v.m)
+
+
+def test_squarefree_split_matches_trial_division():
+    # the split itself, not sqrt_int, keeps 10^5 calls to a fifth of a second
+    for n in range(1, 10**5):
+        assert _squarefree_split(n) == trial_division_split(n), n
+    assert split_of(720) == trial_division_split(720) == (12, 5)
+
+
+def test_squarefree_split_of_large_radicands():
+    # n = s^2 q with q a product of distinct primes splits as (s, q), and
+    # the cofactor left after trial division may be a large prime, a
+    # product of two or a square
+    assert str(sqrt_int(2**61 - 1)) == "sqrt(2305843009213693951)"
+    assert split_of(4294967291**2) == (4294967291, 1)
+    assert split_of(18 * 1000003 * 999983) == (3, 2 * 1000003 * 999983)
+    primes = [2, 3, 5, 7, 11, 13, 65537, 999983, 1000003, 998244353, 1000000007, 2**31 - 1]
+    rng = Random(2104)
+    checked = 0
+    while checked < 200:
+        q = 1
+        for p in rng.sample(primes, rng.randrange(0, 4)):
+            q *= p
+        s = rng.randrange(1, 10 ** rng.randrange(1, 10))
+        if s * s * q >= 2**64:
+            continue
+        assert split_of(s * s * q) == (s, q), (s, q)
+        checked += 1
 
 
 def test_quadratic_repr():

@@ -150,6 +150,10 @@ _CASES = {
         lambda: quadratic(0, 1, 0), VdkError, "radicand must be positive, got 0"),
     "radicand_negative": (
         lambda: sqrt_int(-3), VdkError, "radicand must be positive, got -3"),
+    # trial division below the limit ends after about 2^21 steps; a
+    # radicand past it used to run for as long as its square root
+    "radicand_2_64": (
+        lambda: quadratic(1, 1, 2**64), VdkError, "radicand must be below 2**64, got a 65-bit int"),
     "add_sqrt2_sqrt3": (
         lambda: sqrt_int(2) + sqrt_int(3), VdkError,
         "cannot add sqrt(2) and sqrt(3) terms exactly"),
