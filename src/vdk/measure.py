@@ -38,7 +38,7 @@ RADICAND_LIMIT = 1 << 64
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """n = s*s*m with m squarefree; returns (s, m).
+    """n = s*s*m with m squarefree, for 1 <= n < RADICAND_LIMIT; returns (s, m).
 
     Trial division by 2 and the odd p runs only while p^3 <= the
     undivided rest, under 2^21 steps below RADICAND_LIMIT.  The rest then
@@ -46,10 +46,6 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     product of two distinct primes, or a prime squared: isqrt tells
     these apart.
     """
-    if n < 1:
-        raise VdkError("radicand must be positive, got %d" % n)
-    if n >= RADICAND_LIMIT:
-        raise VdkError("radicand must be below 2**64, got a %d-bit int" % n.bit_length())
     s, m, rest, p = 1, 1, n, 2
     while p * p * p <= rest:
         if rest % p == 0:
@@ -171,6 +167,10 @@ def quadratic(a, b=0, m: int = 1) -> QuadraticValue:
         a = _fraction(a)
     if type(b) is not Fraction:
         b = _fraction(b)
+    if m < 1:
+        raise VdkError("radicand must be positive, got %d" % m)
+    if m >= RADICAND_LIMIT:
+        raise VdkError("radicand must be below 2**64, got a %d-bit int" % m.bit_length())
     if b == 0:
         return QuadraticValue(a, Fraction(0), 1)
     s, m = _squarefree_split(m)

@@ -41,8 +41,6 @@ to merge.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 from .errors import IncompleteDomain, IncompleteRange, OverlappingDomain
 from .errors import OverlappingRange, VdkError
 from .words import Alphabet, Word
@@ -466,22 +464,21 @@ def cell_index(code, x) -> int | None:
     """Index of the cell of code whose word is a prefix of the point x, or None.
 
     code is a clopen's sorted words or a table's or bisection's
-    domain-sorted pairs, read in place.  Shifted left to the longest
-    word's bit length top, a sorted antichain increases strictly, and the
-    one candidate is the last word at or below x's prefix of top bits.
+    domain-sorted pairs, read in place.  The cylinders of a sorted
+    antichain are disjoint intervals of X in that order, and packed words
+    with as many letters compare as ints as they do lexicographically, so
+    a binary search reads x's prefix at each probed word's length.
     """
-    if not code:
-        return None
-    pairs = type(code[0]) is tuple
-    # bit length grows with value, so the largest word is a longest one
-    top = (max(code)[0] if pairs else max(code)).bit_length()
-    a = x.alphabet
-    rb, b = widths(a.d, a.k)
-    p = x.packed_prefix((top - 1 - rb) // b)
-    if pairs:
-        i = bisect_right(code, p, key=lambda c: c[0] << (top - c[0].bit_length())) - 1
-        w = code[i][0]
-    else:
-        i = bisect_right(code, p, key=lambda w: w << (top - w.bit_length())) - 1
-        w = code[i]
-    return i if i >= 0 and p >> (top - w.bit_length()) == w else None
+    rb, b = widths(x.alphabet.d, x.alphabet.k)
+    lo, hi = 0, len(code)
+    while lo < hi:
+        i = (lo + hi) // 2
+        w = code[i][0] if type(code[i]) is tuple else code[i]
+        p = x.packed_prefix((w.bit_length() - 1 - rb) // b)
+        if p == w:
+            return i
+        if p < w:
+            hi = i
+        else:
+            lo = i + 1
+    return None

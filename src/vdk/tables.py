@@ -137,11 +137,6 @@ def inverse(g: TableElement) -> TableElement:
     return code_inverse(TableElement, g)
 
 
-def reduce(g: TableElement) -> TableElement:
-    """Canonical form; TableElements are already canonical, so identity."""
-    return g
-
-
 def equals(g: TableElement, h: TableElement) -> bool:
     return g == h
 

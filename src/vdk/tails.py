@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cantor import Point, _common_tail, _rotate, check_class, check_int, check_same_alphabet
-from .cantor import replace_prefix
+from .cantor import Point, _check_count, _common_tail, _rotate, check_class, check_int
+from .cantor import check_same_alphabet, replace_prefix
 from .errors import NotRelated, VdkError
 from .groupoid import DoubleCylinder
 from .prefixcode import widths
@@ -96,9 +96,7 @@ def witness_cell(x: Point, y: Point, w: TailWitness | None = None) -> DoubleCyli
 
 def finite_level_related(x: Point, y: Point, n: int) -> bool:
     """Lag-free approximation: tails agree at every position past n."""
-    check_int("level", n)
-    if n < 0:
-        raise VdkError("level must be nonnegative, got %d" % n)
+    _check_count("level", n)
     return witness_holds(x, y, TailWitness(n, n))
 
 

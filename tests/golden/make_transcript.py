@@ -31,6 +31,8 @@ from vdk import (
     PingPongCertificate,
     VdkError,
     Word,
+    act_point,
+    bisection_act,
     check_certificate,
     clopen_normalize,
     fixture,
@@ -39,13 +41,18 @@ from vdk import (
     free_norm,
     integral_sqrt_rn,
     inverse,
+    make_bisection,
     make_table,
+    member,
     parse_clopen,
     pingpong_verify,
+    point_normalize,
     quad_compare,
     quadratic,
+    rn_exponent,
     split,
     symmetric_set,
+    transporter,
 )
 from vdk.cli import main
 
@@ -253,12 +260,72 @@ def cli_output(rng: Random) -> list[str]:
     return out
 
 
+_LOOKUP_ALPHABETS = [
+    Alphabet(d, k) for d, k in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 5), (9, 1), (11, 2))
+]
+
+
+def _lookup_point(rng: Random, a: Alphabet, spines: list, words: list[Word]):
+    """A point with a period of 1-12 letters after a preperiod of 0-30
+    random letters.  Most points first follow a prefix of a spine, a
+    word along which cells lie deep, or of a cell word; some then repeat
+    the spine's own period and never leave it."""
+    root, head = rng.randrange(1, a.k + 1), ()
+    if rng.random() < 0.75:
+        spine, pattern = rng.choice(spines + [(rng.choice(words), ())])
+        j = rng.randrange(len(spine.tail) + 1)
+        root, head = spine.root, spine.tail[:j]
+        if pattern and rng.random() < 0.3:
+            return point_normalize(Word(a, root, spine.tail[: j - j % len(pattern)]), pattern)
+    tail = head + tuple([rng.randrange(1, a.d + 1) for _ in range(rng.randrange(31))])
+    period = [rng.randrange(1, a.d + 1) for _ in range(rng.randrange(1, 13))]
+    return point_normalize(Word(a, root, tail), period)
+
+
+def point_lookups(rng: Random) -> list[str]:
+    """act_point and rn_exponent on seeded tables, one inverse and a
+    transporter onto a long word both ways; bisection_act on a partial
+    bisection and member on a clopen; misses print their refusal."""
+    out = []
+    for a in _LOOKUP_ALPHABETS:
+        g1, g2 = _table(rng, a, rng.randrange(1, 41)), _table(rng, a, rng.randrange(1, 41))
+        # nu2 repeats a short pattern, so points with that period follow it deep
+        pattern = tuple([rng.randrange(1, a.d + 1) for _ in range(rng.randrange(1, 13))])
+        n = rng.randrange(60, 151)
+        nu1, nu2 = _word(rng, a, rng.randrange(1, 5)), Word(a, 1, (pattern * n)[:n])
+        t = transporter(nu1, nu2)
+        cells = [(r, w) for w, r in _table(rng, a, rng.randrange(1, 13)).pairs]
+        u = make_bisection([c for c in cells if rng.random() < 0.6], a)
+        s = [_word(rng, a, rng.randrange(1, 7)) for _ in range(rng.randrange(9))]
+        s = clopen_normalize(a, s)
+        # the last gap of nu1 is split again and again along the letter d
+        spines = [(nu2, pattern), (Word(a, a.k, (a.d,) * n), (a.d,))]
+        words = [nu1] + [w for pair in g1.pairs + g2.pairs + tuple(cells) for w in pair]
+        sizes = (a.d, a.k, g1.block_count, g2.block_count)
+        out.append("(%d,%d) g1: %d cells, g2: %d cells" % sizes)
+        out.append("  t: %s onto %s, %d cells" % (nu1, nu2, t.block_count))
+        out.append("  u = %s" % u)
+        out.append("  s = %s" % format_clopen(s))
+        codes = (("g1", g1), ("g2", g2), ("g2^-1", inverse(g2)), ("t", t), ("t^-1", inverse(t)))
+        for _ in range(24):
+            x = _lookup_point(rng, a, spines, words)
+            out.append("x = %s; in s: %s" % (x, member(x, s)))
+            for name, g in codes:
+                out.append("  %s: %s, rn %d" % (name, act_point(g, x), rn_exponent(g, x)))
+            try:
+                out.append("  u: %s" % bisection_act(u, x))
+            except VdkError as e:
+                out.append("  u: %s" % _refusal(e))
+    return out
+
+
 SECTIONS = [
     ("quadratic values", quadratic_values, 2101),
     ("integral_sqrt_rn", integrals, 2102),
     ("check_certificate reports", certificate_reports, 2103),
     ("certificate refusals", certificate_refusals, 2104),
     ("cli output", cli_output, 2105),
+    ("point lookups", point_lookups, 2106),
 ]
 
 

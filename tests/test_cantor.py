@@ -577,6 +577,87 @@ def test_cell_index_matches_letter_scan():
             assert act_point(g, x).letters(len(image)) == image
 
 
+SEARCH_ALPHABETS = [Alphabet(d, k) for d in (2, 3, 9, 11) for k in (1, 2, 5)]
+
+
+def short_point(rng, a):
+    """A point with a preperiod of 0-8 tail letters and a period of 1-4,
+    and the first 200 letters of its stream."""
+    root = rng.randrange(1, a.k + 1)
+    tail = [rng.randrange(1, a.d + 1) for _ in range(rng.randrange(9))]
+    per = [rng.randrange(1, a.d + 1) for _ in range(rng.randrange(1, 5))]
+    stream = [root] + tail
+    while len(stream) < 200:
+        stream += per
+    return point_normalize(Word(a, root, tuple(tail)), per), tuple(stream[:200])
+
+
+def search_oracle(words, stream):
+    """Oracle: (index of the word that starts the stream, or None; how many
+    words lie wholly before the stream), comparing letters lexicographically."""
+    hit, before = None, 0
+    for i, w in enumerate(words):
+        head = stream[: len(w)]
+        if head == w:
+            hit = i
+        before += head > w
+    return hit, before
+
+
+def test_cell_index_at_the_edges_of_the_search():
+    rng = Random(124)
+    assert cell_index((), short_point(rng, A21)[0]) is None
+    places = {"hit": 0, "before the first": 0, "between two": 0, "after the last": 0}
+    for a in SEARCH_ALPHABETS:
+        for n in range(40):
+            x, stream = short_point(rng, a)
+            # words off the stream of x at any depth, most of them deeper
+            # than its preperiod and several periods: ten codes of each
+            # alphabet hold one word, the rest two to eight
+            words = []
+            for _ in range(1 if n < 10 else rng.randrange(2, 9)):
+                depth = rng.randrange(1, rng.choice((4, 40, 190)))
+                ext = [rng.randrange(1, a.d + 1) for _ in range(rng.randrange(4))]
+                w = stream[:depth] + (rng.randrange(1, a.d + 1),) + tuple(ext)
+                words.append(Word(a, w[0], w[1:]))
+            s = clopen_normalize(a, words)
+            hit, before = search_oracle([w.letters for w in s.words], stream)
+            for code in (s.packed, tuple([(w, w) for w in s.packed])):
+                assert cell_index(code, x) == hit
+            if hit is not None:
+                places["hit"] += 1
+            elif before == 0:
+                places["before the first"] += 1
+            elif before == len(s.packed):
+                places["after the last"] += 1
+            else:
+                places["between two"] += 1
+    assert min(places.values()) >= 40, places
+
+
+def test_cell_index_in_a_2000_cell_transporter():
+    # the oracle unpacks only the cell a point is built in and its
+    # neighbours: the code is an antichain, so no other cell holds it
+    rng = Random(125)
+    for k in (1, 2, 5):
+        a = Alphabet(2, k)
+        nu2 = Word(a, 1, tuple([rng.randrange(1, 3) for _ in range(2000)]))
+        g = transporter(Word(a, k, (1,)), nu2)
+        for u in (g, ~g):
+            assert len(u.packed) >= 2000
+            for i in (0, len(u.packed) // 2, len(u.packed) - 1):
+                w = unpack_word(a, u.packed[i][0])
+                tail = w.tail + tuple([rng.randrange(1, 3) for _ in range(rng.randrange(6))])
+                x = point_normalize(Word(a, w.root, tail), (rng.randrange(1, 3),))
+                near = {max(i - 1, 0), i, min(i + 1, len(u.packed) - 1)}
+                near = {j: unpack_word(a, u.packed[j][0]).letters for j in near}
+                stream = unrolled(x, max(map(len, near.values())))
+                for j, v in near.items():
+                    assert (stream[: len(v)] == v) == (j == i)
+                assert cell_index(u.packed, x) == i
+                assert cell_index(tuple([c for c, _ in u.packed]), x) == i
+
+
 def test_acted_points_are_canonical():
     rng = Random(123)
     for a in PACKED_ALPHABETS:

@@ -154,6 +154,13 @@ _CASES = {
     # radicand past it used to run for as long as its square root
     "radicand_2_64": (
         lambda: quadratic(1, 1, 2**64), VdkError, "radicand must be below 2**64, got a 65-bit int"),
+    # the radicand is checked even when b = 0 leaves it out of the value
+    "radicand_negative_b_zero": (
+        lambda: quadratic(1, 0, -5), VdkError, "radicand must be positive, got -5"),
+    "radicand_zero_b_zero": (
+        lambda: quadratic(1, 0, 0), VdkError, "radicand must be positive, got 0"),
+    "radicand_2_70_b_zero": (
+        lambda: quadratic(1, 0, 2**70), VdkError, "radicand must be below 2**64, got a 71-bit int"),
     "add_sqrt2_sqrt3": (
         lambda: sqrt_int(2) + sqrt_int(3), VdkError,
         "cannot add sqrt(2) and sqrt(3) terms exactly"),
