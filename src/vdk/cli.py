@@ -11,6 +11,11 @@ error, running out of memory, or output closed before it was all
 written), 3 inconclusive certificate parameters.  All data output is
 byte-stable: canonical orderings everywhere, no timestamps.  --json
 wraps results as {command, params, result}.
+
+The module loads only what the table, cocycle and certificate commands
+use; the bisection, tail and selftest handlers import groupoid, tails
+and selftest themselves, so no other command pays for loading them.
+(`import vdk` loads each submodule on the first use of one of its names.)
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import json
 import os
 import sys
 
-from . import selftest as selftest_mod
 from .cantor import (
     Alphabet,
     format_clopen,
@@ -33,15 +37,6 @@ from .cantor import (
 )
 from .certificate import check_certificate, convolution_count, fixture, pingpong_verify
 from .errors import ArityMismatch, InconclusiveParameters, VdkError
-from .groupoid import (
-    bisection_compose,
-    bisection_to_json,
-    format_bisection,
-    from_table,
-    is_full,
-    parse_bisection,
-    to_table,
-)
 from .measure import deficit, integral_sqrt_rn, mu, rn_exponent, rn_profile
 from .tables import (
     act_clopen,
@@ -53,7 +48,6 @@ from .tables import (
     parse_table,
     transporter,
 )
-from .tails import orbit_fragment, related
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,26 +119,36 @@ def h_deficit(args):
 
 
 def h_bisection_to_table(args):
+    from .groupoid import parse_bisection, to_table
+
     return format_table(to_table(parse_bisection(_alphabet(args), args.bisection)))
 
 
 def h_bisection_from_table(args):
+    from .groupoid import bisection_to_json, format_bisection, from_table
+
     u = from_table(parse_table(_alphabet(args), args.table))
     return bisection_to_json(u), format_bisection(u), 0
 
 
 def h_bisection_compose(args):
+    from .groupoid import bisection_compose, bisection_to_json, format_bisection, parse_bisection
+
     a = _alphabet(args)
     u = bisection_compose(*(parse_bisection(a, b) for b in args.bisections))
     return bisection_to_json(u), format_bisection(u), 0
 
 
 def h_bisection_is_full(args):
+    from .groupoid import is_full, parse_bisection
+
     full = is_full(parse_bisection(_alphabet(args), args.bisection))
     return full, "true" if full else "false", 0
 
 
 def h_tail_related(args):
+    from .tails import related
+
     a = _alphabet(args)
     w = related(parse_point(a, args.points[0]), parse_point(a, args.points[1]))
     if w is None:
@@ -153,6 +157,8 @@ def h_tail_related(args):
 
 
 def h_tail_orbit(args):
+    from .tails import orbit_fragment
+
     x = parse_point(_alphabet(args), args.point)
     pts = sorted(format_point(y) for y in orbit_fragment(x, args.level))
     return pts, "\n".join(pts), 0
@@ -195,7 +201,9 @@ def h_embed(args):
 
 
 def h_selftest(args):
-    return None, None, selftest_mod.run()
+    from . import selftest
+
+    return None, None, selftest.run()
 
 
 TABLE = ("table", {"metavar": "TABLE"})

@@ -39,6 +39,7 @@ from vdk import (
     format_clopen,
     format_table,
     free_norm,
+    from_table,
     integral_sqrt_rn,
     inverse,
     make_bisection,
@@ -54,7 +55,7 @@ from vdk import (
     symmetric_set,
     transporter,
 )
-from vdk.cli import main
+from vdk.cli import COMMANDS, main
 
 PATH = Path(__file__).resolve().parent / "transcript.txt"
 
@@ -224,11 +225,19 @@ def certificate_refusals(rng: Random) -> list[str]:
 
 def _cli(argv: list[str]) -> list[str]:
     stdout, stderr = io.StringIO(), io.StringIO()
+    usage_error = False
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code, usage_error = e.code, True
+    err = stderr.getvalue().splitlines()
+    if usage_error:
+        # the usage lines wrap at the terminal's width; the error line does not
+        err = [line for line in err if ": error: " in line]
     out = ["$ vdk %s" % " ".join(argv), "exit %d" % code]
     out += ["  out: " + line for line in stdout.getvalue().splitlines()]
-    out += ["  err: " + line for line in stderr.getvalue().splitlines()]
+    out += ["  err: " + line for line in err]
     return out
 
 
@@ -257,6 +266,104 @@ def cli_output(rng: Random) -> list[str]:
                 out += _cli(["cocycle", "integral-sqrt"] + argv)
     for argv in (["--k", "2", "{1:->2:}"], ["--d", "3", "{1->1,2->2}"], ["{1->11}"]):
         out += _cli(["cocycle", "integral-sqrt"] + argv)
+    return out
+
+
+_CLI_ALPHABETS = [Alphabet(d, k) for d, k in ((2, 1), (2, 2), (3, 1))]
+
+
+def _point(rng: Random, a: Alphabet):
+    """A random word of up to 6 tail letters, then a period of 1-4 letters."""
+    period = [rng.randrange(1, a.d + 1) for _ in range(rng.randrange(1, 5))]
+    return point_normalize(_word(rng, a, rng.randrange(7)), period)
+
+
+def _alphabet_calls(rng: Random, a: Alphabet) -> dict[str, list[list]]:
+    """Seeded calls over a, per command path: the arguments after the
+    path and the alphabet flags.  Commands that read no alphabet have none."""
+    g, h = _table(rng, a, rng.randrange(0, 6)), _table(rng, a, rng.randrange(0, 6))
+    x, y = _point(rng, a), _point(rng, a)
+    s = _clopen(rng, a, rng.randrange(1, 4), 3)
+    cells = [(r, w) for w, r in _table(rng, a, rng.randrange(1, 6)).pairs]
+    u, v = make_bisection([c for c in cells if rng.random() < 0.6], a), from_table(g)
+    # every cell of g split once: reduce merges the children back
+    unreduced = "{%s}" % ",".join(
+        "%s->%s" % pair for w, r in g.pairs for pair in zip(split(w), split(r))
+    )
+    base = _table(rng, Alphabet(a.d, a.d), rng.randrange(0, 4))
+    return {
+        "compose": [[g, h], [g, inverse(g)]],
+        "inverse": [[g]],
+        "reduce": [[unreduced]],
+        "act": [[g, x], [h, s]],
+        "measure": [[s]],
+        "cocycle profile": [[g]],
+        "cocycle at-point": [[g, x]],
+        "cocycle integral-sqrt": [[h]],
+        "deficit": [[s, g], [s, g, h]],
+        "bisection to-table": [[v], [u]],
+        "bisection from-table": [[h]],
+        "bisection compose": [[u, v], [v, u]],
+        "bisection is-full": [[u], [v]],
+        "tail related": [[x, act_point(g, x)], [x, y]],
+        "tail orbit": [[x, "--level", str(rng.randrange(1, 4))]],
+        "certificate check": [["--nu", _word(rng, a, rng.randrange(12))]],
+        "transporter": [[_word(rng, a, rng.randrange(4)), _word(rng, a, rng.randrange(4))]],
+        "embed": [[base, _word(rng, a, rng.randrange(4))]],
+    }
+
+
+# calls of the commands that read no alphabet, made once each
+_FREE_CALLS = {
+    "certificate pingpong-verify": [[]],
+    "certificate convolution-count": [["--len", str(n)] for n in (2, 4, 6, 8)]
+    + [["--len", "6", "--workers", "2"]],
+}
+
+# per command: one usage refusal (exit 1) and one domain refusal (exit 2);
+# selftest reads no input that its domain could refuse
+_CLI_REFUSALS = {
+    "compose": [["{1->1,2->2}"], ["{1->2}", "{1->1,2->2}"]],
+    "inverse": [[], ["{1->11}"]],
+    "reduce": [["--d", "x", "{1->1,2->2}"], ["--d", "1", "{1->1}"]],
+    "act": [["{1->1,2->2}"], ["{1->1,2->2}", "3(1)^inf"]],
+    "measure": [["--json"], ["{1"]],
+    "cocycle profile": [[], ["--m", "2", "{1->1,2->2}"]],
+    "cocycle at-point": [["{1->1,2->2}"], ["{1->1,2->2}", "1(2)"]],
+    "cocycle integral-sqrt": [["--k"], ["--k", "2", "{1->1,2->2}"]],
+    "deficit": [["{1}"], ["{1}", "{1->1}"]],
+    "bisection to-table": [[], ["{2<-1}"]],
+    "bisection from-table": [["--m"], ["{1->1,2->1}"]],
+    "bisection compose": [["{1<-1}"], ["{1<-1,1<-2}", "{1<-1}"]],
+    "bisection is-full": [[], ["{1<-}"]],
+    "tail related": [["(1)^inf"], ["(1)^inf", "(3)^inf"]],
+    "tail orbit": [["--level", "x", "(1)^inf"], ["--level", "40", "(1)^inf"]],
+    "certificate check": [[], ["--d", "3", "--nu", "1"]],
+    "certificate pingpong-verify": [["--fixture"], ["--fixture", "free3"]],
+    "certificate convolution-count": [["--len", "x"], ["--len", "7"]],
+    "transporter": [["1"], ["--k", "2", "1:1", "3:1"]],
+    "embed": [["{1->1,2->2}"], ["{1->1,2->2}", "1"]],
+    "selftest": [["extra"]],
+}
+
+
+def cli_commands(rng: Random) -> list[str]:
+    """Every row of cli.COMMANDS: seeded calls over (2,1), (2,2) and (3,1)
+    in text and --json, then its refusals; selftest runs once."""
+    out = []
+    calls = [(a, _alphabet_calls(rng, a)) for a in _CLI_ALPHABETS]
+    for path, _, _, _ in COMMANDS:
+        command = path.split()
+        for a, by_path in calls:
+            for args in by_path.get(path, []):
+                argv = command + ["--d", str(a.d), "--k", str(a.k)] + [str(x) for x in args]
+                out += _cli(argv) + _cli(argv + ["--json"])
+        for args in _FREE_CALLS.get(path, []):
+            out += _cli(command + args) + _cli(command + args + ["--json"])
+        if path == "selftest":
+            out += _cli(command)
+        for args in _CLI_REFUSALS[path]:
+            out += _cli(command + args)
     return out
 
 
@@ -326,6 +433,7 @@ SECTIONS = [
     ("certificate refusals", certificate_refusals, 2104),
     ("cli output", cli_output, 2105),
     ("point lookups", point_lookups, 2106),
+    ("cli commands", cli_commands, 2107),
 ]
 
 
