@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MismatchedAlphabet, VdkError
-from .prefixcode import PackedCode, cell_index, format_packed, format_run, gaps, normal_words
-from .prefixcode import pack_letters, pack_word, parse_letters, parse_packed, tail_letters
-from .prefixcode import unpack_word, walk, widths
+from .prefixcode import PackedCode, braced_items, cell_index, format_packed, format_run, gaps
+from .prefixcode import normal_words, pack_letters, pack_word, parse_letters, parse_packed
+from .prefixcode import tail_letters, unpack_word, walk, widths
 from .words import Alphabet, Word, check_class, check_int, check_iterable  # noqa: F401
 from .words import format_word, parse_word, split  # noqa: F401
 
@@ -255,7 +255,6 @@ def _primitive(period: tuple[int, ...]) -> tuple[int, ...]:
     for j in range(1, n + 1):
         if n % j == 0 and period[: j] * (n // j) == period:
             return period[: j]
-    return period
 
 
 def _packed_period(a: Alphabet, letters: tuple) -> int:
@@ -313,13 +312,7 @@ def format_clopen(s: Clopen) -> str:
 def parse_clopen(alphabet: Alphabet, text: str) -> Clopen:
     check_class(Alphabet, alphabet)
     check_class(str, text)
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise VdkError("clopen must look like {w1,w2,...}, got %r" % text)
-    body = text[1:-1].strip()
-    if not body:
-        return empty_clopen(alphabet)
-    packed = [parse_packed(alphabet, p) for p in body.split(",")]
+    packed = [parse_packed(alphabet, p) for p in braced_items(text, "clopen", "{w1,w2,...}")]
     return Clopen(alphabet, normal_words(packed, alphabet.d, alphabet.k))
 
 

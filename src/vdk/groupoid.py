@@ -43,8 +43,8 @@ from .errors import (
     OverlappingBoxes,
     VdkError,
 )
-from .prefixcode import PackedCode, canonical, check_code, format_packed, normal_words, pack_letters
-from .prefixcode import pack_word, parse_packed, sort_pairs, tail_lengths, unpack_word
+from .prefixcode import PackedCode, braced_items, canonical, format_packed, leaves, normal_words
+from .prefixcode import pack_letters, pack_word, parse_packed, tail_lengths, unpack_word
 from .tables import TableElement, check_class, code_act, code_inverse, code_product
 
 
@@ -111,17 +111,18 @@ class Bisection(PackedCode):
 def make_bisection(cells, alphabet: Alphabet | None = None) -> Bisection:
     """Validated canonical Bisection from DoubleCylinders or (nu, mu) pairs.
 
+    A cell given twice overlaps itself and is refused, as in make_table.
     The empty bisection is allowed; pass the alphabet explicitly for it.
     """
     if alphabet is not None:
         check_class(Alphabet, alphabet)
-    pairs = set()
+    pairs = []
     for c in cells:
         if isinstance(c, (tuple, list)) and len(c) == 2:
             c = DoubleCylinder(*c)
         check_class(DoubleCylinder, c)
         check_class(Word, c.range_word, c.domain_word)
-        pairs.add((c.domain_word, c.range_word))
+        pairs.append((c.domain_word, c.range_word))
     if not pairs:
         if alphabet is None:
             raise VdkError("empty bisection needs an explicit alphabet")
@@ -134,17 +135,22 @@ def make_bisection(cells, alphabet: Alphabet | None = None) -> Bisection:
 
 
 def is_full(u: Bisection) -> bool:
-    """Both the domain words and the range words cover the whole space."""
+    """Both the domain words and the range words cover the whole space.
+
+    Construction refused overlapping cells, so each side is a prefix code
+    and covers the space exactly when its mass (prefixcode.leaves) is 1.
+    """
     check_class(Bisection, u)
     a = u.alphabet
-    ranges = [r for _, r in sort_pairs(u.packed, 1)]
-    return check_code(a, [w for w, _ in u.packed], "domain") and check_code(a, ranges, "range")
+    masses = [leaves([c[side] for c in u.packed], a.d, a.k) for side in (0, 1)]
+    return all(covered == total for covered, total, _ in masses)
 
 
 def to_table(u: Bisection) -> TableElement:
     """The group element of a full bisection; NotFull otherwise."""
     if not is_full(u):
-        raise NotFull("bisection with %d cells does not cover the space" % len(u.packed))
+        cells = "1 cell" if len(u.packed) == 1 else "%d cells" % len(u.packed)
+        raise NotFull("bisection with %s does not cover the space" % cells)
     return TableElement(u.alphabet, u.packed)
 
 
@@ -182,21 +188,17 @@ def format_bisection(u: Bisection) -> str:
 
 
 def parse_bisection(alphabet: Alphabet, text: str) -> Bisection:
+    """The bisection {nu<-mu,...}, read as parse_table reads a table: a
+    cell written twice overlaps itself and is refused."""
     check_class(Alphabet, alphabet)
     check_class(str, text)
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise VdkError("bisection must look like {nu<-mu,...}, got %r" % text)
-    body = text[1:-1].strip()
-    if not body:
-        return Bisection(alphabet, ())
-    cells = set()
-    for part in body.split(","):
+    cells = []
+    for part in braced_items(text, "bisection", "{nu<-mu,...}"):
         if "<-" not in part:
             raise VdkError("bisection cell %r must look like nu<-mu" % part.strip())
         nu, _, mu = part.partition("<-")
         r, w = parse_packed(alphabet, nu), parse_packed(alphabet, mu)
-        cells.add((w, r))
+        cells.append((w, r))
     return Bisection(alphabet, canonical(alphabet, cells, complete=False))
 
 

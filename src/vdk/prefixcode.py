@@ -147,11 +147,6 @@ def format_packed(alphabet: Alphabet, w: int) -> str:
     return "%d:%s" % ((w >> b * n) - (1 << rb) + 1, tail)
 
 
-def format_letters(alphabet: Alphabet, letters) -> str:
-    """Text of a run of tail letters."""
-    return format_run(alphabet, pack_letters(1, (alphabet.d - 1).bit_length(), letters))
-
-
 def format_run(alphabet: Alphabet, v: int) -> str:
     """Text of the tail letters packed after the sentinel bit of v, such as a point's period."""
     b = (alphabet.d - 1).bit_length()
@@ -211,6 +206,16 @@ def parse_packed(alphabet: Alphabet, text: str) -> int:
                 raise VdkError("tail letter %d outside 1..%d" % (t, d))
             v = v << b | t - 1
     return ((1 << rb | root - 1) << b * n) | v
+
+
+def braced_items(text: str, what: str, shape: str) -> list:
+    """The comma-separated item texts of text in braces, none for {};
+    anything not in braces raises VdkError naming what and its shape."""
+    text = text.strip()
+    if not (text.startswith("{") and text.endswith("}")):
+        raise VdkError("%s must look like %s, got %r" % (what, shape, text))
+    body = text[1:-1].strip()
+    return body.split(",") if body else []
 
 
 def tail_lengths(pairs, d: int, k: int) -> list:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from random import Random
 
 from .cantor import Alphabet, Clopen, Point, Word, clopen_normalize, point_normalize, split
-from .groupoid import Bisection, BoxTable, from_table, make_bisection, mv_make
+from .groupoid import Bisection, BoxTable, from_table, mv_make
 from .tables import TableElement, make_table
 
 
@@ -62,11 +62,13 @@ def random_table(rng: Random, alphabet: Alphabet, splits: int | None = None) -> 
 def random_bisection(
     rng: Random, alphabet: Alphabet, splits: int | None = None, full: bool = False
 ) -> Bisection:
+    """The full bisection of a random_table, or a random subset of its
+    packed cells: a subset of a canonical code is canonical, since a
+    family it keeps whole was whole in the code and would have merged."""
     u = from_table(random_table(rng, alphabet, splits))
     if full:
         return u
-    keep = [c for c in u.cells if rng.random() < 0.8]
-    return make_bisection(keep, alphabet)
+    return Bisection(u.alphabet, tuple([c for c in u.packed if rng.random() < 0.8]))
 
 
 def random_boxes(rng: Random, m: int, splits: int = 3) -> list[tuple[tuple[int, ...], ...]]:

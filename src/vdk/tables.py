@@ -23,7 +23,7 @@ from __future__ import annotations
 from .cantor import Alphabet, Clopen, Point, Word, check_class, check_int, check_same_alphabet
 from .cantor import packed_point, replace_prefix
 from .errors import ArityMismatch, TransportImpossible, VdkError
-from .prefixcode import PackedCode, canonical, cell_index, format_packed, gaps, graft
+from .prefixcode import PackedCode, braced_items, canonical, cell_index, format_packed, gaps, graft
 from .prefixcode import identity_pairs, normal_form, normal_words, pack_word, parse_packed
 from .prefixcode import range_order, split_last, swap, tail_lengths, unpack_word, walk, widths
 
@@ -248,16 +248,12 @@ def format_table(g: TableElement) -> str:
 def parse_table(alphabet: Alphabet, text: str) -> TableElement:
     check_class(Alphabet, alphabet)
     check_class(str, text)
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise VdkError("table must look like {mu->nu,...}, got %r" % text)
-    body = text[1:-1].strip()
-    if not body:
-        raise VdkError("a table needs at least one pair")
     pairs = []
-    for part in body.split(","):
+    for part in braced_items(text, "table", "{mu->nu,...}"):
         if "->" not in part:
             raise VdkError("table pair %r must look like mu->nu" % part.strip())
         mu, _, nu = part.partition("->")
         pairs.append((parse_packed(alphabet, mu), parse_packed(alphabet, nu)))
+    if not pairs:
+        raise VdkError("a table needs at least one pair")
     return TableElement(alphabet, canonical(alphabet, pairs, complete=True))

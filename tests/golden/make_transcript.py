@@ -33,18 +33,23 @@ from vdk import (
     Word,
     act_point,
     bisection_act,
+    bisection_compose,
+    bisection_inverse,
     check_certificate,
     clopen_normalize,
     fixture,
+    format_bisection,
     format_clopen,
     format_table,
     free_norm,
     from_table,
     integral_sqrt_rn,
     inverse,
+    is_full,
     make_bisection,
     make_table,
     member,
+    parse_bisection,
     parse_clopen,
     pingpong_verify,
     point_normalize,
@@ -53,9 +58,11 @@ from vdk import (
     rn_exponent,
     split,
     symmetric_set,
+    to_table,
     transporter,
 )
 from vdk.cli import COMMANDS, main
+from vdk.groupoid import bisection_to_json
 
 PATH = Path(__file__).resolve().parent / "transcript.txt"
 
@@ -426,6 +433,88 @@ def point_lookups(rng: Random) -> list[str]:
     return out
 
 
+_BISECTION_ALPHABETS = [Alphabet(d, k) for d, k in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 5))]
+
+
+def _call(call) -> str:
+    try:
+        return str(call())
+    except VdkError as e:
+        return _refusal(e)
+
+
+def _bisection_text(cells) -> str:
+    return "{%s}" % ",".join("%s<-%s" % c for c in cells)
+
+
+def bisections(rng: Random) -> list[str]:
+    """Seeded partial codes over five alphabets, read by parse_bisection
+    and built by make_bisection from shuffled cells, then their
+    fullness, table, source, range, JSON, inverse, products with a full
+    bisection and actions on points in and out of their source; then
+    refusals of malformed text, overlapping cells, mixed alphabets and
+    repeated cells."""
+    out = []
+    for a in _BISECTION_ALPHABETS:
+        for _ in range(8):
+            cells = [(r, w) for w, r in _table(rng, a, rng.randrange(0, 6)).pairs]
+            kept = [c for c in cells if rng.random() < 0.6]
+            rng.shuffle(kept)
+            text = _bisection_text(kept)
+            u, v = parse_bisection(a, text), make_bisection(kept, a)
+            w = from_table(_table(rng, a, rng.randrange(0, 4)))
+            out.append("(%d,%d) %s" % (a.d, a.k, text))
+            out.append("  parse = %s; make equal: %s" % (format_bisection(u), u == v))
+            out.append("  is_full: %s; to_table: %s" % (is_full(u), _call(lambda: to_table(u))))
+            sides = format_clopen(u.source()), format_clopen(u.range())
+            out.append("  source %s, range %s" % sides)
+            out.append("  json %s" % json.dumps(bisection_to_json(u), sort_keys=True))
+            out.append("  inverse %s" % bisection_inverse(u))
+            out.append("  w = %s" % w)
+            out.append("  u*w %s; w*u %s" % (bisection_compose(u, w), bisection_compose(w, u)))
+            out.append("  u*u^-1 %s" % bisection_compose(u, bisection_inverse(u)))
+            domains = [mu for _, mu in kept]
+            for _ in range(3):
+                x = _point(rng, a)
+                if domains and rng.random() < 0.5:
+                    x = point_normalize(rng.choice(domains), [rng.randrange(1, a.d + 1)])
+                out.append("  u.%s = %s" % (x, _call(lambda: bisection_act(u, x))))
+    a21, a22, a32 = Alphabet(2, 1), Alphabet(2, 2), Alphabet(3, 2)
+    texts = [
+        (a21, "{1<-1"), (a21, "1<-1}"), (a21, "{1<-1,}"), (a21, "{1->1}"), (a21, "{,}"),
+        (a21, "{1<-x}"), (a21, "{<-1}"), (a21, "{1<-3}"), (a22, "{1<-1:}"), (a22, "{3:<-1:}"),
+        # overlapping cells, on either side
+        (a21, "{1<-1,2<-11}"), (a21, "{1<-1,11<-2}"), (a22, "{1:<-1:,2:<-1:2}"),
+        # repeated cells
+        (a21, "{1<-1,1<-1,2<-2}"), (a21, "{1<-1,1<-1}"), (a22, "{2:1<-1:,2:1<-1:,1:<-2:}"),
+        (a32, "{1:<-1:,2:1<-2:1,2:2<-2:2,2:3<-2:3,2:3<-2:3}"),
+    ]
+    for a, text in texts:
+        read = _call(lambda: parse_bisection(a, text))
+        out.append("parse (%d,%d) %s: %s" % (a.d, a.k, text, read))
+    w21, w22 = Word(a21, 1, (1,)), Word(a22, 1, (1,))
+    empty21, empty22 = make_bisection([], a21), make_bisection([], a22)
+    full32 = [(w, w) for w in [Word(a32, 1)] + [Word(a32, 2, (t,)) for t in (1, 2, 3)]]
+    calls = [
+        ("make over (2,1) and (2,2)", lambda: make_bisection([(w21, w22)])),
+        ("make (2,1) cells as (2,2)", lambda: make_bisection([(w21, w21)], a22)),
+        ("make no alphabet", lambda: make_bisection([])),
+        ("make a str cell", lambda: make_bisection(["1<-1"], a21)),
+        ("make overlapping", lambda: make_bisection([(w21, w21), (w21, Word(a21, 1, (1, 2)))])),
+        ("compose mixed", lambda: bisection_compose(empty21, empty22)),
+        ("act mixed", lambda: bisection_act(make_bisection([(w21, w21)]), _point(rng, a22))),
+        ("make repeated", lambda: make_bisection([(w21, w21), (w21, w21)])),
+        ("make repeated over (2,1)", lambda: make_bisection([(w21, w21), (w21, w21)], a21)),
+        ("make repeated beside a full code", lambda: make_bisection(full32 + full32[-1:], a32)),
+    ]
+    for name, call in calls:
+        out.append("%s: %s" % (name, _call(call)))
+    for name, call in calls[-3:]:
+        out.append("%s, is_full: %s" % (name, _call(lambda: is_full(call()))))
+        out.append("%s, to_table: %s" % (name, _call(lambda: to_table(call()))))
+    return out
+
+
 SECTIONS = [
     ("quadratic values", quadratic_values, 2101),
     ("integral_sqrt_rn", integrals, 2102),
@@ -434,6 +523,7 @@ SECTIONS = [
     ("cli output", cli_output, 2105),
     ("point lookups", point_lookups, 2106),
     ("cli commands", cli_commands, 2107),
+    ("bisections", bisections, 2108),
 ]
 
 

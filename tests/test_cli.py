@@ -253,6 +253,51 @@ def test_exit_3_inconclusive(capsys):
     assert "INCONCLUSIVE" in out
 
 
+_INCONCLUSIVE_K1_NU1 = """\
+d=2 k=1 n=2 nu=1 |F|=4
+lhs = 5/2 + 1/2*sqrt(2)
+paper_lower_bound = 2
+norm_bound = 2*sqrt(3) (exact-free-rank-r)
+lhs vs norm: less
+paper bound vs norm: not
+verdict: INCONCLUSIVE
+"""
+_INCONCLUSIVE_K1_NU1_JSON = {
+    "command": "certificate check",
+    "params": {"d": 2, "fixture": "free2", "k": 1, "m": 1, "nu": "1"},
+    "result": {
+        "F_size": 4,
+        "comparisons": [{"lhs_vs_norm": "less"}, {"paper_bound_vs_norm": "not"}],
+        "d": 2,
+        "k": 1,
+        "lhs": {"a": "5/2", "b": "1/2", "m": 2},
+        "n": 2,
+        "norm_bound": {"a": "0", "b": "2", "kind": "exact-free-rank-r", "m": 3, "r": 2},
+        "nu": "1",
+        "paper_lower_bound": "2",
+        "verdict": "INCONCLUSIVE",
+    },
+}
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_an_inconclusive_check_asks_for_the_report_not_the_advice(capsys, monkeypatch, json_flag):
+    # the least passing |nu| is only named by the strict exception, which
+    # the CLI never prints, so the CLI must not compute it
+    from vdk import certificate
+
+    def refuse(*args):
+        raise AssertionError("the CLI computed the least passing |nu|")
+
+    monkeypatch.setattr(certificate, "_least_passing_n", refuse)
+    code, out, err = run_cli(capsys, "certificate", "check", "--k", "1", "--nu", "1", *json_flag)
+    assert (code, err) == (3, "")
+    if json_flag:
+        assert out == json.dumps(_INCONCLUSIVE_K1_NU1_JSON, indent=2, sort_keys=True) + "\n"
+    else:
+        assert out == _INCONCLUSIVE_K1_NU1
+
+
 def test_selftest_exit_0(capsys):
     # selftest prints its own lines, with or without --json, and no
     # envelope; like the commands below it never builds the alphabet

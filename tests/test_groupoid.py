@@ -5,6 +5,7 @@ the corresponding table element does, cell by cell and point by point.
 """
 
 import json
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -52,7 +53,7 @@ from vdk.errors import (
     VdkError,
 )
 from vdk.groupoid import bisection_to_json
-from vdk.sampling import random_bisection, random_point, random_table
+from vdk.sampling import random_bisection, random_code, random_point, random_table
 
 A21 = Alphabet(2, 1)
 A22 = Alphabet(2, 2)
@@ -142,6 +143,47 @@ def test_is_full_agrees_with_make_table():
         except VdkError:
             table_ok = False
         assert is_full(u) == table_ok
+
+
+def _mass(words) -> Fraction:
+    """The Bernoulli mass of disjoint cylinders, summed as 1/(k d^t) for t tail letters."""
+    return sum([Fraction(1, w.alphabet.k * w.alphabet.d ** len(w.tail)) for w in words])
+
+
+def test_is_full_agrees_with_the_masses():
+    # seeded partial bisections over five alphabets, the empty one, and
+    # cells from a complete code paired with part of a larger one, so
+    # that one side covers the space while the other does not
+    rng = Random(2409)
+    seen = set()
+    for a in ALPHABETS + [Alphabet(5, 5)]:
+        samples = [make_bisection([], a)]
+        for _ in range(60):
+            samples.append(random_bisection(rng, a, rng.randrange(0, 6)))
+            dom = random_code(rng, a, rng.randrange(0, 4))
+            ran = rng.sample(random_code(rng, a, rng.randrange(len(dom), len(dom) + 3)), len(dom))
+            u = make_bisection(list(zip(ran, dom)))
+            samples.append(bisection_inverse(u) if rng.random() < 0.5 else u)
+        for u in samples:
+            sides = [c.domain_word for c in u.cells], [c.range_word for c in u.cells]
+            masses = tuple(_mass(words) for words in sides)
+            assert is_full(u) == (masses == (1, 1)), (u, masses)
+            seen.add((masses[0] == 1, masses[1] == 1))
+    assert seen == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def test_random_bisection_takes_the_same_draws_as_a_rebuild_of_its_cells():
+    # the draws and the result of building the kept cells again through
+    # make_bisection, as random_bisection once did
+    for s in range(200):
+        a = (ALPHABETS + [Alphabet(5, 5)])[s % 5]
+        splits = None if s % 3 == 0 else s % 7
+        rng = Random(s)
+        u = from_table(random_table(rng, a, splits))
+        kept = [c for c in u.cells if rng.random() < 0.8]
+        got_rng = Random(s)
+        assert random_bisection(got_rng, a, splits) == make_bisection(kept, a)
+        assert got_rng.getstate() == rng.getstate()
 
 
 # ---------------------------------------------------------------------------

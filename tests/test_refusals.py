@@ -11,7 +11,9 @@ from vdk import (
     ArityMismatch,
     DisjointnessViolation,
     MismatchedAlphabet,
+    NotFull,
     NotRelated,
+    OverlappingDomain,
     TailWitness,
     VdkError,
     Word,
@@ -66,6 +68,10 @@ C1 = parse_clopen(A21, "{1}")
 SWAP = parse_table(A21, "{1->2,2->1}")
 F, CERT = fixture("free2")
 NU = Word(A22, 1, (1, 1))
+W1 = Word(A21, 1, (1,))
+A32 = Alphabet(3, 2)
+# a complete code over (3,2), its last word given twice
+REPEAT32 = [(w, w) for w in [Word(A32, 1)] + [Word(A32, 2, (t,)) for t in (1, 2, 3, 3)]]
 
 
 def swap_on(m):
@@ -105,6 +111,26 @@ _CASES = {
         "point (2)^inf is outside the source of the bisection"),
     "parse_table_no_pairs": (
         lambda: parse_table(A21, "{}"), VdkError, "a table needs at least one pair"),
+    # a repeated cell overlaps itself, as a repeated table pair does; a
+    # set used to merge the repeats, so each of these read as a bisection
+    "parse_bisection_repeated_cell": (
+        lambda: parse_bisection(A21, "{1<-1,1<-1,2<-2}"), OverlappingDomain,
+        "domain words 1 and 1 overlap"),
+    "make_bisection_repeated_cell": (
+        lambda: make_bisection([(W1, W1), (W1, W1)]), OverlappingDomain,
+        "domain words 1 and 1 overlap"),
+    "make_bisection_repeated_cell_alphabet": (
+        lambda: make_bisection([(W1, W1), (W1, W1)], A21), OverlappingDomain,
+        "domain words 1 and 1 overlap"),
+    "make_bisection_repeated_cell_beside_a_full_code": (
+        lambda: make_bisection(REPEAT32, A32), OverlappingDomain,
+        "domain words 2:3 and 2:3 overlap"),
+    "to_table_one_cell": (
+        lambda: to_table(parse_bisection(A21, "{1<-1}")), NotFull,
+        "bisection with 1 cell does not cover the space"),
+    "to_table_two_cells": (
+        lambda: to_table(parse_bisection(A21, "{11<-1,12<-2}")), NotFull,
+        "bisection with 2 cells does not cover the space"),
     "make_bisection_no_alphabet": (
         lambda: make_bisection([]), VdkError, "empty bisection needs an explicit alphabet"),
     "mv_make_box_arity": (
