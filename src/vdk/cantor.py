@@ -1,16 +1,18 @@
 """Cantor-space primitives for X_{d,k} = [k] x [d]^N.
 
 A point is an infinite word: one root letter from {1..k} followed by an
-infinite stream of tail letters from {1..d}.  Finite words (root plus
-finitely many tails, vdk.words) name cylinder sets; a Clopen is a finite
-disjoint union of cylinders kept as a canonical antichain of prefixes on
-the packed prefix-code kernel (vdk.prefixcode); a Point is an eventually
-periodic infinite word stored exactly as preperiod plus primitive period,
-both packed into ints, so a point is looked up and acted on with no Word.
+infinite stream of tail letters from {1..d}.  A finite word, a root and
+p tail letters, names a cylinder set of mass 1 / (k * d^p); its length
+counts the root.  Every finite word is one packed int (vdk.prefixcode):
+a Word is an alphabet and that int, its letters checked once, when it
+is made from letters or text; a Clopen is a canonical antichain of them;
+a Point is an eventually periodic infinite word stored as its packed
+preperiod and primitive period.
 
-Text formats:
-  word    ``r:t1t2...``        see vdk.words
-  point   ``u(v)^inf``         e.g. ``1:2(12)^inf``
+Text formats, read and written by the codec in vdk.prefixcode:
+  word    ``r:t1t2...``  e.g. ``1:21``; for k = 1 also ``21``, the bare
+                         root ``1:``; letters above 9 dot-separated
+  point   ``u(v)^inf``   e.g. ``1:2(12)^inf``
   clopen  ``{w1,w2,...}``
 """
 
@@ -20,10 +22,137 @@ from dataclasses import dataclass
 
 from .errors import MismatchedAlphabet, VdkError
 from .prefixcode import PackedCode, braced_items, cell_index, format_packed, format_run, gaps
-from .prefixcode import normal_words, pack_letters, pack_word, parse_letters, parse_packed
-from .prefixcode import tail_letters, unpack_word, walk, widths
-from .words import Alphabet, Word, check_class, check_int, check_iterable  # noqa: F401
-from .words import format_word, parse_word, split  # noqa: F401
+from .prefixcode import normal_words, pack_letters, parse_letters, parse_packed, tail_letters
+from .prefixcode import walk, widths
+
+
+def check_int(name: str, value) -> None:
+    if type(value) is not int:
+        raise VdkError("%s must be an int, got %s" % (name, type(value).__name__))
+
+
+def check_class(cls: type, *objs) -> None:
+    for o in objs:
+        if not isinstance(o, cls):
+            article = "an" if cls.__name__[0] in "AEIOU" else "a"
+            raise VdkError("expected %s %s, got %s" % (article, cls.__name__, type(o).__name__))
+
+
+def check_iterable(name: str, values):
+    """An iterator over values; a one-line VdkError if they cannot be iterated."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise VdkError("%s must be iterable, got %s" % (name, type(values).__name__)) from None
+
+
+# ---------------------------------------------------------------------------
+# the alphabet and its finite words
+
+
+@dataclass(frozen=True, slots=True)
+class Alphabet:
+    """The sizes (d, k) of X_{d,k}: d tail letters and k root letters."""
+
+    d: int
+    k: int
+
+    def __post_init__(self):
+        check_int("tail alphabet size d", self.d)
+        check_int("root alphabet size k", self.k)
+        if self.d < 2:
+            raise VdkError("tail alphabet needs d >= 2, got d=%d" % self.d)
+        if self.k < 1:
+            raise VdkError("root alphabet needs k >= 1, got k=%d" % self.k)
+
+
+@dataclass(frozen=True, init=False)
+class Word:
+    """Finite word: a root letter and tail letters, held as one packed int.
+
+    Word(alphabet, root, tail=()) checks the letters and packs them once
+    (vdk.prefixcode's layout); root, tail, letters and len() read the
+    int back.  Words are equal when their alphabets and packed ints are,
+    that is when their letters are, and order as their letter tuples.
+    """
+
+    # slots written out, not slots=True: that copies the class, and the
+    # frozen __setattr__ of the copy ends in TypeError on root or tail
+    __slots__ = ("alphabet", "packed")
+    alphabet: Alphabet
+    packed: int
+
+    def __init__(self, alphabet: Alphabet, root: int, tail: tuple[int, ...] = ()):
+        check_class(Alphabet, alphabet)
+        check_int("root letter", root)
+        if not 1 <= root <= alphabet.k:
+            raise VdkError("root letter %d outside 1..%d" % (root, alphabet.k))
+        check_class(tuple, tail)
+        for t in tail:
+            check_int("tail letter", t)
+            if not 1 <= t <= alphabet.d:
+                raise VdkError("tail letter %d outside 1..%d" % (t, alphabet.d))
+        rb, b = widths(alphabet.d, alphabet.k)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "packed", pack_letters(1 << rb | root - 1, b, tail))
+
+    def _layout(self) -> tuple[int, int, int]:
+        """(bits of the root letter, bits of a tail letter, number of tail letters)."""
+        rb, b = widths(self.alphabet.d, self.alphabet.k)
+        return rb, b, (self.packed.bit_length() - 1 - rb) // b
+
+    @property
+    def root(self) -> int:
+        rb, b, n = self._layout()
+        return (self.packed >> b * n) - (1 << rb) + 1
+
+    @property
+    def tail(self) -> tuple[int, ...]:
+        _, b, n = self._layout()
+        return tail_letters(self.packed, b, n)
+
+    def __len__(self):
+        return 1 + self._layout()[2]
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        return (self.root,) + self.tail
+
+    def extend(self, *tails: int) -> Word:
+        return Word(self.alphabet, self.root, self.tail + tails)
+
+    def __reduce__(self):
+        # copies and pickles are remade from the int, past the frozen fields
+        return unpack_word, (self.alphabet, self.packed)
+
+    def __lt__(self, other: Word) -> bool:
+        return self.letters < other.letters
+
+    def __le__(self, other: Word) -> bool:
+        return self.letters <= other.letters
+
+    def __str__(self):
+        return format_word(self)
+
+    def __repr__(self):
+        return "Word(%r)" % format_word(self)
+
+
+def unpack_word(alphabet: Alphabet, packed: int) -> Word:
+    """The Word of a packed int that a checked code or point holds: made
+    straight from the int, with nothing checked or unpacked."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "alphabet", alphabet)
+    object.__setattr__(w, "packed", packed)
+    return w
+
+
+def split(w: Word) -> tuple[Word, ...]:
+    """The d children of w; their cylinders partition the cylinder of w."""
+    check_class(Word, w)
+    a = w.alphabet
+    c = w.packed << widths(a.d, a.k)[1]
+    return tuple([unpack_word(a, c | i) for i in range(a.d)])
 
 
 def check_same_alphabet(*objs) -> Alphabet:
@@ -48,7 +177,7 @@ class Clopen(PackedCode):
     into w).  The whole space is the full level-zero family {1:, ..., k:}
     and the empty set is the empty tuple.  The prefixes are stored only
     as `packed`, a sorted tuple of packed words (vdk.prefixcode);
-    `words` unpacks them on every access.  Build instances through
+    `words` wraps each as a Word on every access.  Build instances through
     clopen_normalize, not the raw constructor.
     """
 
@@ -127,7 +256,7 @@ def clopen_normalize(alphabet: Alphabet, words) -> Clopen:
             raise MismatchedAlphabet(
                 "word %s is over %r, not %r" % (w, w.alphabet, alphabet)
             )
-        packed.append(pack_word(w))
+        packed.append(w.packed)
     return Clopen(alphabet, normal_words(packed, alphabet.d, alphabet.k))
 
 
@@ -194,9 +323,8 @@ class Point:
         canonical point r . sigma^p(x), r the first root.
         """
         _check_count("tail position", p)
-        rb, b = widths(self.alphabet.d, self.alphabet.k)
-        z = replace_prefix(self, p, 1 << rb)
-        return tail_letters(z.pre, b, (z.pre.bit_length() - 1 - rb) // b), z.period
+        z = replace_prefix(self, p, 1 << widths(self.alphabet.d, self.alphabet.k)[0])
+        return z.preperiod.tail, z.period
 
     def prefix(self, p: int) -> Word:
         """The prefix word of this point carrying exactly p tail letters."""
@@ -273,7 +401,7 @@ def point_normalize(preperiod: Word, period) -> Point:
     if not per:
         raise VdkError("period must be nonempty")
     a = preperiod.alphabet
-    return packed_point(a, pack_word(preperiod), _packed_period(a, per))
+    return packed_point(a, preperiod.packed, _packed_period(a, per))
 
 
 def replace_prefix(x: Point, t: int, nu: int) -> Point:
@@ -301,6 +429,17 @@ def member(x: Point, s: Clopen) -> bool:
 
 # ---------------------------------------------------------------------------
 # parsing and formatting
+
+
+def format_word(w: Word) -> str:
+    check_class(Word, w)
+    return format_packed(w.alphabet, w.packed)
+
+
+def parse_word(alphabet: Alphabet, text: str) -> Word:
+    check_class(Alphabet, alphabet)
+    check_class(str, text)
+    return unpack_word(alphabet, parse_packed(alphabet, text))
 
 
 def format_clopen(s: Clopen) -> str:

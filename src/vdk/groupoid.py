@@ -23,18 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 
-from .cantor import (
-    Alphabet,
-    Clopen,
-    Point,
-    Word,
-    check_iterable,
-    check_same_alphabet,
-    clopen_normalize,
-    format_word,
-    point_normalize,
-    replace_prefix,
-)
+from .cantor import Alphabet, Clopen, Point, Word, check_iterable, check_same_alphabet
+from .cantor import format_word, point_normalize, replace_prefix, unpack_word
 from .errors import (
     ArityMismatch,
     IncompleteBoxes,
@@ -44,7 +34,7 @@ from .errors import (
     VdkError,
 )
 from .prefixcode import PackedCode, braced_items, canonical, format_packed, leaves, normal_words
-from .prefixcode import pack_letters, pack_word, parse_packed, tail_lengths, unpack_word
+from .prefixcode import pack_letters, parse_packed, tail_lengths
 from .tables import TableElement, check_class, code_act, code_inverse, code_product
 
 
@@ -66,12 +56,10 @@ class DoubleCylinder:
 def germ_maps(c: DoubleCylinder) -> tuple[Clopen, Clopen, int]:
     """(source cylinder, range cylinder, degree) of a cell."""
     check_class(DoubleCylinder, c)
+    check_class(Word, c.range_word, c.domain_word)
     a = check_same_alphabet(c.range_word, c.domain_word)
-    return (
-        clopen_normalize(a, [c.domain_word]),
-        clopen_normalize(a, [c.range_word]),
-        c.degree,
-    )
+    # one word is a canonical clopen
+    return Clopen(a, (c.domain_word.packed,)), Clopen(a, (c.range_word.packed,)), c.degree
 
 
 class Bisection(PackedCode):
@@ -79,8 +67,9 @@ class Bisection(PackedCode):
 
     Cells are stored only as `packed`, (domain, range) integer pairs in
     the same canonical form as tables, so full bisections and their
-    tables agree cell for cell; `cells` unpacks them into
-    DoubleCylinders on every access.  Build through make_bisection.
+    tables agree cell for cell; `cells` wraps them as DoubleCylinders
+    of Words on every access, checking nothing again.  Build through
+    make_bisection.
     """
 
     __slots__ = ()
@@ -130,7 +119,7 @@ def make_bisection(cells, alphabet: Alphabet | None = None) -> Bisection:
     a = check_same_alphabet(*[w for p in pairs for w in p])
     if alphabet is not None and a != alphabet:
         raise MismatchedAlphabet("cells are over %r, not %r" % (a, alphabet))
-    packed = [(pack_word(mu), pack_word(nu)) for mu, nu in pairs]
+    packed = [(mu.packed, nu.packed) for mu, nu in pairs]
     return Bisection(a, canonical(a, packed, complete=False))
 
 

@@ -3,7 +3,8 @@
 A table {mu -> nu} and a bisection {nu <- mu} hold the same data: two
 prefix codes of X_{d,k}, paired cell by cell; a clopen set is a single
 prefix code that need not cover the space.  This module is the only one
-that knows how those codes are stored.
+that knows how those codes are stored.  It needs of vdk only its errors:
+an alphabet is read for its sizes d and k, and a Word is a packed word.
 
 A finite word is packed into one integer whose binary form is a leading
 1 (the sentinel), then the root letter minus 1 in rb = (k-1).bit_length()
@@ -17,9 +18,9 @@ order of bin(w) is the lexicographic order of the words, a prefix right
 before its extensions; codes are sorted by that key.  A cell is a
 (domain, range) pair of packed words.
 
-The text codec lives here too: it reads and writes packed words with no
-Word in between.  For d <= 9 a tail letter t is the base-2^b digit t - 1,
-so a tail converts with one int() or format() and a str.translate.
+The text codec lives here too, on packed words.  For d <= 9 a tail
+letter t is the base-2^b digit t - 1, so a tail converts with one int()
+or format() and a str.translate.
 
 A code is canonical when its pairs are sorted lexicographically by
 domain word and no aligned sibling family is left to merge, i.e. no d
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 from .errors import IncompleteDomain, IncompleteRange, OverlappingDomain
 from .errors import OverlappingRange, VdkError
-from .words import Alphabet, Word
 
 
 class PackedCode:
@@ -58,7 +58,7 @@ class PackedCode:
 
     __slots__ = ("alphabet", "packed")
 
-    def __init__(self, alphabet: Alphabet, packed: tuple):
+    def __init__(self, alphabet, packed: tuple):
         self.alphabet = alphabet
         self.packed = packed
 
@@ -97,17 +97,6 @@ def tail_letters(w: int, b: int, n: int) -> tuple[int, ...]:
     return tuple([(w >> s & low) + 1 for s in range(b * (n - 1), -1, -b)])
 
 
-def pack_word(w: Word) -> int:
-    rb, b = widths(w.alphabet.d, w.alphabet.k)
-    return pack_letters((1 << rb) | (w.root - 1), b, w.tail)
-
-
-def unpack_word(alphabet: Alphabet, packed: int) -> Word:
-    rb, b = widths(alphabet.d, alphabet.k)
-    n = (packed.bit_length() - 1 - rb) // b
-    return Word(alphabet, (packed >> b * n) - (1 << rb) + 1, tail_letters(packed, b, n))
-
-
 # ---------------------------------------------------------------------------
 # text codec
 
@@ -137,7 +126,7 @@ def _tail_text(d: int, b: int, n: int, v: int) -> str:
     return format(v, "0%d%s" % (n, spec)).translate(up)
 
 
-def format_packed(alphabet: Alphabet, w: int) -> str:
+def format_packed(alphabet, w: int) -> str:
     """Text of the packed word w."""
     rb, b = widths(alphabet.d, alphabet.k)
     n = (w.bit_length() - 1 - rb) // b
@@ -147,14 +136,14 @@ def format_packed(alphabet: Alphabet, w: int) -> str:
     return "%d:%s" % ((w >> b * n) - (1 << rb) + 1, tail)
 
 
-def format_run(alphabet: Alphabet, v: int) -> str:
+def format_run(alphabet, v: int) -> str:
     """Text of the tail letters packed after the sentinel bit of v, such as a point's period."""
     b = (alphabet.d - 1).bit_length()
     n = (v.bit_length() - 1) // b
     return _tail_text(alphabet.d, b, n, v ^ (1 << b * n))
 
 
-def parse_letters(alphabet: Alphabet, text: str) -> list:
+def parse_letters(alphabet, text: str) -> list:
     """The tail letters spelled by text, not yet checked against 1..d."""
     text = text.strip()
     if not text:
@@ -172,7 +161,7 @@ def parse_letters(alphabet: Alphabet, text: str) -> list:
         raise VdkError("cannot read tail letters from %r" % text) from None
 
 
-def parse_packed(alphabet: Alphabet, text: str) -> int:
+def parse_packed(alphabet, text: str) -> int:
     """The packed word spelled by text; raises VdkError for anything else."""
     d, k = alphabet.d, alphabet.k
     text = text.strip()
@@ -254,8 +243,8 @@ def leaves(words, d: int, k: int) -> tuple[int, int, int]:
     return sum(d ** (e - t) for t in tails), k * d**e, e + 1
 
 
-def check_code(alphabet: Alphabet, words: list, side: str, complete: bool = False) -> bool:
-    """Whether the `side` ("domain" or "range") words, sorted lexicographically, cover the space.
+def check_code(alphabet, words: list, side: str, complete: bool = False) -> None:
+    """Check that the sorted `side` ("domain" or "range") words form a prefix code.
 
     Raises Overlapping* when two of the words overlap and, with
     complete, Incomplete* when they do not cover the whole space.  The
@@ -271,11 +260,11 @@ def check_code(alphabet: Alphabet, words: list, side: str, complete: bool = Fals
                 "%s words %s and %s overlap"
                 % (side, format_packed(alphabet, w1), format_packed(alphabet, w2))
             )
-    covered, total, depth = leaves(words, alphabet.d, alphabet.k)
-    if complete and covered != total:
-        err = IncompleteDomain if side == "domain" else IncompleteRange
-        raise err("%s words cover %d/%d leaves at depth %d" % (side, covered, total, depth))
-    return covered == total
+    if complete:
+        covered, total, depth = leaves(words, alphabet.d, alphabet.k)
+        if covered != total:
+            err = IncompleteDomain if side == "domain" else IncompleteRange
+            raise err("%s words cover %d/%d leaves at depth %d" % (side, covered, total, depth))
 
 
 def identity_pairs(d: int, k: int) -> tuple:
@@ -348,7 +337,7 @@ def normal_words(words, d: int, k: int) -> tuple:
     return tuple([w for w, _ in _merge_siblings([(w, w) for w in kept], d, k, 2)])
 
 
-def canonical(alphabet: Alphabet, pairs, complete: bool) -> tuple:
+def canonical(alphabet, pairs, complete: bool) -> tuple:
     """Checked canonical form of packed (domain, range) pairs.
 
     Both sides must be prefix codes, and complete ones when complete is

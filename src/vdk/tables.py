@@ -21,19 +21,19 @@ against it and returns that class, so every public operation is one call.
 from __future__ import annotations
 
 from .cantor import Alphabet, Clopen, Point, Word, check_class, check_int, check_same_alphabet
-from .cantor import packed_point, replace_prefix
+from .cantor import packed_point, replace_prefix, unpack_word
 from .errors import ArityMismatch, TransportImpossible, VdkError
 from .prefixcode import PackedCode, braced_items, canonical, cell_index, format_packed, gaps, graft
-from .prefixcode import identity_pairs, normal_form, normal_words, pack_word, parse_packed
-from .prefixcode import range_order, split_last, swap, tail_lengths, unpack_word, walk, widths
+from .prefixcode import identity_pairs, normal_form, normal_words, parse_packed, range_order
+from .prefixcode import split_last, swap, tail_lengths, walk, widths
 
 
 class TableElement(PackedCode):
     """Group element of V_{d,k} in canonical reduced table form.
 
     The cells are stored only as `packed`, (domain, range) pairs of
-    packed words (vdk.prefixcode); `pairs` unpacks them into Words on
-    every access.
+    packed words (vdk.prefixcode); `pairs` wraps each int as a Word on
+    every access, with nothing checked again.
     """
 
     __slots__ = ()
@@ -81,7 +81,7 @@ def make_table(pairs) -> TableElement:
         if type(p) not in (tuple, list) or len(p) != 2:
             raise VdkError("expected a (domain, range) pair of Words, got %r" % (p,))
     a = check_same_alphabet(*words)
-    packed = [(pack_word(mu), pack_word(nu)) for mu, nu in pairs]
+    packed = [(mu.packed, nu.packed) for mu, nu in pairs]
     return TableElement(a, canonical(a, packed, complete=True))
 
 
@@ -192,7 +192,7 @@ def transporter(nu1: Word, nu2: Word) -> TableElement:
     """
     check_class(Word, nu1, nu2)
     a = check_same_alphabet(nu1, nu2)
-    p1, p2 = pack_word(nu1), pack_word(nu2)
+    p1, p2 = nu1.packed, nu2.packed
     comp1, comp2 = gaps((p1,), a.d, a.k), gaps((p2,), a.d, a.k)
     if bool(comp1) != bool(comp2):
         full = nu1 if not comp1 else nu2
@@ -227,7 +227,7 @@ def embed_supported(g: TableElement, nu: Word) -> TableElement:
             "embedding needs g over (d=%d, k=%d) with k = d = %d"
             % (base.d, base.k, target.d)
         )
-    p = pack_word(nu)
+    p = nu.packed
     cells = [(graft(p, w), graft(p, r)) for w, r in g.packed]
     cells.extend([(c, c) for c in gaps((p,), target.d, target.k)])
     return TableElement(target, canonical(target, cells, complete=True))

@@ -41,8 +41,10 @@ from vdk import (
     format_bisection,
     format_clopen,
     format_table,
+    format_word,
     free_norm,
     from_table,
+    germ_maps,
     integral_sqrt_rn,
     inverse,
     is_full,
@@ -51,15 +53,18 @@ from vdk import (
     member,
     parse_bisection,
     parse_clopen,
+    parse_word,
     pingpong_verify,
     point_normalize,
     quad_compare,
     quadratic,
     rn_exponent,
+    rn_profile,
     split,
     symmetric_set,
     to_table,
     transporter,
+    witness_cell,
 )
 from vdk.cli import COMMANDS, main
 from vdk.groupoid import bisection_to_json
@@ -515,6 +520,98 @@ def bisections(rng: Random) -> list[str]:
     return out
 
 
+_WORD_ALPHABETS = [
+    Alphabet(d, k) for d, k in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 5), (9, 1), (11, 2), (17, 3))
+]
+
+
+def _neighbour(rng: Random, a: Alphabet, w: Word) -> Word:
+    """A word to compare w with: itself, a prefix, an extension, or one
+    that first differs from it in its root or a tail letter."""
+    root, tail = w.root, w.tail
+    pick = rng.randrange(5)
+    if pick == 0:
+        return Word(a, root, tail)
+    if pick == 1:
+        return Word(a, root, tail[: rng.randrange(len(tail) + 1)])
+    if pick == 2:
+        return w.extend(*[rng.randrange(1, a.d + 1) for _ in range(rng.randrange(1, 4))])
+    j = rng.randrange(len(tail) + 1)
+    if j == len(tail):
+        return Word(a, rng.randrange(1, a.k + 1), tail)
+    return Word(a, root, tail[:j] + (rng.randrange(1, a.d + 1),) + tail[j + 1 :])
+
+
+def words(rng: Random) -> list[str]:
+    """Finite words over eight alphabets up to d = 17: their text, parts,
+    children, extensions, comparisons and the text round trip; then the
+    words read back out of codes and points (a table's pairs and
+    profile, a transporter's pairs, a clopen's words, a bisection's
+    cells and germ maps, preperiods, prefixes and letters around the
+    preperiod and period boundary, and witness cells); then refusals of
+    malformed words."""
+    out = []
+    for a in _WORD_ALPHABETS:
+        out.append("(%d,%d)" % (a.d, a.k))
+        for tail in [0, 1, 2] + [rng.randrange(3, 71) for _ in range(5)]:
+            w = _word(rng, a, tail)
+            v = _neighbour(rng, a, w)
+            out.append("  %s %r len %d root %d tail %s" % (w, w, len(w), w.root, w.tail))
+            out.append("    letters %s" % (w.letters,))
+            out.append("    split %s" % ",".join([str(c) for c in split(w)]))
+            extra = [rng.randrange(1, a.d + 1) for _ in range(rng.randrange(3))]
+            out.append("    extend %s: %s" % (extra, w.extend(*extra)))
+            sides = (v, w == v, w < v, w <= v, v < w, v <= w, hash(w) == hash(v))
+            out.append("    vs %s: == %s < %s <= %s > %s >= %s hash %s" % sides)
+            text = format_word(w)
+            out.append("    read back %s: %s" % (text, parse_word(a, text) == w))
+        g = _table(rng, a, rng.randrange(1, 9))
+        out.append("  g = %s" % g)
+        out.append("  pairs %s" % " ".join(["%s->%s" % p for p in g.pairs]))
+        out.append("  profile %s" % " ".join(["%s:%d" % p for p in rn_profile(g)]))
+        nu1, nu2 = _word(rng, a, rng.randrange(1, 4)), _word(rng, a, rng.randrange(4, 11))
+        if a.k == 1:
+            nu1 = nu1.extend(1)
+        t = transporter(nu1, nu2)
+        out.append("  t: %s onto %s, %d cells" % (nu1, nu2, t.block_count))
+        out.append("  pairs %s" % " ".join(["%s->%s" % p for p in t.pairs]))
+        s = _clopen(rng, a, rng.randrange(1, 9), 12)
+        out.append("  s = %s, words %s" % (s, " ".join([str(w) for w in s.words])))
+        cells = [(r, w) for w, r in _table(rng, a, rng.randrange(1, 7)).pairs]
+        u = make_bisection([c for c in cells if rng.random() < 0.6], a)
+        out.append("  u = %s, cells %s" % (u, " ".join([str(c) for c in u.cells])))
+        for c in u.cells:
+            source, target, degree = germ_maps(c)
+            out.append("    %s: %s to %s, degree %d" % (c, source, target, degree))
+        for _ in range(4):
+            head = _word(rng, a, rng.randrange(40))
+            period = [rng.randrange(1, a.d + 1) for _ in range(rng.randrange(1, 9))]
+            x = point_normalize(head, period)
+            pre = x.preperiod
+            out.append("  x = %s: preperiod %s len %d, period %s" % (x, pre, len(pre), x.period))
+            m, p = len(pre.tail), len(x.period)
+            for n in sorted({0, max(m - 1, 0), m, m + 1, m + p - 1, m + p, m + p + 1, m + 2 * p}):
+                out.append("    prefix(%d) %s; letters(%d) %s" % (n, x.prefix(n), n, x.letters(n)))
+            y = act_point(g, x)
+            out.append("    to g.x = %s: %s" % (y, witness_cell(x, y)))
+    a21, a32 = Alphabet(2, 1), Alphabet(3, 2)
+    calls = [
+        ("alphabet as a tuple", lambda: Word((2, 1), 1)),
+        ("root 0", lambda: Word(a32, 0)),
+        ("root k+1", lambda: Word(a32, 3)),
+        ("root '1'", lambda: Word(a32, "1")),
+        ("root True", lambda: Word(a32, True)),
+        ("tail as a list", lambda: Word(a21, 1, [1, 2])),
+        ("tail letter 0", lambda: Word(a32, 1, (1, 0))),
+        ("tail letter d+1", lambda: Word(a32, 2, (3, 4))),
+        ("tail letter True", lambda: Word(a21, 1, (2, True))),
+        ("extend by 0", lambda: Word(a21, 1, (2,)).extend(0)),
+    ]
+    for name, call in calls:
+        out.append("Word, %s: %s" % (name, _call(lambda: repr(call()))))
+    return out
+
+
 SECTIONS = [
     ("quadratic values", quadratic_values, 2101),
     ("integral_sqrt_rn", integrals, 2102),
@@ -524,6 +621,7 @@ SECTIONS = [
     ("point lookups", point_lookups, 2106),
     ("cli commands", cli_commands, 2107),
     ("bisections", bisections, 2108),
+    ("words", words, 2109),
 ]
 
 

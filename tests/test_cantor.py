@@ -8,6 +8,7 @@ Independent oracles used here:
     streams far past both descriptions.
 """
 
+import dataclasses
 import itertools
 from fractions import Fraction
 from itertools import product
@@ -39,11 +40,13 @@ from vdk import (
     split,
     transporter,
     whole_space,
+    witness_cell,
 )
 from vdk.errors import VdkError
 from vdk.groupoid import parse_bisection
+from vdk.cantor import unpack_word
 from vdk.prefixcode import cell_index, format_packed, format_run, pack_letters, parse_letters
-from vdk.prefixcode import parse_packed, unpack_word
+from vdk.prefixcode import parse_packed
 from vdk.sampling import random_clopen, random_point, random_table, random_word
 
 A21 = Alphabet(2, 1)
@@ -744,6 +747,82 @@ def test_word_order_is_letter_tuple_order():
             assert (v <= w) == (v.letters <= w.letters)
             assert (v < w) == (v.letters < w.letters)
         assert [w.letters for w in sorted(words)] == sorted([w.letters for w in words])
+
+
+def _oracle_pack(a: Alphabet, root: int, tail: tuple) -> int:
+    """Oracle: a sentinel 1, then root - 1 in (k-1).bit_length() bits and
+    each letter - 1 in (d-1).bit_length() bits, by multiply and add."""
+    p = 2 ** (a.k - 1).bit_length() + root - 1
+    for t in tail:
+        p = p * 2 ** (a.d - 1).bit_length() + t - 1
+    return p
+
+
+def test_word_packs_as_the_oracle_and_unpacks_to_itself():
+    rng = Random(2501)
+    for d, k in itertools.product(range(2, 18), (1, 2, 3, 5)):
+        a = Alphabet(d, k)
+        parts = [(r, ()) for r in (1, k)]
+        for n in [1, 2, 3, 70] + [rng.randrange(71) for _ in range(4)]:
+            parts.append((rng.randrange(1, k + 1), tuple([rng.randrange(1, d + 1) for _ in range(n)])))
+        r, t = parts[-1]
+        parts += [(r, t[: rng.randrange(len(t) + 1)]), (r, t + (d,)), (r, t[:-1] + (1,))]
+        words = []
+        for r, t in parts:
+            w = Word(a, r, t)
+            p = _oracle_pack(a, r, t)
+            assert w.packed == p
+            assert unpack_word(a, p) == w
+            assert (w.root, w.tail, w.letters, len(w)) == (r, t, (r,) + t, 1 + len(t))
+            for name in ("root", "tail", "packed"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(w, name, getattr(w, name))
+            words.append(w)
+        for v, w in itertools.product(words, repeat=2):
+            assert (v == w) == (v.letters == w.letters)
+            assert v != w or hash(v) == hash(w)
+            assert (v < w) == (v.letters < w.letters)
+            assert (v <= w) == (v.letters <= w.letters)
+
+
+def test_reading_words_out_checks_nothing_again(monkeypatch):
+    """Words read out of checked codes and points are made straight from
+    their packed ints: with Word's constructor disabled, every read still
+    gives what it gave before."""
+    rng = Random(2502)
+    cases = []
+    for a in ALPHABETS:
+        g = random_table(rng, a, 6)
+        nu1, nu2 = random_word(rng, a, 2), Word(a, a.k, (a.d, 1) * 20)
+        if a.k == 1:
+            nu1 = nu1.extend(1)
+        s = random_clopen(rng, a, 5, 4)
+        u = from_table(random_table(rng, a, 4))
+        x = random_point(rng, a)
+        cases.append((a, g, transporter(nu1, nu2), s, u, x, act_point(g, x), nu2))
+
+    def reads():
+        out = []
+        for a, g, t, s, u, x, y, w in cases:
+            out.append([(mu.letters, nu.letters) for h in (g, t) for mu, nu in h.pairs])
+            out.append([v.letters for v in s.words])
+            out.append([(c.range_word.letters, c.domain_word.letters) for c in u.cells])
+            out.append([x.preperiod.letters] + [x.prefix(n).letters for n in range(12)])
+            out.append([c.letters for c in split(w)])
+            out.append(parse_word(a, str(w)).letters)
+            c = witness_cell(x, y)
+            out.append((c.range_word.letters, c.domain_word.letters))
+        return out
+
+    want = reads()
+
+    def refuse(*args):
+        raise AssertionError("a Word was checked again")
+
+    monkeypatch.setattr(Word, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        Word(A21, 1)
+    assert reads() == want
 
 
 def test_point_repr():

@@ -12,6 +12,8 @@
 - An import statement inside a function appears only in a CLI handler,
   so the laziness stays in the package facade and the CLI, out of the
   library.
+- The library's own imports, at module level and inside functions, form
+  no cycle, so any module can be the first one loaded.
 
 Stdlib ast and subprocess only.
 """
@@ -185,3 +187,66 @@ def test_only_cli_handlers_import_inside_a_function(path):
     if path.name == "cli.py":
         found = [(f, line) for f, line in found if not f.startswith("h_")]
     assert found == []
+
+
+# ---------------------------------------------------------------------------
+# the import graph
+
+
+def vdk_imports(text: str) -> set[str]:
+    """The vdk modules a library module's text imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("vdk.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "vdk":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                found.add(module.split(".")[0])
+            else:  # from . import module
+                found |= {a.name for a in node.names}
+    return found
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """A cycle of the graph as the modules along it, first one repeated; [] if none."""
+    done, path = set(), []
+
+    def visit(m):
+        if m in path:
+            return path[path.index(m) :] + [m]
+        if m in done:
+            return []
+        path.append(m)
+        for n in sorted(graph.get(m, ())):
+            cycle = visit(n)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(m)
+        return []
+
+    for m in sorted(graph):
+        cycle = visit(m)
+        if cycle:
+            return cycle
+    return []
+
+
+def test_the_graph_reader_sees_every_form_and_finds_a_cycle():
+    text = (
+        "from . import a, b\nfrom .c import x\nimport vdk.d\nfrom vdk.e import y\n"
+        "from vdk import f\nimport os\nfrom os import path\n\ndef g():\n    from .h import z\n"
+    )
+    assert vdk_imports(text) == {"a", "b", "c", "d", "e", "f", "h"}
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) == []
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+
+
+def test_the_library_import_graph_has_no_cycle():
+    graph = {p.stem: vdk_imports(p.read_text()) for p in LIBRARY}
+    assert import_cycle(graph) == []

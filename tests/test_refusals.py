@@ -10,6 +10,7 @@ from vdk import (
     Alphabet,
     ArityMismatch,
     DisjointnessViolation,
+    DoubleCylinder,
     MismatchedAlphabet,
     NotFull,
     NotRelated,
@@ -246,12 +247,31 @@ _CASES = {
     "bisection_to_json_table": (
         lambda: bisection_to_json(SWAP), VdkError, "expected a Bisection, got TableElement"),
     "germ_maps_str": (lambda: germ_maps("c"), VdkError, "expected a DoubleCylinder, got str"),
+    # a cell's words used to be read for their alphabets first, ending in AttributeError
+    "germ_maps_str_word": (
+        lambda: germ_maps(DoubleCylinder("1", W1)), VdkError, "expected a Word, got str"),
     "mv_to_json_table": (lambda: mv_to_json(SWAP), VdkError, "expected a BoxTable, got TableElement"),
     "format_clopen_point": (lambda: format_clopen(X1), VdkError, "expected a Clopen, got Point"),
     "format_point_clopen": (lambda: format_point(C1), VdkError, "expected a Point, got Clopen"),
     "format_word_point": (lambda: format_word(X1), VdkError, "expected a Word, got Point"),
     "fixture_list": (lambda: fixture([]), VdkError, "expected a str, got list"),
     "split_str": (lambda: split("x"), VdkError, "expected a Word, got str"),
+    # a word holds an Alphabet, a root in 1..k and a tuple of letters in 1..d
+    "word_tuple_alphabet": (
+        lambda: Word((2, 1), 1), VdkError, "expected an Alphabet, got tuple"),
+    "word_root_0": (lambda: Word(A32, 0), VdkError, "root letter 0 outside 1..2"),
+    "word_root_k_plus_1": (lambda: Word(A32, 3, (1,)), VdkError, "root letter 3 outside 1..2"),
+    "word_root_str": (
+        lambda: Word(A32, "1"), VdkError, "root letter must be an int, got str"),
+    "word_root_bool": (
+        lambda: Word(A32, True), VdkError, "root letter must be an int, got bool"),
+    "word_tail_list": (lambda: Word(A32, 1, [1, 2]), VdkError, "expected a tuple, got list"),
+    "word_tail_letter_0": (
+        lambda: Word(A32, 2, (1, 0)), VdkError, "tail letter 0 outside 1..3"),
+    "word_tail_letter_d_plus_1": (
+        lambda: Word(A32, 2, (3, 4, 1)), VdkError, "tail letter 4 outside 1..3"),
+    "word_tail_letter_bool": (
+        lambda: Word(A21, 1, (2, True)), VdkError, "tail letter must be an int, got bool"),
     "mv_act_int_points": (
         lambda: mv_act(swap_on(2), 5), VdkError, "mv points must be iterable, got int"),
     # point positions count tail letters: a negative one used to read the

@@ -58,9 +58,8 @@ from vdk.errors import (
     TransportImpossible,
     VdkError,
 )
-from vdk.words import split
-from vdk.prefixcode import _merge_siblings, normal_form, pack_word, range_order, sort_pairs
-from vdk.prefixcode import swap, unpack_word, walk
+from vdk.cantor import split, unpack_word
+from vdk.prefixcode import _merge_siblings, normal_form, range_order, sort_pairs, swap, walk
 from vdk.sampling import random_bisection, random_point, random_table, random_word
 
 A21 = Alphabet(2, 1)
@@ -622,7 +621,7 @@ def letters_of(a, w):
 
 
 def packed_of(a, letters):
-    return pack_word(Word(a, letters[0], tuple(letters[1:])))
+    return Word(a, letters[0], tuple(letters[1:])).packed
 
 
 def packed_by_domain(a, cells):
@@ -865,7 +864,7 @@ def _aligned_sort(items, side=0):
 def _crowded_words(rng, a):
     """Seeded packed words with shared prefixes, nested pairs and repeats."""
     b = (a.d - 1).bit_length()
-    words = [pack_word(random_word(rng, a, 5)) for _ in range(rng.randrange(1, 10))]
+    words = [random_word(rng, a, 5).packed for _ in range(rng.randrange(1, 10))]
     for w in list(words):
         choice = rng.randrange(4)
         if choice == 0 and w.bit_length() > 1 + (a.k - 1).bit_length():
