@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MismatchedAlphabet, VdkError
-from .prefixcode import PackedCode, braced_items, cell_index, format_packed, format_run, gaps
-from .prefixcode import normal_words, pack_letters, parse_letters, parse_packed, tail_letters
+from .prefixcode import PackedCode, braced_items, cell_index, covers, format_packed, format_run
+from .prefixcode import gaps, normal_words, pack_letters, parse_letters, parse_packed, tail_letters
 from .prefixcode import walk, widths
 
 
@@ -38,6 +38,19 @@ def check_class(cls: type, *objs) -> None:
             raise VdkError("expected %s %s, got %s" % (article, cls.__name__, type(o).__name__))
 
 
+def reduce_by_fields(obj) -> tuple:
+    """__reduce__ of a frozen dataclass whose slots are written out: copies
+    and pickles are remade through the constructor, since the frozen
+    __setattr__ refuses a restore slot by slot.
+
+    Slots are written out rather than asked of @dataclass(slots=True),
+    which makes a copy of the class: the frozen __setattr__ of the copy
+    ends an assignment to a name that is not a field in TypeError
+    instead of FrozenInstanceError.
+    """
+    return type(obj), tuple([getattr(obj, name) for name in obj.__slots__])
+
+
 def check_iterable(name: str, values):
     """An iterator over values; a one-line VdkError if they cannot be iterated."""
     try:
@@ -50,12 +63,14 @@ def check_iterable(name: str, values):
 # the alphabet and its finite words
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Alphabet:
     """The sizes (d, k) of X_{d,k}: d tail letters and k root letters."""
 
+    __slots__ = ("d", "k")
     d: int
     k: int
+    __reduce__ = reduce_by_fields
 
     def __post_init__(self):
         check_int("tail alphabet size d", self.d)
@@ -73,11 +88,12 @@ class Word:
     Word(alphabet, root, tail=()) checks the letters and packs them once
     (vdk.prefixcode's layout); root, tail, letters and len() read the
     int back.  Words are equal when their alphabets and packed ints are,
-    that is when their letters are, and order as their letter tuples.
+    that is when their letters are, and order as their letter tuples:
+    over one alphabet that is the order of bin(packed), the kernel's key
+    (vdk.prefixcode), so a comparison unpacks nothing.
     """
 
-    # slots written out, not slots=True: that copies the class, and the
-    # frozen __setattr__ of the copy ends in TypeError on root or tail
+    # slots written out, not slots=True (see reduce_by_fields)
     __slots__ = ("alphabet", "packed")
     alphabet: Alphabet
     packed: int
@@ -126,9 +142,16 @@ class Word:
         return unpack_word, (self.alphabet, self.packed)
 
     def __lt__(self, other: Word) -> bool:
+        a = self.alphabet
+        if a is other.alphabet or a == other.alphabet:
+            return bin(self.packed) < bin(other.packed)
+        # packed fields of two alphabets do not line up
         return self.letters < other.letters
 
     def __le__(self, other: Word) -> bool:
+        a = self.alphabet
+        if a is other.alphabet or a == other.alphabet:
+            return bin(self.packed) <= bin(other.packed)
         return self.letters <= other.letters
 
     def __str__(self):
@@ -219,7 +242,16 @@ class Clopen(PackedCode):
         return self.minus(other).union(other.minus(self))
 
     def is_subset(self, other: Clopen) -> bool:
-        return self.intersect(other) == self
+        """Whether self lies inside other, with no intersection built.
+
+        other is canonical, so no complete family of its words is left
+        to merge, and a cylinder lies inside other exactly when one of
+        other's words is a prefix of it (prefixcode.covers); the test
+        stops at the first word of self that has none.
+        """
+        check_class(Clopen, other)
+        a = check_same_alphabet(self, other)
+        return covers(other.packed, self.packed, a.d, a.k)
 
     __or__ = union
     __and__ = intersect
@@ -264,7 +296,7 @@ def clopen_normalize(alphabet: Alphabet, words) -> Clopen:
 # eventually periodic points
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Point:
     """Eventually periodic point: preperiod word, then period repeated.
 
@@ -278,9 +310,11 @@ class Point:
     exact point equality.
     """
 
+    __slots__ = ("alphabet", "pre", "per")
     alphabet: Alphabet
     pre: int
     per: int
+    __reduce__ = reduce_by_fields
 
     @property
     def preperiod(self) -> Word:

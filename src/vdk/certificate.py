@@ -17,7 +17,10 @@ and the left side is |F| (1 - c) + c * S, with S the sum of the base
 integrals over V_{d,d}: the paper bound plus c * S.  It is exact in
 Q(sqrt(d)); the operator norm is the exact free-set value 2 sqrt(2r-1)
 once freeness of the generating pair is certified by ping-pong, or a
-caller-supplied rigorous bound otherwise.
+caller-supplied rigorous bound otherwise.  The check decides every
+comparison on ints: S over one denominator, both sides over k d^(n-1)
+times it, and each ping-pong inclusion as a prefix search over packed
+words.  The exact values of the report are made once, at the end.
 Convolution counts (closed-walk counts in the Cayley graph) give
 independent lower bounds approaching the norm from below; for an
 inverse-closed F, checked once when the set is made, each is a sum of
@@ -30,8 +33,10 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .cantor import Alphabet, Clopen, Word, check_int, check_iterable, parse_clopen
+from .cantor import Alphabet, Clopen, Word, check_int, check_iterable, check_same_alphabet
+from .cantor import parse_clopen, reduce_by_fields
 from .errors import (
     CertificateInvalid,
     DisjointnessViolation,
@@ -41,12 +46,12 @@ from .errors import (
     NotSymmetric,
     VdkError,
 )
-from .measure import QuadraticValue, integral_sqrt_rn, quad_compare, quadratic
-from .prefixcode import leaves, normal_form, range_order, swap, walk
-from .tables import TableElement, act_clopen, check_class, identity, inverse, parse_table
+from .measure import QuadraticValue, integral_sqrt_rn_parts, quadratic, sign_two_roots
+from .prefixcode import covers, gaps, leaves, normal_form, range_order, swap, walk
+from .tables import TableElement, check_class, identity, inverse, parse_table
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SymmetricSet:
     """Nonempty multiset of TableElements over one alphabet, free of the
     identity and closed under inverse.  Checked once, when made: a set
@@ -54,7 +59,9 @@ class SymmetricSet:
     their sorted swaps, raises NotSymmetric; counts and the chain trust
     the check."""
 
+    __slots__ = ("elements",)
     elements: tuple[TableElement, ...]
+    __reduce__ = reduce_by_fields
 
     def __post_init__(self):
         check_class(tuple, self.elements)
@@ -75,7 +82,8 @@ def symmetric_set(elements) -> SymmetricSet:
     return SymmetricSet(tuple(check_iterable("symmetric set elements", elements)))
 
 
-@dataclass(frozen=True, slots=True)
+# no slots: written-out slots cannot hold the default of r
+@dataclass(frozen=True)
 class NormBound:
     """A rigorous upper bound for ||sum_{s in F} lambda_s||."""
 
@@ -98,21 +106,31 @@ def free_norm(r: int) -> NormBound:
     return NormBound(quadratic(0, 2, 2 * r - 1), "exact-free-rank-r", r)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PingPongCertificate:
     """Generators with attractor clopens certifying that <a, b> is free."""
 
+    __slots__ = ("a", "b", "p_a", "p_a_inv", "p_b", "p_b_inv")
     a: TableElement
     b: TableElement
     p_a: Clopen
     p_a_inv: Clopen
     p_b: Clopen
     p_b_inv: Clopen
+    __reduce__ = reduce_by_fields
 
 
 def _pingpong(cert: PingPongCertificate) -> list:
     """The ping-pong check of pingpong_verify; returns the generators
-    a, a^-1, b and b^-1, each inverse formed once."""
+    a, a^-1, b and b^-1, each inverse formed once.
+
+    An inclusion g.(X - R) inside P is decided on packed words, with no
+    clopen built: the cells of g on the gaps of R (the canonical code of
+    X - R) carry g's image of X - R as their range words, and P is
+    canonical, so the image lies inside P exactly when each range word
+    has a prefix among P's words (prefixcode.covers, which stops at the
+    first that has none).
+    """
     check_class(PingPongCertificate, cert)
     # (name, generator, attractor, repeller); player i ^ 1 is the inverse of player i
     players = [
@@ -132,11 +150,15 @@ def _pingpong(cert: PingPongCertificate) -> list:
     # disjoint, so their masses add: they cover X exactly when their
     # words, taken together, cover every leaf at the deepest length
     a = attractors[0].alphabet
-    covered, total, _ = leaves([w for p in attractors for w in p.packed], a.d, a.k)
+    d, k = a.d, a.k
+    covered, total, _ = leaves([w for p in attractors for w in p.packed], d, k)
     if covered == total:
         raise CertificateInvalid("attractors cover the whole space; no basepoint left")
     for i, (name, g, attractor, repeller) in enumerate(players):
-        if not act_clopen(g, ~repeller).is_subset(attractor):
+        check_same_alphabet(g, repeller)
+        outside = [(w, w) for w in gaps(repeller.packed, d, k)]
+        image = [r for _, r in walk(g.packed, outside, range(len(outside)))]
+        if not covers(attractor.packed, image, d, k):
             raise InclusionViolation(
                 "condition %s.(X - %s) inside %s fails" % (name, names[i ^ 1], names[i])
             )
@@ -256,8 +278,12 @@ def convolution_count(f: SymmetricSet, length: int, workers: int = 1) -> int:
 # the full inequality chain
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CertificateReport:
+    __slots__ = (
+        "d", "k", "n", "nu", "f_size", "lhs", "paper_lower_bound", "norm_bound",
+        "lhs_vs_norm", "paper_bound_vs_norm", "verdict",
+    )
     d: int
     k: int
     n: int
@@ -269,6 +295,7 @@ class CertificateReport:
     lhs_vs_norm: str
     paper_bound_vs_norm: str
     verdict: str
+    __reduce__ = reduce_by_fields
 
     def to_json(self) -> dict:
         return {
@@ -299,16 +326,60 @@ class CertificateReport:
         ]
 
 
-def _chain(f_size: int, base_sum: QuadraticValue, d: int, k: int, n: int) -> tuple:
-    """(paper bound, lhs) at |nu| = n: |F| (1 - c) and that plus c * base_sum,
-    with c = 1/(k d^(n-1)) the mass of the cylinder of nu."""
-    c = Fraction(1, k * d ** (n - 1))
-    paper_bound = f_size * (1 - c)
-    return paper_bound, quadratic(paper_bound) + c * base_sum
+def _base_sum(f: SymmetricSet) -> tuple[int, int, int]:
+    """Ints (rat, irr, den): the base integrals of F sum to
+    (rat + irr * sqrt(d)) / den.
+
+    Each integral's own denominator is k d^E = d^(E+1) over V_{d,d}
+    (measure.integral_sqrt_rn_parts), so the largest is a multiple of
+    all the others and is the common one.
+    """
+    parts = [integral_sqrt_rn_parts(el) for el in f.elements]
+    den = max([e for _, _, e in parts])
+    rat = irr = 0
+    for r, i, e in parts:
+        rat += r * (den // e)
+        irr += i * (den // e)
+    return rat, irr, den
+
+
+def _chain(f_size: int, base: tuple, d: int, k: int, n: int) -> tuple:
+    """(lhs, paper bound) at |nu| = n, each as ints (a, b, m, den) for the
+    value (a + b sqrt(m)) / den.
+
+    With c = 1/K the mass of the cylinder of nu, K = k d^(n-1), and base
+    the ints (rat, irr, D) of _base_sum:
+
+        paper bound = |F| (1 - c)  =  |F| (K - 1) / K
+        lhs = |F| (1 - c) + c S    =  (|F| (K - 1) D + rat + irr sqrt(d)) / (K D)
+
+    d is left whole: the signs are exact for any radicand, and quadratic()
+    splits it once, for the report.
+    """
+    rat, irr, den = base
+    big_k = k * d ** (n - 1)
+    paper = f_size * (big_k - 1)
+    return (paper * den + rat, irr, d, big_k * den), (paper, 0, 1, big_k)
+
+
+def _compare(value: tuple, norm: QuadraticValue) -> int:
+    """Exact sign of value - norm, for value = (a, b, m, den) as in _chain.
+
+    The norm x + y sqrt(m2) is brought over q, the least common
+    denominator of x and y; the difference times q den is then
+    (a q - x q den) + b q sqrt(m) - y q den sqrt(m2), whose sign the
+    integer core of quad_compare decides, for any radicands m and m2.
+    """
+    a, b, m, den = value
+    x, y = norm.a, norm.b
+    q = lcm(x.denominator, y.denominator)
+    x = x.numerator * (q // x.denominator) * den
+    y = y.numerator * (q // y.denominator) * den
+    return sign_two_roots(a * q - x, b * q, m, -y, norm.m)
 
 
 def _least_passing_n(
-    f_size: int, base_sum: QuadraticValue, d: int, k: int, n: int, norm: QuadraticValue
+    f_size: int, base: tuple, d: int, k: int, n: int, norm: QuadraticValue
 ) -> int | None:
     """Least |nu| whose lhs clears norm, given that |nu| = n does not;
     None when no |nu| does.
@@ -321,11 +392,11 @@ def _least_passing_n(
     number of comparisons logarithmic in it, however close the norm is
     to |F|.
     """
-    if quad_compare(quadratic(f_size), norm) != "greater":
+    if _compare((f_size, 0, 1, 1), norm) <= 0:
         return None
 
     def clears(j: int) -> bool:
-        return quad_compare(_chain(f_size, base_sum, d, k, j)[1], norm) == "greater"
+        return _compare(_chain(f_size, base, d, k, j)[0], norm) > 0
 
     lo, step = n, 1
     while not clears(lo + step):
@@ -358,7 +429,11 @@ def check_certificate(
         lhs = |F| (1 - c) + c * sum_s I_s
 
     with I_s = integral_sqrt_rn(s) over V_{d,d}: the sum of
-    integral_sqrt_rn(embed_supported(s, nu)), exactly.
+    integral_sqrt_rn(embed_supported(s, nu)), exactly.  The three
+    comparisons (lhs against the norm, the paper bound against the norm,
+    and the consistency check that lhs is not below the paper bound) are
+    decided on the integer numerators of _chain; the report's lhs and
+    paper bound are made exact once, after them.
 
     Exactly one of certificate / norm_bound must be given.  With strict
     (the default) an InconclusiveParameters error is raised when the
@@ -389,13 +464,17 @@ def check_certificate(
         norm_bound = free_norm(2)
     n = len(nu)
     f_size = len(f.elements)
-    base_sum = quadratic(0)
-    for el in f.elements:
-        base_sum = base_sum + integral_sqrt_rn(el)
-    paper_bound, lhs = _chain(f_size, base_sum, d, k, n)
-    lhs_vs_norm = quad_compare(lhs, norm_bound.value)
-    paper_vs_norm = quad_compare(quadratic(paper_bound), norm_bound.value)
-    if quad_compare(lhs, quadratic(paper_bound)) == "less":
+    base = _base_sum(f)
+    lhs_ints, paper_ints = _chain(f_size, base, d, k, n)
+    # a bound's value may be any rational, read as quad_compare reads it
+    norm = norm_bound.value
+    if not isinstance(norm, QuadraticValue):
+        norm = quadratic(norm)
+    lhs_vs_norm = _compare(lhs_ints, norm)
+    paper_vs_norm = _compare(paper_ints, norm)
+    # lhs - paper bound = c S, whose numerator over K D is rat + irr sqrt(d)
+    a, b, m, den = lhs_ints
+    if sign_two_roots(base[0], b, m, 0, 1) < 0:
         raise VdkError("internal inconsistency: lhs below paper_lower_bound")
     report = CertificateReport(
         d=d,
@@ -403,21 +482,21 @@ def check_certificate(
         n=n,
         nu=nu,
         f_size=f_size,
-        lhs=lhs,
-        paper_lower_bound=paper_bound,
+        lhs=quadratic(Fraction(a, den), Fraction(b, den), m),
+        paper_lower_bound=Fraction(paper_ints[0], paper_ints[3]),
         norm_bound=norm_bound,
-        lhs_vs_norm=lhs_vs_norm,
-        paper_bound_vs_norm="greater" if paper_vs_norm == "greater" else "not",
-        verdict="PASS" if lhs_vs_norm == "greater" else "INCONCLUSIVE",
+        lhs_vs_norm=("less", "equal", "greater")[lhs_vs_norm + 1],
+        paper_bound_vs_norm="greater" if paper_vs_norm > 0 else "not",
+        verdict="PASS" if lhs_vs_norm > 0 else "INCONCLUSIVE",
     )
     if strict and report.verdict != "PASS":
-        least = _least_passing_n(f_size, base_sum, d, k, n, norm_bound.value)
+        least = _least_passing_n(f_size, base, d, k, n, norm)
         if least is None:
             advice = "no |nu| passes, as the lhs is at most |F| = %d" % f_size
         else:
             advice = "the least |nu| that passes is %d" % least
         raise InconclusiveParameters(
-            "lhs %s is not greater than norm bound %s; %s" % (lhs, norm_bound.value, advice),
+            "lhs %s is not greater than norm bound %s; %s" % (report.lhs, norm_bound.value, advice),
             report,
         )
     return report

@@ -24,7 +24,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from .cantor import Alphabet, Clopen, Point, Word, check_iterable, check_same_alphabet
-from .cantor import format_word, point_normalize, replace_prefix, unpack_word
+from .cantor import format_word, point_normalize, reduce_by_fields, replace_prefix, unpack_word
 from .errors import (
     ArityMismatch,
     IncompleteBoxes,
@@ -38,12 +38,14 @@ from .prefixcode import pack_letters, parse_packed, tail_lengths
 from .tables import TableElement, check_class, code_act, code_inverse, code_product
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class DoubleCylinder:
     """Basic cell { (nu omega, |nu|-|mu|, mu omega) } of germs mu-omega -> nu-omega."""
 
+    __slots__ = ("range_word", "domain_word")
     range_word: Word
     domain_word: Word
+    __reduce__ = reduce_by_fields
 
     @property
     def degree(self) -> int:

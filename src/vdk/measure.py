@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .cantor import Clopen, Point, Word, check_class, check_int
+from .cantor import Clopen, Point, Word, check_class, check_int, reduce_by_fields
 from .errors import VdkError
 from .prefixcode import leaves, tail_lengths
 from .tables import TableElement, act_clopen, act_point, code_cell, compose
@@ -63,7 +63,7 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, m * rest
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class QuadraticValue:
     """Exact value a + b*sqrt(m), m squarefree, b = 0 when m = 1.
 
@@ -73,9 +73,11 @@ class QuadraticValue:
     numerators of the coefficients over one common denominator.
     """
 
+    __slots__ = ("a", "b", "m")
     a: Fraction
     b: Fraction
     m: int
+    __reduce__ = reduce_by_fields
 
     def __add__(self, other):
         other = _coerce(other)
@@ -219,7 +221,11 @@ def _sign_diff(u: QuadraticValue, v: QuadraticValue) -> int:
     a = ua.numerator * (den // ua.denominator) - va.numerator * (den // va.denominator)
     b = ub.numerator * (den // ub.denominator)
     c = -vb.numerator * (den // vb.denominator)
-    m1, m2 = u.m, v.m
+    return sign_two_roots(a, b, u.m, c, v.m)
+
+
+def sign_two_roots(a: int, b: int, m1: int, c: int, m2: int) -> int:
+    """Exact sign of a + b*sqrt(m1) + c*sqrt(m2), for ints a, b and c and m1, m2 >= 1."""
     if c == 0:
         return _sign1(a, b, m1)
     if b == 0:
@@ -276,15 +282,24 @@ def integral_sqrt_rn(g: TableElement) -> QuadraticValue:
     """Exact integral of sqrt(d(g mu)/d mu), a value in Q(sqrt(d)).
 
     Equals sum_i mu(mu_i X) * d^(j_i / 2); at most 1 by Cauchy-Schwarz,
-    with equality exactly when every exponent is zero.
+    with equality exactly when every exponent is zero.  It is
+    (rat + irr * sqrt(d)) / den for the ints of integral_sqrt_rn_parts,
+    made exact once; quadratic() splits d into s^2 m, and only when some
+    exponent is odd.
+    """
+    rat, irr, den = integral_sqrt_rn_parts(g)
+    return quadratic(Fraction(rat, den), Fraction(irr, den), g.alphabet.d)
+
+
+def integral_sqrt_rn_parts(g: TableElement) -> tuple[int, int, int]:
+    """Ints (rat, irr, den) with integral_sqrt_rn(g) = (rat + irr * sqrt(d)) / den
+    and den = k d^E, where E = max(t - j//2) >= 0 over the cells.
 
     Computed from packed lengths with integer sums: a cell mu -> nu with
     t = |mu tail| and j = |mu| - |nu| adds d^(j//2 - t) / k to the
-    rational part when j is even and s * d^(j//2 - t) / k to the
-    coefficient of sqrt(m) when j is odd, where d = s^2 m.  With
-    E = max(t - j//2) >= 0 over the cells, each part is one fraction
-    sum d^(E - t + j//2) / (k d^E); quadratic() splits d into s^2 m,
-    and only when some exponent is odd.
+    rational part when j is even and d^(j//2 - t) / k to the coefficient
+    of sqrt(d) when j is odd; over den, each part is one sum of
+    d^(E - t + j//2).
     """
     check_class(TableElement, g)
     a = g.alphabet
@@ -298,8 +313,7 @@ def integral_sqrt_rn(g: TableElement) -> QuadraticValue:
             irr += d ** (e - t + j // 2)
         else:
             rat += d ** (e - t + j // 2)
-    den = a.k * d**e
-    return quadratic(Fraction(rat, den), Fraction(irr, den), d)
+    return rat, irr, a.k * d**e
 
 
 def deficit(s: Clopen, elements) -> Fraction:

@@ -458,17 +458,25 @@ def cell_index(code, x) -> int | None:
     """Index of the cell of code whose word is a prefix of the point x, or None.
 
     code is a clopen's sorted words or a table's or bisection's
-    domain-sorted pairs, read in place.  The cylinders of a sorted
-    antichain are disjoint intervals of X in that order, and packed words
-    with as many letters compare as ints as they do lexicographically, so
-    a binary search reads x's prefix at each probed word's length.
+    domain-sorted pairs, read in place.
     """
-    rb, b = widths(x.alphabet.d, x.alphabet.k)
+    return _find(code, x.packed_prefix, *widths(x.alphabet.d, x.alphabet.k))
+
+
+def _find(code, prefix, rb: int, b: int) -> int | None:
+    """Index of the word of code that prefix(n) spells at its length, or None.
+
+    prefix(n) is the packed prefix, carrying n tail letters, of a point.
+    The cylinders of a sorted antichain are disjoint intervals of X in
+    that order, and packed words with as many letters compare as ints
+    as they do lexicographically, so a binary search reads the point's
+    prefix at each probed word's length.
+    """
     lo, hi = 0, len(code)
     while lo < hi:
         i = (lo + hi) // 2
         w = code[i][0] if type(code[i]) is tuple else code[i]
-        p = x.packed_prefix((w.bit_length() - 1 - rb) // b)
+        p = prefix((w.bit_length() - 1 - rb) // b)
         if p == w:
             return i
         if p < w:
@@ -476,3 +484,31 @@ def cell_index(code, x) -> int | None:
         else:
             lo = i + 1
     return None
+
+
+def covers(code, words, d: int, k: int) -> bool:
+    """Whether every packed word has a prefix in the sorted antichain code;
+    False at the first word that has none, with the rest unread.
+
+    A word u is looked up as the least point of its cylinder, u.1^inf,
+    whose prefixes are u cut short or followed by letter-1 fields of
+    zeros; the binary search of cell_index finds the cell of code
+    holding that point, if any.  Its word is a prefix of u when it is
+    no longer than u.  A longer one extends u, and then no word of the
+    antichain is a prefix of u.
+
+    For a canonical code, one whose complete families are merged, that
+    is inclusion: a cylinder covered by longer words only would hold a
+    complete family of them.
+    """
+    rb, b = widths(d, k)
+    for u in words:
+        n = (u.bit_length() - 1 - rb) // b
+
+        def prefix(m: int) -> int:
+            return u >> b * (n - m) if m <= n else u << b * (m - n)
+
+        i = _find(code, prefix, rb, b)
+        if i is None or code[i].bit_length() > u.bit_length():
+            return False
+    return True

@@ -13,18 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cantor import Point, _check_count, _common_tail, _rotate, check_class, check_int
-from .cantor import check_same_alphabet, replace_prefix
+from .cantor import check_same_alphabet, reduce_by_fields, replace_prefix
 from .errors import NotRelated, VdkError
 from .groupoid import DoubleCylinder
 from .prefixcode import widths
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TailWitness:
     """Agreement positions: tails of x after p match tails of y after q."""
 
+    __slots__ = ("p", "q")
     p: int
     q: int
+    __reduce__ = reduce_by_fields
 
     def __post_init__(self):
         check_int("witness position p", self.p)

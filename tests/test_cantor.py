@@ -44,9 +44,10 @@ from vdk import (
 )
 from vdk.errors import VdkError
 from vdk.groupoid import parse_bisection
+from vdk import cantor
 from vdk.cantor import unpack_word
-from vdk.prefixcode import cell_index, format_packed, format_run, pack_letters, parse_letters
-from vdk.prefixcode import parse_packed
+from vdk.prefixcode import cell_index, covers, format_packed, format_run, pack_letters
+from vdk.prefixcode import parse_letters, parse_packed, walk
 from vdk.sampling import random_clopen, random_point, random_table, random_word
 
 A21 = Alphabet(2, 1)
@@ -352,6 +353,29 @@ def test_boolean_laws_leafset_oracle():
         assert leafset(s - t, depth) == ls - lt
         assert leafset(s ^ t, depth) == ls ^ lt
         assert s.is_subset(t) == (ls <= lt)
+
+
+def test_covers_is_inclusion_in_a_canonical_clopen():
+    # covers against intersect(other) == self, on seeded clopens and on a
+    # table's range words on a clopen: unsorted, unmerged, maybe nested
+    rng = Random(2601)
+    verdicts = set()
+    for i in range(600):
+        a = ALPHABETS[i % len(ALPHABETS)]
+        s, t = random_clopen(rng, a, 4, 4), random_clopen(rng, a, 4, 4)
+        g = random_table(rng, a)
+        image = [r for _, r in walk(g.packed, [(w, w) for w in s.packed], range(len(s.packed)))]
+        rng.shuffle(image)
+        u = clopen_normalize(a, [unpack_word(a, r) for r in image])
+        if i % 3 == 1:
+            t = t | s
+        elif i % 3 == 2:
+            t = t | u
+        got = covers(t.packed, s.packed, a.d, a.k)
+        assert got == (s.intersect(t) == s) == s.is_subset(t)
+        assert covers(t.packed, image, a.d, a.k) == (u.intersect(t) == u)
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_complement_involution_and_partition():
@@ -747,6 +771,25 @@ def test_word_order_is_letter_tuple_order():
             assert (v <= w) == (v.letters <= w.letters)
             assert (v < w) == (v.letters < w.letters)
         assert [w.letters for w in sorted(words)] == sorted([w.letters for w in words])
+
+
+def test_word_order_unpacks_no_letters(monkeypatch):
+    """Words over one alphabet compare by the kernel's key, bin(packed):
+    with tail_letters disabled, sorted() gives the order it gave before."""
+    rng = Random(2602)
+    groups = []
+    for a in (Alphabet(2, 1), Alphabet(3, 2), Alphabet(4, 1), Alphabet(11, 3), Alphabet(2, 4)):
+        words = [random_word(rng, a, rng.randrange(12)) for _ in range(40)]
+        groups.append(words + [words[0], words[0].extend(a.d)])
+    want = [sorted(words) for words in groups]
+
+    def refuse(*args):
+        raise AssertionError("a word comparison unpacked letters")
+
+    monkeypatch.setattr(cantor, "tail_letters", refuse)
+    with pytest.raises(AssertionError):
+        groups[0][0].letters
+    assert [sorted(words) for words in groups] == want
 
 
 def _oracle_pack(a: Alphabet, root: int, tail: tuple) -> int:

@@ -10,13 +10,16 @@ import gc
 import itertools
 import re
 from fractions import Fraction
+from math import isqrt
 from random import Random
 
 import pytest
 
-from vdk import certificate
+from vdk import certificate, measure, tables
 from vdk import (
     Alphabet,
+    CertificateReport,
+    Clopen,
     NormBound,
     PingPongCertificate,
     SymmetricSet,
@@ -36,6 +39,7 @@ from vdk import (
     parse_table,
     parse_word,
     pingpong_verify,
+    QuadraticValue,
     quad_compare,
     quadratic,
     symmetric_set,
@@ -906,6 +910,144 @@ def test_check_certificate_deep_nu_closed_form(free2):
     assert report.verdict == "PASS" and report.n == n
     assert report.paper_lower_bound == 4 * (1 - c)
     assert report.lhs == quadratic(report.paper_lower_bound) + c * base_sum
+
+
+# ---------------------------------------------------------------------------
+# the chain on ints against the chain in QuadraticValue arithmetic
+
+
+def reference_check(f, nu, bound):
+    """(report, strict message or None) for F on the cylinder of nu: the
+    chain's QuadraticValue formula |F| (1 - c) + c * sum_s I_s compared
+    by quad_compare, and the least passing |nu| found by stepping |nu|
+    up one letter at a time."""
+    a = nu.alphabet
+    size, n = len(f.elements), len(nu)
+    base = sum((integral_sqrt_rn(el) for el in f.elements), quadratic(0))
+
+    def sides(j):
+        c = Fraction(1, a.k * a.d ** (j - 1))
+        paper = size * (1 - c)
+        return paper, quadratic(paper) + c * base
+
+    paper, lhs = sides(n)
+    lhs_vs = quad_compare(lhs, bound.value)
+    paper_vs = quad_compare(quadratic(paper), bound.value)
+    verdict = "PASS" if lhs_vs == "greater" else "INCONCLUSIVE"
+    report = CertificateReport(
+        a.d, a.k, n, nu, size, lhs, paper, bound, lhs_vs,
+        "greater" if paper_vs == "greater" else "not", verdict,
+    )
+    if verdict == "PASS":
+        return report, None
+    if quad_compare(quadratic(size), bound.value) != "greater":
+        advice = "no |nu| passes, as the lhs is at most |F| = %d" % size
+    else:
+        j = n + 1
+        while quad_compare(sides(j)[1], bound.value) != "greater":
+            j += 1
+        advice = "the least |nu| that passes is %d" % j
+    return report, "lhs %s is not greater than norm bound %s; %s" % (lhs, bound.value, advice)
+
+
+def bounds_near(value, radicands, big_k, rng):
+    """User bounds at value and, for each radicand r, just below, near
+    and just above it: x + y sqrt(r), y a random small fraction of
+    either sign (0 for r = 1), with x from value - y sqrt(r) read through
+    isqrt to far finer than the step 1/K^2 off it.  For r > 1 also
+    value's rational part plus y sqrt(r), which differs from value by
+    a sum of roots with no rational part."""
+    scale = big_k**3 * 10**6
+    step = Fraction(1, big_k * big_k)
+
+    def root(m):
+        return Fraction(isqrt(m * scale * scale), scale)
+
+    out = [value]
+    for r in radicands:
+        y = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 9), rng.randrange(1, 9))
+        if r == 1:
+            y = Fraction(0)
+        x = value.a + value.b * root(value.m) - y * root(r)
+        out += [quadratic(x + delta, y, r) for delta in (-step, 0, step)]
+        if r > 1:
+            out.append(quadratic(value.a, y, r))
+    return [NormBound(v, "user-supplied", None) for v in out]
+
+
+def test_integer_chain_matches_quadratic_chain():
+    # d = 4 and 9 have a rational sqrt(d), and d = 8 = 2^2 * 2 has s = 2
+    rng = Random(2601)
+    seen = set()
+    for d in range(2, 10):
+        for k in range(1, d + 1):
+            f = random_symmetric_set(rng, d)
+            for n in (1 + (d * k * 37) % 100, rng.randrange(1, 101)):
+                nu = random_nu(rng, Alphabet(d, k), n)
+                want, _ = reference_check(f, nu, free_norm(2))
+                big_k = k * d ** (n - 1)
+                targets = (want.lhs, quadratic(want.paper_lower_bound))
+                bounds = [b for t in targets for b in bounds_near(t, (1, 2, 3, 5, d), big_k, rng)]
+                for bound in bounds:
+                    want, message = reference_check(f, nu, bound)
+                    assert check_certificate(f, nu, norm_bound=bound, strict=False) == want
+                    seen.add((want.lhs_vs_norm, want.paper_bound_vs_norm))
+                    if message is None:
+                        continue
+                    with pytest.raises(InconclusiveParameters) as exc:
+                        check_certificate(f, nu, norm_bound=bound)
+                    assert str(exc.value) == message and exc.value.report == want
+    # lhs is at least the paper bound, so only lhs > norm leaves it room above
+    assert seen == {("greater", "greater"), ("greater", "not"), ("equal", "not"), ("less", "not")}
+
+
+def test_a_bound_of_a_plain_rational_is_read_as_a_quadratic_value(free2):
+    # a NormBound's value may be an int, a Fraction or a float, as for
+    # quad_compare; what no rational reads is refused in the same words
+    f, _ = free2
+    nu = parse_word(A22, "1:11")
+    for v in (3, Fraction(7, 2), 3.5, 4, 7):
+        plain = NormBound(v, "user-supplied", None)
+        want, message = reference_check(f, nu, NormBound(quadratic(v), "user-supplied", None))
+        got = check_certificate(f, nu, norm_bound=plain, strict=False)
+        assert got == dataclasses.replace(want, norm_bound=plain)
+        if message is not None:
+            with pytest.raises(InconclusiveParameters, match="^%s$" % re.escape(message)):
+                check_certificate(f, nu, norm_bound=plain)
+    with pytest.raises(VdkError, match="^expected a rational number, got 'abc'$"):
+        check_certificate(f, nu, norm_bound=NormBound("abc", "user-supplied", None))
+
+
+def test_certificate_checks_on_ints_and_packed_words(monkeypatch, free2):
+    """check_certificate and pingpong_verify on free2 give the reports
+    they gave before with QuadraticValue arithmetic, per-element
+    quadratic values, clopen intersections and clopen images all
+    disabled."""
+    f, cert = free2
+    bounds = [free_norm(2), NormBound(quadratic(3, 1, 2), "user-supplied", None)]
+    texts = {1: ("1", "11", "21212"), 2: ("1:", "1:1", "2:1212")}
+    cases = [(parse_word(Alphabet(2, k), t), b) for k in (1, 2) for t in texts[k] for b in bounds]
+
+    def reports():
+        out = [pingpong_verify(cert)]
+        out += [check_certificate(f, nu, certificate=cert, strict=False) for nu, _ in cases]
+        return out + [check_certificate(f, nu, norm_bound=b, strict=False) for nu, b in cases]
+
+    want = reports()
+
+    def refuse(*args):
+        raise AssertionError("the check left the integers")
+
+    monkeypatch.setattr(measure, "quadratic", refuse)
+    monkeypatch.setattr(QuadraticValue, "__add__", refuse)
+    monkeypatch.setattr(QuadraticValue, "__mul__", refuse)
+    monkeypatch.setattr(Clopen, "intersect", refuse)
+    monkeypatch.setattr(tables, "act_clopen", refuse)
+    # a name imported into certificate is patched there too, if it is still there
+    monkeypatch.setattr(certificate, "act_clopen", refuse, raising=False)
+    with pytest.raises(AssertionError):
+        integral_sqrt_rn(cert.a)
+    assert reports() == want
 
 
 def least_passing(exc):

@@ -1,7 +1,9 @@
 """Refusals of library entry points: each input below ends in its error
 class and a one-line message that names the problem."""
 
+import copy
 import dataclasses
+import pickle
 import re
 
 import pytest
@@ -293,6 +295,24 @@ _CASES = {
         lambda: X211.letters(None), VdkError, "letter count must be an int, got NoneType"),
 }
 
+# every frozen class refuses an assignment to any name, a field or not;
+# with slots=True the names that are not fields ended in TypeError
+_FROZEN = {
+    "Alphabet": (A21, "zz"),
+    "Point": (X1, "preperiod"),
+    "DoubleCylinder": (DoubleCylinder(W1, W1), "degree"),
+    "TailWitness": (TailWitness(0, 0), "zz"),
+    "QuadraticValue": (sqrt_int(2), "zz"),
+    "SymmetricSet": (F, "zz"),
+    "NormBound": (free_norm(2), "zz"),
+    "PingPongCertificate": (CERT, "zz"),
+    "CertificateReport": (check_certificate(F, NU, certificate=CERT, strict=False), "zz"),
+}
+for _name, (_obj, _attr) in _FROZEN.items():
+    _CASES["frozen_" + _name] = (
+        lambda obj=_obj, attr=_attr: setattr(obj, attr, 1), dataclasses.FrozenInstanceError,
+        "cannot assign to field %r" % _attr)
+
 
 @pytest.mark.parametrize("case", sorted(_CASES))
 def test_refusal_class_and_one_line_message(case):
@@ -300,6 +320,13 @@ def test_refusal_class_and_one_line_message(case):
     with pytest.raises(error, match="^%s$" % re.escape(message)) as exc:
         call()
     assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN))
+def test_frozen_classes_copy_and_pickle(name):
+    obj, _ = _FROZEN[name]
+    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is type(obj) and twin == obj
 
 
 def test_point_positions_at_zero_and_letter_counts_below_it():
