@@ -132,6 +132,7 @@ def _pingpong(cert: PingPongCertificate) -> list:
     first that has none).
     """
     check_class(PingPongCertificate, cert)
+    check_class(Clopen, cert.p_a, cert.p_a_inv, cert.p_b, cert.p_b_inv)
     # (name, generator, attractor, repeller); player i ^ 1 is the inverse of player i
     players = [
         ("a", cert.a, cert.p_a, cert.p_a_inv),

@@ -12,6 +12,12 @@ written), 3 inconclusive certificate parameters.  All data output is
 byte-stable: canonical orderings everywhere, no timestamps.  --json
 wraps results as {command, params, result}.
 
+A line is parsed once, by its command's own parser, built on first
+use.  The tree of all parsers is built only for a line that no command
+parser takes whole (root or group help, an unknown command, tokens left
+over), and it prints that line's help or usage error.  The common
+options follow a command's whole path, never its group alone.
+
 The module loads only what the table, cocycle and certificate commands
 use; the bisection, tail and selftest handlers import groupoid, tails
 and selftest themselves, so no other command pays for loading them.
@@ -262,15 +268,32 @@ COMMANDS = [
 # parsed arguments that say which command runs, not what it runs on
 _NOT_PARAMS = ("command", "subcommand", "handler", "json")
 
+# the row of each command, by the tokens of its path
+_ROWS = {tuple(row[0].split()): row for row in COMMANDS}
+
+
+def _add_command(parser, path, handler, arguments):
+    """Give parser the common options, then the command's own arguments and defaults."""
+    parser.add_argument("--d", type=int, default=2, help="branching degree (default 2)")
+    parser.add_argument("--k", type=int, default=1, help="root arity (default 1)")
+    parser.add_argument("--m", type=int, default=1, help="product factors (default 1)")
+    parser.add_argument("--json", action="store_true", help="emit a JSON envelope")
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(handler=handler, command=path)
+    return parser
+
+
+@functools.cache
+def _command_parser(tokens: tuple) -> _Parser:
+    """The parser of one command, as the tree's parser for it reads its arguments."""
+    path, _, handler, arguments = _ROWS[tokens]
+    return _add_command(_Parser(prog="vdk " + path), path, handler, arguments)
+
 
 @functools.cache
 def _build() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--d", type=int, default=2, help="branching degree (default 2)")
-    common.add_argument("--k", type=int, default=1, help="root arity (default 1)")
-    common.add_argument("--m", type=int, default=1, help="product factors (default 1)")
-    common.add_argument("--json", action="store_true", help="emit a JSON envelope")
-
+    """The whole tree: the root parser, a parser for each group and one for each command."""
     parser = _Parser(
         prog="vdk",
         description="Higman-Thompson groups V_{d,k}: "
@@ -280,19 +303,33 @@ def _build() -> _Parser:
     for path, summary, handler, arguments in COMMANDS:
         group, _, name = path.rpartition(" ")
         if group not in subparsers:
-            g = subparsers[""].add_parser(group, parents=[common], help=GROUPS[group])
+            g = subparsers[""].add_parser(group, help=GROUPS[group])
             subparsers[group] = g.add_subparsers(
                 dest="subcommand", required=True, metavar="SUBCOMMAND"
             )
-        p = subparsers[group].add_parser(name, parents=[common], help=summary)
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
-        p.set_defaults(handler=handler, command=path)
+        _add_command(subparsers[group].add_parser(name, help=summary), path, handler, arguments)
     return parser
 
 
+def _parse(argv: list):
+    """The arguments of argv, parsed once by its command's own parser.
+
+    The command is the leading two tokens of argv, or else the leading
+    one, that spell a path of COMMANDS.  A line with no such command,
+    or with tokens its command's parser leaves over, goes to the tree,
+    whose help and usage errors are worded from the root down.
+    """
+    for n in (2, 1):
+        tokens = tuple(argv[:n])
+        if tokens in _ROWS:
+            args, rest = _command_parser(tokens).parse_known_args(argv[n:])
+            if not rest:
+                return args
+    return _build().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _build().parse_args(argv)
+    args = _parse(list(sys.argv[1:] if argv is None else argv))
     try:
         out = args.handler(args)
         result, text, code = out if isinstance(out, tuple) else (out, out, 0)

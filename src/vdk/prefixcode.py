@@ -114,23 +114,24 @@ def _plain(d: int) -> tuple:
 _PLAIN = {d: _plain(d) for d in range(2, 10)}
 
 
-def _tail_text(d: int, b: int, n: int, v: int) -> str:
-    """The n tail letters in the low b * n bits of v, as text."""
+def _tail_text(d: int, b: int, n: int, w: int) -> str:
+    """The n tail letters in the low b * n bits of w, as text; a set bit
+    above them (the sentinel) keeps format() from dropping leading zeros."""
     if not n:
         return ""
     if d > 9:
-        return ".".join([str((v >> s & (1 << b) - 1) + 1) for s in range(b * (n - 1), -1, -b)])
+        return ".".join([str((w >> s & (1 << b) - 1) + 1) for s in range(b * (n - 1), -1, -b)])
     _, _, up, spec = _PLAIN[d]
-    if b == 2:  # an odd count pads one letter in front
-        return format(v, "0%dx" % ((n + 1) // 2)).translate(up)[n & 1 :]
-    return format(v, "0%d%s" % (n, spec)).translate(up)
+    if b == 2:  # one hex digit holds two letters: an odd count takes one too many
+        return format(w, "x")[-((n + 1) // 2) :].translate(up)[n & 1 :]
+    return format(w, spec)[-n:].translate(up)
 
 
 def format_packed(alphabet, w: int) -> str:
     """Text of the packed word w."""
     rb, b = widths(alphabet.d, alphabet.k)
     n = (w.bit_length() - 1 - rb) // b
-    tail = _tail_text(alphabet.d, b, n, w & ((1 << b * n) - 1))
+    tail = _tail_text(alphabet.d, b, n, w)
     if alphabet.k == 1:
         return tail or "1:"
     return "%d:%s" % ((w >> b * n) - (1 << rb) + 1, tail)
@@ -139,8 +140,7 @@ def format_packed(alphabet, w: int) -> str:
 def format_run(alphabet, v: int) -> str:
     """Text of the tail letters packed after the sentinel bit of v, such as a point's period."""
     b = (alphabet.d - 1).bit_length()
-    n = (v.bit_length() - 1) // b
-    return _tail_text(alphabet.d, b, n, v ^ (1 << b * n))
+    return _tail_text(alphabet.d, b, (v.bit_length() - 1) // b, v)
 
 
 def parse_letters(alphabet, text: str) -> list:

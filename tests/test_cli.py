@@ -210,8 +210,10 @@ def test_parser_built_once_gives_fresh_output(capsys):
     fresh = []
     for argv in argvs:
         cli._build.cache_clear()
+        cli._command_parser.cache_clear()
         fresh.append(run_cli(capsys, *argv))
     assert cli._build() is cli._build()
+    assert cli._command_parser(("measure",)) is cli._command_parser(("measure",))
     assert [run_cli(capsys, *argv) for argv in argvs] == fresh
     assert fresh[0][1] != fresh[1][1] and fresh[4][1] != fresh[5][1]
 
@@ -470,6 +472,79 @@ def test_pingpong_verify(capsys):
 
 
 # ---------------------------------------------------------------------------
+# long inputs: words, points and tables far past any fixed-width field
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_certificate_check_at_nu_1000(capsys, k):
+    # the CLI path of the closed-form chain at a length far past the benchmark's
+    nu = ("" if k == 1 else "1:") + "12" * 499 + "1"
+    code, out, err = run_cli(capsys, "certificate", "check", "--d", "2", "--k", str(k), "--nu", nu)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "verdict: PASS"
+
+
+def test_act_point_far_past_any_fixed_width(capsys):
+    # a 5,000-letter preperiod grows by one letter, and a 4,000-letter run loses one
+    g = "{11->1,12->21,2->22}"
+    assert run_cli(capsys, "act", g, "2" * 5000 + "(1)^inf") == (0, "2" * 5001 + "(1)^inf\n", "")
+    assert run_cli(capsys, "act", g, "1" * 4000 + "(2)^inf") == (0, "1" * 3999 + "(2)^inf\n", "")
+
+
+def test_act_point_in_an_801_cell_table(capsys):
+    # a transporter onto a 100-letter word over d = 9; a point in its
+    # first cell, one in a middle cell 61 letters deep, and one in its last
+    code, t, _ = run_cli(capsys, "transporter", "--d", "9", "--k", "1", "1", "123456789" * 11 + "9")
+    t = t.rstrip("\n")
+    assert (code, len(t), t.count("->")) == (0, 83404, 801)
+    for x, y in [
+        ("1(9)^inf", "123456789" * 10 + "12345678(9)^inf"),
+        ("9" * 60 + "1(23)^inf", "123456789" * 8 + "123457(23)^inf"),
+        ("9" * 99 + "5(8)^inf", "5(8)^inf"),
+    ]:
+        assert run_cli(capsys, "act", "--d", "9", t, x) == (0, y + "\n", ""), x
+
+
+def test_cocycle_profile_of_a_250_cell_table(capsys):
+    # a transporter onto a 249-letter word over d = 2 has 250 cells; its
+    # profile reads every cell's domain word back out of the packed code
+    code, t, _ = run_cli(capsys, "transporter", "--d", "2", "--k", "1", "1", "12" * 124 + "1")
+    t = t.rstrip("\n")
+    assert (code, len(t)) == (0, 63499)
+    code, out, _ = run_cli(capsys, "cocycle", "profile", t)
+    lines = out.splitlines()
+    assert (code, len(lines)) == (0, 250)
+    assert (lines[0], lines[-1]) == ("1 -248", "2" * 249 + " 248")
+
+
+def test_tail_related_far_past_any_fixed_width(capsys):
+    # a 3,000-letter preperiod against a 1,000-letter one, with periods of
+    # about 1,000 letters: one related by a rotation, both ways round, and
+    # one whose period is no rotation
+    x = "2" * 2999 + "1(" + "1" * 996 + "2)^inf"
+    y = "1" * 999 + "2(" + "1" * 991 + "2" + "1" * 5 + ")^inf"
+    z = "1" * 999 + "2(" + "1" * 990 + "22" + "1" * 5 + ")^inf"
+    assert run_cli(capsys, "tail", "related", x, y) == (0, "related p=3000 q=1992\n", "")
+    assert run_cli(capsys, "tail", "related", y, x) == (0, "related p=1000 q=3005\n", "")
+    assert run_cli(capsys, "tail", "related", x, z) == (0, "unrelated\n", "")
+
+
+@pytest.mark.parametrize(
+    "command, text, error",
+    [
+        # a cell written twice overlaps itself, as a repeated table pair does
+        ("is-full", "{1<-1,1<-1,2<-2}", "domain words 1 and 1 overlap"),
+        ("to-table", "{1<-1,1<-1,2<-2}", "domain words 1 and 1 overlap"),
+        # and a one-cell bisection's refusal counts one cell
+        ("to-table", "{1<-1}", "bisection with 1 cell does not cover the space"),
+    ],
+    ids=["is-full", "to-table", "to-table-one-cell"],
+)
+def test_repeated_bisection_cells(capsys, command, text, error):
+    assert run_cli(capsys, "bisection", command, text) == (2, "", "error: %s\n" % error)
+
+
+# ---------------------------------------------------------------------------
 # JSON envelopes and roundtrips
 
 
@@ -583,6 +658,106 @@ def test_fixture_help(capsys, command):
     code, out, _ = run_usage_error(capsys, "certificate", command, "--help")
     assert code == 0
     assert "frozen generator fixture (default free2)" in out
+
+
+# options written between a group and its subcommand: the group parser
+# used to read them, and the command's defaults then overwrote them, so
+# --d 3 --k 2 ran as d=2, k=1 and --json printed text
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certificate", "--d", "3", "--k", "2", "check", "--nu", "1:11", "--json"),
+        ("certificate", "--json", "check", "--nu", "1:11"),
+        ("certificate", "--d=3", "check", "--nu", "1:11"),
+        ("cocycle", "--d", "3", "profile", "{1->1,2->2,3->3}"),
+        ("bisection", "--m", "2", "is-full", "{2<-1}"),
+        ("tail", "--k", "1", "related", "(1)^inf", "(2)^inf"),
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_exit_1_options_between_group_and_subcommand(capsys, argv):
+    code, out, err = run_usage_error(capsys, *argv)
+    assert (code, out) == (1, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: vdk ")
+    assert error.startswith(("vdk: error: ", "vdk %s: error: " % argv[0]))
+
+
+def _parse_outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr, parsed arguments but the subcommand) of parse(argv)."""
+    try:
+        args, code = vars(parse(list(argv))), None
+        args.pop("subcommand", None)
+    except SystemExit as exc:
+        args, code = None, exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err, args
+
+
+_OPTIONS = ("--d", "--k", "--m", "--nu", "--fixture", "--len", "--workers", "--level")
+
+
+def _oracle_lines():
+    """Seeded command lines around every command, its group and the root."""
+    lines = [[], ["--help"], ["-h"], ["--json"], ["--d", "3", "measure", "{1}"], ["frobnicate"],
+             ["measure", "--"], ["--", "measure", "{1}"], ["selftest", "selftest"]]
+    for group in cli.GROUPS:
+        lines += [[group], [group, "--help"], [group, "-h"], [group, "frobnicate"],
+                  [group, "--d", "3"], [group, "--", "x"]]
+    for argv, command, _ in _ENVELOPES + [(["selftest"], "selftest", None)]:
+        path, rest = command.split(), argv[len(command.split()):]
+        joined = []  # every option and its value written as --option=value
+        for token in rest:
+            if joined and joined[-1] in _OPTIONS:
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        lines += [
+            argv, argv + ["--json"], argv + ["--help"], argv + ["-h"], path + ["--help"],
+            path, argv[:-1], argv + ["x"], argv + ["--bogus"], argv + ["--bogus=1"],
+            argv + ["--js"], argv + ["--"], path + ["--"] + rest, path + ["--d=3"] + rest,
+            path + ["--k", "2", "--json"] + rest, path + joined,
+            path + [t[:3] if t in _OPTIONS else t for t in rest],  # abbreviated options
+            [command] + rest,  # a path given as one token
+            path[:-1] + ["--json"] + path[-1:] + rest,  # an option before the last path token
+        ]
+    rng = Random(27)
+    pool = ["--", "-h", "--json", "x", "--d", "3", "--k=2", "{1}", "check", "certificate"]
+    for argv in rng.sample(lines, 150):
+        argv = list(argv)
+        if argv and rng.random() < 0.5:
+            del argv[rng.randrange(len(argv))]
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(pool))
+        lines.append(argv)
+    return lines
+
+
+def test_command_parser_answers_as_the_tree(capsys):
+    # every line gets the exit code, output and arguments the tree of
+    # parsers gives it, whether its command's own parser reads it or not
+    lines = _oracle_lines()
+    assert len(lines) > 500
+    parsed = 0
+    for argv in lines:
+        got = _parse_outcome(capsys, cli._parse, argv)
+        assert got == _parse_outcome(capsys, cli._build().parse_args, argv), argv
+        parsed += got[3] is not None
+    assert parsed > 100
+
+
+def test_commands_run_without_the_tree(capsys, monkeypatch):
+    def no_tree():
+        raise AssertionError("the tree of parsers was built")
+
+    monkeypatch.setattr(cli, "_build", no_tree)
+    for argv, command, params in _ENVELOPES:
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert (code, err) == (0, ""), argv
+        assert json.loads(out)["params"] == params
+    for path, *_ in cli.COMMANDS:
+        code, out, err = run_usage_error(capsys, *path.split(), "--help")
+        assert (code, err) == (0, ""), path
+        assert out.startswith("usage: vdk %s [-h]" % path), path
 
 
 def test_readme_lists_every_command():

@@ -172,6 +172,23 @@ _CASES = {
     "pingpong_verify_empty_attractor": (
         lambda: pingpong_verify(dataclasses.replace(CERT, p_a=clopen_normalize(A22, []))),
         DisjointnessViolation, "attractor P_a is empty"),
+    # each attractor is checked for its class before use: a str one used
+    # to end in TypeError from the disjointness test
+    "pingpong_verify_str_p_a": (
+        lambda: pingpong_verify(dataclasses.replace(CERT, p_a="{1:11}")), VdkError,
+        "expected a Clopen, got str"),
+    "pingpong_verify_str_p_a_inv": (
+        lambda: pingpong_verify(dataclasses.replace(CERT, p_a_inv="{1:11}")), VdkError,
+        "expected a Clopen, got str"),
+    "pingpong_verify_int_p_b": (
+        lambda: pingpong_verify(dataclasses.replace(CERT, p_b=5)), VdkError,
+        "expected a Clopen, got int"),
+    "pingpong_verify_table_p_b_inv": (
+        lambda: pingpong_verify(dataclasses.replace(CERT, p_b_inv=CERT.a)), VdkError,
+        "expected a Clopen, got TableElement"),
+    "pingpong_verify_str_generator": (
+        lambda: pingpong_verify(dataclasses.replace(CERT, a="x")), VdkError,
+        "expected a TableElement, got str"),
     "clopen_normalize_other_alphabet": (
         lambda: clopen_normalize(A21, [Word(A22, 2)]), MismatchedAlphabet,
         "word 2: is over Alphabet(d=2, k=2), not Alphabet(d=2, k=1)"),
