@@ -65,12 +65,12 @@ def check_iterable(name: str, values):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """The sizes (d, k) of X_{d,k}: d tail letters and k root letters."""
+    """The sizes (d, k) of X_{d,k}: d tail letters and k root letters; the
+    slot `widths`, their bit widths when packed, is set once and is no field."""
 
-    __slots__ = ("d", "k")
+    __slots__ = ("d", "k", "widths")
     d: int
     k: int
-    __reduce__ = reduce_by_fields
 
     def __post_init__(self):
         check_int("tail alphabet size d", self.d)
@@ -79,6 +79,10 @@ class Alphabet:
             raise VdkError("tail alphabet needs d >= 2, got d=%d" % self.d)
         if self.k < 1:
             raise VdkError("root alphabet needs k >= 1, got k=%d" % self.k)
+        object.__setattr__(self, "widths", widths(self.d, self.k))
+
+    def __reduce__(self):
+        return type(self), (self.d, self.k)
 
 
 @dataclass(frozen=True, init=False)
@@ -108,13 +112,13 @@ class Word:
             check_int("tail letter", t)
             if not 1 <= t <= alphabet.d:
                 raise VdkError("tail letter %d outside 1..%d" % (t, alphabet.d))
-        rb, b = widths(alphabet.d, alphabet.k)
+        rb, b = alphabet.widths
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "packed", pack_letters(1 << rb | root - 1, b, tail))
 
     def _layout(self) -> tuple[int, int, int]:
         """(bits of the root letter, bits of a tail letter, number of tail letters)."""
-        rb, b = widths(self.alphabet.d, self.alphabet.k)
+        rb, b = self.alphabet.widths
         return rb, b, (self.packed.bit_length() - 1 - rb) // b
 
     @property
@@ -174,7 +178,7 @@ def split(w: Word) -> tuple[Word, ...]:
     """The d children of w; their cylinders partition the cylinder of w."""
     check_class(Word, w)
     a = w.alphabet
-    c = w.packed << widths(a.d, a.k)[1]
+    c = w.packed << a.widths[1]
     return tuple([unpack_word(a, c | i) for i in range(a.d)])
 
 
@@ -322,7 +326,7 @@ class Point:
 
     @property
     def period(self) -> tuple[int, ...]:
-        b = (self.alphabet.d - 1).bit_length()
+        b = self.alphabet.widths[1]
         return tail_letters(self.per, b, (self.per.bit_length() - 1) // b)
 
     def packed_prefix(self, n: int) -> int:
@@ -333,8 +337,7 @@ class Point:
         """
         if type(n) is not int or n < 0:
             _check_count("prefix length", n)
-        a = self.alphabet
-        rb, b = widths(a.d, a.k)
+        rb, b = self.alphabet.widths
         m = (self.pre.bit_length() - 1 - rb) // b
         if n <= m:
             return self.pre >> b * (m - n)
@@ -357,7 +360,7 @@ class Point:
         canonical point r . sigma^p(x), r the first root.
         """
         _check_count("tail position", p)
-        z = replace_prefix(self, p, 1 << widths(self.alphabet.d, self.alphabet.k)[0])
+        z = replace_prefix(self, p, 1 << self.alphabet.widths[0])
         return z.preperiod.tail, z.period
 
     def prefix(self, p: int) -> Word:
@@ -401,7 +404,7 @@ def packed_point(a: Alphabet, pre: int, per: int) -> Point:
     """Canonical Point of the packed word pre, then the primitive packed
     period per repeated: the trailing tail letters of pre that repeat
     the period, read backwards, are rotated into it."""
-    rb, b = widths(a.d, a.k)
+    rb, b = a.widths
     n = (pre.bit_length() - 1 - rb) // b
     if not n or (pre ^ per) & (1 << b) - 1:
         return Point(a, pre, per)
@@ -425,7 +428,7 @@ def _packed_period(a: Alphabet, letters: tuple) -> int:
         if type(t) is not int or not 1 <= t <= a.d:
             check_int("period letter", t)
             raise VdkError("period letter %d outside 1..%d" % (t, a.d))
-    return pack_letters(1, (a.d - 1).bit_length(), _primitive(letters))
+    return pack_letters(1, a.widths[1], _primitive(letters))
 
 
 def point_normalize(preperiod: Word, period) -> Point:
@@ -445,7 +448,7 @@ def replace_prefix(x: Point, t: int, nu: int) -> Point:
     not checked again.
     """
     a = x.alphabet
-    rb, b = widths(a.d, a.k)
+    rb, b = a.widths
     s = x.pre.bit_length() - 1 - rb - b * t
     if s > 0:
         # x's last preperiod letter, which differs from the period's last, stays last

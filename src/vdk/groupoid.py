@@ -8,13 +8,14 @@ elements, and to_table/from_table realize that isomorphism.
 
 The mV part represents elements of the m-fold product groupoid of
 G_{2,1} as tables of boxes: m-tuples of plain words over {1, 2}, acting
-by coordinatewise prefix substitution.  Boxes have no root letter, and
-the empty word is a legal coordinate.  Outside input is checked once, at
-mv_make and mv_from_json; compose, inverse and embed build their tables
-directly, since products of valid partitions are valid.  Every table is
-reduced by the one greedy merge order of _mv_reduce (lowest coordinate
-first, then the first sorted cell), which is no normal form: == and
-hash compare actions.
+by coordinatewise prefix substitution.  Each word is stored as the
+packed (2,1) word with those tail letters, so the empty word, a legal
+coordinate, is the bare root 1.  Outside input is checked and packed
+once, at mv_make and mv_from_json; compose, inverse and embed build
+their tables directly, since products of valid partitions are valid.
+Every table is reduced by the one greedy merge order of _mv_reduce
+(lowest coordinate first, then the first cell in bin() order), which is
+no normal form: == and hash compare actions.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     VdkError,
 )
 from .prefixcode import PackedCode, braced_items, canonical, format_packed, leaves, normal_words
-from .prefixcode import pack_letters, parse_packed, tail_lengths
+from .prefixcode import format_run, parse_packed, tail_lengths, tail_letters
 from .tables import TableElement, check_class, code_act, code_inverse, code_product
 
 
@@ -209,45 +210,55 @@ def bisection_to_json(u: Bisection) -> list[dict]:
 # ---------------------------------------------------------------------------
 # Brin-Thompson mV: tables of boxes over the m-fold product of {1,2}^N
 
-Box = tuple[tuple[int, ...], ...]
+_COORD_ALPHABET = Alphabet(2, 1)
+_MV_PROBE = point_normalize(Word(_COORD_ALPHABET, 1), (1, 1, 2))
+
+Box = tuple[int, ...]  # m packed (2,1) words
 
 
 def _box_text(box: Box) -> str:
-    return "(%s)" % ",".join("".join(map(str, w)) or "e" for w in box)
+    return "(%s)" % ",".join([format_run(_COORD_ALPHABET, w) or "e" for w in box])
+
+
+def _order(cell) -> list:
+    """Sort key of a cell: its letter tuples' order, bin() per coordinate."""
+    return [bin(w) for box in cell for w in box]
 
 
 def _check_box(box, m: int) -> Box:
+    """The packed box of m letter tuples, each checked as a Word's tail."""
     if not (isinstance(box, (tuple, list)) and all(isinstance(w, (tuple, list)) for w in box)):
         raise VdkError("a box must be a tuple of letter tuples, got %r" % (box,))
-    box = tuple(tuple(w) for w in box)
     if len(box) != m:
-        raise VdkError("box %s has %d coordinates, expected %d" % (_box_text(box), len(box), m))
-    for w in box:
-        if any(t not in (1, 2) for t in w):
-            raise VdkError("box coordinate letters must be 1 or 2, got %s" % _box_text(box))
-    return box
+        raise VdkError("box %s has %d coordinates, expected %d" % (_letters_text(box), len(box), m))
+    try:
+        return tuple([Word(_COORD_ALPHABET, 1, tuple(w)).packed for w in box])
+    except VdkError:
+        text = _letters_text(box)
+        raise VdkError("box coordinate letters must be 1 or 2, got %s" % text) from None
 
 
-def _boxes_overlap(b1: Box, b2: Box) -> bool:
-    """Boxes meet iff every coordinate pair is prefix-comparable."""
-    for w1, w2 in zip(b1, b2):
-        n = min(len(w1), len(w2))
-        if w1[:n] != w2[:n]:
-            return False
-    return True
+def _letters_text(box) -> str:
+    """Text of a box of letter tuples that failed its check."""
+    return "(%s)" % ",".join(["".join(map(str, w)) or "e" for w in box])
+
+
+def _nested(u: int, v: int) -> bool:
+    """Whether one of two packed words is a prefix of the other."""
+    s = u.bit_length() - v.bit_length()
+    return u >> s == v if s >= 0 else v >> -s == u
 
 
 def _check_box_side(boxes: list[Box], side: str) -> None:
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
-            if _boxes_overlap(boxes[i], boxes[j]):
+            # boxes meet iff every coordinate pair is prefix-comparable
+            if all(map(_nested, boxes[i], boxes[j])):
                 raise OverlappingBoxes(
                     "%s boxes %s and %s overlap"
                     % (side, _box_text(boxes[i]), _box_text(boxes[j]))
                 )
-    mass = sum(
-        Fraction(1, 2 ** sum(len(w) for w in box)) for box in boxes
-    )
+    mass = sum(Fraction(1, 2 ** (sum(w.bit_length() for w in box) - len(box))) for box in boxes)
     if mass != 1:
         raise IncompleteBoxes("%s boxes cover mass %s of the product space" % (side, mass))
 
@@ -255,41 +266,60 @@ def _check_box_side(boxes: list[Box], side: str) -> None:
 def _mv_reduce(pairs: list[tuple[Box, Box]], m: int) -> list[tuple[Box, Box]]:
     """Greedy merge of sibling cells, equal but for a last letter 1 vs 2
     at one coordinate on both sides, in one ordered pass: lowest
-    coordinate first, then by the sorted order of the letter-1 cell, as
-    a restart loop over the sorted cells goes.  The greedy result is no
+    coordinate first, then by the _order of the letter-1 cell, as a
+    restart loop over the sorted cells goes.  The greedy result is no
     normal form, so this order is part of the output.  A heap of (c,
     letter-1 cell) keeps it.  Cells must be valid: mv_make checks input.
     """
     live, heap = set(), []
 
-    def at(cell, c, tail):  # last letter of coordinate c -> tail, both sides
-        return tuple(box[:c] + (box[c][:-1] + tail,) + box[c + 1 :] for box in cell)
+    def sibling(cell, c):  # last letter of coordinate c flipped, both sides
+        return tuple([box[:c] + (box[c] ^ 1,) + box[c + 1 :] for box in cell])
+
+    def parent(cell, c):  # last letter of coordinate c dropped, both sides
+        return tuple([box[:c] + (box[c] >> 1,) + box[c + 1 :] for box in cell])
 
     def add(cell):
         live.add(cell)
         for c, (a, b) in enumerate(zip(*cell)):
-            if a and b and a[-1] == b[-1] and (other := at(cell, c, (3 - a[-1],))) in live:
-                heappush(heap, (c, min(cell, other)))
+            # both words have a last letter, the same one, and its sibling cell is live
+            if a > 1 and b > 1 and not (a ^ b) & 1 and (other := sibling(cell, c)) in live:
+                one = other if a & 1 else cell
+                heappush(heap, (c, _order(one), one))
 
     for cell in pairs:
         add(cell)
     while heap:
-        c, one = heappop(heap)
-        two = at(one, c, (2,))
+        c, _, one = heappop(heap)
+        two = sibling(one, c)
         if one in live and two in live:
             live -= {one, two}
-            add(at(one, c, ()))
-    return sorted(live)
+            add(parent(one, c))
+    return sorted(live, key=_order)
 
 
 class BoxTable:
-    """Element of mV: a bijection between two partitions of ([2]^N)^m into boxes."""
+    """Element of mV: a bijection between two partitions of ([2]^N)^m into boxes.
 
-    __slots__ = ("m", "pairs")
+    Stored only as `packed`: (domain, range) pairs of boxes, each an
+    m-tuple of packed (2,1) words with the empty coordinate as the bare
+    root 1, in the order of their letter tuples.  `pairs` reads them
+    back as letter tuples on every access.  Build through mv_make or
+    mv_from_json.
+    """
 
-    def __init__(self, m: int, pairs: tuple[tuple[Box, Box], ...]):
+    __slots__ = ("m", "packed")
+
+    def __init__(self, m: int, packed: tuple[tuple[Box, Box], ...]):
         self.m = m
-        self.pairs = pairs
+        self.packed = packed
+
+    @property
+    def pairs(self) -> tuple:
+        def letters(box):
+            return tuple([tail_letters(w, 1, w.bit_length() - 1) for w in box])
+
+        return tuple([(letters(a), letters(b)) for a, b in self.packed])
 
     def __eq__(self, other):
         # _mv_reduce is greedy, so equal actions may have different
@@ -311,11 +341,11 @@ class BoxTable:
         return mv_inverse(self)
 
     def is_identity(self) -> bool:
-        return all(a == b for a, b in self.pairs)
+        return all(a == b for a, b in self.packed)
 
     def __str__(self):
         return "{%s}" % ",".join(
-            "%s->%s" % (_box_text(a), _box_text(b)) for a, b in self.pairs
+            ["%s->%s" % (_box_text(a), _box_text(b)) for a, b in self.packed]
         )
 
     def __repr__(self):
@@ -334,7 +364,7 @@ def _check_pair(pair, m: int) -> tuple[Box, Box]:
 
 
 def mv_make(pairs, m: int) -> BoxTable:
-    """Validated canonical BoxTable from (domain box, range box) pairs."""
+    """Validated canonical BoxTable from (domain box, range box) pairs of letter tuples."""
     _check_factor_count(m)
     checked = [_check_pair(p, m) for p in pairs]
     if not checked:
@@ -346,8 +376,7 @@ def mv_make(pairs, m: int) -> BoxTable:
 
 def mv_identity(m: int) -> BoxTable:
     _check_factor_count(m)
-    empty = tuple(() for _ in range(m))
-    return BoxTable(m, (((empty), (empty)),))
+    return BoxTable(m, (((1,) * m, (1,) * m),))
 
 
 def mv_compose(g: BoxTable, h: BoxTable) -> BoxTable:
@@ -356,16 +385,18 @@ def mv_compose(g: BoxTable, h: BoxTable) -> BoxTable:
     if g.m != h.m:
         raise ArityMismatch("factor counts differ: %d vs %d" % (g.m, h.m))
     out = []
-    for A, B in h.pairs:
-        for C, D in g.pairs:
+    for A, B in h.packed:
+        for C, D in g.packed:
             dom, ran = [], []
-            for w_a, w_b, w_c, w_d in zip(A, B, C, D):
-                if w_b[: len(w_c)] == w_c:
-                    dom.append(w_a)
-                    ran.append(w_d + w_b[len(w_c) :])
-                elif w_c[: len(w_b)] == w_b:
-                    dom.append(w_a + w_c[len(w_b) :])
-                    ran.append(w_d)
+            for a, b, c, d in zip(A, B, C, D):
+                # h's range word b and g's domain word c nest, or the cells miss
+                s = b.bit_length() - c.bit_length()
+                if s >= 0 and b >> s == c:
+                    dom.append(a)
+                    ran.append(d << s | b & (1 << s) - 1)
+                elif s < 0 and c >> -s == b:
+                    dom.append(a << -s | c & (1 << -s) - 1)
+                    ran.append(d)
                 else:
                     break
             else:
@@ -377,11 +408,7 @@ def mv_inverse(g: BoxTable) -> BoxTable:
     """The swapped cells, sorted.  Two swapped cells merge exactly when
     the cells do, so the inverse of a reduced table is reduced."""
     check_class(BoxTable, g)
-    return BoxTable(g.m, tuple(sorted([(b, a) for a, b in g.pairs])))
-
-
-_COORD_ALPHABET = Alphabet(2, 1)
-_MV_PROBE = point_normalize(Word(_COORD_ALPHABET, 1), (1, 1, 2))
+    return BoxTable(g.m, tuple(sorted([(b, a) for a, b in g.packed], key=_order)))
 
 
 def mv_act(g: BoxTable, xs) -> tuple[Point, ...]:
@@ -394,12 +421,10 @@ def mv_act(g: BoxTable, xs) -> tuple[Point, ...]:
     for x in xs:
         if x.alphabet != _COORD_ALPHABET:
             raise ArityMismatch("mv points live over d=2, k=1 coordinates")
-    # a coordinate word over d = 2, k = 1 packs as a sentinel bit and one bit a letter
-    for A, B in g.pairs:
-        if all(x.packed_prefix(len(w)) == pack_letters(1, 1, w) for x, w in zip(xs, A)):
-            return tuple(
-                [replace_prefix(x, len(w), pack_letters(1, 1, v)) for x, w, v in zip(xs, A, B)]
-            )
+    # a coordinate word packs as a sentinel bit and one bit a letter
+    for A, B in g.packed:
+        if all(x.packed_prefix(w.bit_length() - 1) == w for x, w in zip(xs, A)):
+            return tuple([replace_prefix(x, w.bit_length() - 1, v) for x, w, v in zip(xs, A, B)])
     raise VdkError("no domain box matches the point tuple")  # unreachable when complete
 
 
@@ -411,29 +436,22 @@ def mv_embed_factor(g: TableElement, m: int, coord: int) -> BoxTable:
     _check_factor_count(m)
     if type(coord) is not int or not 0 <= coord < m:
         raise VdkError("coordinate %r out of range for m=%d" % (coord, m))
-    pairs = []
-    for mu, nu in g.pairs:
-        dom = tuple(mu.tail if i == coord else () for i in range(m))
-        ran = tuple(nu.tail if i == coord else () for i in range(m))
-        pairs.append((dom, ran))
+    # a V_{2,1} word is a coordinate word as it stands
+    left, right = (1,) * coord, (1,) * (m - coord - 1)
+    pairs = [(left + (mu,) + right, left + (nu,) + right) for mu, nu in g.packed]
     return BoxTable(m, tuple(_mv_reduce(pairs, m)))
 
 
 def mv_to_json(g: BoxTable) -> dict:
     check_class(BoxTable, g)
-    return {
-        "m": g.m,
-        "pairs": [
-            [
-                ["".join(map(str, w)) for w in a],
-                ["".join(map(str, w)) for w in b],
-            ]
-            for a, b in g.pairs
-        ],
-    }
+
+    def words(box):
+        return [format_run(_COORD_ALPHABET, w) for w in box]
+
+    return {"m": g.m, "pairs": [[words(a), words(b)] for a, b in g.packed]}
 
 
-def _json_box(box) -> Box:
+def _json_box(box) -> tuple:
     words = isinstance(box, list) and all(isinstance(w, str) and set(w) <= {"1", "2"} for w in box)
     if not words:
         raise VdkError("mv JSON box must be a list of words over 1 and 2, got %r" % (box,))

@@ -1,10 +1,12 @@
-"""Packed prefix codes: the data layer under tables, bisections, clopens and the convolution DP.
+"""Packed prefix codes: the data layer under tables, bisections, clopens,
+box tables and the convolution DP.
 
 A table {mu -> nu} and a bisection {nu <- mu} hold the same data: two
 prefix codes of X_{d,k}, paired cell by cell; a clopen set is a single
 prefix code that need not cover the space.  This module is the only one
 that knows how those codes are stored.  It needs of vdk only its errors:
-an alphabet is read for its sizes d and k, and a Word is a packed word.
+an alphabet is read for its sizes d and k and the field widths it
+holds (widths below), and a Word is a packed word.
 
 A finite word is packed into one integer whose binary form is a leading
 1 (the sentinel), then the root letter minus 1 in rb = (k-1).bit_length()
@@ -129,7 +131,7 @@ def _tail_text(d: int, b: int, n: int, w: int) -> str:
 
 def format_packed(alphabet, w: int) -> str:
     """Text of the packed word w."""
-    rb, b = widths(alphabet.d, alphabet.k)
+    rb, b = alphabet.widths
     n = (w.bit_length() - 1 - rb) // b
     tail = _tail_text(alphabet.d, b, n, w)
     if alphabet.k == 1:
@@ -139,7 +141,7 @@ def format_packed(alphabet, w: int) -> str:
 
 def format_run(alphabet, v: int) -> str:
     """Text of the tail letters packed after the sentinel bit of v, such as a point's period."""
-    b = (alphabet.d - 1).bit_length()
+    b = alphabet.widths[1]
     return _tail_text(alphabet.d, b, (v.bit_length() - 1) // b, v)
 
 
@@ -185,7 +187,7 @@ def parse_packed(alphabet, text: str) -> int:
     letters = None if plain and not rest.strip(plain[0]) else parse_letters(alphabet, rest)
     if not 1 <= root <= k:
         raise VdkError("root letter %d outside 1..%d" % (root, k))
-    rb, b = widths(d, k)
+    rb, b = alphabet.widths
     if letters is None:
         n, v = len(rest), int(rest.translate(plain[1]) or "0", 1 << b)
     else:
@@ -460,7 +462,7 @@ def cell_index(code, x) -> int | None:
     code is a clopen's sorted words or a table's or bisection's
     domain-sorted pairs, read in place.
     """
-    return _find(code, x.packed_prefix, *widths(x.alphabet.d, x.alphabet.k))
+    return _find(code, x.packed_prefix, *x.alphabet.widths)
 
 
 def _find(code, prefix, rb: int, b: int) -> int | None:

@@ -25,7 +25,7 @@ from .cantor import packed_point, replace_prefix, unpack_word
 from .errors import ArityMismatch, TransportImpossible, VdkError
 from .prefixcode import PackedCode, braced_items, canonical, cell_index, format_packed, gaps, graft
 from .prefixcode import identity_pairs, normal_form, normal_words, parse_packed, range_order
-from .prefixcode import split_last, swap, tail_lengths, walk, widths
+from .prefixcode import split_last, swap, tail_lengths, walk
 
 
 class TableElement(PackedCode):
@@ -176,7 +176,7 @@ def probe_points(g: TableElement, h: TableElement) -> list[Point]:
     a = check_same_alphabet(g, h)
     # the common refinement is the unreduced product of the two domain identities
     cells = walk([(w, w) for w, _ in g.packed], [(w, w) for w, _ in h.packed], range(len(h.packed)))
-    b = widths(a.d, a.k)[1]
+    b = a.widths[1]
     # the periods (1) and (2), packed
     return [packed_point(a, w, 1 << b | c) for w, _ in cells for c in (0, 1)]
 

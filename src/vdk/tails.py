@@ -16,7 +16,6 @@ from .cantor import Point, _check_count, _common_tail, _rotate, check_class, che
 from .cantor import check_same_alphabet, reduce_by_fields, replace_prefix
 from .errors import NotRelated, VdkError
 from .groupoid import DoubleCylinder
-from .prefixcode import widths
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ def witness_holds(x: Point, y: Point, w: TailWitness) -> bool:
     check_class(Point, x, y)
     a = check_same_alphabet(x, y)
     check_class(TailWitness, w)
-    r = 1 << widths(a.d, a.k)[0]
+    r = 1 << a.widths[0]
     return replace_prefix(x, w.p, r) == replace_prefix(y, w.q, r)
 
 
@@ -64,7 +63,7 @@ def related(x: Point, y: Point) -> TailWitness | None:
     bl = x.per.bit_length() - 1
     if y.per.bit_length() - 1 != bl:
         return None
-    rb, b = widths(a.d, a.k)
+    rb, b = a.widths
     # r counts bits here
     r = next((r for r in range(0, bl, b) if _rotate(x.per, r) == y.per), None)
     if r is None:
@@ -131,7 +130,7 @@ def orbit_fragment(x: Point, level: int) -> frozenset[Point]:
             "orbit fragment level %d builds more than %d points; the largest level "
             "allowed over d=%d, k=%d is %d" % (level, ORBIT_CANDIDATES_MAX, a.d, a.k, largest)
         )
-    rb, b = widths(a.d, a.k)
+    rb, b = a.widths
     # tails[n]: every run of n tail letters, packed
     tails = [[0]]
     for _ in range(level):

@@ -51,6 +51,14 @@ from vdk import (
     make_bisection,
     make_table,
     member,
+    mv_act,
+    mv_compose,
+    mv_embed_factor,
+    mv_from_json,
+    mv_identity,
+    mv_inverse,
+    mv_make,
+    mv_to_json,
     parse_bisection,
     parse_clopen,
     parse_word,
@@ -612,6 +620,106 @@ def words(rng: Random) -> list[str]:
     return out
 
 
+def _boxes(rng: Random, m: int, splits: int) -> list:
+    """A partition of the m-fold product into boxes: letter tuples, one
+    a coordinate, grown from the whole space by `splits` random splits."""
+    boxes = [((),) * m]
+    for _ in range(splits):
+        b = boxes.pop(rng.randrange(len(boxes)))
+        c = rng.randrange(m)
+        boxes += [b[:c] + (b[c] + (t,),) + b[c + 1 :] for t in (1, 2)]
+    return boxes
+
+
+def _box_table(rng: Random, m: int, splits: int):
+    dom, ran = _boxes(rng, m, splits), _boxes(rng, m, splits)
+    rng.shuffle(ran)
+    return mv_make(list(zip(dom, ran)), m)
+
+
+def _box_point(rng: Random, a: Alphabet, word: tuple):
+    """A (2,1) point: the coordinate word of a box, or a random word, then a short period."""
+    if rng.random() < 0.5:
+        word = tuple([rng.randrange(1, 3) for _ in range(rng.randrange(7))])
+    period = [rng.randrange(1, 3) for _ in range(rng.randrange(1, 4))]
+    return point_normalize(Word(a, 1, word), period)
+
+
+def box_tables(rng: Random) -> list[str]:
+    """Brin's mV for m = 1..4: seeded box tables, their products,
+    inverses, embedded V_{2,1} factors, identities, JSON and its round
+    trip, actions on point tuples in and around their domain boxes and
+    action equality; then refusals of malformed boxes, pairs, operands,
+    points and JSON."""
+    out = []
+    a21 = Alphabet(2, 1)
+    for m in range(1, 5):
+        for _ in range(10):
+            g, h = _box_table(rng, m, rng.randrange(7)), _box_table(rng, m, rng.randrange(7))
+            gh, inv = mv_compose(g, h), mv_inverse(g)
+            e = mv_embed_factor(_table(rng, a21, rng.randrange(5)), m, rng.randrange(m))
+            r = mv_compose(gh, mv_inverse(h))
+            out.append("m=%d g = %s" % (m, g))
+            out.append("  h = %s" % h)
+            out.append("  g*h = %s" % gh)
+            out.append("  g^-1 = %s; g*g^-1 identity: %s" % (inv, mv_compose(g, inv).is_identity()))
+            out.append("  embed %s; e*embed %s" % (e, mv_compose(mv_identity(m), e)))
+            out.append("  (g*h)*h^-1 = %s; == g %s, same hash %s" % (r, r == g, hash(r) == hash(g)))
+            commute = mv_compose(g, e) == mv_compose(e, g)
+            out.append("  g == h %s; g*embed == embed*g %s" % (g == h, commute))
+            data = mv_to_json(g)
+            back = mv_from_json(json.loads(json.dumps(data)))
+            text = json.dumps(data, sort_keys=True)
+            out.append("  json %s; read back %s" % (text, back.pairs == g.pairs))
+            for _ in range(3):
+                xs = tuple([_box_point(rng, a21, w) for w in rng.choice(g.pairs)[0]])
+                ys = mv_act(g, xs)
+                out.append("  %s -> %s" % (" ".join(map(str, xs)), " ".join(map(str, ys))))
+    g2, a31 = _box_table(rng, 2, 3), Alphabet(3, 1)
+    x = point_normalize(Word(a21, 1), [1])
+    calls = [
+        ("make, box of 1 coordinate for m=2", lambda: mv_make([(((1,),), ((1,),))], 2)),
+        ("make, letter 3", lambda: mv_make([(((3,), ()), ((3,), ()))], 2)),
+        ("make, letter 0", lambda: mv_make([(((0,),), ((1,),)), (((2,),), ((2,),))], 1)),
+        ("make, letter '1'", lambda: mv_make([((("1",),), ((1,),)), (((2,),), ((2,),))], 1)),
+        ("make, box an int", lambda: mv_make([(5, ((),))], 1)),
+        ("make, box a str", lambda: mv_make([("12", ((),))], 1)),
+        ("make, pair of one box", lambda: mv_make([(((),),)], 1)),
+        ("make, no pairs", lambda: mv_make([], 2)),
+        ("make, m = 0", lambda: mv_make([(((),), ((),))], 0)),
+        ("make, m = True", lambda: mv_make([(((),), ((),))], True)),
+        ("make, overlapping domain", lambda: mv_make(
+            [(((1,), ()), ((1,), ())), (((), (1,)), ((2,), ()))], 2)),
+        ("make, overlapping range", lambda: mv_make(
+            [(((1,), ()), ((1,), ())), (((2,), ()), ((1,), (1,)))], 2)),
+        ("make, repeated pair", lambda: mv_make([(((1,),), ((1,),))] * 2 + [(((2,),),) * 2], 1)),
+        ("make, incomplete", lambda: mv_make([(((1,), ()), ((1,), ()))], 2)),
+        ("compose, m = 2 and 3", lambda: mv_compose(g2, mv_identity(3))),
+        ("compose with pairs", lambda: mv_compose(g2, g2.pairs)),
+        ("inverse of a str", lambda: mv_inverse("{}")),
+        ("act, one point for m = 2", lambda: mv_act(g2, (x,))),
+        ("act, a (3,1) point", lambda: mv_act(g2, (x, point_normalize(Word(a31, 1), [3])))),
+        ("act, an int", lambda: mv_act(g2, 5)),
+        ("act, a word", lambda: mv_act(g2, (x, Word(a21, 1)))),
+        ("embed a (3,1) table", lambda: mv_embed_factor(_table(rng, a31, 1), 2, 0)),
+        ("embed at coordinate 2 of 2", lambda: mv_embed_factor(_table(rng, a21, 1), 2, 2)),
+        ("embed, m = 1.0", lambda: mv_embed_factor(_table(rng, a21, 1), 1.0, 0)),
+        ("to_json of a table", lambda: mv_to_json(_table(rng, a21, 1))),
+        ("from_json of a list", lambda: mv_from_json([1])),
+        ("from_json, no m", lambda: mv_from_json({"pairs": []})),
+        ("from_json, m a str", lambda: mv_from_json({"m": "1", "pairs": [[[""], [""]]]})),
+        ("from_json, pairs a str", lambda: mv_from_json({"m": 1, "pairs": "x"})),
+        ("from_json, one box", lambda: mv_from_json({"m": 1, "pairs": [[[""]]]})),
+        ("from_json, letter 3", lambda: mv_from_json({"m": 1, "pairs": [[["3"], [""]]]})),
+        ("from_json, e for the empty word", lambda: mv_from_json({"m": 1, "pairs": [[["e"]] * 2]})),
+        ("from_json, incomplete", lambda: mv_from_json({"m": 1, "pairs": [[["1"], ["1"]]]})),
+        ("from_json, no pairs", lambda: mv_from_json({"m": 1, "pairs": []})),
+    ]
+    for name, call in calls:
+        out.append("%s: %s" % (name, _call(call)))
+    return out
+
+
 SECTIONS = [
     ("quadratic values", quadratic_values, 2101),
     ("integral_sqrt_rn", integrals, 2102),
@@ -622,6 +730,7 @@ SECTIONS = [
     ("cli commands", cli_commands, 2107),
     ("bisections", bisections, 2108),
     ("words", words, 2109),
+    ("box tables", box_tables, 2110),
 ]
 
 

@@ -47,7 +47,7 @@ from vdk.groupoid import parse_bisection
 from vdk import cantor
 from vdk.cantor import unpack_word
 from vdk.prefixcode import cell_index, covers, format_packed, format_run, pack_letters
-from vdk.prefixcode import parse_letters, parse_packed, walk
+from vdk.prefixcode import parse_letters, parse_packed, walk, widths
 from vdk.sampling import random_clopen, random_point, random_table, random_word
 
 A21 = Alphabet(2, 1)
@@ -724,6 +724,18 @@ def test_alphabet_sizes_must_be_ints(case):
         d, k, m = rng.randrange(2, 18), rng.randrange(1, 6), rng.randrange(1, 4)
         with pytest.raises(VdkError, match="^%s must be an int, got %s$" % (name, given)):
             call(d, k, m)
+
+
+def test_alphabet_holds_its_widths_outside_its_fields():
+    # worked out once as prefixcode.widths would; d and k alone are
+    # compared, hashed, printed and pickled
+    for d, k in ((2, 1), (2, 2), (3, 1), (5, 5), (11, 3), (17, 9)):
+        a = Alphabet(d, k)
+        assert a.widths == widths(d, k)
+        assert [f.name for f in dataclasses.fields(a)] == ["d", "k"]
+        assert repr(a) == "Alphabet(d=%d, k=%d)" % (d, k)
+        assert a == Alphabet(d, k) and hash(a) == hash(Alphabet(d, k))
+        assert a.__reduce__() == (Alphabet, (d, k))
 
 
 # a word holds an Alphabet, an int root and a tuple of int letters, and a

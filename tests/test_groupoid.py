@@ -13,6 +13,7 @@ import pytest
 from vdk import (
     Alphabet,
     DoubleCylinder,
+    Word,
     act_point,
     bisection_act,
     bisection_compose,
@@ -52,7 +53,7 @@ from vdk.errors import (
     OverlappingDomain,
     VdkError,
 )
-from vdk.groupoid import bisection_to_json
+from vdk.groupoid import BoxTable, bisection_to_json
 from vdk.sampling import random_bisection, random_code, random_point, random_table
 
 A21 = Alphabet(2, 1)
@@ -343,6 +344,26 @@ def box(*coords):
     return tuple(tuple(int(ch) for ch in c) if c else () for c in coords)
 
 
+def packed_cells(pairs):
+    """Cells of letter-tuple boxes as BoxTable stores them: each
+    coordinate the packed (2,1) word with those tail letters."""
+    return [tuple([tuple([Word(A21, 1, w).packed for w in b]) for b in cell]) for cell in pairs]
+
+
+def test_box_table_stores_packed_words():
+    # a coordinate is the packed (2,1) word: a sentinel bit, then one bit
+    # a letter (1 -> 0, 2 -> 1); the empty coordinate is the bare root 1
+    g = mv_make([(box("2", ""), box("1", "")), (box("11", ""), box("2", "1")),
+                 (box("12", ""), box("2", "2"))], 2)
+    assert BoxTable.__slots__ == ("m", "packed")
+    assert g.packed == (((4, 1), (3, 2)), ((5, 1), (3, 3)), ((3, 1), (2, 1)))
+    assert g.pairs == (
+        (box("11", ""), box("2", "1")), (box("12", ""), box("2", "2")), (box("2", ""), box("1", ""))
+    )
+    assert str(g) == "{(11,e)->(2,1),(12,e)->(2,2),(2,e)->(1,e)}"
+    assert mv_identity(3).packed == (((1, 1, 1), (1, 1, 1)),)
+
+
 def test_mv_first_factor_swap():
     g = mv_make([(box("1", ""), box("2", "")), (box("2", ""), box("1", ""))], 2)
     x = parse_point(A21, "11(2)^inf")
@@ -554,8 +575,14 @@ def _refine(rng, pairs, m, rounds):
     return pairs
 
 
-def test_mv_reduce_matches_restart_loop():
+def reduced_letters(pairs, m):
+    """_mv_reduce of letter-tuple cells, packed in and read back out."""
     from vdk.groupoid import _mv_reduce
+
+    return list(BoxTable(m, tuple(_mv_reduce(packed_cells(pairs), m))).pairs)
+
+
+def test_mv_reduce_matches_restart_loop():
     from vdk.sampling import random_box_table
 
     rng = Random(415)
@@ -563,12 +590,12 @@ def test_mv_reduce_matches_restart_loop():
         m = 1 + i % 4
         g = random_box_table(rng, m, rng.randrange(1, 7))
         pairs = _refine(rng, list(g.pairs), m, rng.randrange(1, 4))
-        assert _mv_reduce(pairs, m) == _restart_loop_reduce(pairs, m), (m, pairs)
+        assert reduced_letters(pairs, m) == _restart_loop_reduce(pairs, m), (m, pairs)
         # the product of g and h acting on 2m coordinates, refined
         h = random_box_table(rng, m, rng.randrange(1, 6))
         prod = [(A + C, B + D) for A, B in g.pairs for C, D in h.pairs]
         prod = _refine(rng, prod, 2 * m, rng.randrange(1, 3))
-        assert _mv_reduce(prod, 2 * m) == _restart_loop_reduce(prod, 2 * m), (m, prod)
+        assert reduced_letters(prod, 2 * m) == _restart_loop_reduce(prod, 2 * m), (m, prod)
 
 
 def test_mv_reduce_order_hand_case():
@@ -576,14 +603,14 @@ def test_mv_reduce_order_hand_case():
     # frees (1,1) to merge with (2,1) at coordinate 0; a batch merge of
     # coordinate 1 would take (2,1)+(2,2) as well and end on
     # {(1,1)->(1,1),(2,e)->(2,e)}
-    from vdk.groupoid import BoxTable, _mv_reduce
+    from vdk.groupoid import _mv_reduce
 
     boxes = [((1,), (1, 1)), ((1,), (1, 2)), ((2,), (1,)), ((2,), (2,))]
     pairs = [(b, b) for b in boxes]
-    got = _mv_reduce(pairs, 2)
-    assert got == _restart_loop_reduce(pairs, 2)
+    got = _mv_reduce(packed_cells(pairs), 2)
+    assert list(BoxTable(2, tuple(got)).pairs) == _restart_loop_reduce(pairs, 2)
     assert str(BoxTable(2, tuple(got))) == "{(e,1)->(e,1),(2,2)->(2,2)}"
-    assert _mv_reduce(pairs[::-1], 2) == got
+    assert _mv_reduce(packed_cells(pairs[::-1]), 2) == got
 
 
 def test_mv_inverse_matches_reduce_of_swapped_cells():
@@ -600,8 +627,8 @@ def test_mv_inverse_matches_reduce_of_swapped_cells():
         h = random_box_table(rng, m, rng.randrange(1, 7))
         e = mv_embed_factor(random_table(rng, A21), m, rng.randrange(m))
         for t in (g, mv_compose(g, h), mv_inverse(h), mv_compose(mv_inverse(h), g), e):
-            swapped = [(b, a) for a, b in t.pairs]
-            assert mv_inverse(t).pairs == tuple(_mv_reduce(swapped, m)), (m, t)
+            swapped = [(b, a) for a, b in t.packed]
+            assert mv_inverse(t).packed == tuple(_mv_reduce(swapped, m)), (m, t)
 
 
 def test_mv_built_results_are_partitions():
@@ -620,8 +647,43 @@ def test_mv_built_results_are_partitions():
             mv_embed_factor(random_table(rng, A21), m, rng.randrange(m)),
         ):
             assert r.m == m
-            _check_box_side([a for a, _ in r.pairs], "domain")
-            _check_box_side([b for _, b in r.pairs], "range")
+            _check_box_side([a for a, _ in r.packed], "domain")
+            _check_box_side([b for _, b in r.packed], "range")
+
+
+def test_mv_packs_no_letters(monkeypatch):
+    """Box tables hold packed words: with pack_letters disabled, act,
+    compose, inverse, embed, ==, hash and str give what they gave before."""
+    from vdk import groupoid, prefixcode
+    from vdk.sampling import random_box_table
+
+    rng = Random(2801)
+    cases = []
+    for i in range(60):
+        m = 1 + i % 4
+        g = random_box_table(rng, m, rng.randrange(7))
+        h = random_box_table(rng, m, rng.randrange(7))
+        xs = tuple([random_point(rng, A21) for _ in range(m)])
+        cases.append((g, h, random_table(rng, A21), rng.randrange(m), xs))
+
+    def results():
+        out = []
+        for g, h, t, c, xs in cases:
+            e = mv_embed_factor(t, g.m, c)
+            gh = mv_compose(g, h)
+            out += [str(gh), str(mv_inverse(g)), str(e), mv_act(g, xs), mv_act(e, xs)]
+            out += [gh == mv_compose(e, h), hash(gh) == hash(g), g == mv_compose(gh, ~h)]
+        return out
+
+    want = results()
+
+    def refuse(*args):
+        raise AssertionError("a box table packed letters")
+
+    monkeypatch.setattr(prefixcode, "pack_letters", refuse)
+    # a name imported into groupoid is patched there too, if it is still there
+    monkeypatch.setattr(groupoid, "pack_letters", refuse, raising=False)
+    assert results() == want
 
 
 def test_mv_operands_must_be_box_tables():

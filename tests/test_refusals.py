@@ -142,6 +142,13 @@ _CASES = {
     "mv_make_letter": (
         lambda: mv_make([(((3,), ()), ((3,), ()))], 2), VdkError,
         "box coordinate letters must be 1 or 2, got (3,e)"),
+    # True == 1 and 1.0 == 1, but neither is a letter, as for a Word
+    "mv_make_letter_true": (
+        lambda: mv_make([(((True,),), ((2,),)), (((2,),), ((True,),))], 1), VdkError,
+        "box coordinate letters must be 1 or 2, got (True)"),
+    "mv_make_letter_float": (
+        lambda: mv_make([(((1.0,),), ((2,),)), (((2,),), ((1,),))], 1), VdkError,
+        "box coordinate letters must be 1 or 2, got (1.0)"),
     "mv_make_no_pairs": (
         lambda: mv_make([], 2), VdkError, "a box table needs at least one pair"),
     "mv_compose_factor_counts": (
