@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from operator import rshift, xor
 
 from .cantor import Alphabet, Clopen, Point, Word, check_iterable, check_same_alphabet
 from .cantor import format_word, point_normalize, reduce_by_fields, replace_prefix, unpack_word
@@ -225,35 +226,35 @@ def _order(cell) -> list:
     return [bin(w) for box in cell for w in box]
 
 
+def _pack_box(box) -> Box:
+    """The packed box of letter tuples, each checked as a Word's tail."""
+    return tuple([Word(_COORD_ALPHABET, 1, tuple(w)).packed for w in box])
+
+
 def _check_box(box, m: int) -> Box:
-    """The packed box of m letter tuples, each checked as a Word's tail."""
     if not (isinstance(box, (tuple, list)) and all(isinstance(w, (tuple, list)) for w in box)):
         raise VdkError("a box must be a tuple of letter tuples, got %r" % (box,))
     if len(box) != m:
-        raise VdkError("box %s has %d coordinates, expected %d" % (_letters_text(box), len(box), m))
-    try:
-        return tuple([Word(_COORD_ALPHABET, 1, tuple(w)).packed for w in box])
-    except VdkError:
-        text = _letters_text(box)
-        raise VdkError("box coordinate letters must be 1 or 2, got %s" % text) from None
+        problem = "box %%s has %d coordinates, expected %d" % (len(box), m)
+    else:
+        try:
+            return _pack_box(box)
+        except VdkError:
+            problem = "box coordinate letters must be 1 or 2, got %s"
+    raise VdkError(problem % ("(%s)" % ",".join(["".join(map(str, w)) or "e" for w in box])))
 
 
-def _letters_text(box) -> str:
-    """Text of a box of letter tuples that failed its check."""
-    return "(%s)" % ",".join(["".join(map(str, w)) or "e" for w in box])
-
-
-def _nested(u: int, v: int) -> bool:
-    """Whether one of two packed words is a prefix of the other."""
+def _nest(u: int, v: int) -> int | None:
+    """The shift s with u >> s == v or v >> -s == u; None if neither word is the other's prefix."""
     s = u.bit_length() - v.bit_length()
-    return u >> s == v if s >= 0 else v >> -s == u
+    return s if (u >> s == v if s >= 0 else v >> -s == u) else None
 
 
 def _check_box_side(boxes: list[Box], side: str) -> None:
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
             # boxes meet iff every coordinate pair is prefix-comparable
-            if all(map(_nested, boxes[i], boxes[j])):
+            if None not in map(_nest, boxes[i], boxes[j]):
                 raise OverlappingBoxes(
                     "%s boxes %s and %s overlap"
                     % (side, _box_text(boxes[i]), _box_text(boxes[j]))
@@ -273,17 +274,14 @@ def _mv_reduce(pairs: list[tuple[Box, Box]], m: int) -> list[tuple[Box, Box]]:
     """
     live, heap = set(), []
 
-    def sibling(cell, c):  # last letter of coordinate c flipped, both sides
-        return tuple([box[:c] + (box[c] ^ 1,) + box[c + 1 :] for box in cell])
-
-    def parent(cell, c):  # last letter of coordinate c dropped, both sides
-        return tuple([box[:c] + (box[c] >> 1,) + box[c + 1 :] for box in cell])
+    def at(cell, c, op):  # op(word, 1) at coordinate c, both sides: xor flips, rshift drops
+        return tuple([box[:c] + (op(box[c], 1),) + box[c + 1 :] for box in cell])
 
     def add(cell):
         live.add(cell)
         for c, (a, b) in enumerate(zip(*cell)):
             # both words have a last letter, the same one, and its sibling cell is live
-            if a > 1 and b > 1 and not (a ^ b) & 1 and (other := sibling(cell, c)) in live:
+            if a > 1 and b > 1 and not (a ^ b) & 1 and (other := at(cell, c, xor)) in live:
                 one = other if a & 1 else cell
                 heappush(heap, (c, _order(one), one))
 
@@ -291,28 +289,27 @@ def _mv_reduce(pairs: list[tuple[Box, Box]], m: int) -> list[tuple[Box, Box]]:
         add(cell)
     while heap:
         c, _, one = heappop(heap)
-        two = sibling(one, c)
+        two = at(one, c, xor)
         if one in live and two in live:
             live -= {one, two}
-            add(parent(one, c))
+            add(at(one, c, rshift))
     return sorted(live, key=_order)
 
 
 class BoxTable:
     """Element of mV: a bijection between two partitions of ([2]^N)^m into boxes.
 
-    Stored only as `packed`: (domain, range) pairs of boxes, each an
-    m-tuple of packed (2,1) words with the empty coordinate as the bare
-    root 1, in the order of their letter tuples.  `pairs` reads them
-    back as letter tuples on every access.  Build through mv_make or
-    mv_from_json.
+    Stored only as `packed`: (domain, range) pairs of m-tuples of packed
+    (2,1) words, the empty coordinate the bare root 1; `pairs` reads them
+    back as letter tuples.  BoxTable(m, pairs) packs letter-tuple pairs as
+    they stand, unreduced; mv_make also checks that they are a partition.
     """
 
     __slots__ = ("m", "packed")
 
-    def __init__(self, m: int, packed: tuple[tuple[Box, Box], ...]):
+    def __init__(self, m: int, pairs):
         self.m = m
-        self.packed = packed
+        self.packed = tuple([(_pack_box(a), _pack_box(b)) for a, b in pairs])
 
     @property
     def pairs(self) -> tuple:
@@ -352,6 +349,12 @@ class BoxTable:
         return "BoxTable(%r)" % str(self)
 
 
+def _table(m: int, packed) -> BoxTable:  # the BoxTable of packed cells as they stand
+    g = object.__new__(BoxTable)
+    g.m, g.packed = m, packed
+    return g
+
+
 def _check_factor_count(m) -> None:
     if type(m) is not int or m < 1:
         raise VdkError("factor count m must be an integer at least 1, got %r" % (m,))
@@ -371,12 +374,12 @@ def mv_make(pairs, m: int) -> BoxTable:
         raise VdkError("a box table needs at least one pair")
     _check_box_side([a for a, _ in checked], "domain")
     _check_box_side([b for _, b in checked], "range")
-    return BoxTable(m, tuple(_mv_reduce(checked, m)))
+    return _table(m, tuple(_mv_reduce(checked, m)))
 
 
 def mv_identity(m: int) -> BoxTable:
     _check_factor_count(m)
-    return BoxTable(m, (((1,) * m, (1,) * m),))
+    return _table(m, (((1,) * m, (1,) * m),))
 
 
 def mv_compose(g: BoxTable, h: BoxTable) -> BoxTable:
@@ -390,25 +393,21 @@ def mv_compose(g: BoxTable, h: BoxTable) -> BoxTable:
             dom, ran = [], []
             for a, b, c, d in zip(A, B, C, D):
                 # h's range word b and g's domain word c nest, or the cells miss
-                s = b.bit_length() - c.bit_length()
-                if s >= 0 and b >> s == c:
-                    dom.append(a)
-                    ran.append(d << s | b & (1 << s) - 1)
-                elif s < 0 and c >> -s == b:
-                    dom.append(a << -s | c & (1 << -s) - 1)
-                    ran.append(d)
-                else:
+                s = _nest(b, c)
+                if s is None:
                     break
+                dom.append(a if s >= 0 else a << -s | c & (1 << -s) - 1)
+                ran.append(d << s | b & (1 << s) - 1 if s >= 0 else d)
             else:
                 out.append((tuple(dom), tuple(ran)))
-    return BoxTable(g.m, tuple(_mv_reduce(out, g.m)))
+    return _table(g.m, tuple(_mv_reduce(out, g.m)))
 
 
 def mv_inverse(g: BoxTable) -> BoxTable:
     """The swapped cells, sorted.  Two swapped cells merge exactly when
     the cells do, so the inverse of a reduced table is reduced."""
     check_class(BoxTable, g)
-    return BoxTable(g.m, tuple(sorted([(b, a) for a, b in g.packed], key=_order)))
+    return _table(g.m, tuple(sorted([(b, a) for a, b in g.packed], key=_order)))
 
 
 def mv_act(g: BoxTable, xs) -> tuple[Point, ...]:
@@ -439,7 +438,7 @@ def mv_embed_factor(g: TableElement, m: int, coord: int) -> BoxTable:
     # a V_{2,1} word is a coordinate word as it stands
     left, right = (1,) * coord, (1,) * (m - coord - 1)
     pairs = [(left + (mu,) + right, left + (nu,) + right) for mu, nu in g.packed]
-    return BoxTable(m, tuple(_mv_reduce(pairs, m)))
+    return _table(m, tuple(_mv_reduce(pairs, m)))
 
 
 def mv_to_json(g: BoxTable) -> dict:

@@ -362,6 +362,13 @@ def test_box_table_stores_packed_words():
     )
     assert str(g) == "{(11,e)->(2,1),(12,e)->(2,2),(2,e)->(1,e)}"
     assert mv_identity(3).packed == (((1, 1, 1), (1, 1, 1)),)
+    # the raw constructor packs letter-tuple pairs as they stand, unreduced
+    raw = BoxTable(2, g.pairs[::-1])
+    assert raw.packed == g.packed[::-1] and raw.pairs == g.pairs[::-1] and raw == g
+    assert BoxTable(2, [(box("1", ""), box("11", "2"))]).packed == (((2, 1), (4, 3)),)
+    bad = [(g.pairs[0][0], g.pairs[2][1]), g.pairs[1], (g.pairs[2][0], g.pairs[0][1])]
+    assert str(BoxTable(2, bad)) == "{(11,e)->(1,e),(12,e)->(2,2),(2,e)->(2,1)}"
+    assert BoxTable(2, bad) != g
 
 
 def test_mv_first_factor_swap():
@@ -577,9 +584,9 @@ def _refine(rng, pairs, m, rounds):
 
 def reduced_letters(pairs, m):
     """_mv_reduce of letter-tuple cells, packed in and read back out."""
-    from vdk.groupoid import _mv_reduce
+    from vdk.groupoid import _mv_reduce, _table
 
-    return list(BoxTable(m, tuple(_mv_reduce(packed_cells(pairs), m))).pairs)
+    return list(_table(m, tuple(_mv_reduce(packed_cells(pairs), m))).pairs)
 
 
 def test_mv_reduce_matches_restart_loop():
@@ -603,13 +610,13 @@ def test_mv_reduce_order_hand_case():
     # frees (1,1) to merge with (2,1) at coordinate 0; a batch merge of
     # coordinate 1 would take (2,1)+(2,2) as well and end on
     # {(1,1)->(1,1),(2,e)->(2,e)}
-    from vdk.groupoid import _mv_reduce
+    from vdk.groupoid import _mv_reduce, _table
 
     boxes = [((1,), (1, 1)), ((1,), (1, 2)), ((2,), (1,)), ((2,), (2,))]
     pairs = [(b, b) for b in boxes]
     got = _mv_reduce(packed_cells(pairs), 2)
-    assert list(BoxTable(2, tuple(got)).pairs) == _restart_loop_reduce(pairs, 2)
-    assert str(BoxTable(2, tuple(got))) == "{(e,1)->(e,1),(2,2)->(2,2)}"
+    assert list(_table(2, tuple(got)).pairs) == _restart_loop_reduce(pairs, 2)
+    assert str(_table(2, tuple(got))) == "{(e,1)->(e,1),(2,2)->(2,2)}"
     assert _mv_reduce(packed_cells(pairs[::-1]), 2) == got
 
 
