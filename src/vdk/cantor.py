@@ -18,7 +18,7 @@ Text formats, read and written by the codec in vdk.prefixcode:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import MismatchedAlphabet, VdkError
 from .prefixcode import PackedCode, braced_items, cell_index, covers, format_packed, format_run
@@ -40,15 +40,18 @@ def check_class(cls: type, *objs) -> None:
 
 def reduce_by_fields(obj) -> tuple:
     """__reduce__ of a frozen dataclass whose slots are written out: copies
-    and pickles are remade through the constructor, since the frozen
-    __setattr__ refuses a restore slot by slot.
+    and pickles are remade through the constructor from the fields, since
+    the frozen __setattr__ refuses a restore slot by slot.
 
-    Slots are written out rather than asked of @dataclass(slots=True),
-    which makes a copy of the class: the frozen __setattr__ of the copy
-    ends an assignment to a name that is not a field in TypeError
-    instead of FrozenInstanceError.
+    It reads the fields, not __slots__: a slot that is no field (an
+    alphabet's widths, a fact decided once about the object) is left out
+    and made again, or decided again, by the copy.  Slots are written
+    out rather than asked of @dataclass(slots=True), which makes a copy
+    of the class: the frozen __setattr__ of the copy ends an assignment
+    to a name that is not a field in TypeError instead of
+    FrozenInstanceError.
     """
-    return type(obj), tuple([getattr(obj, name) for name in obj.__slots__])
+    return type(obj), tuple([getattr(obj, f.name) for f in fields(obj)])
 
 
 def check_iterable(name: str, values):
@@ -81,8 +84,7 @@ class Alphabet:
             raise VdkError("root alphabet needs k >= 1, got k=%d" % self.k)
         object.__setattr__(self, "widths", widths(self.d, self.k))
 
-    def __reduce__(self):
-        return type(self), (self.d, self.k)
+    __reduce__ = reduce_by_fields
 
 
 @dataclass(frozen=True, init=False)

@@ -57,9 +57,14 @@ class SymmetricSet:
     identity and closed under inverse.  Checked once, when made: a set
     holding the identity, or whose sorted packed tables differ from
     their sorted swaps, raises NotSymmetric; counts and the chain trust
-    the check."""
+    the check.
 
-    __slots__ = ("elements",)
+    The chain's base integrals are summed once too, by the first check
+    of the set, and kept in the slot `_base`, which is no field: equality,
+    hash, repr, copies and pickles do not see it.  They stay right
+    because the set and the tables it holds are frozen."""
+
+    __slots__ = ("elements", "_base")
     elements: tuple[TableElement, ...]
     __reduce__ = reduce_by_fields
 
@@ -108,9 +113,17 @@ def free_norm(r: int) -> NormBound:
 
 @dataclass(frozen=True)
 class PingPongCertificate:
-    """Generators with attractor clopens certifying that <a, b> is free."""
+    """Generators with attractor clopens certifying that <a, b> is free.
 
-    __slots__ = ("a", "b", "p_a", "p_a_inv", "p_b", "p_b_inv")
+    A certificate is verified at most once: the first ping-pong check
+    that passes keeps the four players in the slot `_players`, which is
+    no field, so equality, hash, repr, copies and pickles do not see it,
+    and a copy is verified again.  The verdict stays true because the
+    certificate, its tables and its clopens are frozen.  A check that
+    fails keeps nothing, so a bad certificate is refused on every call.
+    """
+
+    __slots__ = ("a", "b", "p_a", "p_a_inv", "p_b", "p_b_inv", "_players")
     a: TableElement
     b: TableElement
     p_a: Clopen
@@ -120,9 +133,10 @@ class PingPongCertificate:
     __reduce__ = reduce_by_fields
 
 
-def _pingpong(cert: PingPongCertificate) -> list:
+def _pingpong(cert: PingPongCertificate) -> tuple:
     """The ping-pong check of pingpong_verify; returns the generators
-    a, a^-1, b and b^-1, each inverse formed once.
+    a, a^-1, b and b^-1, each inverse formed once, and keeps them on the
+    certificate, whose later checks return them at once.
 
     An inclusion g.(X - R) inside P is decided on packed words, with no
     clopen built: the cells of g on the gaps of R (the canonical code of
@@ -132,6 +146,10 @@ def _pingpong(cert: PingPongCertificate) -> list:
     first that has none).
     """
     check_class(PingPongCertificate, cert)
+    try:
+        return cert._players
+    except AttributeError:
+        pass
     check_class(Clopen, cert.p_a, cert.p_a_inv, cert.p_b, cert.p_b_inv)
     # (name, generator, attractor, repeller); player i ^ 1 is the inverse of player i
     players = [
@@ -163,7 +181,9 @@ def _pingpong(cert: PingPongCertificate) -> list:
             raise InclusionViolation(
                 "condition %s.(X - %s) inside %s fails" % (name, names[i ^ 1], names[i])
             )
-    return [g for _, g, _, _ in players]
+    verified = tuple([g for _, g, _, _ in players])
+    object.__setattr__(cert, "_players", verified)
+    return verified
 
 
 def pingpong_verify(cert: PingPongCertificate) -> bool:
@@ -174,7 +194,8 @@ def pingpong_verify(cert: PingPongCertificate) -> bool:
     generator to push the complement of its repeller into its attractor.
     Properness is a mass test, sound because it runs after the
     disjointness checks: disjoint attractors cover X exactly when their
-    masses sum to 1.
+    masses sum to 1.  A certificate object that passes is not checked
+    again (see PingPongCertificate); one that fails is, on every call.
     """
     _pingpong(cert)
     return True
@@ -329,19 +350,25 @@ class CertificateReport:
 
 def _base_sum(f: SymmetricSet) -> tuple[int, int, int]:
     """Ints (rat, irr, den): the base integrals of F sum to
-    (rat + irr * sqrt(d)) / den.
+    (rat + irr * sqrt(d)) / den; summed once per set and kept on it.
 
     Each integral's own denominator is k d^E = d^(E+1) over V_{d,d}
     (measure.integral_sqrt_rn_parts), so the largest is a multiple of
     all the others and is the common one.
     """
+    try:
+        return f._base
+    except AttributeError:
+        pass
     parts = [integral_sqrt_rn_parts(el) for el in f.elements]
     den = max([e for _, _, e in parts])
     rat = irr = 0
     for r, i, e in parts:
         rat += r * (den // e)
         irr += i * (den // e)
-    return rat, irr, den
+    base = rat, irr, den
+    object.__setattr__(f, "_base", base)
+    return base
 
 
 def _chain(f_size: int, base: tuple, d: int, k: int, n: int) -> tuple:
@@ -434,7 +461,10 @@ def check_certificate(
     comparisons (lhs against the norm, the paper bound against the norm,
     and the consistency check that lhs is not below the paper bound) are
     decided on the integer numerators of _chain; the report's lhs and
-    paper bound are made exact once, after them.
+    paper bound are made exact once, after them.  Only those depend on
+    nu: the certificate is verified, and F's base integrals are summed,
+    once per object (see PingPongCertificate and SymmetricSet), so a
+    sweep over nu on one (F, certificate) pays for them once.
 
     Exactly one of certificate / norm_bound must be given.  With strict
     (the default) an InconclusiveParameters error is raised when the
@@ -534,8 +564,8 @@ def fixture(name: str) -> tuple[SymmetricSet, PingPongCertificate]:
     """Frozen named fixtures; 'free2' is the verified rank-2 pair in V_{2,2}.
 
     Each fixture is built once per process and shared: its tables,
-    clopens and set are immutable.  Callers such as check_certificate
-    still verify the ping-pong certificate on every use.
+    clopens and set are immutable.  The certificate is verified, and
+    the set's base integrals summed, by their first use and not again.
     """
     check_class(str, name)
     try:

@@ -156,6 +156,9 @@ class QuadraticValue:
 
 
 def _fraction(v) -> Fraction:
+    # Fraction(True) is 1, but a bool is no number here, as for check_int
+    if type(v) is bool:
+        raise VdkError("expected a rational number, got %r" % (v,))
     try:
         return Fraction(v)
     except (TypeError, ValueError, OverflowError):

@@ -44,6 +44,8 @@ to merge.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 from .errors import IncompleteDomain, IncompleteRange, OverlappingDomain
 from .errors import OverlappingRange, VdkError
 
@@ -56,13 +58,28 @@ class PackedCode:
     equal only when they are of the same class, over the same alphabet,
     with equal packed data, so a table never equals its bisection.
     Subclasses define __str__; repr is ClassName('text').
+
+    A code is frozen, as the frozen dataclasses are: assigning or
+    deleting an attribute raises FrozenInstanceError, so its hash, and
+    any fact checked about it once, stays true.  Copies and pickles are
+    remade through the constructor.
     """
 
     __slots__ = ("alphabet", "packed")
 
     def __init__(self, alphabet, packed: tuple):
-        self.alphabet = alphabet
-        self.packed = packed
+        # the slot descriptors store past the refusing __setattr__
+        _set_alphabet(self, alphabet)
+        _set_packed(self, packed)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return type(self), (self.alphabet, self.packed)
 
     def __eq__(self, other):
         return (
@@ -76,6 +93,10 @@ class PackedCode:
 
     def __repr__(self):
         return "%s(%r)" % (type(self).__name__, str(self))
+
+
+_set_alphabet = PackedCode.alphabet.__set__
+_set_packed = PackedCode.packed.__set__
 
 
 def widths(d: int, k: int) -> tuple[int, int]:

@@ -16,9 +16,11 @@ other tests say whether they are right.
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 import io
 import json
+import pickle
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -191,12 +193,13 @@ def certificate_reports(rng: Random) -> list[str]:
     return out
 
 
-def certificate_refusals(rng: Random) -> list[str]:
-    """pingpong_verify and check_certificate on seeded mutants of free2."""
-    f, cert = fixture("free2")
+_ATTRACTORS = ["p_a", "p_a_inv", "p_b", "p_b_inv"]
+
+
+def _mutants(rng: Random, cert: PingPongCertificate) -> list[tuple[str, PingPongCertificate]]:
+    """Named seeded mutants of a certificate over (2,2): tilings, random
+    attractors, other generators and swapped attractors."""
     a = Alphabet(2, 2)
-    nu = Word(a, 1, (1, 2))
-    fields = ["p_a", "p_a_inv", "p_b", "p_b_inv"]
     tilings = [
         ["{1:1}", "{1:2}", "{2:1}", "{2:2}"],
         ["{1:}", "{2:1}", "{2:21}", "{2:22}"],
@@ -204,10 +207,10 @@ def certificate_refusals(rng: Random) -> list[str]:
     ]
     mutants = []
     for tiling in tilings:
-        change = dict(zip(fields, [parse_clopen(a, t) for t in tiling]))
+        change = dict(zip(_ATTRACTORS, [parse_clopen(a, t) for t in tiling]))
         mutants.append(("tiling %s" % " ".join(tiling), change))
     for _ in range(80):
-        field = rng.choice(fields)
+        field = rng.choice(_ATTRACTORS)
         mutants.append(("%s random" % field, {field: _clopen(rng, a, rng.randrange(0, 4), 4)}))
     for _ in range(20):
         field = rng.choice(["a", "b"])
@@ -215,15 +218,23 @@ def certificate_refusals(rng: Random) -> list[str]:
         g = rng.choice([g, inverse(cert.a), inverse(cert.b), cert.a, cert.b])
         mutants.append(("%s = %s" % (field, format_table(g)), {field: g}))
     for _ in range(10):
-        one, two = rng.sample(fields, 2)
+        one, two = rng.sample(_ATTRACTORS, 2)
         change = {one: getattr(cert, two), two: getattr(cert, one)}
         mutants.append(("swap %s %s" % (one, two), change))
+    return [(name, dataclasses.replace(cert, **change)) for name, change in mutants]
+
+
+def certificate_refusals(rng: Random) -> list[str]:
+    """pingpong_verify and check_certificate on seeded mutants of free2."""
+    f, cert = fixture("free2")
+    a = Alphabet(2, 2)
+    nu = Word(a, 1, (1, 2))
+    mutants = _mutants(rng, cert)
     others = [symmetric_set([g, inverse(g)]) for g in (_table(rng, a, 3) for _ in range(3))]
     out = []
-    for name, change in mutants:
-        mutant = dataclasses.replace(cert, **change)
+    for name, mutant in mutants:
         out.append(name)
-        for field in fields:
+        for field in _ATTRACTORS:
             out.append("  %s = %s" % (field, format_clopen(getattr(mutant, field))))
         try:
             out.append("  pingpong_verify: %s" % pingpong_verify(mutant))
@@ -720,6 +731,47 @@ def box_tables(rng: Random) -> list[str]:
     return out
 
 
+def _verify(cert: PingPongCertificate) -> str:
+    try:
+        return str(pingpong_verify(cert))
+    except VdkError as e:
+        return _refusal(e)
+
+
+def certificate_sweeps(rng: Random) -> list[str]:
+    """Repeated checks on one free2 object: check_certificate for k = 1..3
+    over seeded |nu|, each report followed by its share of the mutants of
+    the certificate refusals section, so that every refusal comes after
+    passing checks; then the same sweep, mutants included, from a deep
+    copy and from a pickle round trip; then the CLI on the same words."""
+    f, cert = fixture("free2")
+    lengths = [1, 2] + sorted(rng.sample(range(3, 59), 4))
+    sweep = [_word(rng, Alphabet(2, k), n - 1) for k in (1, 2, 3) for n in lengths]
+    # the same mutants as the certificate refusals section, from its seed
+    mutants = _mutants(Random(2104), cert)
+    out = []
+
+    def run(label: str, objects: tuple) -> None:
+        g, c, ms = objects
+        out.append("sweep of the %s" % label)
+        for i, nu in enumerate(sweep):
+            out.append("  nu=%s" % nu)
+            report = _report(lambda: check_certificate(g, nu, certificate=c))
+            out.extend(["    " + line for line in report])
+            for name, mutant in ms[i :: len(sweep)]:
+                out.append("    mutant %s: %s" % (name, _verify(mutant)))
+
+    objects = (f, cert, mutants)
+    run("fixture", objects)
+    run("deep copy", copy.deepcopy(objects))
+    run("pickle round trip", pickle.loads(pickle.dumps(objects)))
+    for k in (1, 2, 3):
+        out += _cli(["certificate", "pingpong-verify", "--k", str(k)])
+    for nu in sweep:
+        out += _cli(["certificate", "check", "--k", str(nu.alphabet.k), "--nu", str(nu), "--json"])
+    return out
+
+
 SECTIONS = [
     ("quadratic values", quadratic_values, 2101),
     ("integral_sqrt_rn", integrals, 2102),
@@ -731,6 +783,7 @@ SECTIONS = [
     ("bisections", bisections, 2108),
     ("words", words, 2109),
     ("box tables", box_tables, 2110),
+    ("certificate sweeps", certificate_sweeps, 2111),
 ]
 
 

@@ -5,9 +5,11 @@ the (2r)-regular tree, computed by an explicit distance-profile dynamic
 program written here from scratch.
 """
 
+import copy
 import dataclasses
 import gc
 import itertools
+import pickle
 import re
 from fractions import Fraction
 from math import isqrt
@@ -745,6 +747,117 @@ def test_fixture_built_once_and_names_checked():
         fixture("free3")
 
 
+# ---------------------------------------------------------------------------
+# facts decided once per object
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Calls of the ping-pong inclusion test and of the base integral,
+    counted as certificate calls them."""
+    calls = {"covers": 0, "integral": 0}
+    covers = certificate.covers
+
+    def counting_covers(*args):
+        calls["covers"] += 1
+        return covers(*args)
+
+    def counting_integral(g):
+        calls["integral"] += 1
+        return measure.integral_sqrt_rn_parts(g)
+
+    monkeypatch.setattr(certificate, "covers", counting_covers)
+    monkeypatch.setattr(certificate, "integral_sqrt_rn_parts", counting_integral)
+    return calls
+
+
+def sweep(f, cert, rng: Random, checks: int) -> list:
+    """Reports of `checks` checks of one (F, certificate) at seeded k and |nu|."""
+    out = []
+    for _ in range(checks):
+        nu = random_word(rng, Alphabet(2, rng.randrange(1, 4)), rng.randrange(0, 40))
+        out.append(check_certificate(f, nu, certificate=cert, strict=False))
+    return out
+
+
+def test_certificate_verified_and_integrated_once_per_object(free2, counted):
+    # a fresh copy, so that no earlier test has checked it
+    f, cert = copy.deepcopy(free2)
+    rng = Random(2901)
+    reports = sweep(f, cert, rng, 40)
+    for _ in range(5):
+        assert pingpong_verify(cert)
+        nu = random_word(rng, A22, rng.randrange(0, 40))
+        reports.append(check_certificate(f, nu, norm_bound=free_norm(3), strict=False))
+    assert {r.verdict for r in reports} == {"PASS", "INCONCLUSIVE"}
+    # one call per player and one per element, for 50 checks
+    assert counted == {"covers": 4, "integral": 4}
+    # a new object with equal fields is decided again, and only it
+    twin_f, twin_cert = dataclasses.replace(f), dataclasses.replace(cert)
+    assert (twin_f, twin_cert) == (f, cert) and twin_cert is not cert
+    assert sweep(twin_f, twin_cert, Random(2901), 40) == reports[:40]
+    assert counted == {"covers": 8, "integral": 8}
+
+
+def seeded_mutants(cert, rng: Random, count: int) -> list:
+    """Certificates with one attractor grown, shrunk or swapped, or one
+    generator replaced by a random table."""
+    fields = [att for _, att, _ in _PLAYERS]
+    out = []
+    for _ in range(count):
+        field = rng.choice(fields)
+        kind = rng.randrange(4)
+        if kind == 0:
+            other = getattr(cert, rng.choice(fields))
+            change = {field: getattr(cert, field) | random_subcylinder(rng, other)}
+        elif kind == 1:
+            s = getattr(cert, field)
+            change = {field: s - random_subcylinder(rng, s)}
+        elif kind == 2:
+            other = rng.choice([f for f in fields if f != field])
+            change = {field: getattr(cert, other), other: getattr(cert, field)}
+        else:
+            change = {rng.choice("ab"): random_table(rng, A22, rng.randrange(1, 6))}
+        out.append(dataclasses.replace(cert, **change))
+    return out
+
+
+def outcome(call):
+    try:
+        return call()
+    except VdkError as e:
+        return type(e), str(e)
+
+
+def test_a_refused_certificate_is_refused_on_every_call(free2):
+    f, cert = free2
+    nu = Word(A22, 1, (1, 2))
+    refused = 0
+    for bad in seeded_mutants(cert, Random(2902), 60):
+        # checks of the good certificate between them change nothing
+        for call in (lambda: pingpong_verify(bad), lambda: check_certificate(f, nu, certificate=bad)):
+            seen = []
+            for _ in range(3):
+                seen.append(outcome(call))
+                assert check_certificate(f, nu, certificate=cert).verdict == "PASS"
+            assert seen[0] == seen[1] == seen[2]
+        refused += isinstance(seen[0], tuple)
+    assert refused > 40
+
+
+def test_copies_of_a_verified_certificate_are_equal_and_check_the_same(free2, counted):
+    f, cert = copy.deepcopy(free2)
+    reports = sweep(f, cert, Random(2903), 12)
+    assert counted == {"covers": 4, "integral": 4}
+    for twin_f, twin_cert in (copy.deepcopy((f, cert)), pickle.loads(pickle.dumps((f, cert)))):
+        for obj, twin in ((f, twin_f), (cert, twin_cert)):
+            assert twin is not obj and twin == obj
+            assert hash(twin) == hash(obj) and repr(twin) == repr(obj)
+        assert sweep(twin_f, twin_cert, Random(2903), 12) == reports
+    # each twin was remade through its constructor and decided again
+    assert counted == {"covers": 12, "integral": 12}
+
+
 def test_check_certificate_monotone_in_depth(free2):
     f, cert = free2
     seen_pass = False
@@ -1023,12 +1136,14 @@ def test_certificate_checks_on_ints_and_packed_words(monkeypatch, free2):
     they gave before with QuadraticValue arithmetic, per-element
     quadratic values, clopen intersections and clopen images all
     disabled."""
-    f, cert = free2
     bounds = [free_norm(2), NormBound(quadratic(3, 1, 2), "user-supplied", None)]
     texts = {1: ("1", "11", "21212"), 2: ("1:", "1:1", "2:1212")}
     cases = [(parse_word(Alphabet(2, k), t), b) for k in (1, 2) for t in texts[k] for b in bounds]
 
     def reports():
+        # fresh objects, so that the ping-pong check and the base integrals,
+        # decided once per object, run under the patches too
+        f, cert = copy.deepcopy(free2)
         out = [pingpong_verify(cert)]
         out += [check_certificate(f, nu, certificate=cert, strict=False) for nu, _ in cases]
         return out + [check_certificate(f, nu, norm_bound=b, strict=False) for nu, b in cases]
@@ -1046,7 +1161,7 @@ def test_certificate_checks_on_ints_and_packed_words(monkeypatch, free2):
     # a name imported into certificate is patched there too, if it is still there
     monkeypatch.setattr(certificate, "act_clopen", refuse, raising=False)
     with pytest.raises(AssertionError):
-        integral_sqrt_rn(cert.a)
+        integral_sqrt_rn(free2[1].a)
     assert reports() == want
 
 

@@ -14,6 +14,7 @@ from vdk import (
     DisjointnessViolation,
     DoubleCylinder,
     MismatchedAlphabet,
+    NormBound,
     NotFull,
     NotRelated,
     OverlappingDomain,
@@ -173,6 +174,13 @@ _CASES = {
     "check_certificate_neither": (
         lambda: check_certificate(F, NU), VdkError,
         "give exactly one of certificate or norm_bound"),
+    # True == 1, but a bool is no rational: it used to read as 1, and a
+    # check against NormBound(True, ...) to pass against a bound of 1
+    "quadratic_true": (
+        lambda: quadratic(True), VdkError, "expected a rational number, got True"),
+    "check_certificate_bool_norm_bound": (
+        lambda: check_certificate(F, NU, norm_bound=NormBound(True, "x")), VdkError,
+        "expected a rational number, got True"),
     "check_certificate_F_alphabet": (
         lambda: check_certificate(F, Word(Alphabet(3, 3), 1, (1,)), certificate=CERT),
         MismatchedAlphabet, "F must live in V_{3,3}, found element over (d=2, k=2)"),
@@ -331,11 +339,20 @@ _FROZEN = {
     "NormBound": (free_norm(2), "zz"),
     "PingPongCertificate": (CERT, "zz"),
     "CertificateReport": (check_certificate(F, NU, certificate=CERT, strict=False), "zz"),
+    # packed codes are no dataclasses, but frozen all the same: a stored
+    # ping-pong verdict, a set's closure check and a hash read their codes
+    "Clopen": (C1, "packed"),
+    "TableElement": (SWAP, "packed"),
+    "Bisection": (from_table(SWAP), "alphabet"),
 }
 for _name, (_obj, _attr) in _FROZEN.items():
     _CASES["frozen_" + _name] = (
         lambda obj=_obj, attr=_attr: setattr(obj, attr, 1), dataclasses.FrozenInstanceError,
         "cannot assign to field %r" % _attr)
+for _name in ("Clopen", "TableElement", "Bisection"):
+    _CASES["frozen_delete_" + _name] = (
+        lambda obj=_FROZEN[_name][0]: delattr(obj, "packed"), dataclasses.FrozenInstanceError,
+        "cannot delete field 'packed'")
 
 
 @pytest.mark.parametrize("case", sorted(_CASES))
@@ -360,8 +377,9 @@ def test_point_positions_at_zero_and_letter_counts_below_it():
 
 
 # every call that takes an exact value converts it once; these values
-# used to end in ValueError, TypeError or OverflowError from Fraction
-_NOT_RATIONAL = ["a", None, float("nan"), float("inf"), [1]]
+# used to end in ValueError, TypeError or OverflowError from Fraction,
+# or (bools) to read as 0 and 1
+_NOT_RATIONAL = ["a", None, float("nan"), float("inf"), [1], True, False]
 _EXACT_VALUE_CALLS = {
     "quadratic_a": lambda v: quadratic(v),
     "quadratic_b": lambda v: quadratic(1, v, 2),
