@@ -33,6 +33,7 @@ from vdk import (
     PingPongCertificate,
     VdkError,
     Word,
+    act_clopen,
     act_point,
     bisection_act,
     bisection_compose,
@@ -47,12 +48,14 @@ from vdk import (
     free_norm,
     from_table,
     germ_maps,
+    identity,
     integral_sqrt_rn,
     inverse,
     is_full,
     make_bisection,
     make_table,
     member,
+    mu,
     mv_act,
     mv_compose,
     mv_embed_factor,
@@ -71,6 +74,7 @@ from vdk import (
     rn_exponent,
     rn_profile,
     split,
+    support,
     symmetric_set,
     to_table,
     transporter,
@@ -772,6 +776,96 @@ def certificate_sweeps(rng: Random) -> list[str]:
     return out
 
 
+_ALGEBRA_ALPHABETS = [
+    Alphabet(d, k) for d, k in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 3), (5, 5), (11, 2), (17, 3))
+]
+
+
+def clopen_algebra(rng: Random) -> list[str]:
+    """Seeded clopens over eight alphabets up to d = 17 and k = 5: union,
+    intersection, complement, difference, symmetric difference, inclusion
+    both ways and into their union, whole-space tests, masses, and
+    membership of points in and out of them."""
+    out = []
+    for a in _ALGEBRA_ALPHABETS:
+        out.append("(%d,%d)" % (a.d, a.k))
+        for _ in range(5):
+            s = _clopen(rng, a, rng.randrange(9), 5)
+            t = _clopen(rng, a, rng.randrange(9), 5)
+            if rng.random() < 0.3:
+                t = s | t.complement()
+            out.append("  s = %s" % s)
+            out.append("  t = %s" % t)
+            out.append("    s|t %s" % (s | t))
+            out.append("    s&t %s" % (s & t))
+            out.append("    ~s %s" % ~s)
+            out.append("    s-t %s; t-s %s" % (s - t, t - s))
+            out.append("    s^t %s" % (s ^ t))
+            subsets = (s <= t, t <= s, s.is_subset(s | t), (s & t) <= s, (s - t) <= ~t)
+            out.append("    s<=t %s t<=s %s s<=s|t %s s&t<=s %s s-t<=~t %s" % subsets)
+            wholes = (s.is_whole(), (s | ~s).is_whole(), (s ^ ~s).is_whole(), bool(s & ~s))
+            out.append("    whole: s %s s|~s %s s^~s %s; s&~s nonempty %s" % wholes)
+            masses = (mu(s), mu(t), mu(s | t), mu(s & t), mu(~s), mu(s ^ t))
+            out.append("    mu s %s t %s s|t %s s&t %s ~s %s s^t %s" % masses)
+            for _ in range(3):
+                x = _point(rng, a)
+                if s and rng.random() < 0.5:
+                    x = point_normalize(rng.choice(s.words).extend(1), [rng.randrange(1, a.d + 1)])
+                ins = (x, member(x, s), member(x, t), member(x, ~s))
+                out.append("    x = %s: in s %s, in t %s, in ~s %s" % ins)
+    return out
+
+
+def products(rng: Random) -> list[str]:
+    """Seeded tables over eight alphabets up to d = 17 and k = 5: products
+    both ways, inverses, powers with negative exponents, the identity,
+    supports, transporters and their inverses, and images of clopens;
+    then transporter refusals."""
+    out = []
+    for a in _ALGEBRA_ALPHABETS:
+        e = identity(a)
+        out.append("(%d,%d) identity %s, support %s" % (a.d, a.k, e, support(e)))
+        for _ in range(3):
+            g, h = _table(rng, a, rng.randrange(1, 9)), _table(rng, a, rng.randrange(1, 9))
+            out.append("  g = %s" % g)
+            out.append("  h = %s" % h)
+            out.append("    g*h %s" % (g * h))
+            out.append("    h*g %s" % (h * g))
+            out.append("    ~g %s" % ~g)
+            out.append("    g**2 %s" % g**2)
+            out.append("    g**-1 == ~g %s; g**-2 %s" % (g**-1 == ~g, g**-2))
+            laws = ((g**-3 * g**3).is_identity(), g**0 == e, g * ~g == e, (g * h) ** -1 == ~h * ~g)
+            out.append("    g**-3*g**3 is identity %s; g**0 == identity %s" % laws[:2])
+            out.append("    g*~g == identity %s; (g*h)**-1 == ~h*~g %s" % laws[2:])
+            out.append("    support g %s" % support(g))
+            out.append("    support g*h %s" % support(g * h))
+            nu1, nu2 = _word(rng, a, rng.randrange(1, 4)), _word(rng, a, rng.randrange(0, 6))
+            if a.k == 1:
+                nu1, nu2 = nu1.extend(1), nu2.extend(2)
+            t = transporter(nu1, nu2)
+            out.append("    t: %s onto %s = %s" % (nu1, nu2, t))
+            out.append("    ~t %s" % ~t)
+            s = _clopen(rng, a, rng.randrange(1, 7), 4)
+            out.append("    s = %s" % s)
+            out.append("    g.s %s" % act_clopen(g, s))
+            hgs, ts = act_clopen(h, act_clopen(g, s)), act_clopen(t, s)
+            out.append("    h.(g.s) %s; (h*g).s equal %s" % (hgs, hgs == act_clopen(h * g, s)))
+            out.append("    t.s %s; ~t.(t.s) == s %s" % (ts, act_clopen(~t, ts) == s))
+            out.append("    t.[nu1] %s" % act_clopen(t, clopen_normalize(a, [nu1])))
+    a21, a32 = Alphabet(2, 1), Alphabet(3, 2)
+    calls = [
+        ("whole onto proper", lambda: transporter(Word(a21, 1), Word(a21, 1, (2,)))),
+        ("proper onto whole", lambda: transporter(Word(a21, 1, (1, 2)), Word(a21, 1))),
+        ("whole onto whole", lambda: transporter(Word(a21, 1), Word(a21, 1))),
+        ("root onto root", lambda: transporter(Word(a32, 1), Word(a32, 2))),
+        ("mixed alphabets", lambda: transporter(Word(a21, 1, (1,)), Word(a32, 1))),
+        ("a str", lambda: transporter("1:1", Word(a32, 1))),
+    ]
+    for name, call in calls:
+        out.append("transporter, %s: %s" % (name, _call(call)))
+    return out
+
+
 SECTIONS = [
     ("quadratic values", quadratic_values, 2101),
     ("integral_sqrt_rn", integrals, 2102),
@@ -784,6 +878,8 @@ SECTIONS = [
     ("words", words, 2109),
     ("box tables", box_tables, 2110),
     ("certificate sweeps", certificate_sweeps, 2111),
+    ("clopen algebra and mu", clopen_algebra, 2112),
+    ("compose, inverse and powers", products, 2113),
 ]
 
 
