@@ -4,10 +4,10 @@ A point is an infinite word: one root letter from {1..k} followed by an
 infinite stream of tail letters from {1..d}.  A finite word, a root and
 p tail letters, names a cylinder set of mass 1 / (k * d^p); its length
 counts the root.  Every finite word is one packed int (vdk.prefixcode):
-a Word is an alphabet and that int, its letters checked once, when it
-is made from letters or text; a Clopen is a canonical antichain of them;
-a Point is an eventually periodic infinite word stored as its packed
-preperiod and primitive period.
+a Word is a PackedCode of an alphabet and that int, its letters checked
+once, when it is made from letters or text; a Clopen is a canonical
+antichain of them; a Point is an eventually periodic infinite word
+stored as its packed preperiod and primitive period.
 
 Text formats, read and written by the codec in vdk.prefixcode:
   word    ``r:t1t2...``  e.g. ``1:21``; for k = 1 also ``21``, the bare
@@ -87,22 +87,18 @@ class Alphabet:
     __reduce__ = reduce_by_fields
 
 
-@dataclass(frozen=True, init=False)
-class Word:
+class Word(PackedCode):
     """Finite word: a root letter and tail letters, held as one packed int.
 
-    Word(alphabet, root, tail=()) checks the letters and packs them once
-    (vdk.prefixcode's layout); root, tail, letters and len() read the
-    int back.  Words are equal when their alphabets and packed ints are,
-    that is when their letters are, and order as their letter tuples:
-    over one alphabet that is the order of bin(packed), the kernel's key
-    (vdk.prefixcode), so a comparison unpacks nothing.
+    A PackedCode whose `packed` is that one int, so frozen, equal and
+    hashed as the codes are.  Word(alphabet, root, tail=()) checks the
+    letters and packs them once (vdk.prefixcode's layout); root, tail,
+    letters and len() read the int back.  Words order as their letter
+    tuples: over one alphabet that is the order of bin(packed), the
+    kernel's key (vdk.prefixcode), so a comparison unpacks nothing.
     """
 
-    # slots written out, not slots=True (see reduce_by_fields)
-    __slots__ = ("alphabet", "packed")
-    alphabet: Alphabet
-    packed: int
+    __slots__ = ()
 
     def __init__(self, alphabet: Alphabet, root: int, tail: tuple[int, ...] = ()):
         check_class(Alphabet, alphabet)
@@ -115,8 +111,7 @@ class Word:
             if not 1 <= t <= alphabet.d:
                 raise VdkError("tail letter %d outside 1..%d" % (t, alphabet.d))
         rb, b = alphabet.widths
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "packed", pack_letters(1 << rb | root - 1, b, tail))
+        PackedCode.__init__(self, alphabet, pack_letters(1 << rb | root - 1, b, tail))
 
     def _layout(self) -> tuple[int, int, int]:
         """(bits of the root letter, bits of a tail letter, number of tail letters)."""
@@ -144,10 +139,11 @@ class Word:
         return Word(self.alphabet, self.root, self.tail + tails)
 
     def __reduce__(self):
-        # copies and pickles are remade from the int, past the frozen fields
+        # copies and pickles are remade from the int, with nothing checked again
         return unpack_word, (self.alphabet, self.packed)
 
     def __lt__(self, other: Word) -> bool:
+        check_class(Word, other)
         a = self.alphabet
         if a is other.alphabet or a == other.alphabet:
             return bin(self.packed) < bin(other.packed)
@@ -155,6 +151,7 @@ class Word:
         return self.letters < other.letters
 
     def __le__(self, other: Word) -> bool:
+        check_class(Word, other)
         a = self.alphabet
         if a is other.alphabet or a == other.alphabet:
             return bin(self.packed) <= bin(other.packed)
@@ -163,16 +160,12 @@ class Word:
     def __str__(self):
         return format_word(self)
 
-    def __repr__(self):
-        return "Word(%r)" % format_word(self)
-
 
 def unpack_word(alphabet: Alphabet, packed: int) -> Word:
     """The Word of a packed int that a checked code or point holds: made
     straight from the int, with nothing checked or unpacked."""
     w = object.__new__(Word)
-    object.__setattr__(w, "alphabet", alphabet)
-    object.__setattr__(w, "packed", packed)
+    PackedCode.__init__(w, alphabet, packed)
     return w
 
 
@@ -221,12 +214,12 @@ class Clopen(PackedCode):
 
     def is_whole(self) -> bool:
         a = self.alphabet
-        return len(self.packed) == a.k and self.packed == gaps((), a.d, a.k)
+        return len(self.packed) == a.k and self.packed == gaps(a, ())
 
     def union(self, other: Clopen) -> Clopen:
         check_class(Clopen, other)
         a = check_same_alphabet(self, other)
-        return Clopen(a, normal_words(self.packed + other.packed, a.d, a.k))
+        return Clopen(a, normal_words(a, self.packed + other.packed))
 
     def intersect(self, other: Clopen) -> Clopen:
         check_class(Clopen, other)
@@ -238,7 +231,7 @@ class Clopen(PackedCode):
 
     def complement(self) -> Clopen:
         a = self.alphabet
-        return Clopen(a, gaps(self.packed, a.d, a.k))
+        return Clopen(a, gaps(a, self.packed))
 
     def minus(self, other: Clopen) -> Clopen:
         check_class(Clopen, other)
@@ -257,7 +250,7 @@ class Clopen(PackedCode):
         """
         check_class(Clopen, other)
         a = check_same_alphabet(self, other)
-        return covers(other.packed, self.packed, a.d, a.k)
+        return covers(a, other.packed, self.packed)
 
     __or__ = union
     __and__ = intersect
@@ -272,7 +265,7 @@ class Clopen(PackedCode):
 
 def whole_space(alphabet: Alphabet) -> Clopen:
     check_class(Alphabet, alphabet)
-    return Clopen(alphabet, gaps((), alphabet.d, alphabet.k))
+    return Clopen(alphabet, gaps(alphabet, ()))
 
 
 def empty_clopen(alphabet: Alphabet) -> Clopen:
@@ -295,7 +288,7 @@ def clopen_normalize(alphabet: Alphabet, words) -> Clopen:
                 "word %s is over %r, not %r" % (w, w.alphabet, alphabet)
             )
         packed.append(w.packed)
-    return Clopen(alphabet, normal_words(packed, alphabet.d, alphabet.k))
+    return Clopen(alphabet, normal_words(alphabet, packed))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +484,7 @@ def parse_clopen(alphabet: Alphabet, text: str) -> Clopen:
     check_class(Alphabet, alphabet)
     check_class(str, text)
     packed = [parse_packed(alphabet, p) for p in braced_items(text, "clopen", "{w1,w2,...}")]
-    return Clopen(alphabet, normal_words(packed, alphabet.d, alphabet.k))
+    return Clopen(alphabet, normal_words(alphabet, packed))
 
 
 def format_point(x: Point) -> str:

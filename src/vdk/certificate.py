@@ -169,15 +169,14 @@ def _pingpong(cert: PingPongCertificate) -> tuple:
     # disjoint, so their masses add: they cover X exactly when their
     # words, taken together, cover every leaf at the deepest length
     a = attractors[0].alphabet
-    d, k = a.d, a.k
-    covered, total, _ = leaves([w for p in attractors for w in p.packed], d, k)
+    covered, total, _ = leaves(a, [w for p in attractors for w in p.packed])
     if covered == total:
         raise CertificateInvalid("attractors cover the whole space; no basepoint left")
     for i, (name, g, attractor, repeller) in enumerate(players):
         check_same_alphabet(g, repeller)
-        outside = [(w, w) for w in gaps(repeller.packed, d, k)]
+        outside = [(w, w) for w in gaps(a, repeller.packed)]
         image = [r for _, r in walk(g.packed, outside, range(len(outside)))]
-        if not covers(attractor.packed, image, d, k):
+        if not covers(a, attractor.packed, image):
             raise InclusionViolation(
                 "condition %s.(X - %s) inside %s fails" % (name, names[i ^ 1], names[i])
             )
@@ -264,7 +263,6 @@ def convolution_count(f: SymmetricSet, length: int, workers: int = 1) -> int:
         products += term
         largest += 2
     a = f.elements[0].alphabet
-    d, k = a.d, a.k
     tables = [el.packed for el in f.elements]
     orders = [range_order(t) for t in tables]
     inv = [tables.index(swap(t)) for t in tables]
@@ -282,7 +280,7 @@ def convolution_count(f: SymmetricSet, length: int, workers: int = 1) -> int:
             for j in range(size):
                 gh = back[row + j]
                 if gh is None:
-                    gh = normal_form(walk(g, tables[j], orders[j]), d, k)
+                    gh = normal_form(a, walk(g, tables[j], orders[j]))
                 new = len(index)
                 pos = index.setdefault(gh, new)
                 if pos == new:
@@ -481,7 +479,7 @@ def check_certificate(
     target = nu.alphabet
     d, k = target.d, target.k
     found = f.elements[0].alphabet
-    if found != Alphabet(d, d):
+    if found.d != d or found.k != d:
         raise MismatchedAlphabet(
             "F must live in V_{%d,%d}, found element over (d=%d, k=%d)"
             % (d, d, found.d, found.k)

@@ -85,11 +85,11 @@ class Bisection(PackedCode):
 
     def source(self) -> Clopen:
         a = self.alphabet
-        return Clopen(a, normal_words([w for w, _ in self.packed], a.d, a.k))
+        return Clopen(a, normal_words(a, [w for w, _ in self.packed]))
 
     def range(self) -> Clopen:
         a = self.alphabet
-        return Clopen(a, normal_words([r for _, r in self.packed], a.d, a.k))
+        return Clopen(a, normal_words(a, [r for _, r in self.packed]))
 
     def __mul__(self, other: Bisection) -> Bisection:
         return bisection_compose(self, other)
@@ -135,7 +135,7 @@ def is_full(u: Bisection) -> bool:
     """
     check_class(Bisection, u)
     a = u.alphabet
-    masses = [leaves([c[side] for c in u.packed], a.d, a.k) for side in (0, 1)]
+    masses = [leaves(a, [c[side] for c in u.packed]) for side in (0, 1)]
     return all(covered == total for covered, total, _ in masses)
 
 
@@ -204,7 +204,7 @@ def bisection_to_json(u: Bisection) -> list[dict]:
             "domain": format_packed(a, w),
             "degree": q - p,
         }
-        for (w, r), (p, q) in zip(u.packed, tail_lengths(u.packed, a.d, a.k))
+        for (w, r), (p, q) in zip(u.packed, tail_lengths(a, u.packed))
     ]
 
 
@@ -303,13 +303,22 @@ class BoxTable:
     (2,1) words, the empty coordinate the bare root 1; `pairs` reads them
     back as letter tuples.  BoxTable(m, pairs) packs letter-tuple pairs as
     they stand, unreduced; mv_make also checks that they are a partition.
+
+    A box table is frozen as a PackedCode is, with the same refusal of
+    assignment and deletion, since == and hash read its slots; copies
+    and pickles are remade from the packed cells by _table.
     """
 
     __slots__ = ("m", "packed")
+    __setattr__ = PackedCode.__setattr__
+    __delattr__ = PackedCode.__delattr__
 
     def __init__(self, m: int, pairs):
-        self.m = m
-        self.packed = tuple([(_pack_box(a), _pack_box(b)) for a, b in pairs])
+        _set_m(self, m)
+        _set_cells(self, tuple([(_pack_box(a), _pack_box(b)) for a, b in pairs]))
+
+    def __reduce__(self):
+        return _table, (self.m, self.packed)
 
     @property
     def pairs(self) -> tuple:
@@ -349,9 +358,14 @@ class BoxTable:
         return "BoxTable(%r)" % str(self)
 
 
+_set_m = BoxTable.m.__set__
+_set_cells = BoxTable.packed.__set__
+
+
 def _table(m: int, packed) -> BoxTable:  # the BoxTable of packed cells as they stand
     g = object.__new__(BoxTable)
-    g.m, g.packed = m, packed
+    _set_m(g, m)
+    _set_cells(g, packed)
     return g
 
 

@@ -26,7 +26,7 @@ from .tables import TableElement, act_clopen, act_point, code_cell, compose
 def mu(s: Clopen) -> Fraction:
     """Exact Bernoulli mass of a clopen set."""
     check_class(Clopen, s)
-    covered, total, _ = leaves(s.packed, s.alphabet.d, s.alphabet.k)
+    covered, total, _ = leaves(s.alphabet, s.packed)
     return Fraction(covered, total)
 
 
@@ -278,7 +278,7 @@ def cocycle_chain_check(g: TableElement, h: TableElement, x: Point) -> bool:
 def cocycle_range(g: TableElement) -> frozenset[int]:
     """The set of exponents attained by the cocycle of g, from packed tail lengths."""
     check_class(TableElement, g)
-    return frozenset(t - u for t, u in tail_lengths(g.packed, g.alphabet.d, g.alphabet.k))
+    return frozenset(t - u for t, u in tail_lengths(g.alphabet, g.packed))
 
 
 def integral_sqrt_rn(g: TableElement) -> QuadraticValue:
@@ -308,7 +308,7 @@ def integral_sqrt_rn_parts(g: TableElement) -> tuple[int, int, int]:
     a = g.alphabet
     d = a.d
     # (t, j) per cell; j is also the difference of the tail lengths
-    terms = [(t, t - u) for t, u in tail_lengths(g.packed, d, a.k)]
+    terms = [(t, t - u) for t, u in tail_lengths(a, g.packed)]
     e = max([t - j // 2 for t, j in terms])
     rat = irr = 0
     for t, j in terms:

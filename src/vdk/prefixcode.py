@@ -4,9 +4,11 @@ box tables and the convolution DP.
 A table {mu -> nu} and a bisection {nu <- mu} hold the same data: two
 prefix codes of X_{d,k}, paired cell by cell; a clopen set is a single
 prefix code that need not cover the space.  This module is the only one
-that knows how those codes are stored.  It needs of vdk only its errors:
-an alphabet is read for its sizes d and k and the field widths it
-holds (widths below), and a Word is a packed word.
+that knows how those codes are stored.  It needs of vdk only its errors.
+A routine that needs the sizes d and k or the field widths takes the
+alphabet first and reads them there; widths below computes the widths
+once, for the alphabet, and pack_letters and tail_letters take a tail
+width.  A Word is a PackedCode too, whose packed value is one word.
 
 A finite word is packed into one integer whose binary form is a leading
 1 (the sentinel), then the root letter minus 1 in rb = (k-1).bit_length()
@@ -51,10 +53,12 @@ from .errors import OverlappingRange, VdkError
 
 
 class PackedCode:
-    """An alphabet and a packed code: the storage of clopens, tables and bisections.
+    """An alphabet and a packed code: the storage of clopens, tables, bisections and words.
 
-    `packed` is a canonical tuple of packed words (a clopen) or of
-    (domain, range) pairs of them (a table or bisection).  Two codes are
+    `packed` is a canonical tuple of packed words (a clopen), of
+    (domain, range) pairs of them (a table or bisection), or one packed
+    word (a Word, vdk.cantor).  The routines below that read it take
+    the alphabet first and read its widths there.  Two codes are
     equal only when they are of the same class, over the same alphabet,
     with equal packed data, so a table never equals its bisection.
     Subclasses define __str__; repr is ClassName('text').
@@ -100,7 +104,8 @@ _set_packed = PackedCode.packed.__set__
 
 
 def widths(d: int, k: int) -> tuple[int, int]:
-    """Bits of the root letter and of each tail letter."""
+    """Bits of the root letter and of each tail letter, which an Alphabet
+    computes once and holds as its `widths`."""
     return (k - 1).bit_length(), (d - 1).bit_length()
 
 
@@ -137,11 +142,12 @@ def _plain(d: int) -> tuple:
 _PLAIN = {d: _plain(d) for d in range(2, 10)}
 
 
-def _tail_text(d: int, b: int, n: int, w: int) -> str:
+def _tail_text(alphabet, n: int, w: int) -> str:
     """The n tail letters in the low b * n bits of w, as text; a set bit
     above them (the sentinel) keeps format() from dropping leading zeros."""
     if not n:
         return ""
+    d, b = alphabet.d, alphabet.widths[1]
     if d > 9:
         return ".".join([str((w >> s & (1 << b) - 1) + 1) for s in range(b * (n - 1), -1, -b)])
     _, _, up, spec = _PLAIN[d]
@@ -154,7 +160,7 @@ def format_packed(alphabet, w: int) -> str:
     """Text of the packed word w."""
     rb, b = alphabet.widths
     n = (w.bit_length() - 1 - rb) // b
-    tail = _tail_text(alphabet.d, b, n, w)
+    tail = _tail_text(alphabet, n, w)
     if alphabet.k == 1:
         return tail or "1:"
     return "%d:%s" % ((w >> b * n) - (1 << rb) + 1, tail)
@@ -163,7 +169,7 @@ def format_packed(alphabet, w: int) -> str:
 def format_run(alphabet, v: int) -> str:
     """Text of the tail letters packed after the sentinel bit of v, such as a point's period."""
     b = alphabet.widths[1]
-    return _tail_text(alphabet.d, b, (v.bit_length() - 1) // b, v)
+    return _tail_text(alphabet, (v.bit_length() - 1) // b, v)
 
 
 def parse_letters(alphabet, text: str) -> list:
@@ -230,9 +236,9 @@ def braced_items(text: str, what: str, shape: str) -> list:
     return body.split(",") if body else []
 
 
-def tail_lengths(pairs, d: int, k: int) -> list:
+def tail_lengths(alphabet, pairs) -> list:
     """(domain, range) tail-letter counts of every cell."""
-    rb, b = widths(d, k)
+    rb, b = alphabet.widths
     return [((w.bit_length() - 1 - rb) // b, (r.bit_length() - 1 - rb) // b) for w, r in pairs]
 
 
@@ -257,13 +263,13 @@ def range_order(pairs) -> list:
     return sorted(range(len(pairs)), key=lambda i: bin(pairs[i][1]))
 
 
-def leaves(words, d: int, k: int) -> tuple[int, int, int]:
+def leaves(alphabet, words) -> tuple[int, int, int]:
     """(covered, total, depth): the words cover `covered` of the `total`
     words of length `depth`, the longest length among them."""
-    rb, b = widths(d, k)
+    (rb, b), d = alphabet.widths, alphabet.d
     tails = [(w.bit_length() - 1 - rb) // b for w in words]
     e = max(tails, default=0)
-    return sum(d ** (e - t) for t in tails), k * d**e, e + 1
+    return sum(d ** (e - t) for t in tails), alphabet.k * d**e, e + 1
 
 
 def check_code(alphabet, words: list, side: str, complete: bool = False) -> None:
@@ -284,21 +290,21 @@ def check_code(alphabet, words: list, side: str, complete: bool = False) -> None
                 % (side, format_packed(alphabet, w1), format_packed(alphabet, w2))
             )
     if complete:
-        covered, total, depth = leaves(words, alphabet.d, alphabet.k)
+        covered, total, depth = leaves(alphabet, words)
         if covered != total:
             err = IncompleteDomain if side == "domain" else IncompleteRange
             raise err("%s words cover %d/%d leaves at depth %d" % (side, covered, total, depth))
 
 
-def identity_pairs(d: int, k: int) -> tuple:
+def identity_pairs(alphabet) -> tuple:
     """Canonical packed identity: the k roots, or for k = 1 the d one-letter tails."""
-    rb, b = widths(d, k)
-    if k == 1:
-        return tuple([((1 << b) | i, (1 << b) | i) for i in range(d)])
-    return tuple([((1 << rb) | r, (1 << rb) | r) for r in range(k)])
+    rb, b = alphabet.widths
+    if alphabet.k == 1:
+        return tuple([((1 << b) | i, (1 << b) | i) for i in range(alphabet.d)])
+    return tuple([((1 << rb) | r, (1 << rb) | r) for r in range(alphabet.k)])
 
 
-def _merge_siblings(pairs, d: int, k: int, minlen: int) -> list:
+def _merge_siblings(alphabet, pairs, minlen: int) -> list:
     """Merge aligned sibling families; pairs must be domain-sorted.
 
     One pass over a stack: each cell is pushed, and while the top d
@@ -308,7 +314,7 @@ def _merge_siblings(pairs, d: int, k: int, minlen: int) -> list:
     family left would have been seen when its last cell went on top.
     Only families whose words have at least minlen letters merge.
     """
-    rb, b = widths(d, k)
+    (rb, b), d = alphabet.widths, alphabet.d
     # the least packed word with minlen letters
     least = 1 << (rb + b * (minlen - 1))
     low = (1 << b) - 1
@@ -337,16 +343,16 @@ def _merge_siblings(pairs, d: int, k: int, minlen: int) -> list:
     return out
 
 
-def normal_form(pairs, d: int, k: int) -> tuple:
+def normal_form(alphabet, pairs) -> tuple:
     """Canonical form of disjoint cells given in domain order: families merged."""
-    if k == 1 and len(pairs) == 1 and pairs[0] == (1, 1):
+    if alphabet.k == 1 and len(pairs) == 1 and pairs[0] == (1, 1):
         # the bare-root identity; expand one level so the canonical form
         # never contains the unprintable empty word
-        return identity_pairs(d, 1)
-    return tuple(_merge_siblings(pairs, d, k, 3 if k == 1 else 2))
+        return identity_pairs(alphabet)
+    return tuple(_merge_siblings(alphabet, pairs, 3 if alphabet.k == 1 else 2))
 
 
-def normal_words(words, d: int, k: int) -> tuple:
+def normal_words(alphabet, words) -> tuple:
     """Canonical clopen of packed words: sorted, nested words absorbed,
     families merged up to the roots."""
     kept = []
@@ -357,7 +363,7 @@ def normal_words(words, d: int, k: int) -> tuple:
             if s >= 0 and w >> s == kept[-1]:
                 continue
         kept.append(w)
-    return tuple([w for w, _ in _merge_siblings([(w, w) for w in kept], d, k, 2)])
+    return tuple([w for w, _ in _merge_siblings(alphabet, [(w, w) for w in kept], 2)])
 
 
 def canonical(alphabet, pairs, complete: bool) -> tuple:
@@ -371,7 +377,7 @@ def canonical(alphabet, pairs, complete: bool) -> tuple:
     pairs = sort_pairs(pairs)
     check_code(alphabet, [w for w, _ in pairs], "domain", complete)
     check_code(alphabet, [r for _, r in sort_pairs(pairs, 1)], "range", complete)
-    return normal_form(pairs, alphabet.d, alphabet.k)
+    return normal_form(alphabet, pairs)
 
 
 def swap(pairs) -> tuple:
@@ -385,7 +391,7 @@ def swap(pairs) -> tuple:
     return tuple(sort_pairs([(r, w) for w, r in pairs]))
 
 
-def gaps(words, d: int, k: int) -> tuple:
+def gaps(alphabet, words) -> tuple:
     """The canonical clopen of the complement of a sorted antichain.
 
     A depth-first walk from the roots in lexicographic order, reading the
@@ -393,11 +399,11 @@ def gaps(words, d: int, k: int) -> tuple:
     one that is a proper prefix of it splits into its d children, and
     any other one lies in a gap between the words and is kept.
     """
-    rb, b = widths(d, k)
+    (rb, b), d = alphabet.widths, alphabet.d
     out = []
     it = iter(words)
     nxt = next(it, 0)
-    stack = [(1 << rb) | r for r in range(k - 1, -1, -1)]
+    stack = [(1 << rb) | r for r in range(alphabet.k - 1, -1, -1)]
     while stack:
         w = stack.pop()
         s = nxt.bit_length() - w.bit_length()
@@ -411,10 +417,10 @@ def gaps(words, d: int, k: int) -> tuple:
     return tuple(out)
 
 
-def split_last(words, n: int, d: int, k: int) -> list:
+def split_last(alphabet, words, n: int) -> list:
     """The words with the last one split into its d children, again and
     again, until there are n; n - len(words) must be a multiple of d - 1."""
-    _, b = widths(d, k)
+    b, d = alphabet.widths[1], alphabet.d
     out = list(words)
     while len(out) < n:
         c = out.pop() << b
@@ -483,10 +489,10 @@ def cell_index(code, x) -> int | None:
     code is a clopen's sorted words or a table's or bisection's
     domain-sorted pairs, read in place.
     """
-    return _find(code, x.packed_prefix, *x.alphabet.widths)
+    return _find(x.alphabet, code, x.packed_prefix)
 
 
-def _find(code, prefix, rb: int, b: int) -> int | None:
+def _find(alphabet, code, prefix) -> int | None:
     """Index of the word of code that prefix(n) spells at its length, or None.
 
     prefix(n) is the packed prefix, carrying n tail letters, of a point.
@@ -495,6 +501,7 @@ def _find(code, prefix, rb: int, b: int) -> int | None:
     as they do lexicographically, so a binary search reads the point's
     prefix at each probed word's length.
     """
+    rb, b = alphabet.widths
     lo, hi = 0, len(code)
     while lo < hi:
         i = (lo + hi) // 2
@@ -509,7 +516,7 @@ def _find(code, prefix, rb: int, b: int) -> int | None:
     return None
 
 
-def covers(code, words, d: int, k: int) -> bool:
+def covers(alphabet, code, words) -> bool:
     """Whether every packed word has a prefix in the sorted antichain code;
     False at the first word that has none, with the rest unread.
 
@@ -524,14 +531,14 @@ def covers(code, words, d: int, k: int) -> bool:
     is inclusion: a cylinder covered by longer words only would hold a
     complete family of them.
     """
-    rb, b = widths(d, k)
+    rb, b = alphabet.widths
     for u in words:
         n = (u.bit_length() - 1 - rb) // b
 
         def prefix(m: int) -> int:
             return u >> b * (n - m) if m <= n else u << b * (m - n)
 
-        i = _find(code, prefix, rb, b)
+        i = _find(alphabet, code, prefix)
         if i is None or code[i].bit_length() > u.bit_length():
             return False
     return True

@@ -87,7 +87,7 @@ def make_table(pairs) -> TableElement:
 
 def identity(alphabet: Alphabet) -> TableElement:
     check_class(Alphabet, alphabet)
-    return TableElement(alphabet, identity_pairs(alphabet.d, alphabet.k))
+    return TableElement(alphabet, identity_pairs(alphabet))
 
 
 def code_product(cls: type, u: PackedCode, v: PackedCode) -> PackedCode:
@@ -95,7 +95,7 @@ def code_product(cls: type, u: PackedCode, v: PackedCode) -> PackedCode:
     check_class(cls, u, v)
     a = check_same_alphabet(u, v)
     cells = walk(u.packed, v.packed, range_order(v.packed))
-    return cls(a, normal_form(cells, a.d, a.k))
+    return cls(a, normal_form(a, cells))
 
 
 def code_inverse(cls: type, u: PackedCode) -> PackedCode:
@@ -117,7 +117,7 @@ def code_cell(cls: type, u: PackedCode, x: Point, missing: str = _NO_CELL) -> tu
     i = cell_index(u.packed, x)
     if i is None:
         raise VdkError(missing % x)
-    ((t, s),) = tail_lengths([u.packed[i]], a.d, a.k)
+    ((t, s),) = tail_lengths(a, [u.packed[i]])
     return u.packed[i][1], t, s
 
 
@@ -152,7 +152,7 @@ def act_clopen(g: TableElement, s: Clopen) -> Clopen:
     a = check_same_alphabet(g, s)
     # the range words of g restricted to s
     cells = walk(g.packed, [(w, w) for w in s.packed], range(len(s.packed)))
-    return Clopen(a, normal_words([r for _, r in cells], a.d, a.k))
+    return Clopen(a, normal_words(a, [r for _, r in cells]))
 
 
 def support(g: TableElement) -> Clopen:
@@ -162,7 +162,7 @@ def support(g: TableElement) -> Clopen:
     """
     check_class(TableElement, g)
     a = g.alphabet
-    return Clopen(a, normal_words([w for w, r in g.packed if w != r], a.d, a.k))
+    return Clopen(a, normal_words(a, [w for w, r in g.packed if w != r]))
 
 
 def probe_points(g: TableElement, h: TableElement) -> list[Point]:
@@ -193,14 +193,14 @@ def transporter(nu1: Word, nu2: Word) -> TableElement:
     check_class(Word, nu1, nu2)
     a = check_same_alphabet(nu1, nu2)
     p1, p2 = nu1.packed, nu2.packed
-    comp1, comp2 = gaps((p1,), a.d, a.k), gaps((p2,), a.d, a.k)
+    comp1, comp2 = gaps(a, (p1,)), gaps(a, (p2,))
     if bool(comp1) != bool(comp2):
         full = nu1 if not comp1 else nu2
         raise TransportImpossible(
             "cylinder of %s is the whole space but the other is proper" % full
         )
     n = max(len(comp1), len(comp2))
-    comp1, comp2 = split_last(comp1, n, a.d, a.k), split_last(comp2, n, a.d, a.k)
+    comp1, comp2 = split_last(a, comp1, n), split_last(a, comp2, n)
     return TableElement(a, canonical(a, [(p1, p2)] + list(zip(comp1, comp2)), complete=True))
 
 
@@ -229,7 +229,7 @@ def embed_supported(g: TableElement, nu: Word) -> TableElement:
         )
     p = nu.packed
     cells = [(graft(p, w), graft(p, r)) for w, r in g.packed]
-    cells.extend([(c, c) for c in gaps((p,), target.d, target.k)])
+    cells.extend([(c, c) for c in gaps(target, (p,))])
     return TableElement(target, canonical(target, cells, complete=True))
 
 

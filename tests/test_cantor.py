@@ -43,12 +43,12 @@ from vdk import (
     witness_cell,
 )
 from vdk.errors import VdkError
-from vdk.groupoid import parse_bisection
+from vdk.groupoid import bisection_to_json, parse_bisection
 from vdk import cantor
 from vdk.cantor import unpack_word
 from vdk.prefixcode import cell_index, covers, format_packed, format_run, pack_letters
 from vdk.prefixcode import parse_letters, parse_packed, walk, widths
-from vdk.sampling import random_clopen, random_point, random_table, random_word
+from vdk.sampling import random_bisection, random_clopen, random_point, random_table, random_word
 
 A21 = Alphabet(2, 1)
 A22 = Alphabet(2, 2)
@@ -371,9 +371,9 @@ def test_covers_is_inclusion_in_a_canonical_clopen():
             t = t | s
         elif i % 3 == 2:
             t = t | u
-        got = covers(t.packed, s.packed, a.d, a.k)
+        got = covers(a, t.packed, s.packed)
         assert got == (s.intersect(t) == s) == s.is_subset(t)
-        assert covers(t.packed, image, a.d, a.k) == (u.intersect(t) == u)
+        assert covers(a, t.packed, image) == (u.intersect(t) == u)
         verdicts.add(got)
     assert verdicts == {True, False}
 
@@ -736,6 +736,58 @@ def test_alphabet_holds_its_widths_outside_its_fields():
         assert repr(a) == "Alphabet(d=%d, k=%d)" % (d, k)
         assert a == Alphabet(d, k) and hash(a) == hash(Alphabet(d, k))
         assert a.__reduce__() == (Alphabet, (d, k))
+
+
+def _width_battery(cases, embed, free) -> list:
+    """Text of a seeded battery of library calls on objects built beforehand."""
+    import vdk
+
+    out = []
+    for g, h, s, t, x, nu1, nu2, u in cases:
+        out += [g * h, ~g, g**3, g**-2, vdk.act_point(g, x), vdk.act_clopen(g, s)]
+        out += [s | t, s & t, ~s, s - t, s ^ t, s.is_subset(t), s.is_whole(), (s | ~s).is_whole()]
+        out += [mu(s), mu(t), vdk.support(g), vdk.transporter(nu1, nu2), member(x, s)]
+        out += [vdk.integral_sqrt_rn(g), sorted(vdk.cocycle_range(g))]
+        out += [vdk.bisection_compose(u, ~u), vdk.is_full(u), vdk.is_full(from_table(g))]
+        out.append(bisection_to_json(u))
+    base, nu = embed
+    out.append(vdk.embed_supported(base, nu))
+    f, cert, nus = free
+    out.append(vdk.pingpong_verify(cert))
+    out += [vdk.check_certificate(f, w, certificate=cert, strict=False).lines() for w in nus]
+    out += [vdk.convolution_count(f, n) for n in (2, 4, 6, 8)]
+    return [str(v) for v in out]
+
+
+def test_kernel_reads_widths_from_the_alphabet_only(monkeypatch):
+    """With every object built first, no call works the field widths out
+    again: prefixcode.widths, which Alphabet also uses, may then raise."""
+    import vdk
+    from vdk.prefixcode import PackedCode
+
+    assert issubclass(Word, PackedCode)
+    rng = Random(3030)
+    cases = []
+    for a in [A21, A22, A32, A131, Alphabet(4, 3), Alphabet(11, 2), Alphabet(17, 3)]:
+        g, h = random_table(rng, a, 6), random_table(rng, a, 5)
+        s, t = random_clopen(rng, a, 5, 4), random_clopen(rng, a, 4, 4)
+        x = random_point(rng, a, 6)
+        nu1, nu2 = random_word(rng, a, 3).extend(1), random_word(rng, a, 5).extend(2)
+        cases.append((g, h, s, t, x, nu1, nu2, random_bisection(rng, a)))
+    embed = (random_table(rng, Alphabet(3, 3), 4), random_word(rng, A32, 4))
+    f, cert = vdk.fixture("free2")
+    # fresh copies, so that the ping-pong check and the base integrals run again
+    nus = [random_word(rng, Alphabet(2, k), 6) for k in (1, 2, 3)]
+    free = dataclasses.replace(f), dataclasses.replace(cert), nus
+    want = _width_battery(cases, embed, free)
+    free = dataclasses.replace(f), dataclasses.replace(cert), nus
+
+    def refuse(d, k):
+        raise AssertionError("widths(%d, %d) worked out again" % (d, k))
+
+    monkeypatch.setattr(vdk.prefixcode, "widths", refuse)
+    monkeypatch.setattr(cantor, "widths", refuse)
+    assert _width_battery(cases, embed, free) == want
 
 
 # a word holds an Alphabet, an int root and a tuple of int letters, and a

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import pickle
 import re
+from random import Random
 
 import pytest
 
@@ -60,6 +61,7 @@ from vdk import (
     witness_holds,
 )
 from vdk.groupoid import bisection_to_json
+from vdk.sampling import random_box_table
 
 A21 = Alphabet(2, 1)
 A22 = Alphabet(2, 2)
@@ -325,6 +327,11 @@ _CASES = {
     "letters_str": (lambda: X211.letters("1"), VdkError, "letter count must be an int, got str"),
     "letters_none": (
         lambda: X211.letters(None), VdkError, "letter count must be an int, got NoneType"),
+    # words order only among words; these used to end in AttributeError
+    "word_lt_int": (lambda: W1 < 5, VdkError, "expected a Word, got int"),
+    "word_le_int": (lambda: W1 <= 5, VdkError, "expected a Word, got int"),
+    "word_lt_str": (lambda: W1 < "1:1", VdkError, "expected a Word, got str"),
+    "word_le_str": (lambda: W1 <= "1:1", VdkError, "expected a Word, got str"),
 }
 
 # every frozen class refuses an assignment to any name, a field or not;
@@ -344,12 +351,15 @@ _FROZEN = {
     "Clopen": (C1, "packed"),
     "TableElement": (SWAP, "packed"),
     "Bisection": (from_table(SWAP), "alphabet"),
+    "Word": (NU, "alphabet"),
+    # == and hash read a box table's slots; assignment and deletion used to pass
+    "BoxTable": (random_box_table(Random(30), 2), "m"),
 }
 for _name, (_obj, _attr) in _FROZEN.items():
     _CASES["frozen_" + _name] = (
         lambda obj=_obj, attr=_attr: setattr(obj, attr, 1), dataclasses.FrozenInstanceError,
         "cannot assign to field %r" % _attr)
-for _name in ("Clopen", "TableElement", "Bisection"):
+for _name in ("Clopen", "TableElement", "Bisection", "Word", "BoxTable"):
     _CASES["frozen_delete_" + _name] = (
         lambda obj=_FROZEN[_name][0]: delattr(obj, "packed"), dataclasses.FrozenInstanceError,
         "cannot delete field 'packed'")

@@ -701,7 +701,7 @@ def test_merge_siblings_matches_fixpoint():
             if cells and rng.random() < 0.3:  # a hole stops some cascades
                 cells.pop(rng.randrange(len(cells)))
             for minlen in (2, 3):
-                got = _merge_siblings(packed_by_domain(a, cells), d, k, minlen)
+                got = _merge_siblings(a, packed_by_domain(a, cells), minlen)
                 assert got == packed_by_domain(a, fixpoint_merge(cells, d, minlen)), (a, cells)
 
 
@@ -714,12 +714,12 @@ def test_merge_siblings_cascades_through_complete_subtrees(a):
         deep = packed_by_domain(a, refine(cells, d, 3))
         # a canonical table is what is left once its cells' subtrees merge
         # back; for k = 1 the merge stops at one tail letter
-        assert normal_form(deep, d, k) == g.packed
-        assert _merge_siblings(deep, d, k, 3 if k == 1 else 2) == list(g.packed)
+        assert normal_form(a, deep) == g.packed
+        assert _merge_siblings(a, deep, 3 if k == 1 else 2) == list(g.packed)
     if k == 1:
         floor = packed_by_domain(a, refine([((1,), (1,))], d, 1))
-        assert _merge_siblings(floor, d, k, 3) == floor
-        assert _merge_siblings(floor, d, k, 2) == [(1, 1)]
+        assert _merge_siblings(a, floor, 3) == floor
+        assert _merge_siblings(a, floor, 2) == [(1, 1)]
 
 
 def test_swap_is_sorted_normal_form_of_swapped_cells():
@@ -728,7 +728,7 @@ def test_swap_is_sorted_normal_form_of_swapped_cells():
         for _ in range(12):
             c = random_cells(rng, a)
             swapped = [(r, w) for w, r in c]
-            assert swap(c) == normal_form(sort_pairs(swapped), a.d, a.k)
+            assert swap(c) == normal_form(a, sort_pairs(swapped))
             assert list(swap(c)) == packed_by_domain(
                 a, [(letters_of(a, w), letters_of(a, r)) for w, r in swapped]
             )
@@ -890,7 +890,7 @@ def test_binary_text_order_matches_aligned_key():
     k = 1..5; equal words in the input keep their order, as before."""
     from vdk.prefixcode import canonical, check_code, normal_words
 
-    def normal_words_oracle(words, d, k):
+    def normal_words_oracle(a, words):
         kept = []
         for w in [w for w, in _aligned_sort([(w,) for w in words])]:
             if kept:
@@ -898,13 +898,13 @@ def test_binary_text_order_matches_aligned_key():
                 if s >= 0 and w >> s == kept[-1]:
                     continue
             kept.append(w)
-        return tuple([w for w, _ in _merge_siblings([(w, w) for w in kept], d, k, 2)])
+        return tuple([w for w, _ in _merge_siblings(a, [(w, w) for w in kept], 2)])
 
     def canonical_oracle(a, pairs, complete):
         pairs = _aligned_sort(pairs)
         check_code(a, [w for w, _ in pairs], "domain", complete)
         check_code(a, [r for _, r in _aligned_sort(pairs, 1)], "range", complete)
-        return normal_form(pairs, a.d, a.k)
+        return normal_form(a, pairs)
 
     rng = Random(1503)
     for d in range(2, 18):
@@ -919,7 +919,7 @@ def test_binary_text_order_matches_aligned_key():
                 assert sort_pairs(tagged, 1) == _aligned_sort(tagged, 1)
                 pairs = [(w, r) for w, r, _ in tagged]
                 assert range_order(pairs) == [i for _, _, i in _aligned_sort(tagged, 1)]
-                assert normal_words(words, d, k) == normal_words_oracle(words, d, k)
+                assert normal_words(a, words) == normal_words_oracle(a, words)
                 got = _outcome(canonical, a, pairs, False)
                 assert got == _outcome(canonical_oracle, a, pairs, False)
                 g = random_table(rng, a, rng.randrange(1, 5))
