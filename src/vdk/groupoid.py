@@ -303,10 +303,8 @@ class BoxTable:
     (2,1) words, the empty coordinate the bare root 1; `pairs` reads them
     back as letter tuples.  BoxTable(m, pairs) packs letter-tuple pairs as
     they stand, unreduced; mv_make also checks that they are a partition.
-
-    A box table is frozen as a PackedCode is, with the same refusal of
-    assignment and deletion, since == and hash read its slots; copies
-    and pickles are remade from the packed cells by _table.
+    == and hash read the slots, so they refuse assignment and deletion
+    as a PackedCode's do; copies and pickles are remade by _table.
     """
 
     __slots__ = ("m", "packed")
