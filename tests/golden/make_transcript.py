@@ -40,6 +40,7 @@ from vdk import (
     bisection_inverse,
     check_certificate,
     clopen_normalize,
+    convolution_count,
     fixture,
     format_bisection,
     format_clopen,
@@ -66,6 +67,7 @@ from vdk import (
     mv_to_json,
     parse_bisection,
     parse_clopen,
+    parse_table,
     parse_word,
     pingpong_verify,
     point_normalize,
@@ -866,6 +868,37 @@ def products(rng: Random) -> list[str]:
     return out
 
 
+_COUNT_ALPHABETS = [Alphabet(d, k) for d, k in ((2, 1), (2, 2), (3, 1), (3, 2))]
+
+
+def convolution_counts(rng: Random) -> list[str]:
+    """convolution_count, one call per length: c_2..c_12 of free2 and of
+    Thompson's F on x0, x1 and their inverses; counts to length 8 of
+    seeded symmetric sets over four alphabets; then the refusal at
+    length 20."""
+    a21 = Alphabet(2, 1)
+    x0 = parse_table(a21, "{11->1,12->21,2->22}")
+    x1 = parse_table(a21, "{1->1,21->211,221->212,222->22}")
+    thompson_f = symmetric_set([x0, inverse(x0), x1, inverse(x1)])
+    out = []
+    for name, f in (("free2", fixture("free2")[0]), ("thompson F", thompson_f)):
+        counts = [convolution_count(f, n) for n in range(2, 13, 2)]
+        out.append("%s c_2..c_12: %s" % (name, " ".join(map(str, counts))))
+    for a in _COUNT_ALPHABETS:
+        for _ in range(3):
+            gens = []
+            while len(gens) < rng.randrange(1, 4):
+                g = _table(rng, a, rng.randrange(1, 6))
+                if not g.is_identity():
+                    gens.append(g)
+            f = symmetric_set([h for g in gens for h in (g, inverse(g))])
+            out.append("(%d,%d) F = %s" % (a.d, a.k, " ".join(format_table(g) for g in f.elements)))
+            counts = [convolution_count(f, n) for n in range(2, 9, 2)]
+            out.append("  c_2..c_8: %s" % " ".join(map(str, counts)))
+    out.append("free2 length 20: %s" % _call(lambda: convolution_count(fixture("free2")[0], 20)))
+    return out
+
+
 SECTIONS = [
     ("quadratic values", quadratic_values, 2101),
     ("integral_sqrt_rn", integrals, 2102),
@@ -880,6 +913,7 @@ SECTIONS = [
     ("certificate sweeps", certificate_sweeps, 2111),
     ("clopen algebra and mu", clopen_algebra, 2112),
     ("compose, inverse and powers", products, 2113),
+    ("convolution counts", convolution_counts, 2114),
 ]
 
 
