@@ -157,6 +157,14 @@ class Word(PackedCode):
             return bin(self.packed) <= bin(other.packed)
         return self.letters <= other.letters
 
+    def __gt__(self, other: Word) -> bool:
+        check_class(Word, other)
+        return other < self
+
+    def __ge__(self, other: Word) -> bool:
+        check_class(Word, other)
+        return other <= self
+
     def __str__(self):
         return format_word(self)
 

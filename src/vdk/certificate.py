@@ -29,11 +29,11 @@ squares of half-length word counts.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .cantor import Alphabet, Clopen, Word, check_int, check_iterable, check_same_alphabet
 from .cantor import parse_clopen, reduce_by_fields
@@ -46,7 +46,7 @@ from .errors import (
     NotSymmetric,
     VdkError,
 )
-from .measure import QuadraticValue, integral_sqrt_rn_parts, quadratic, sign_two_roots
+from .measure import QuadraticValue, _sign_minus, integral_sqrt_rn_parts, quadratic, sign_two_roots
 from .prefixcode import covers, gaps, leaves, normal_form, range_order, swap, walk
 from .tables import TableElement, check_class, identity, inverse, parse_table
 
@@ -134,9 +134,10 @@ class PingPongCertificate:
 
 
 def _pingpong(cert: PingPongCertificate) -> tuple:
-    """The ping-pong check of pingpong_verify; returns the generators
-    a, a^-1, b and b^-1, each inverse formed once, and keeps them on the
-    certificate, whose later checks return them at once.
+    """The ping-pong check of pingpong_verify; returns the players a,
+    a^-1, b, b^-1, each inverse formed once from its generator's row, and
+    keeps them on the certificate, whose later checks return them at
+    once.  They are the one source of F, its rank and its norm.
 
     An inclusion g.(X - R) inside P is decided on packed words, with no
     clopen built: the cells of g on the gaps of R (the canonical code of
@@ -150,14 +151,12 @@ def _pingpong(cert: PingPongCertificate) -> tuple:
         return cert._players
     except AttributeError:
         pass
-    check_class(Clopen, cert.p_a, cert.p_a_inv, cert.p_b, cert.p_b_inv)
     # (name, generator, attractor, repeller); player i ^ 1 is the inverse of player i
-    players = [
-        ("a", cert.a, cert.p_a, cert.p_a_inv),
-        ("a^-1", inverse(cert.a), cert.p_a_inv, cert.p_a),
-        ("b", cert.b, cert.p_b, cert.p_b_inv),
-        ("b^-1", inverse(cert.b), cert.p_b_inv, cert.p_b),
-    ]
+    players = []
+    for row in (("a", cert.a, cert.p_a, cert.p_a_inv), ("b", cert.b, cert.p_b, cert.p_b_inv)):
+        name, g, attractor, repeller = row
+        check_class(Clopen, attractor, repeller)
+        players += [row, (name + "^-1", inverse(g), repeller, attractor)]
     names = ["P_" + name.replace("^-1", "_inv") for name, _, _, _ in players]
     attractors = [p for _, _, p, _ in players]
     for name, p in zip(names, attractors):
@@ -191,10 +190,8 @@ def pingpong_verify(cert: PingPongCertificate) -> bool:
     Requires the four attractors to be nonempty, pairwise disjoint and
     jointly proper (a basepoint outside all four must exist), and each
     generator to push the complement of its repeller into its attractor.
-    Properness is a mass test, sound because it runs after the
-    disjointness checks: disjoint attractors cover X exactly when their
-    masses sum to 1.  A certificate object that passes is not checked
-    again (see PingPongCertificate); one that fails is, on every call.
+    A certificate object that passes is not checked again; one that
+    fails is, on every call (see PingPongCertificate).
     """
     _pingpong(cert)
     return True
@@ -388,22 +385,6 @@ def _chain(f_size: int, base: tuple, d: int, k: int, n: int) -> tuple:
     return (paper * den + rat, irr, d, big_k * den), (paper, 0, 1, big_k)
 
 
-def _compare(value: tuple, norm: QuadraticValue) -> int:
-    """Exact sign of value - norm, for value = (a, b, m, den) as in _chain.
-
-    The norm x + y sqrt(m2) is brought over q, the least common
-    denominator of x and y; the difference times q den is then
-    (a q - x q den) + b q sqrt(m) - y q den sqrt(m2), whose sign the
-    integer core of quad_compare decides, for any radicands m and m2.
-    """
-    a, b, m, den = value
-    x, y = norm.a, norm.b
-    q = lcm(x.denominator, y.denominator)
-    x = x.numerator * (q // x.denominator) * den
-    y = y.numerator * (q // y.denominator) * den
-    return sign_two_roots(a * q - x, b * q, m, -y, norm.m)
-
-
 def _least_passing_n(
     f_size: int, base: tuple, d: int, k: int, n: int, norm: QuadraticValue
 ) -> int | None:
@@ -414,27 +395,21 @@ def _least_passing_n(
     base integral is at most 1.  So no |nu| passes when |F| <= norm,
     which covers S = |F| (then lhs = |F| at every n); otherwise the gap
     |F| - lhs shrinks by a factor d per letter, and a doubling search
-    from n, then a bisection, finds the least passing length in a
-    number of comparisons logarithmic in it, however close the norm is
-    to |F|.
+    from n, then bisect over the lengths it brackets, finds the least
+    passing length in a number of exact comparisons logarithmic in it,
+    however close the norm is to |F|, where a float estimate fails.
     """
-    if _compare((f_size, 0, 1, 1), norm) <= 0:
+    if _sign_minus(f_size, 0, 1, 1, norm) <= 0:
         return None
 
     def clears(j: int) -> bool:
-        return _compare(_chain(f_size, base, d, k, j)[0], norm) > 0
+        return _sign_minus(*_chain(f_size, base, d, k, j)[0], norm) > 0
 
     lo, step = n, 1
     while not clears(lo + step):
         lo, step = lo + step, 2 * step
-    hi = lo + step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if clears(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # lo fails and lo + step clears: the least length that clears in between
+    return bisect.bisect_left(range(lo + step), True, lo + 1, key=clears)
 
 
 def check_certificate(
@@ -446,16 +421,9 @@ def check_certificate(
 ) -> CertificateReport:
     """Evaluate the inequality chain for F embedded on the cylinder of nu.
 
-    The left side is computed in closed form from the integrals of the
-    base elements of F, with no embedded table built: embedding s on
-    the cylinder of nu, of mass c = 1/(k d^(n-1)), leaves the identity
-    off it and scales the base measure by c on it without changing any
-    cocycle exponent, so its integral is exactly 1 - c + c * I_s and
-
-        lhs = |F| (1 - c) + c * sum_s I_s
-
-    with I_s = integral_sqrt_rn(s) over V_{d,d}: the sum of
-    integral_sqrt_rn(embed_supported(s, nu)), exactly.  The three
+    The left side is the closed form of the module docstring, from the
+    base integrals of F, with no embedded table built: exactly the sum
+    of integral_sqrt_rn(embed_supported(s, nu)) over F.  The three
     comparisons (lhs against the norm, the paper bound against the norm,
     and the consistency check that lhs is not below the paper bound) are
     decided on the integer numerators of _chain; the report's lhs and
@@ -485,12 +453,12 @@ def check_certificate(
             % (d, d, found.d, found.k)
         )
     if certificate is not None:
-        gens = set(_pingpong(certificate))
-        if set(f.elements) != gens or len(f.elements) != 4:
+        players = _pingpong(certificate)
+        if set(f.elements) != set(players) or len(f.elements) != len(players):
             raise CertificateInvalid(
                 "F must be exactly the certified generators and their inverses"
             )
-        norm_bound = free_norm(2)
+        norm_bound = free_norm(len(players) // 2)
     n = len(nu)
     f_size = len(f.elements)
     base = _base_sum(f)
@@ -499,8 +467,8 @@ def check_certificate(
     norm = norm_bound.value
     if not isinstance(norm, QuadraticValue):
         norm = quadratic(norm)
-    lhs_vs_norm = _compare(lhs_ints, norm)
-    paper_vs_norm = _compare(paper_ints, norm)
+    lhs_vs_norm = _sign_minus(*lhs_ints, norm)
+    paper_vs_norm = _sign_minus(*paper_ints, norm)
     # lhs - paper bound = c S, whose numerator over K D is rat + irr sqrt(d)
     a, b, m, den = lhs_ints
     if sign_two_roots(base[0], b, m, 0, 1) < 0:
@@ -541,18 +509,15 @@ _FREE2_B = "{2:11->2:111,2:2->2:1121,1:->2:1122,2:121->2:12,2:1221->2:2,2:1222->
 @functools.cache
 def _build_free2() -> tuple[SymmetricSet, PingPongCertificate]:
     a2 = Alphabet(2, 2)
-    ga = parse_table(a2, _FREE2_A)
-    gb = parse_table(a2, _FREE2_B)
     cert = PingPongCertificate(
-        a=ga,
-        b=gb,
+        a=parse_table(a2, _FREE2_A),
+        b=parse_table(a2, _FREE2_B),
         p_a=parse_clopen(a2, "{1:11}"),
         p_a_inv=parse_clopen(a2, "{1:12}"),
         p_b=parse_clopen(a2, "{2:11}"),
         p_b_inv=parse_clopen(a2, "{2:12}"),
     )
-    f = symmetric_set([ga, inverse(ga), gb, inverse(gb)])
-    return f, cert
+    return symmetric_set(_pingpong(cert)), cert
 
 
 _FIXTURES = {"free2": _build_free2}
@@ -562,8 +527,9 @@ def fixture(name: str) -> tuple[SymmetricSet, PingPongCertificate]:
     """Frozen named fixtures; 'free2' is the verified rank-2 pair in V_{2,2}.
 
     Each fixture is built once per process and shared: its tables,
-    clopens and set are immutable.  The certificate is verified, and
-    the set's base integrals summed, by their first use and not again.
+    clopens and set are immutable.  Its F is its certificate's verified
+    players, so the certificate is verified when it is built, and the
+    set's base integrals are summed by their first use; neither again.
     """
     check_class(str, name)
     try:

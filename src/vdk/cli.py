@@ -57,7 +57,24 @@ from .tables import (
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 1."""
+    """argparse with usage errors mapped to exit code 1.  A parser with
+    subcommands (the root, a group) refuses an option but help before its
+    subcommand at once: argparse would refuse it only after the
+    subcommand's parser, which exits 0 on a help flag further on."""
+
+    subcommands = False
+
+    def add_subparsers(self, **kwargs):
+        self.subcommands = True
+        return super().add_subparsers(**kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # "-" and "--" are no options, and argparse reads any prefix of --help as help
+        first = args[0] if args else ""
+        help_or_no_option = first == "-h" or "--help".startswith(first)
+        if self.subcommands and first.startswith("-") and not help_or_no_option:
+            self.error("unrecognized arguments: %s" % first)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -180,8 +197,9 @@ def h_certificate_check(args):
 def h_certificate_pingpong(args):
     f, cert = fixture(args.fixture)
     pingpong_verify(cert)
-    result = {"certified": True, "rank": 2, "F_size": len(f.elements)}
-    return result, "certified: the fixture pair generates a free group of rank 2", 0
+    rank = len(f.elements) // 2
+    result = {"certified": True, "rank": rank, "F_size": len(f.elements)}
+    return result, "certified: the fixture pair generates a free group of rank %d" % rank, 0
 
 
 def h_certificate_convolution(args):

@@ -7,7 +7,7 @@ mu_i -> nu_i by d^(|mu_i| - |nu_i|); that exponent is the cocycle value
 and the integral of its square root lands in Q(sqrt(d)).  Everything
 here is exact: rationals via Fraction, quadratic irrationals via
 QuadraticValue with sign decided by iterated squaring, which runs on
-the integer numerators of the coefficients over one common denominator.
+integer numerators over common denominators (_sign_minus).
 """
 
 from __future__ import annotations
@@ -68,9 +68,7 @@ class QuadraticValue:
     """Exact value a + b*sqrt(m), m squarefree, b = 0 when m = 1.
 
     Build through the quadratic() factory (or sqrt_int) so the radicand
-    is normalized; comparisons are exact, including across different
-    radicands, via sign determination by squaring, done on the integer
-    numerators of the coefficients over one common denominator.
+    is normalized; comparisons are exact, across radicands too.
     """
 
     __slots__ = ("a", "b", "m")
@@ -214,17 +212,26 @@ def _sign1(a: int, b: int, m: int) -> int:
 
 
 def _sign_diff(u: QuadraticValue, v: QuadraticValue) -> int:
-    """Exact sign of u - v, allowing different radicands.
-
-    u - v = (a + b*sqrt(m1) + c*sqrt(m2)) / den for ints a, b and c, with
-    den > 0 the least common denominator of the four coefficients.
-    """
-    ua, ub, va, vb = u.a, u.b, v.a, v.b
-    den = lcm(ua.denominator, ub.denominator, va.denominator, vb.denominator)
-    a = ua.numerator * (den // ua.denominator) - va.numerator * (den // va.denominator)
+    """Exact sign of u - v, allowing different radicands: u over the
+    least common denominator of its two coefficients, then _sign_minus."""
+    ua, ub = u.a, u.b
+    den = lcm(ua.denominator, ub.denominator)
+    a = ua.numerator * (den // ua.denominator)
     b = ub.numerator * (den // ub.denominator)
-    c = -vb.numerator * (den // vb.denominator)
-    return sign_two_roots(a, b, u.m, c, v.m)
+    return _sign_minus(a, b, u.m, den, v)
+
+
+def _sign_minus(a: int, b: int, m: int, den: int, v: QuadraticValue) -> int:
+    """Exact sign of (a + b*sqrt(m)) / den - v, for ints a, b, den > 0 and
+    m >= 1, as the certificate chain holds its values.  With q the least
+    common denominator of v = x + y*sqrt(m2), the difference times q den
+    is (a q - x q den) + b q sqrt(m) - y q den sqrt(m2) in ints.
+    """
+    x, y = v.a, v.b
+    q = lcm(x.denominator, y.denominator)
+    x = x.numerator * (q // x.denominator) * den
+    y = y.numerator * (q // y.denominator) * den
+    return sign_two_roots(a * q - x, b * q, m, -y, v.m)
 
 
 def sign_two_roots(a: int, b: int, m1: int, c: int, m2: int) -> int:

@@ -826,7 +826,7 @@ def test_word_and_period_letters_must_be_ints(case):
 
 
 def test_word_order_is_letter_tuple_order():
-    # <= and < of words against their letter tuples, over one alphabet
+    # <, <=, > and >= of words against their letter tuples, over one alphabet
     rng = Random(1812)
     for a in (Alphabet(2, 1), Alphabet(3, 2), Alphabet(11, 3)):
         words = [random_word(rng, a, rng.randrange(4)) for _ in range(30)]
@@ -834,7 +834,12 @@ def test_word_order_is_letter_tuple_order():
         for v, w in itertools.product(words, repeat=2):
             assert (v <= w) == (v.letters <= w.letters)
             assert (v < w) == (v.letters < w.letters)
+            assert (v >= w) == (v.letters >= w.letters)
+            assert (v > w) == (v.letters > w.letters)
         assert [w.letters for w in sorted(words)] == sorted([w.letters for w in words])
+    # across alphabets, whose packed fields do not line up, by letters too
+    v, w = Word(Alphabet(2, 1), 1, (2, 1)), Word(Alphabet(3, 2), 1, (2,))
+    assert (v > w, v >= w, w < v, w <= v, v < w, v <= w) == (True,) * 4 + (False,) * 2
 
 
 def test_word_order_unpacks_no_letters(monkeypatch):

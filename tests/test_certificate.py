@@ -747,6 +747,24 @@ def test_fixture_built_once_and_names_checked():
         fixture("free3")
 
 
+def test_fixture_set_is_the_verified_players(monkeypatch):
+    # F is built from the players that ping-pong verified, not formed again
+    f, cert = fixture("free2")
+    players = certificate._pingpong(cert)
+    assert len(f.elements) == len(players) == 4
+    assert all(el is g for el, g in zip(f.elements, players))
+    calls = []
+
+    def counting_inverse(g):
+        calls.append(g)
+        return inverse(g)
+
+    monkeypatch.setattr(certificate, "inverse", counting_inverse)
+    f2, cert2 = certificate._build_free2.__wrapped__()
+    assert calls == [cert2.a, cert2.b]
+    assert (f2, cert2) == (f, cert)
+
+
 # ---------------------------------------------------------------------------
 # facts decided once per object
 

@@ -672,6 +672,9 @@ def test_fixture_help(capsys, command):
         ("cocycle", "--d", "3", "profile", "{1->1,2->2,3->3}"),
         ("bisection", "--m", "2", "is-full", "{2<-1}"),
         ("tail", "--k", "1", "related", "(1)^inf", "(2)^inf"),
+        # a help flag further on used to print help and exit 0
+        ("bisection", "--d", "compose", "{11<-11}", "{1<-2}", "-h"),
+        ("tail", "--json", "orbit", "(1)^inf", "--help"),
     ],
     ids=lambda argv: " ".join(argv[:2]),
 )

@@ -47,7 +47,7 @@ from vdk import (
     whole_space,
 )
 from vdk.errors import VdkError
-from vdk.measure import _squarefree_split
+from vdk.measure import _sign_minus, _squarefree_split
 from vdk.sampling import random_clopen, random_point, random_table, random_word
 
 A21 = Alphabet(2, 1)
@@ -276,6 +276,62 @@ def test_quad_compare_mixed_sign_near_ties():
             a, b, c = sign * a, sign * b, sign * c
             want = ("less", "greater")[sign_by_bounds(a, b, m1, Fraction(c), m2) > 0]
             assert quad_compare(quadratic(a, b, m1), quadratic(0, c, m2)) == want
+
+
+def root_parts(d: int) -> tuple[int, int]:
+    """(s, r) with d = s^2 r and r squarefree, by trial division."""
+    s, r, p = 1, d, 2
+    while p * p <= r:
+        while r % (p * p) == 0:
+            r //= p * p
+            s *= p
+        p += 1
+    return s, r
+
+
+def chain_sign(a: int, b: int, d: int, den: int, x: Fraction, y: Fraction) -> int:
+    """Sign of (a + b sqrt(d)) / den - (x + y sqrt(3)): written as
+    p + q sqrt(r) - c sqrt(3) with the rational and root terms merged, it
+    is zero exactly when p, q and c are, and sign_by_bounds decides the rest."""
+    s, r = root_parts(d)
+    p, q, c = Fraction(a, den) - x, Fraction(b * s, den), y
+    if r == 1:
+        p, q = p + q, Fraction(0)
+    elif r == 3:
+        q, c = Fraction(0), c - q
+    if p == q == c == 0:
+        return 0
+    return sign_by_bounds(p, q, r, c, 3)
+
+
+def test_chain_sign_near_ties():
+    # the check's comparisons: (a + b sqrt(d)) / den, with den = k d^(n-1) D
+    # up to k d^60 times a base denominator D, against x + y sqrt(3) and
+    # rational norms, x within about 10^-e of the value or equal to it
+    rng = Random(2104)
+    ties = 0
+    for _ in range(400):
+        d = rng.choice([2, 3, 4, 5, 6, 7, 9, 10, 12, 13, 27])
+        k = rng.randrange(1, d + 1)
+        den = k * d ** rng.randrange(0, 61) * d ** rng.randrange(0, 4)
+        a, b = rng.randrange(4 * den - den, 4 * den + 1), rng.randrange(0, den + 1)
+        s, r = root_parts(d)
+        y = Fraction(0) if rng.random() < 0.4 else Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
+        if rng.random() < 0.2 and r in (1, 3):
+            # an exact tie: the root terms match, or are both rational
+            x = Fraction(a + (b * s if r == 1 else 0), den)
+            y = Fraction(b * s, den) if r == 3 else Fraction(0)
+        else:
+            e, scale = rng.randrange(1, 80), 10**90
+            value = (a * scale + isqrt(b * b * d * scale * scale)) // den
+            root3 = isqrt(y.numerator**2 * 3 * scale * scale // y.denominator**2)
+            value -= root3 if y > 0 else -root3
+            x = Fraction(value // 10 ** (90 - e) + rng.randrange(-1, 3), 10**e)
+        want = chain_sign(a, b, d, den, x, y)
+        ties += want == 0
+        assert _sign_minus(a, b, d, den, quadratic(x, y, 3)) == want, (a, b, d, den, x, y)
+        assert _sign_minus(-a, -b, d, den, quadratic(-x, -y, 3)) == -want
+    assert ties > 20
 
 
 def test_quadratic_ordering_operators():

@@ -332,6 +332,10 @@ _CASES = {
     "word_le_int": (lambda: W1 <= 5, VdkError, "expected a Word, got int"),
     "word_lt_str": (lambda: W1 < "1:1", VdkError, "expected a Word, got str"),
     "word_le_str": (lambda: W1 <= "1:1", VdkError, "expected a Word, got str"),
+    "word_gt_int": (lambda: W1 > 5, VdkError, "expected a Word, got int"),
+    "word_ge_int": (lambda: W1 >= 5, VdkError, "expected a Word, got int"),
+    "word_gt_str": (lambda: W1 > "1:1", VdkError, "expected a Word, got str"),
+    "int_lt_word": (lambda: 5 < W1, VdkError, "expected a Word, got int"),
 }
 
 # every frozen class refuses an assignment to any name, a field or not;
