@@ -314,7 +314,7 @@ def test_chain_sign_near_ties():
         d = rng.choice([2, 3, 4, 5, 6, 7, 9, 10, 12, 13, 27])
         k = rng.randrange(1, d + 1)
         den = k * d ** rng.randrange(0, 61) * d ** rng.randrange(0, 4)
-        a, b = rng.randrange(4 * den - den, 4 * den + 1), rng.randrange(0, den + 1)
+        a, b = rng.randrange(3 * den, 4 * den + 1), rng.randrange(0, den + 1)
         s, r = root_parts(d)
         y = Fraction(0) if rng.random() < 0.4 else Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
         if rng.random() < 0.2 and r in (1, 3):
