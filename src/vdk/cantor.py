@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import MismatchedAlphabet, VdkError
-from .prefixcode import PackedCode, braced_items, cell_index, covers, format_packed, format_run
-from .prefixcode import gaps, normal_words, pack_letters, parse_letters, parse_packed, tail_letters
+from .prefixcode import PackedCode, cell_index, covers, format_packed, format_run, format_words
+from .prefixcode import gaps, normal_words, pack_letters, parse_letters, parse_packed, read_code
+from .prefixcode import tail_letters
 from .prefixcode import walk, widths
 
 
@@ -484,15 +485,13 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
 
 def format_clopen(s: Clopen) -> str:
     check_class(Clopen, s)
-    a = s.alphabet
-    return "{%s}" % ",".join([format_packed(a, w) for w in s.packed])
+    return "{%s}" % ",".join(format_words(s.alphabet, s.packed))
 
 
 def parse_clopen(alphabet: Alphabet, text: str) -> Clopen:
     check_class(Alphabet, alphabet)
     check_class(str, text)
-    packed = [parse_packed(alphabet, p) for p in braced_items(text, "clopen", "{w1,w2,...}")]
-    return Clopen(alphabet, normal_words(alphabet, packed))
+    return Clopen(alphabet, normal_words(alphabet, read_code(alphabet, text, "clopen")))
 
 
 def format_point(x: Point) -> str:

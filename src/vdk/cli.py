@@ -10,7 +10,11 @@ Exit codes: 0 success, 1 usage errors, 2 domain errors (any library
 error, running out of memory, or output closed before it was all
 written), 3 inconclusive certificate parameters.  All data output is
 byte-stable: canonical orderings everywhere, no timestamps.  --json
-wraps results as {command, params, result}.
+wraps results as {command, params, result}.  The envelope has a writer
+of its own, _json, whose bytes are those of json.dumps(envelope,
+indent=2, sort_keys=True): the C encoder honours indent only from Python
+3.13 on, so before that json.dumps with indent runs the pure-Python
+encoder, which is slower than this writer.
 
 A line is parsed once, by its command's own parser, built on first
 use.  The tree of all parsers is built only for a line that no command
@@ -28,9 +32,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .cantor import (
     Alphabet,
@@ -346,6 +350,36 @@ def _parse(argv: list):
     return _build().parse_args(argv)
 
 
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) of the types an
+    envelope holds: dicts with str keys, lists, strs, ints, bools and
+    None; TypeError for anything else.  indent is the newline and the
+    spaces that start a line at the depth of value."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    inner = indent + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        for key in value:
+            if type(key) is not str:
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+        items = [
+            encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
+
+
 def main(argv=None) -> int:
     args = _parse(list(sys.argv[1:] if argv is None else argv))
     try:
@@ -355,7 +389,7 @@ def main(argv=None) -> int:
             if args.json:
                 params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
                 envelope = {"command": args.command, "params": params, "result": result}
-                text = json.dumps(envelope, indent=2, sort_keys=True)
+                text = _json(envelope)
             print(text)
         sys.stdout.flush()
     except VdkError as e:

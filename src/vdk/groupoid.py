@@ -35,8 +35,8 @@ from .errors import (
     OverlappingBoxes,
     VdkError,
 )
-from .prefixcode import PackedCode, braced_items, canonical, format_packed, leaves, normal_words
-from .prefixcode import format_run, parse_packed, tail_lengths, tail_letters
+from .prefixcode import PackedCode, canonical, format_run, format_words, leaves, normal_words
+from .prefixcode import read_code, tail_lengths, tail_letters
 from .tables import TableElement, check_class, code_act, code_inverse, code_product
 
 
@@ -174,10 +174,8 @@ def bisection_act(u: Bisection, x: Point) -> Point:
 
 def format_bisection(u: Bisection) -> str:
     check_class(Bisection, u)
-    a = u.alphabet
-    return "{%s}" % ",".join(
-        ["%s<-%s" % (format_packed(a, r), format_packed(a, w)) for w, r in u.packed]
-    )
+    t = format_words(u.alphabet, [w for cell in u.packed for w in cell])
+    return "{%s}" % ",".join(map("<-".join, zip(t[1::2], t[::2])))
 
 
 def parse_bisection(alphabet: Alphabet, text: str) -> Bisection:
@@ -185,26 +183,16 @@ def parse_bisection(alphabet: Alphabet, text: str) -> Bisection:
     cell written twice overlaps itself and is refused."""
     check_class(Alphabet, alphabet)
     check_class(str, text)
-    cells = []
-    for part in braced_items(text, "bisection", "{nu<-mu,...}"):
-        if "<-" not in part:
-            raise VdkError("bisection cell %r must look like nu<-mu" % part.strip())
-        nu, _, mu = part.partition("<-")
-        r, w = parse_packed(alphabet, nu), parse_packed(alphabet, mu)
-        cells.append((w, r))
+    cells = read_code(alphabet, text, "bisection")
     return Bisection(alphabet, canonical(alphabet, cells, complete=False))
 
 
 def bisection_to_json(u: Bisection) -> list[dict]:
     check_class(Bisection, u)
-    a = u.alphabet
+    t = format_words(u.alphabet, [w for cell in u.packed for w in cell])
     return [
-        {
-            "range": format_packed(a, r),
-            "domain": format_packed(a, w),
-            "degree": q - p,
-        }
-        for (w, r), (p, q) in zip(u.packed, tail_lengths(a, u.packed))
+        {"range": r, "domain": w, "degree": q - p}
+        for w, r, (p, q) in zip(t[::2], t[1::2], tail_lengths(u.alphabet, u.packed))
     ]
 
 

@@ -24,7 +24,15 @@ before its extensions; codes are sorted by that key.  A cell is a
 
 The text codec lives here too, on packed words.  For d <= 9 a tail
 letter t is the base-2^b digit t - 1, so a tail converts with one int()
-or format() and a str.translate.
+or format() and a str.translate.  read_code reads a whole braced code:
+for d, k <= 9, text in the compact shape the formatters write ({r:t->r:t,
+...}, {r:t<-r:t,...} or {r:t,...}, and for k = 1 words with or without
+the root 1:) is recognised by one fullmatch, translated to base-2^b
+digits at once and packed in one int() per word; any other text
+(whitespace, dotted letters, d or k above 9, leading zeros, a root out
+of range, anything malformed) goes item by item through parse_packed,
+which is the only reader of those and words every refusal.
+format_words writes the words of a whole code in one pass.
 
 A code is canonical when its pairs are sorted lexicographically by
 domain word and no aligned sibling family is left to merge, i.e. no d
@@ -46,6 +54,7 @@ to merge.
 
 from __future__ import annotations
 
+import re
 from dataclasses import FrozenInstanceError
 
 from .errors import IncompleteDomain, IncompleteRange, OverlappingDomain
@@ -130,16 +139,30 @@ def tail_letters(w: int, b: int, n: int) -> tuple[int, ...]:
 
 
 def _plain(d: int) -> tuple:
-    """(letters, letter -> digit table, digit -> letter table, format type) for d <= 9."""
+    """(letters, letter -> digit table, digit -> letter table, format type) for d <= 9.
+
+    The letter -> digit table also drops braces and arrow heads and reads
+    the arrow's dash as a comma, so compact code text becomes its words'
+    digits, comma-separated, in one translate; a run of letters has none
+    of those to lose."""
     letters, digits = "123456789"[:d], "012345678"[:d]
     if d in (3, 4):  # base 4 has no format type: one hex digit holds two letters
         up = {ord("%x" % i): "%d%d" % (i // 4 + 1, i % 4 + 1) for i in range(16)}
     else:
         up = str.maketrans(digits, letters)
-    return letters, str.maketrans(letters, digits), up, "_bxox"[(d - 1).bit_length()]
+    down = str.maketrans(letters + "-", digits + ",", "{}<>")
+    return letters, down, up, "_bxox"[(d - 1).bit_length()]
 
 
 _PLAIN = {d: _plain(d) for d in range(2, 10)}
+
+# b -> the base-2^b digits, leading zeros kept, of each v < 32: the
+# sentinel and root field of a word with k <= 9 have at most 5 bits
+_HEADS = {
+    b: ["".join(["0123456789abcdef"[v >> s & (1 << b) - 1] for s in range(4 // b * b, -1, -b)])
+        for v in range(32)]
+    for b in (1, 2, 3, 4)
+}
 
 
 def _tail_text(alphabet, n: int, w: int) -> str:
@@ -156,14 +179,34 @@ def _tail_text(alphabet, n: int, w: int) -> str:
     return format(w, spec)[-n:].translate(up)
 
 
+def format_words(alphabet, words) -> list:
+    """Text of each packed word, in one pass over them."""
+    (rb, b), d, k = alphabet.widths, alphabet.d, alphabet.k
+    # a word's leading rb + 1 bits, sentinel and root field, are 2^rb + root - 1
+    lead = (1 << rb) - 1
+    if d > 9 or b == 2:
+        if k == 1:
+            return [_tail_text(alphabet, (w.bit_length() - 1) // b, w) or "1:" for w in words]
+        # m bits of tail lie below the root field
+        return [
+            "%d:%s" % ((w >> (m := w.bit_length() - 1 - rb)) - lead, _tail_text(alphabet, m // b, w))
+            for w in words
+        ]
+    # _tail_text written in place: the tail is all but the leading
+    # rb // b + 1 digits, the sentinel and root field
+    _, _, up, spec = _PLAIN[d]
+    if k == 1:
+        return [format(w, spec)[1:].translate(up) or "1:" for w in words]
+    skip = rb // b + 1
+    return [
+        "%d:%s" % ((w >> w.bit_length() - 1 - rb) - lead, format(w, spec)[skip:].translate(up))
+        for w in words
+    ]
+
+
 def format_packed(alphabet, w: int) -> str:
     """Text of the packed word w."""
-    rb, b = alphabet.widths
-    n = (w.bit_length() - 1 - rb) // b
-    tail = _tail_text(alphabet, n, w)
-    if alphabet.k == 1:
-        return tail or "1:"
-    return "%d:%s" % ((w >> b * n) - (1 << rb) + 1, tail)
+    return format_words(alphabet, (w,))[0]
 
 
 def format_run(alphabet, v: int) -> str:
@@ -226,14 +269,82 @@ def parse_packed(alphabet, text: str) -> int:
     return ((1 << rb | root - 1) << b * n) | v
 
 
-def braced_items(text: str, what: str, shape: str) -> list:
-    """The comma-separated item texts of text in braces, none for {};
-    anything not in braces raises VdkError naming what and its shape."""
+# what -> (shape, item noun, arrow): a clopen's items are words, a
+# table's and a bisection's are cells, a word either side of the arrow
+_CODES = {
+    "clopen": ("{w1,w2,...}", "", ""),
+    "table": ("{mu->nu,...}", "table pair", "->"),
+    "bisection": ("{nu<-mu,...}", "bisection cell", "<-"),
+}
+
+
+def read_code(alphabet, text: str, what: str) -> list:
+    """The packed words of the braced text of a clopen, or the
+    (domain, range) pairs of a table or a bisection, as what names it;
+    none for {}.  Raises VdkError for anything else.
+
+    Compact text (see the module docstring) is matched whole and packed
+    in one pass; any other text is read item by item.
+    """
+    d, k = alphabet.d, alphabet.k
+    arrow = _CODES[what][2]
+    if d <= 9 and k <= 9:
+        word = "(?:1:[1-%d]*|[1-%d]+)" % (d, d) if k == 1 else "[1-%d]:[1-%d]*" % (k, d)
+        item = word + arrow + word if arrow else word
+        # re keeps the compiled pattern
+        if re.fullmatch(r"\{(?:%s(?:,%s)*)?\}" % (item, item), text):
+            return _read_compact(alphabet, text, arrow)
+    return _read_items(alphabet, text, what)
+
+
+def _read_compact(alphabet, text: str, arrow: str) -> list:
+    """read_code of text that matched the compact shape.
+
+    One translate turns it into the base-2^b digits of its words, every
+    letter, each root too, as its digit, and commas between the words.
+    For k = 1 the root 1: is then dropped and the sentinel 1 put before
+    each word; otherwise each root and its colon become the base-2^b
+    digits of the sentinel and root field.  Either way a word is one
+    int() numeral.
+    """
+    (rb, b), k = alphabet.widths, alphabet.k
+    down = _PLAIN[alphabet.d][1]
+    body = text.translate(down)
+    if not body:
+        return []
+    base = 1 << b
+    if k == 1:
+        body = "1" + body.replace("0:", "").replace(",", ",1")
+    else:
+        # a root r <= d became r - 1 and one above d stayed r, so roots stay apart
+        for root, head in zip("123456789"[:k].translate(down), _HEADS[b][1 << rb : (1 << rb) + k]):
+            body = body.replace(root + ":", head)
+    words = [int(w, base) for w in body.split(",")]
+    if not arrow:
+        return words
+    it = iter(words)
+    cells = zip(it, it)
+    return list(cells) if arrow == "->" else [(w, r) for r, w in cells]
+
+
+def _read_items(alphabet, text: str, what: str) -> list:
+    """read_code of any text, item by item through parse_packed."""
+    shape, noun, arrow = _CODES[what]
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise VdkError("%s must look like %s, got %r" % (what, shape, text))
     body = text[1:-1].strip()
-    return body.split(",") if body else []
+    items = body.split(",") if body else []
+    if not arrow:
+        return [parse_packed(alphabet, p) for p in items]
+    cells = []
+    for item in items:
+        if arrow not in item:
+            # an item looks like the shape within "{" and ",...}"
+            raise VdkError("%s %r must look like %s" % (noun, item.strip(), shape[1:-5]))
+        left, _, right = item.partition(arrow)
+        cells.append((parse_packed(alphabet, left), parse_packed(alphabet, right)))
+    return cells if arrow == "->" else [(w, r) for r, w in cells]
 
 
 def tail_lengths(alphabet, pairs) -> list:
@@ -269,7 +380,12 @@ def leaves(alphabet, words) -> tuple[int, int, int]:
     (rb, b), d = alphabet.widths, alphabet.d
     tails = [(w.bit_length() - 1 - rb) // b for w in words]
     e = max(tails, default=0)
-    return sum(d ** (e - t) for t in tails), alphabet.k * d**e, e + 1
+    if d == 1 << b:
+        return sum([1 << b * (e - t) for t in tails]), alphabet.k << b * e, e + 1
+    powers = [1]
+    for _ in range(e):
+        powers.append(powers[-1] * d)
+    return sum([powers[e - t] for t in tails]), alphabet.k * powers[e], e + 1
 
 
 def check_code(alphabet, words: list, side: str, complete: bool = False) -> None:

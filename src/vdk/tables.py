@@ -23,8 +23,8 @@ from __future__ import annotations
 from .cantor import Alphabet, Clopen, Point, Word, check_class, check_int, check_same_alphabet
 from .cantor import packed_point, replace_prefix, unpack_word
 from .errors import ArityMismatch, TransportImpossible, VdkError
-from .prefixcode import PackedCode, braced_items, canonical, cell_index, format_packed, gaps, graft
-from .prefixcode import identity_pairs, normal_form, normal_words, parse_packed, range_order
+from .prefixcode import PackedCode, canonical, cell_index, format_words, gaps, graft
+from .prefixcode import identity_pairs, normal_form, normal_words, range_order, read_code
 from .prefixcode import split_last, swap, tail_lengths, walk
 
 
@@ -54,13 +54,20 @@ class TableElement(PackedCode):
         return inverse(self)
 
     def __pow__(self, n: int) -> TableElement:
+        """g ** n by squaring: at most 2 floor(log2 |n|) + 1 compositions.
+        Powers of g commute and tables are canonical, so the order of the
+        products does not show."""
         check_int("exponent", n)
         if n < 0:
             return inverse(self) ** (-n)
-        acc = identity(self.alphabet)
-        for _ in range(n):
-            acc = compose(acc, self)
-        return acc
+        acc, square = None, self
+        while n:
+            if n & 1:
+                acc = square if acc is None else compose(acc, square)
+            n >>= 1
+            if n:
+                square = compose(square, square)
+        return identity(self.alphabet) if acc is None else acc
 
     def is_identity(self) -> bool:
         return all(w == r for w, r in self.packed)
@@ -239,21 +246,14 @@ def embed_supported(g: TableElement, nu: Word) -> TableElement:
 
 def format_table(g: TableElement) -> str:
     check_class(TableElement, g)
-    a = g.alphabet
-    return "{%s}" % ",".join(
-        ["%s->%s" % (format_packed(a, w), format_packed(a, r)) for w, r in g.packed]
-    )
+    t = format_words(g.alphabet, [w for cell in g.packed for w in cell])
+    return "{%s}" % ",".join(map("->".join, zip(t[::2], t[1::2])))
 
 
 def parse_table(alphabet: Alphabet, text: str) -> TableElement:
     check_class(Alphabet, alphabet)
     check_class(str, text)
-    pairs = []
-    for part in braced_items(text, "table", "{mu->nu,...}"):
-        if "->" not in part:
-            raise VdkError("table pair %r must look like mu->nu" % part.strip())
-        mu, _, nu = part.partition("->")
-        pairs.append((parse_packed(alphabet, mu), parse_packed(alphabet, nu)))
+    pairs = read_code(alphabet, text, "table")
     if not pairs:
         raise VdkError("a table needs at least one pair")
     return TableElement(alphabet, canonical(alphabet, pairs, complete=True))

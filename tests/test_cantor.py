@@ -27,6 +27,7 @@ from vdk import (
     empty_clopen,
     format_clopen,
     format_point,
+    format_table,
     format_word,
     from_table,
     member,
@@ -43,11 +44,12 @@ from vdk import (
     witness_cell,
 )
 from vdk.errors import VdkError
-from vdk.groupoid import bisection_to_json, parse_bisection
+from vdk.groupoid import bisection_to_json, format_bisection, parse_bisection
 from vdk import cantor
 from vdk.cantor import unpack_word
+from vdk import prefixcode
 from vdk.prefixcode import cell_index, covers, format_packed, format_run, pack_letters
-from vdk.prefixcode import parse_letters, parse_packed, walk, widths
+from vdk.prefixcode import parse_letters, parse_packed, read_code, walk, widths
 from vdk.sampling import random_bisection, random_clopen, random_point, random_table, random_word
 
 A21 = Alphabet(2, 1)
@@ -270,6 +272,67 @@ def test_parsers_take_only_str(parse):
         for text in (5, None, b"1:", b"{1:}"):
             with pytest.raises(VdkError, match="^expected a str, got %s$" % type(text).__name__):
                 parse(a, text)
+
+
+# (d, k) of the one-reader checks; (3, 12) has roots past 9, (11, 2) dotted letters
+READER_ALPHABETS = [(2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (5, 5), (9, 2), (3, 12), (11, 2)]
+
+
+def code_texts(rng: Random, a: Alphabet) -> list:
+    """Seeded (what, text) pairs of a table, a bisection and a clopen over a,
+    as the formatters write them, and for k = 1 with the root 1: spelt out."""
+    texts = [
+        ("table", format_table(random_table(rng, a, rng.randrange(0, 6)))),
+        ("bisection", format_bisection(random_bisection(rng, a))),
+        ("clopen", format_clopen(random_clopen(rng, a))),
+    ]
+    if a.k == 1:
+        for what, text in texts[:3]:
+            if text != "{}":
+                spelt = text[1:].replace(",", ",1:").replace("->", "->1:").replace("<-", "<-1:")
+                # the bare root 1: has its root already
+                texts.append((what, ("{1:" + spelt).replace("1:1:", "1:")))
+    return texts
+
+
+def test_one_reader_matches_the_item_path():
+    # compact text is packed in one pass; the item path reads any text
+    rng = Random(3202)
+    for d, k in READER_ALPHABETS:
+        a = Alphabet(d, k)
+        for _ in range(40):
+            for what, text in code_texts(rng, a):
+                want = prefixcode._read_items(a, text, what)
+                assert read_code(a, text, what) == want, (a, text)
+
+
+def test_compact_text_is_read_without_the_item_path(monkeypatch):
+    rng = Random(3203)
+    alphabets = [Alphabet(d, k) for d, k in READER_ALPHABETS if d <= 9 and k <= 9]
+    texts = [(a, what, t) for a in alphabets for _ in range(10) for what, t in code_texts(rng, a)]
+    want = [prefixcode._read_items(a, text, what) for a, what, text in texts]
+
+    def refused(alphabet, text):
+        raise AssertionError("item path used for %r" % text)
+
+    monkeypatch.setattr(prefixcode, "parse_packed", refused)
+    assert [read_code(a, text, what) for a, what, text in texts] == want
+
+
+@pytest.mark.parametrize(
+    "parse, a, text, compact",
+    [
+        (parse_table, A22, "{01:->1:,2:->2:}", "{1:->1:,2:->2:}"),
+        (parse_table, A21, "{1.1->2,1.2->1.2,2->1.1}", "{11->2,12->12,2->11}"),
+        (parse_table, A21, " { 1 -> 2 , 2->1 } ", "{1->2,2->1}"),
+        (parse_bisection, A32, "{1: 2 <- 2:1.3}", "{1:2<-2:13}"),
+        (parse_clopen, A22, "{1:1.2, 02:}", "{1:12,2:}"),
+        (parse_clopen, A131, "{1:13.1,12}", "{12,13.1}"),
+    ],
+    ids=["root 01", "dotted letters", "spaces", "bisection", "clopen", "d = 13"],
+)
+def test_text_off_the_compact_shape_reads_as_its_compact_spelling(parse, a, text, compact):
+    assert parse(a, text) == parse(a, compact)
 
 
 def test_normalize_merges_families_at_large_d():

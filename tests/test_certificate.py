@@ -955,6 +955,25 @@ def test_check_certificate_requires_matching_set(free2):
         check_certificate(wrong, parse_word(A22, "1:11"), certificate=cert)
 
 
+def test_check_certificate_takes_f_in_any_order_and_refuses_a_changed_player(free2):
+    # F is compared with the players without regard to order: symmetric_set
+    # keeps the caller's order
+    f, cert = free2
+    nu = parse_word(A22, "1:11")
+    want = check_certificate(f, nu, certificate=cert, strict=False)
+    for order in itertools.permutations(f.elements):
+        # equal copies, not the players themselves, pass as well
+        for elements in (order, [copy.deepcopy(g) for g in order]):
+            got = check_certificate(symmetric_set(elements), nu, certificate=cert, strict=False)
+            assert got == want
+    a, a_inv, b, b_inv = f.elements
+    swap = parse_table(A22, "{1:->2:,2:->1:}")
+    # b's pair replaced by a's or by an involution, and one element too many
+    for elements in [(a, a_inv, a, a_inv), (a, a_inv, swap, swap), (a, a_inv, b, b_inv, swap)]:
+        with pytest.raises(CertificateInvalid, match="^F must be exactly the certified generators"):
+            check_certificate(symmetric_set(elements), nu, certificate=cert)
+
+
 def test_check_certificate_json_schema(free2):
     f, cert = free2
     report = check_certificate(f, parse_word(A22, "1:11"), certificate=cert)

@@ -568,6 +568,93 @@ def test_tail_related_json(capsys):
 
 
 # ---------------------------------------------------------------------------
+# the --json envelope writer: json.dumps(envelope, indent=2, sort_keys=True), byte for byte
+
+
+def json_string(rng: Random) -> str:
+    """A seeded str of the characters json escapes, and some it does not."""
+    chars = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u2603", "\U0001f600"]
+    chars += ["a", " "]
+    return "".join(rng.choice(chars) for _ in range(rng.randrange(6)))
+
+
+def json_value(rng: Random, depth: int):
+    """A seeded value of the kinds an envelope holds, containers empty or
+    nested up to depth, ints past 2**64."""
+    kind = rng.randrange(7 if depth else 5)
+    if kind == 0:
+        return json_string(rng)
+    if kind == 1:
+        return rng.choice([0, -1, 2**64, -(2**64) - 1, 3**90, rng.randrange(-(10**6), 10**6)])
+    if kind < 5:
+        return (True, False, None)[kind - 2]
+    if kind == 5:
+        return [json_value(rng, depth - 1) for _ in range(rng.randrange(4))]
+    return {json_string(rng): json_value(rng, depth - 1) for _ in range(rng.randrange(4))}
+
+
+def test_envelope_writer_matches_json_dumps_on_seeded_values():
+    rng = Random(3201)
+    for _ in range(2000):
+        value = json_value(rng, 4)
+        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True), value
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, (1, 2), {1: "a"}, {"a": [b"x"]}, Fraction(1, 2), {"a": {None: 1}}, [set()]],
+    ids=["float", "tuple", "int key", "bytes", "Fraction", "None key", "set"],
+)
+def test_envelope_writer_refuses_what_no_envelope_holds(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+def test_envelope_writer_matches_json_dumps_on_every_transcript_envelope(monkeypatch):
+    """Every --json envelope that tests/golden/make_transcript.py prints,
+    written by both."""
+    from test_transcript import load_maker
+
+    maker = load_maker()
+    writer, seen = cli._json, []
+
+    def compared(value, indent="\n"):
+        text = writer(value, indent)
+        if indent == "\n":  # the envelope, not a value inside it
+            assert text == json.dumps(value, indent=2, sort_keys=True)
+            seen.append(value["command"])
+        return text
+
+    monkeypatch.setattr(cli, "_json", compared)
+    for name, make, seed in maker.SECTIONS:
+        if name.startswith("cli "):
+            make(Random(seed))
+    assert len(seen) > 100 and len(set(seen)) == 20
+
+
+def test_compact_json_run_reads_no_item_and_calls_no_json_dumps(capsys, monkeypatch):
+    """A compact table read by the one-pass reader and an envelope written
+    by cli's own writer: with the item reader and json.dumps both raising,
+    the output is byte for byte what json.dumps wrote before."""
+    import vdk.prefixcode
+
+    def broken(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(vdk.prefixcode, "parse_packed", broken)
+    monkeypatch.setattr(json, "dumps", broken)
+    table = "{1:11->1:111,1:121->1:12,1:1221->1:2,1:1222->2:,1:2->1:1121,2:->1:1122}"
+    argv = ["cocycle", "integral-sqrt", "--d", "2", "--k", "2", table, "--json"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (
+        '{\n  "command": "cocycle integral-sqrt",\n  "params": {\n    "d": 2,\n    "k": 2,\n'
+        '    "m": 1,\n    "table": "%s"\n  },\n  "result": {\n    "a": "1/4",\n'
+        '    "b": "1/4",\n    "m": 2\n  }\n}\n' % table
+    )
+
+
+# ---------------------------------------------------------------------------
 # the command surface: every command, its envelope and its help
 
 _T = "{11->1,12->21,2->22}"

@@ -327,6 +327,64 @@ _CASES = {
     "letters_str": (lambda: X211.letters("1"), VdkError, "letter count must be an int, got str"),
     "letters_none": (
         lambda: X211.letters(None), VdkError, "letter count must be an int, got NoneType"),
+    # near misses of the compact code text, which the one-pass reader does
+    # not match: the item path reads them and refuses each as it did
+    "parse_table_root_0": (
+        lambda: parse_table(A22, "{0:->1:,2:->2:}"), VdkError, "root letter 0 outside 1..2"),
+    "parse_table_root_k_plus_1": (
+        lambda: parse_table(A22, "{1:->3:,2:->2:}"), VdkError, "root letter 3 outside 1..2"),
+    "parse_table_letter_0": (
+        lambda: parse_table(A32, "{1:1->1:10,1:2->1:2,1:3->1:3,2:->2:}"), VdkError,
+        "tail letter 0 outside 1..3"),
+    "parse_table_letter_d_plus_1": (
+        lambda: parse_table(A32, "{1:4->1:1,1:2->1:2,1:3->1:3,2:->2:}"), VdkError,
+        "tail letter 4 outside 1..3"),
+    "parse_table_empty_word": (
+        lambda: parse_table(A21, "{1->,2->2}"), VdkError,
+        "empty word; the bare root is spelled 'r:', e.g. '1:'"),
+    "parse_table_missing_arrow": (
+        lambda: parse_table(A21, "{1->2,21}"), VdkError, "table pair '21' must look like mu->nu"),
+    "parse_table_doubled_arrow": (
+        lambda: parse_table(A21, "{1->2->1,2->1}"), VdkError, "cannot read tail letters from '2->1'"),
+    "parse_table_trailing_comma": (
+        lambda: parse_table(A21, "{1->2,2->1,}"), VdkError, "table pair '' must look like mu->nu"),
+    "parse_table_inner_space": (
+        lambda: parse_table(A21, "{1->2,2->1 1,2->12}"), VdkError,
+        "cannot read tail letters from '1 1'"),
+    "parse_bisection_root_0": (
+        lambda: parse_bisection(A22, "{1:1<-0:}"), VdkError, "root letter 0 outside 1..2"),
+    "parse_bisection_missing_arrow": (
+        lambda: parse_bisection(A22, "{1:1<-2:,1:2}"), VdkError,
+        "bisection cell '1:2' must look like nu<-mu"),
+    "parse_bisection_doubled_arrow": (
+        lambda: parse_bisection(A22, "{1:1<-2:<-1:}"), VdkError,
+        "cannot read tail letters from '<-1:'"),
+    "parse_bisection_table_arrow": (
+        lambda: parse_bisection(A22, "{1:1->2:}"), VdkError,
+        "bisection cell '1:1->2:' must look like nu<-mu"),
+    "parse_bisection_trailing_comma": (
+        lambda: parse_bisection(A22, "{1:1<-2:,}"), VdkError,
+        "bisection cell '' must look like nu<-mu"),
+    "parse_bisection_letter_d_plus_1": (
+        lambda: parse_bisection(A32, "{1:4<-2:}"), VdkError, "tail letter 4 outside 1..3"),
+    "parse_clopen_root_k_plus_1": (
+        lambda: parse_clopen(A32, "{3:1}"), VdkError, "root letter 3 outside 1..2"),
+    "parse_clopen_letter_0": (
+        lambda: parse_clopen(A21, "{10}"), VdkError, "tail letter 0 outside 1..2"),
+    "parse_clopen_empty_word": (
+        lambda: parse_clopen(A21, "{1,,2}"), VdkError,
+        "empty word; the bare root is spelled 'r:', e.g. '1:'"),
+    "parse_clopen_trailing_comma": (
+        lambda: parse_clopen(A22, "{1:1,}"), VdkError,
+        "empty word; the bare root is spelled 'r:', e.g. '1:'"),
+    "parse_clopen_inner_space": (
+        lambda: parse_clopen(A22, "{1:1 2}"), VdkError, "cannot read tail letters from '1 2'"),
+    "parse_clopen_no_root": (
+        lambda: parse_clopen(A22, "{12}"), VdkError,
+        "word '12' needs an explicit root 'r:' since k=2 > 1"),
+    "parse_clopen_unbraced": (
+        lambda: parse_clopen(A22, "1:12"), VdkError,
+        "clopen must look like {w1,w2,...}, got '1:12'"),
     # words order only among words; these used to end in AttributeError
     "word_lt_int": (lambda: W1 < 5, VdkError, "expected a Word, got int"),
     "word_le_int": (lambda: W1 <= 5, VdkError, "expected a Word, got int"),

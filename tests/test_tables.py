@@ -255,6 +255,38 @@ def test_pow():
     assert s**-2 == ~s * ~s
 
 
+def test_pow_is_the_n_fold_product():
+    # by squaring, against g or ~g multiplied in one factor at a time
+    rng = Random(3204)
+    for a in ALPHABETS:
+        g = random_table(rng, a, 4)
+        for base, sign in ((g, 1), (~g, -1)):
+            step = identity(a)
+            for n in range(71):
+                assert g ** (sign * n) == step, (a, sign * n)
+                step = compose(step, base)
+
+
+def test_pow_61_takes_9_compositions(monkeypatch):
+    # 61 = 111101 in binary: five squarings and four products, where
+    # multiplying one factor at a time took 61
+    from vdk import tables
+
+    calls = []
+    compose = tables.compose
+
+    def counting(g, h):
+        calls.append(1)
+        return compose(g, h)
+
+    g = tbl(A21, "{11->1,12->21,2->22}")
+    want = g**61
+    monkeypatch.setattr(tables, "compose", counting)
+    assert g**61 == want and len(calls) == 9
+    calls.clear()
+    assert g**0 == identity(A21) and g**1 is g and calls == []
+
+
 @pytest.mark.parametrize("n", [62, 64, 70, 200])
 def test_pow_past_62_tail_letters(n):
     # g**n has a word with n + 1 tail letters; from 62 on the packed
