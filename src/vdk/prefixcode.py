@@ -181,25 +181,14 @@ def _tail_text(alphabet, n: int, w: int) -> str:
 
 def format_words(alphabet, words) -> list:
     """Text of each packed word, in one pass over them."""
-    (rb, b), d, k = alphabet.widths, alphabet.d, alphabet.k
-    # a word's leading rb + 1 bits, sentinel and root field, are 2^rb + root - 1
-    lead = (1 << rb) - 1
-    if d > 9 or b == 2:
-        if k == 1:
-            return [_tail_text(alphabet, (w.bit_length() - 1) // b, w) or "1:" for w in words]
-        # m bits of tail lie below the root field
-        return [
-            "%d:%s" % ((w >> (m := w.bit_length() - 1 - rb)) - lead, _tail_text(alphabet, m // b, w))
-            for w in words
-        ]
-    # _tail_text written in place: the tail is all but the leading
-    # rb // b + 1 digits, the sentinel and root field
-    _, _, up, spec = _PLAIN[d]
+    (rb, b), k = alphabet.widths, alphabet.k
     if k == 1:
-        return [format(w, spec)[1:].translate(up) or "1:" for w in words]
-    skip = rb // b + 1
+        return [_tail_text(alphabet, (w.bit_length() - 1) // b, w) or "1:" for w in words]
+    # a word's leading rb + 1 bits, sentinel and root field, are 2^rb +
+    # root - 1, and the m bits of its tail lie below them
+    lead = (1 << rb) - 1
     return [
-        "%d:%s" % ((w >> w.bit_length() - 1 - rb) - lead, format(w, spec)[skip:].translate(up))
+        "%d:%s" % ((w >> (m := w.bit_length() - 1 - rb)) - lead, _tail_text(alphabet, m // b, w))
         for w in words
     ]
 
@@ -269,12 +258,13 @@ def parse_packed(alphabet, text: str) -> int:
     return ((1 << rb | root - 1) << b * n) | v
 
 
-# what -> (shape, item noun, arrow): a clopen's items are words, a
-# table's and a bisection's are cells, a word either side of the arrow
+# what -> (shape, item noun, item shape, arrow): a clopen's items are
+# words, a table's and a bisection's are cells, a word either side of
+# the arrow
 _CODES = {
-    "clopen": ("{w1,w2,...}", "", ""),
-    "table": ("{mu->nu,...}", "table pair", "->"),
-    "bisection": ("{nu<-mu,...}", "bisection cell", "<-"),
+    "clopen": ("{w1,w2,...}", "word", "w", ""),
+    "table": ("{mu->nu,...}", "table pair", "mu->nu", "->"),
+    "bisection": ("{nu<-mu,...}", "bisection cell", "nu<-mu", "<-"),
 }
 
 
@@ -287,7 +277,7 @@ def read_code(alphabet, text: str, what: str) -> list:
     in one pass; any other text is read item by item.
     """
     d, k = alphabet.d, alphabet.k
-    arrow = _CODES[what][2]
+    arrow = _CODES[what][3]
     if d <= 9 and k <= 9:
         word = "(?:1:[1-%d]*|[1-%d]+)" % (d, d) if k == 1 else "[1-%d]:[1-%d]*" % (k, d)
         item = word + arrow + word if arrow else word
@@ -329,7 +319,7 @@ def _read_compact(alphabet, text: str, arrow: str) -> list:
 
 def _read_items(alphabet, text: str, what: str) -> list:
     """read_code of any text, item by item through parse_packed."""
-    shape, noun, arrow = _CODES[what]
+    shape, noun, item_shape, arrow = _CODES[what]
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise VdkError("%s must look like %s, got %r" % (what, shape, text))
@@ -340,8 +330,7 @@ def _read_items(alphabet, text: str, what: str) -> list:
     cells = []
     for item in items:
         if arrow not in item:
-            # an item looks like the shape within "{" and ",...}"
-            raise VdkError("%s %r must look like %s" % (noun, item.strip(), shape[1:-5]))
+            raise VdkError("%s %r must look like %s" % (noun, item.strip(), item_shape))
         left, _, right = item.partition(arrow)
         cells.append((parse_packed(alphabet, left), parse_packed(alphabet, right)))
     return cells if arrow == "->" else [(w, r) for r, w in cells]
@@ -380,12 +369,7 @@ def leaves(alphabet, words) -> tuple[int, int, int]:
     (rb, b), d = alphabet.widths, alphabet.d
     tails = [(w.bit_length() - 1 - rb) // b for w in words]
     e = max(tails, default=0)
-    if d == 1 << b:
-        return sum([1 << b * (e - t) for t in tails]), alphabet.k << b * e, e + 1
-    powers = [1]
-    for _ in range(e):
-        powers.append(powers[-1] * d)
-    return sum([powers[e - t] for t in tails]), alphabet.k * powers[e], e + 1
+    return sum(d ** (e - t) for t in tails), alphabet.k * d**e, e + 1
 
 
 def check_code(alphabet, words: list, side: str, complete: bool = False) -> None:
