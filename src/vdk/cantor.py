@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import MismatchedAlphabet, VdkError
-from .prefixcode import PackedCode, cell_index, covers, format_packed, format_run, format_words
-from .prefixcode import gaps, normal_words, pack_letters, parse_letters, parse_packed, read_code
+from .prefixcode import PackedCode, cell_index, covers, format_packed, format_run, gaps
+from .prefixcode import normal_words, pack_letters, parse_letters, parse_packed, read_code
 from .prefixcode import tail_letters
 from .prefixcode import walk, widths
 
@@ -485,7 +485,8 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
 
 def format_clopen(s: Clopen) -> str:
     check_class(Clopen, s)
-    return "{%s}" % ",".join(format_words(s.alphabet, s.packed))
+    a = s.alphabet
+    return "{%s}" % ",".join([format_packed(a, w) for w in s.packed])
 
 
 def parse_clopen(alphabet: Alphabet, text: str) -> Clopen:

@@ -35,7 +35,7 @@ from .errors import (
     OverlappingBoxes,
     VdkError,
 )
-from .prefixcode import PackedCode, canonical, format_run, format_words, leaves, normal_words
+from .prefixcode import PackedCode, canonical, format_packed, format_run, leaves, normal_words
 from .prefixcode import read_code, tail_lengths, tail_letters
 from .tables import TableElement, check_class, code_act, code_inverse, code_product
 
@@ -174,8 +174,10 @@ def bisection_act(u: Bisection, x: Point) -> Point:
 
 def format_bisection(u: Bisection) -> str:
     check_class(Bisection, u)
-    t = format_words(u.alphabet, [w for cell in u.packed for w in cell])
-    return "{%s}" % ",".join(map("<-".join, zip(t[1::2], t[::2])))
+    a = u.alphabet
+    return "{%s}" % ",".join(
+        ["%s<-%s" % (format_packed(a, r), format_packed(a, w)) for w, r in u.packed]
+    )
 
 
 def parse_bisection(alphabet: Alphabet, text: str) -> Bisection:
@@ -189,10 +191,14 @@ def parse_bisection(alphabet: Alphabet, text: str) -> Bisection:
 
 def bisection_to_json(u: Bisection) -> list[dict]:
     check_class(Bisection, u)
-    t = format_words(u.alphabet, [w for cell in u.packed for w in cell])
+    a = u.alphabet
     return [
-        {"range": r, "domain": w, "degree": q - p}
-        for w, r, (p, q) in zip(t[::2], t[1::2], tail_lengths(u.alphabet, u.packed))
+        {
+            "range": format_packed(a, r),
+            "domain": format_packed(a, w),
+            "degree": q - p,
+        }
+        for (w, r), (p, q) in zip(u.packed, tail_lengths(a, u.packed))
     ]
 
 

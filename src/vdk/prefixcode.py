@@ -32,7 +32,6 @@ digits at once and packed in one int() per word; any other text
 (whitespace, dotted letters, d or k above 9, leading zeros, a root out
 of range, anything malformed) goes item by item through parse_packed,
 which is the only reader of those and words every refusal.
-format_words writes the words of a whole code in one pass.
 
 A code is canonical when its pairs are sorted lexicographically by
 domain word and no aligned sibling family is left to merge, i.e. no d
@@ -179,23 +178,14 @@ def _tail_text(alphabet, n: int, w: int) -> str:
     return format(w, spec)[-n:].translate(up)
 
 
-def format_words(alphabet, words) -> list:
-    """Text of each packed word, in one pass over them."""
-    (rb, b), k = alphabet.widths, alphabet.k
-    if k == 1:
-        return [_tail_text(alphabet, (w.bit_length() - 1) // b, w) or "1:" for w in words]
-    # a word's leading rb + 1 bits, sentinel and root field, are 2^rb +
-    # root - 1, and the m bits of its tail lie below them
-    lead = (1 << rb) - 1
-    return [
-        "%d:%s" % ((w >> (m := w.bit_length() - 1 - rb)) - lead, _tail_text(alphabet, m // b, w))
-        for w in words
-    ]
-
-
 def format_packed(alphabet, w: int) -> str:
     """Text of the packed word w."""
-    return format_words(alphabet, (w,))[0]
+    rb, b = alphabet.widths
+    n = (w.bit_length() - 1 - rb) // b
+    tail = _tail_text(alphabet, n, w)
+    if alphabet.k == 1:
+        return tail or "1:"
+    return "%d:%s" % ((w >> b * n) - (1 << rb) + 1, tail)
 
 
 def format_run(alphabet, v: int) -> str:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from .cantor import Alphabet, Clopen, Point, Word, check_class, check_int, check_same_alphabet
 from .cantor import packed_point, replace_prefix, unpack_word
 from .errors import ArityMismatch, TransportImpossible, VdkError
-from .prefixcode import PackedCode, canonical, cell_index, format_words, gaps, graft
+from .prefixcode import PackedCode, canonical, cell_index, format_packed, gaps, graft
 from .prefixcode import identity_pairs, normal_form, normal_words, range_order, read_code
 from .prefixcode import split_last, swap, tail_lengths, walk
 
@@ -246,8 +246,10 @@ def embed_supported(g: TableElement, nu: Word) -> TableElement:
 
 def format_table(g: TableElement) -> str:
     check_class(TableElement, g)
-    t = format_words(g.alphabet, [w for cell in g.packed for w in cell])
-    return "{%s}" % ",".join(map("->".join, zip(t[::2], t[1::2])))
+    a = g.alphabet
+    return "{%s}" % ",".join(
+        ["%s->%s" % (format_packed(a, w), format_packed(a, r)) for w, r in g.packed]
+    )
 
 
 def parse_table(alphabet: Alphabet, text: str) -> TableElement:
