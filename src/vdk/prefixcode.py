@@ -252,7 +252,7 @@ def parse_packed(alphabet, text: str) -> int:
 # words, a table's and a bisection's are cells, a word either side of
 # the arrow
 _CODES = {
-    "clopen": ("{w1,w2,...}", "word", "w", ""),
+    "clopen": ("{w1,w2,...}", "", "", ""),
     "table": ("{mu->nu,...}", "table pair", "mu->nu", "->"),
     "bisection": ("{nu<-mu,...}", "bisection cell", "nu<-mu", "<-"),
 }

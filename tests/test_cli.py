@@ -634,7 +634,7 @@ def test_envelope_writer_matches_json_dumps_on_every_transcript_envelope(monkeyp
 def test_compact_json_run_reads_no_item_and_calls_no_json_dumps(capsys, monkeypatch):
     """A compact table read by the one-pass reader and, before Python
     3.13, an envelope written by cli's own writer: with the item reader
-    and json.dumps both raising, the output is byte for byte what
+    and json's encoder both raising, the output is byte for byte what
     json.dumps wrote before.  From 3.13 on json.dumps writes it."""
     import vdk.prefixcode
 
@@ -643,7 +643,7 @@ def test_compact_json_run_reads_no_item_and_calls_no_json_dumps(capsys, monkeypa
 
     monkeypatch.setattr(vdk.prefixcode, "parse_packed", broken)
     if sys.version_info < (3, 13):
-        monkeypatch.setattr(json, "dumps", broken)
+        monkeypatch.setattr(json.JSONEncoder, "encode", broken)
     table = "{1:11->1:111,1:121->1:12,1:1221->1:2,1:1222->2:,1:2->1:1121,2:->1:1122}"
     argv = ["cocycle", "integral-sqrt", "--d", "2", "--k", "2", table, "--json"]
     code, out, err = run_cli(capsys, *argv)
