@@ -21,6 +21,7 @@ import dataclasses
 import io
 import json
 import pickle
+import re
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -899,6 +900,115 @@ def convolution_counts(rng: Random) -> list[str]:
     return out
 
 
+# (3,12) has roots past 9 and (11,2) dotted letters
+_TEXT_ALPHABETS = [
+    Alphabet(d, k)
+    for d, k in ((2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (5, 5), (9, 2), (3, 12), (11, 2))
+]
+_PARSERS = {"table": parse_table, "bisection": parse_bisection, "clopen": parse_clopen}
+# a word of code text, root and colon, or tail letters only (k = 1)
+_TEXT_WORD = re.compile(r"[0-9.]+:[0-9.]*|[0-9.]+")
+
+
+def _code_texts(rng: Random, a: Alphabet) -> list[tuple[str, str]]:
+    """Seeded (what, text) of a table, a bisection and a clopen over a, as
+    the formatters write them."""
+    cells = [(r, w) for w, r in _table(rng, a, rng.randrange(0, 6)).pairs]
+    kept = [c for c in cells if rng.random() < 0.6]
+    n = rng.randrange(1, 7)
+    table = _table(rng, a, rng.randrange(0, 6))
+    words = [_word(rng, a, rng.randrange(1, 5)) for _ in range(n)]
+    return [
+        ("table", format_table(table)),
+        ("bisection", format_bisection(make_bisection(kept, a))),
+        ("clopen", format_clopen(clopen_normalize(a, words))),
+    ]
+
+
+def _spaced(rng: Random, text: str) -> str:
+    """text with 0 to 2 spaces on either side of each brace, comma and arrow."""
+    def spaced(m: re.Match) -> str:
+        return " " * rng.randrange(3) + m[0] + " " * rng.randrange(3)
+
+    return re.sub(r"->|<-|[{},]", spaced, text)
+
+
+def _dotted(word: str) -> str:
+    head, colon, tail = word.rpartition(":")
+    return head + colon + ".".join(tail)
+
+
+def _near_misses(rng: Random, a: Alphabet, what: str, text: str) -> list[tuple[str, str]]:
+    """(name, text): text with one seeded word or piece of punctuation
+    broken, for each way that applies to what."""
+    words = list(_TEXT_WORD.finditer(text))
+    pick = rng.choice(words)
+
+    def word(new: str) -> str:
+        return text[: pick.start()] + new + text[pick.end() :]
+
+    tail = pick[0].rpartition(":")[2]
+    letters = (tail.split(".") if a.d > 9 else list(tail)) if tail else []
+
+    def with_letter(t: int) -> str:
+        i = rng.randrange(len(letters) + 1)
+        spelt = ("." if a.d > 9 or t > 9 else "").join(letters[:i] + [str(t)] + letters[i:])
+        return word("%d:%s" % (rng.randrange(1, a.k + 1), spelt))
+
+    misses = [
+        ("root 0", word("0:" + tail)),
+        ("root k+1", word("%d:%s" % (a.k + 1, tail))),
+        ("root 01:", word("01:" + tail)),
+        ("letter 0", with_letter(0)),
+        ("letter d+1", with_letter(a.d + 1)),
+        ("empty word", word("")),
+        ("trailing comma", text[:-1] + ",}"),
+        ("missing brace", text[1:] if rng.random() < 0.5 else text[:-1]),
+    ]
+    if what != "clopen":
+        arrow = "->" if what == "table" else "<-"
+        cells = text[1:-1].split(",")
+        i = rng.randrange(len(cells))
+        for name, new in (("missing arrow", ""), ("doubled arrow", arrow * 2)):
+            broken = cells[:i] + [cells[i].replace(arrow, new)] + cells[i + 1 :]
+            misses.append((name, "{%s}" % ",".join(broken)))
+    return misses
+
+
+def code_text(rng: Random) -> list[str]:
+    """Tables, bisections and clopens over nine alphabets up to d = 11 and
+    k = 12, as the formatters write them, read back; then read back with
+    spaces around items and arrows, with the root 1: spelt out for k = 1
+    and with dotted letters for d <= 9; then {} and one seeded near miss
+    of each kind: roots 0, k+1 and 01:, letters 0 and d+1, an empty
+    word, a missing or doubled arrow, a trailing comma, a missing brace."""
+    out = []
+    for a in _TEXT_ALPHABETS:
+        out.append("(%d,%d)" % (a.d, a.k))
+        for _ in range(3):
+            for what, text in _code_texts(rng, a):
+                parse = _PARSERS[what]
+                out.append("  %s %s: %s" % (what, text, _call(lambda: parse(a, text))))
+                variants = [("spaced", _spaced(rng, text))]
+                if a.k == 1:
+                    spelt = _TEXT_WORD.sub(lambda m: m[0] if ":" in m[0] else "1:" + m[0], text)
+                    variants.append(("1: spelt", spelt))
+                if a.d <= 9:
+                    variants.append(("dotted", _TEXT_WORD.sub(lambda m: _dotted(m[0]), text)))
+                for name, variant in variants:
+                    read = _call(lambda: parse(a, variant))
+                    out.append("    %s %s: %s" % (name, variant, "same" if read == text else read))
+        for what, parse in _PARSERS.items():
+            out.append("  %s {}: %s" % (what, _call(lambda: parse(a, "{}"))))
+        for what, text in _code_texts(rng, a):
+            if text == "{}":
+                continue
+            parse = _PARSERS[what]
+            for name, miss in _near_misses(rng, a, what, text):
+                out.append("  %s, %s: %s: %s" % (what, name, miss, _call(lambda: parse(a, miss))))
+    return out
+
+
 SECTIONS = [
     ("quadratic values", quadratic_values, 2101),
     ("integral_sqrt_rn", integrals, 2102),
@@ -914,6 +1024,7 @@ SECTIONS = [
     ("clopen algebra and mu", clopen_algebra, 2112),
     ("compose, inverse and powers", products, 2113),
     ("convolution counts", convolution_counts, 2114),
+    ("code text", code_text, 2115),
 ]
 
 
