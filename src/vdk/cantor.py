@@ -23,8 +23,7 @@ from dataclasses import dataclass, fields
 from .errors import MismatchedAlphabet, VdkError
 from .prefixcode import PackedCode, cell_index, covers, format_packed, format_run, gaps
 from .prefixcode import normal_words, pack_letters, parse_letters, parse_packed, read_code
-from .prefixcode import tail_letters
-from .prefixcode import walk, widths
+from .prefixcode import tail_letters, walk, widths, write_code
 
 
 def check_int(name: str, value) -> None:
@@ -485,8 +484,7 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
 
 def format_clopen(s: Clopen) -> str:
     check_class(Clopen, s)
-    a = s.alphabet
-    return "{%s}" % ",".join([format_packed(a, w) for w in s.packed])
+    return write_code(s.alphabet, s.packed, "clopen")
 
 
 def parse_clopen(alphabet: Alphabet, text: str) -> Clopen:

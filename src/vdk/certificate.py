@@ -35,8 +35,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cantor import Alphabet, Clopen, Word, check_int, check_iterable, check_same_alphabet
-from .cantor import parse_clopen, reduce_by_fields
+from .cantor import Alphabet, Clopen, Word, check_class, check_int, check_iterable
+from .cantor import check_same_alphabet, parse_clopen, reduce_by_fields
 from .errors import (
     CertificateInvalid,
     DisjointnessViolation,
@@ -48,7 +48,7 @@ from .errors import (
 )
 from .measure import QuadraticValue, _sign_minus, integral_sqrt_rn_parts, quadratic, sign_two_roots
 from .prefixcode import covers, gaps, leaves, normal_form, range_order, swap, walk
-from .tables import TableElement, check_class, identity, inverse, parse_table
+from .tables import TableElement, identity, inverse, parse_table
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,10 @@ error, running out of memory, or output closed before it was all
 written), 3 inconclusive certificate parameters.  All data output is
 byte-stable: canonical orderings everywhere, no timestamps.  --json
 wraps results as {command, params, result}, written as
-json.dumps(envelope, indent=2, sort_keys=True) writes it.  Before Python
-3.13 json.dumps with indent runs the pure-Python encoder, so there the
-envelope has a writer of its own, _json, with the same bytes in half to
-60% of the time; from 3.13 on the C encoder honours indent and is
-faster than _json, so json.dumps writes it.
+json.dumps(envelope, indent=2, sort_keys=True) writes it.  One writer,
+_json, writes it on every Python, in half to 60% of json.dumps's time
+before 3.13, where json.dumps with indent runs the pure-Python encoder.
+From 3.13 json.dumps is faster; it replaces _json when 3.12 support goes.
 
 A line is parsed once, by its command's own parser, built on first
 use.  The tree of all parsers is built only for a line that no command
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -382,12 +380,6 @@ def _json(value, indent: str = "\n") -> str:
     raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
 
 
-# the text of a --json envelope (see the module docstring)
-_envelope_text = (
-    _json if sys.version_info < (3, 13) else functools.partial(json.dumps, indent=2, sort_keys=True)
-)
-
-
 def main(argv=None) -> int:
     args = _parse(list(sys.argv[1:] if argv is None else argv))
     try:
@@ -397,7 +389,7 @@ def main(argv=None) -> int:
             if args.json:
                 params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
                 envelope = {"command": args.command, "params": params, "result": result}
-                text = _envelope_text(envelope)
+                text = _json(envelope)
             print(text)
         sys.stdout.flush()
     except VdkError as e:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from operator import rshift, xor
 
-from .cantor import Alphabet, Clopen, Point, Word, check_iterable, check_same_alphabet
+from .cantor import Alphabet, Clopen, Point, Word, check_class, check_iterable, check_same_alphabet
 from .cantor import format_word, point_normalize, reduce_by_fields, replace_prefix, unpack_word
 from .errors import (
     ArityMismatch,
@@ -36,8 +36,8 @@ from .errors import (
     VdkError,
 )
 from .prefixcode import PackedCode, canonical, format_packed, format_run, leaves, normal_words
-from .prefixcode import read_code, tail_lengths, tail_letters
-from .tables import TableElement, check_class, code_act, code_inverse, code_product
+from .prefixcode import read_code, tail_lengths, tail_letters, write_code
+from .tables import TableElement, code_act, code_inverse, code_product
 
 
 @dataclass(frozen=True)
@@ -174,10 +174,7 @@ def bisection_act(u: Bisection, x: Point) -> Point:
 
 def format_bisection(u: Bisection) -> str:
     check_class(Bisection, u)
-    a = u.alphabet
-    return "{%s}" % ",".join(
-        ["%s<-%s" % (format_packed(a, r), format_packed(a, w)) for w, r in u.packed]
-    )
+    return write_code(u.alphabet, u.packed, "bisection")
 
 
 def parse_bisection(alphabet: Alphabet, text: str) -> Bisection:

@@ -24,14 +24,15 @@ before its extensions; codes are sorted by that key.  A cell is a
 
 The text codec lives here too, on packed words.  For d <= 9 a tail
 letter t is the base-2^b digit t - 1, so a tail converts with one int()
-or format() and a str.translate.  read_code reads a whole braced code:
-for d, k <= 9, text in the compact shape the formatters write ({r:t->r:t,
-...}, {r:t<-r:t,...} or {r:t,...}, and for k = 1 words with or without
-the root 1:) is recognised by one fullmatch, translated to base-2^b
-digits at once and packed in one int() per word; any other text
-(whitespace, dotted letters, d or k above 9, leading zeros, a root out
-of range, anything malformed) goes item by item through parse_packed,
-which is the only reader of those and words every refusal.
+or format() and a str.translate.  A braced code's arrow and cell order
+are said once, in its _CODES row, which write_code writes and read_code
+reads: for d, k <= 9, text in the compact shape write_code writes
+({r:t->r:t,...}, {r:t<-r:t,...} or {r:t,...}, and for k = 1 words with
+or without the root 1:) is recognised by one fullmatch, translated to
+base-2^b digits at once and packed in one int() per word; any other
+text (whitespace, dotted letters, d or k above 9, leading zeros, a root
+out of range, anything malformed) goes item by item through
+parse_packed, which is the only reader of those and words every refusal.
 
 A code is canonical when its pairs are sorted lexicographically by
 domain word and no aligned sibling family is left to merge, i.e. no d
@@ -140,16 +141,15 @@ def tail_letters(w: int, b: int, n: int) -> tuple[int, ...]:
 def _plain(d: int) -> tuple:
     """(letters, letter -> digit table, digit -> letter table, format type) for d <= 9.
 
-    The letter -> digit table also drops braces and arrow heads and reads
-    the arrow's dash as a comma, so compact code text becomes its words'
-    digits, comma-separated, in one translate; a run of letters has none
-    of those to lose."""
+    The tables map letters only (punctuation is known from _CODES).  The
+    letter -> digit one is a str that maps other ASCII to itself: a dict
+    would miss the punctuation, and translate catches a KeyError per miss."""
     letters, digits = "123456789"[:d], "012345678"[:d]
     if d in (3, 4):  # base 4 has no format type: one hex digit holds two letters
         up = {ord("%x" % i): "%d%d" % (i // 4 + 1, i % 4 + 1) for i in range(16)}
     else:
         up = str.maketrans(digits, letters)
-    down = str.maketrans(letters + "-", digits + ",", "{}<>")
+    down = "".join(map(chr, range(128))).translate(str.maketrans(letters, digits))
     return letters, down, up, "_bxox"[(d - 1).bit_length()]
 
 
@@ -248,14 +248,27 @@ def parse_packed(alphabet, text: str) -> int:
     return ((1 << rb | root - 1) << b * n) | v
 
 
-# what -> (shape, item noun, item shape, arrow): a clopen's items are
-# words, a table's and a bisection's are cells, a word either side of
-# the arrow
+# what -> (shape, item noun, item shape, arrow, side written first): a
+# clopen's items are words; a table's and a bisection's are cells, a word
+# either side of the arrow, and a bisection writes the range word first
 _CODES = {
-    "clopen": ("{w1,w2,...}", "", "", ""),
-    "table": ("{mu->nu,...}", "table pair", "mu->nu", "->"),
-    "bisection": ("{nu<-mu,...}", "bisection cell", "nu<-mu", "<-"),
+    "clopen": ("{w1,w2,...}", "", "", "", 0),
+    "table": ("{mu->nu,...}", "table pair", "mu->nu", "->", 0),
+    "bisection": ("{nu<-mu,...}", "bisection cell", "nu<-mu", "<-", 1),
 }
+
+
+def write_code(alphabet, packed, what: str) -> str:
+    """The braced text of a clopen's packed words, or of a table's or a
+    bisection's (domain, range) pairs, as what names it."""
+    _, _, _, arrow, first = _CODES[what]
+    if not arrow:
+        return "{%s}" % ",".join([format_packed(alphabet, w) for w in packed])
+    if first:
+        packed = [(r, w) for w, r in packed]
+    return "{%s}" % ",".join(
+        [format_packed(alphabet, u) + arrow + format_packed(alphabet, v) for u, v in packed]
+    )
 
 
 def read_code(alphabet, text: str, what: str) -> list:
@@ -264,52 +277,54 @@ def read_code(alphabet, text: str, what: str) -> list:
     none for {}.  Raises VdkError for anything else.
 
     Compact text (see the module docstring) is matched whole and packed
-    in one pass; any other text is read item by item.
+    in one pass; any other text is read item by item.  Either pass
+    returns the words in text order, and they are paired here.
     """
     d, k = alphabet.d, alphabet.k
-    arrow = _CODES[what][3]
-    if d <= 9 and k <= 9:
+    _, _, _, arrow, first = _CODES[what]
+    compact = d <= 9 and k <= 9
+    if compact:
         word = "(?:1:[1-%d]*|[1-%d]+)" % (d, d) if k == 1 else "[1-%d]:[1-%d]*" % (k, d)
         item = word + arrow + word if arrow else word
         # re keeps the compiled pattern
-        if re.fullmatch(r"\{(?:%s(?:,%s)*)?\}" % (item, item), text):
-            return _read_compact(alphabet, text, arrow)
-    return _read_items(alphabet, text, what)
+        compact = re.fullmatch(r"\{(?:%s(?:,%s)*)?\}" % (item, item), text)
+    words = _read_compact(alphabet, text, arrow) if compact else _read_items(alphabet, text, what)
+    if not arrow:
+        return words
+    it = iter(words)
+    return [(w, r) for r, w in zip(it, it)] if first else list(zip(it, it))
 
 
 def _read_compact(alphabet, text: str, arrow: str) -> list:
-    """read_code of text that matched the compact shape.
+    """The words of text that matched the compact shape, in text order.
 
-    One translate turns it into the base-2^b digits of its words, every
-    letter, each root too, as its digit, and commas between the words.
+    With the braces sliced off and the arrow read as a comma, one
+    translate turns every letter, each root too, into its base-2^b digit.
     For k = 1 the root 1: is then dropped and the sentinel 1 put before
     each word; otherwise each root and its colon become the base-2^b
-    digits of the sentinel and root field.  Either way a word is one
-    int() numeral.
+    digits of the sentinel and root field.  A word is one int() numeral.
     """
     (rb, b), k = alphabet.widths, alphabet.k
     down = _PLAIN[alphabet.d][1]
-    body = text.translate(down)
+    body = text[1:-1]
     if not body:
         return []
-    base = 1 << b
+    if arrow:
+        body = body.replace(arrow, ",")
+    body = body.translate(down)
     if k == 1:
         body = "1" + body.replace("0:", "").replace(",", ",1")
     else:
         # a root r <= d became r - 1 and one above d stayed r, so roots stay apart
         for root, head in zip("123456789"[:k].translate(down), _HEADS[b][1 << rb : (1 << rb) + k]):
             body = body.replace(root + ":", head)
-    words = [int(w, base) for w in body.split(",")]
-    if not arrow:
-        return words
-    it = iter(words)
-    cells = zip(it, it)
-    return list(cells) if arrow == "->" else [(w, r) for r, w in cells]
+    base = 1 << b
+    return [int(w, base) for w in body.split(",")]
 
 
 def _read_items(alphabet, text: str, what: str) -> list:
-    """read_code of any text, item by item through parse_packed."""
-    shape, noun, item_shape, arrow = _CODES[what]
+    """The words of any text, in text order, item by item through parse_packed."""
+    shape, noun, item_shape, arrow, _ = _CODES[what]
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise VdkError("%s must look like %s, got %r" % (what, shape, text))
@@ -317,13 +332,13 @@ def _read_items(alphabet, text: str, what: str) -> list:
     items = body.split(",") if body else []
     if not arrow:
         return [parse_packed(alphabet, p) for p in items]
-    cells = []
+    words = []
     for item in items:
         if arrow not in item:
             raise VdkError("%s %r must look like %s" % (noun, item.strip(), item_shape))
         left, _, right = item.partition(arrow)
-        cells.append((parse_packed(alphabet, left), parse_packed(alphabet, right)))
-    return cells if arrow == "->" else [(w, r) for r, w in cells]
+        words += (parse_packed(alphabet, left), parse_packed(alphabet, right))
+    return words
 
 
 def tail_lengths(alphabet, pairs) -> list:

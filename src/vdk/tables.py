@@ -23,9 +23,9 @@ from __future__ import annotations
 from .cantor import Alphabet, Clopen, Point, Word, check_class, check_int, check_same_alphabet
 from .cantor import packed_point, replace_prefix, unpack_word
 from .errors import ArityMismatch, TransportImpossible, VdkError
-from .prefixcode import PackedCode, canonical, cell_index, format_packed, gaps, graft
-from .prefixcode import identity_pairs, normal_form, normal_words, range_order, read_code
-from .prefixcode import split_last, swap, tail_lengths, walk
+from .prefixcode import PackedCode, canonical, cell_index, gaps, graft, identity_pairs
+from .prefixcode import normal_form, normal_words, range_order, read_code, split_last, swap
+from .prefixcode import tail_lengths, walk, write_code
 
 
 class TableElement(PackedCode):
@@ -246,10 +246,7 @@ def embed_supported(g: TableElement, nu: Word) -> TableElement:
 
 def format_table(g: TableElement) -> str:
     check_class(TableElement, g)
-    a = g.alphabet
-    return "{%s}" % ",".join(
-        ["%s->%s" % (format_packed(a, w), format_packed(a, r)) for w, r in g.packed]
-    )
+    return write_code(g.alphabet, g.packed, "table")
 
 
 def parse_table(alphabet: Alphabet, text: str) -> TableElement:

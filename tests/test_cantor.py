@@ -49,7 +49,7 @@ from vdk import cantor
 from vdk.cantor import unpack_word
 from vdk import prefixcode
 from vdk.prefixcode import cell_index, covers, format_packed, format_run, pack_letters
-from vdk.prefixcode import parse_letters, parse_packed, read_code, walk, widths
+from vdk.prefixcode import parse_letters, parse_packed, read_code, walk, widths, write_code
 from vdk.sampling import random_bisection, random_clopen, random_point, random_table, random_word
 
 A21 = Alphabet(2, 1)
@@ -295,15 +295,26 @@ def code_texts(rng: Random, a: Alphabet) -> list:
     return texts
 
 
+def compact_words(a: Alphabet, text: str, what: str) -> list:
+    """The words of compact text as the one-pass reader reads them, in text order."""
+    return prefixcode._read_compact(a, text, prefixcode._CODES[what][3])
+
+
 def test_one_reader_matches_the_item_path():
-    # compact text is packed in one pass; the item path reads any text
+    # compact text is packed in one pass; the item path reads any text;
+    # both read the words in text order, and read_code pairs them
     rng = Random(3202)
     for d, k in READER_ALPHABETS:
         a = Alphabet(d, k)
         for _ in range(40):
-            for what, text in code_texts(rng, a):
-                want = prefixcode._read_items(a, text, what)
-                assert read_code(a, text, what) == want, (a, text)
+            texts = code_texts(rng, a)
+            for what, text in texts:
+                if d <= 9 and k <= 9:
+                    want = prefixcode._read_items(a, text, what)
+                    assert compact_words(a, text, what) == want, (a, text)
+            # the first three are the formatters' own text
+            for what, text in texts[:3]:
+                assert write_code(a, read_code(a, text, what), what) == text, (a, text)
 
 
 def test_compact_text_is_read_without_the_item_path(monkeypatch):
@@ -311,12 +322,14 @@ def test_compact_text_is_read_without_the_item_path(monkeypatch):
     alphabets = [Alphabet(d, k) for d, k in READER_ALPHABETS if d <= 9 and k <= 9]
     texts = [(a, what, t) for a in alphabets for _ in range(10) for what, t in code_texts(rng, a)]
     want = [prefixcode._read_items(a, text, what) for a, what, text in texts]
+    codes = [read_code(a, text, what) for a, what, text in texts]
 
     def refused(alphabet, text):
         raise AssertionError("item path used for %r" % text)
 
     monkeypatch.setattr(prefixcode, "parse_packed", refused)
-    assert [read_code(a, text, what) for a, what, text in texts] == want
+    assert [compact_words(a, text, what) for a, what, text in texts] == want
+    assert [read_code(a, text, what) for a, what, text in texts] == codes
 
 
 @pytest.mark.parametrize(
