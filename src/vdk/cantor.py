@@ -3,11 +3,13 @@
 A point is an infinite word: one root letter from {1..k} followed by an
 infinite stream of tail letters from {1..d}.  A finite word, a root and
 p tail letters, names a cylinder set of mass 1 / (k * d^p); its length
-counts the root.  Every finite word is one packed int (vdk.prefixcode):
-a Word is a PackedCode of an alphabet and that int, its letters checked
-once, when it is made from letters or text; a Clopen is a canonical
-antichain of them; a Point is an eventually periodic infinite word
-stored as its packed preperiod and primitive period.
+counts the root.  Every finite word is one packed int over an Alphabet
+(d, k) (vdk.prefixcode, whose Alphabet and argument checks this module
+imports and hands on): a Word is a PackedCode of an alphabet and that
+int, its letters checked once, when it is made from letters or text; a
+Clopen is a canonical antichain of them; a Point is an eventually
+periodic infinite word stored as its packed preperiod and primitive
+period.
 
 Text formats, read and written by the codec in vdk.prefixcode:
   word    ``r:t1t2...``  e.g. ``1:21``; for k = 1 also ``21``, the bare
@@ -18,73 +20,17 @@ Text formats, read and written by the codec in vdk.prefixcode:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import MismatchedAlphabet, VdkError
-from .prefixcode import PackedCode, cell_index, covers, format_packed, format_run, gaps
-from .prefixcode import normal_words, pack_letters, parse_letters, parse_packed, read_code
-from .prefixcode import tail_letters, walk, widths, write_code
-
-
-def check_int(name: str, value) -> None:
-    if type(value) is not int:
-        raise VdkError("%s must be an int, got %s" % (name, type(value).__name__))
-
-
-def check_class(cls: type, *objs) -> None:
-    for o in objs:
-        if not isinstance(o, cls):
-            article = "an" if cls.__name__[0] in "AEIOU" else "a"
-            raise VdkError("expected %s %s, got %s" % (article, cls.__name__, type(o).__name__))
-
-
-def reduce_by_fields(obj) -> tuple:
-    """__reduce__ of a frozen dataclass whose slots are written out: copies
-    and pickles are remade through the constructor from the fields, since
-    the frozen __setattr__ refuses a restore slot by slot.
-
-    It reads the fields, not __slots__: a slot that is no field (an
-    alphabet's widths, a fact decided once about the object) is left out
-    and made again, or decided again, by the copy.  Slots are written
-    out rather than asked of @dataclass(slots=True), which makes a copy
-    of the class: the frozen __setattr__ of the copy ends an assignment
-    to a name that is not a field in TypeError instead of
-    FrozenInstanceError.
-    """
-    return type(obj), tuple([getattr(obj, f.name) for f in fields(obj)])
-
-
-def check_iterable(name: str, values):
-    """An iterator over values; a one-line VdkError if they cannot be iterated."""
-    try:
-        return iter(values)
-    except TypeError:
-        raise VdkError("%s must be iterable, got %s" % (name, type(values).__name__)) from None
+from .prefixcode import Alphabet, PackedCode, cell_index, check_class, check_int, check_iterable
+from .prefixcode import check_letters, covers, format_packed, format_run, gaps, normal_words
+from .prefixcode import pack_letters, parse_letters, parse_packed, read_code, reduce_by_fields
+from .prefixcode import tail_letters, walk, write_code
 
 
 # ---------------------------------------------------------------------------
-# the alphabet and its finite words
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """The sizes (d, k) of X_{d,k}: d tail letters and k root letters; the
-    slot `widths`, their bit widths when packed, is set once and is no field."""
-
-    __slots__ = ("d", "k", "widths")
-    d: int
-    k: int
-
-    def __post_init__(self):
-        check_int("tail alphabet size d", self.d)
-        check_int("root alphabet size k", self.k)
-        if self.d < 2:
-            raise VdkError("tail alphabet needs d >= 2, got d=%d" % self.d)
-        if self.k < 1:
-            raise VdkError("root alphabet needs k >= 1, got k=%d" % self.k)
-        object.__setattr__(self, "widths", widths(self.d, self.k))
-
-    __reduce__ = reduce_by_fields
+# finite words
 
 
 class Word(PackedCode):
@@ -102,14 +48,9 @@ class Word(PackedCode):
 
     def __init__(self, alphabet: Alphabet, root: int, tail: tuple[int, ...] = ()):
         check_class(Alphabet, alphabet)
-        check_int("root letter", root)
-        if not 1 <= root <= alphabet.k:
-            raise VdkError("root letter %d outside 1..%d" % (root, alphabet.k))
+        check_letters("root letter", (root,), alphabet.k)
         check_class(tuple, tail)
-        for t in tail:
-            check_int("tail letter", t)
-            if not 1 <= t <= alphabet.d:
-                raise VdkError("tail letter %d outside 1..%d" % (t, alphabet.d))
+        check_letters("tail letter", tail, alphabet.d)
         rb, b = alphabet.widths
         PackedCode.__init__(self, alphabet, pack_letters(1 << rb | root - 1, b, tail))
 
@@ -427,10 +368,7 @@ def _primitive(period: tuple[int, ...]) -> tuple[int, ...]:
 
 def _packed_period(a: Alphabet, letters: tuple) -> int:
     """The checked primitive period of the letters, packed."""
-    for t in letters:
-        if type(t) is not int or not 1 <= t <= a.d:
-            check_int("period letter", t)
-            raise VdkError("period letter %d outside 1..%d" % (t, a.d))
+    check_letters("period letter", letters, a.d)
     return pack_letters(1, a.widths[1], _primitive(letters))
 
 
@@ -488,8 +426,6 @@ def format_clopen(s: Clopen) -> str:
 
 
 def parse_clopen(alphabet: Alphabet, text: str) -> Clopen:
-    check_class(Alphabet, alphabet)
-    check_class(str, text)
     return Clopen(alphabet, normal_words(alphabet, read_code(alphabet, text, "clopen")))
 
 
@@ -505,10 +441,8 @@ def parse_point(alphabet: Alphabet, text: str) -> Point:
     check_class(Alphabet, alphabet)
     check_class(str, text)
     text = text.strip()
-    if not text.endswith("^inf"):
-        raise VdkError("point must look like u(v)^inf, got %r" % text)
     body = text[: -len("^inf")].strip()
-    if not (body.endswith(")") and "(" in body):
+    if not (text.endswith("^inf") and body.endswith(")") and "(" in body):
         raise VdkError("point must look like u(v)^inf, got %r" % text)
     upart, _, vpart = body[:-1].rpartition("(")
     upart = upart.strip()

@@ -9,7 +9,8 @@ The envelope's params are the parsed arguments.
 Exit codes: 0 success, 1 usage errors, 2 domain errors (any library
 error, running out of memory, or output closed before it was all
 written), 3 inconclusive certificate parameters.  All data output is
-byte-stable: canonical orderings everywhere, no timestamps.  --json
+byte-stable: canonical orderings everywhere, no timestamps, and exact
+values however many digits they have.  --json
 wraps results as {command, params, result}, written as
 json.dumps(envelope, indent=2, sort_keys=True) writes it.  One writer,
 _json, writes it on every Python, in half to 60% of json.dumps's time
@@ -382,6 +383,8 @@ def _json(value, indent: str = "\n") -> str:
 
 def main(argv=None) -> int:
     args = _parse(list(sys.argv[1:] if argv is None else argv))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact values print with however many digits they have
     try:
         out = args.handler(args)
         result, text, code = out if isinstance(out, tuple) else (out, out, 0)
@@ -404,6 +407,8 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: output closed before it was all written", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
     return code
 
 

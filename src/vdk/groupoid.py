@@ -180,8 +180,6 @@ def format_bisection(u: Bisection) -> str:
 def parse_bisection(alphabet: Alphabet, text: str) -> Bisection:
     """The bisection {nu<-mu,...}, read as parse_table reads a table: a
     cell written twice overlaps itself and is refused."""
-    check_class(Alphabet, alphabet)
-    check_class(str, text)
     cells = read_code(alphabet, text, "bisection")
     return Bisection(alphabet, canonical(alphabet, cells, complete=False))
 

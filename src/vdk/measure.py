@@ -294,11 +294,11 @@ def integral_sqrt_rn(g: TableElement) -> QuadraticValue:
     Equals sum_i mu(mu_i X) * d^(j_i / 2); at most 1 by Cauchy-Schwarz,
     with equality exactly when every exponent is zero.  It is
     (rat + irr * sqrt(d)) / den for the ints of integral_sqrt_rn_parts,
-    made exact once; quadratic() splits d into s^2 m, and only when some
-    exponent is odd.
+    made exact once; d is the radicand, which quadratic() splits into
+    s^2 m (and refuses from 2**64 on), only when some exponent is odd.
     """
     rat, irr, den = integral_sqrt_rn_parts(g)
-    return quadratic(Fraction(rat, den), Fraction(irr, den), g.alphabet.d)
+    return quadratic(Fraction(rat, den), Fraction(irr, den), g.alphabet.d if irr else 1)
 
 
 def integral_sqrt_rn_parts(g: TableElement) -> tuple[int, int, int]:

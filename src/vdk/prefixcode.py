@@ -5,10 +5,11 @@ A table {mu -> nu} and a bisection {nu <- mu} hold the same data: two
 prefix codes of X_{d,k}, paired cell by cell; a clopen set is a single
 prefix code that need not cover the space.  This module is the only one
 that knows how those codes are stored.  It needs of vdk only its errors.
-A routine that needs the sizes d and k or the field widths takes the
-alphabet first and reads them there; widths below computes the widths
-once, for the alphabet, and pack_letters and tail_letters take a tail
-width.  A Word is a PackedCode too, whose packed value is one word.
+It defines the Alphabet (d, k) and the argument checks of every layer;
+check_letters alone refuses a root, tail or period letter.  A routine
+that needs the sizes d and k or the field widths takes the alphabet
+first and reads them there; widths below computes the widths once, for
+the alphabet, and pack_letters and tail_letters take a tail width.
 
 A finite word is packed into one integer whose binary form is a leading
 1 (the sentinel), then the root letter minus 1 in rb = (k-1).bit_length()
@@ -55,10 +56,78 @@ to merge.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 from .errors import IncompleteDomain, IncompleteRange, OverlappingDomain
 from .errors import OverlappingRange, VdkError
+
+
+def check_int(name: str, value) -> None:
+    if type(value) is not int:
+        raise VdkError("%s must be an int, got %s" % (name, type(value).__name__))
+
+
+def check_class(cls: type, *objs) -> None:
+    for o in objs:
+        if not isinstance(o, cls):
+            article = "an" if cls.__name__[0] in "AEIOU" else "a"
+            raise VdkError("expected %s %s, got %s" % (article, cls.__name__, type(o).__name__))
+
+
+def check_iterable(name: str, values):
+    """An iterator over values; a one-line VdkError if they cannot be iterated."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise VdkError("%s must be iterable, got %s" % (name, type(values).__name__)) from None
+
+
+def check_letters(name: str, letters, top: int) -> None:
+    """Refuse the first of the letters (named as name) that is not an int in 1..top."""
+    for t in letters:
+        if type(t) is not int or not 1 <= t <= top:
+            check_int(name, t)
+            raise VdkError("%s %s outside 1..%d" % (name, int_text(t), top))
+
+
+def int_text(n: int) -> str:
+    """n in decimal, or in hex past the digits int -> str converts (4,300 by default)."""
+    try:
+        return "%d" % n
+    except ValueError:
+        return hex(n)
+
+
+def reduce_by_fields(obj) -> tuple:
+    """__reduce__ of a frozen dataclass with written-out slots: copies and
+    pickles are remade through the constructor from the fields, since the
+    frozen __setattr__ refuses a restore slot by slot; a slot that is no
+    field (an alphabet's widths, a fact decided once) is made again by the
+    copy.  @dataclass(slots=True) would copy the class, whose frozen
+    __setattr__ ends an assignment to a non-field in TypeError instead.
+    """
+    return type(obj), tuple([getattr(obj, f.name) for f in fields(obj)])
+
+
+@dataclass(frozen=True)
+class Alphabet:
+    """The sizes (d, k) of X_{d,k}: d tail letters and k root letters; the
+    slot `widths`, their bit widths when packed, is set once and is no field."""
+
+    __slots__ = ("d", "k", "widths")
+    d: int
+    k: int
+
+    def __post_init__(self):
+        check_int("tail alphabet size d", self.d)
+        check_int("root alphabet size k", self.k)
+        if self.d < 2:
+            raise VdkError("tail alphabet needs d >= 2, got d=%s" % int_text(self.d))
+        if self.k < 1:
+            raise VdkError("root alphabet needs k >= 1, got k=%s" % int_text(self.k))
+        object.__setattr__(self, "widths", widths(self.d, self.k))
+
+    __reduce__ = reduce_by_fields
 
 
 class PackedCode:
@@ -113,8 +182,7 @@ _set_packed = PackedCode.packed.__set__
 
 
 def widths(d: int, k: int) -> tuple[int, int]:
-    """Bits of the root letter and of each tail letter, which an Alphabet
-    computes once and holds as its `widths`."""
+    """Bits of the root letter and of each tail letter: an Alphabet's `widths`."""
     return (k - 1).bit_length(), (d - 1).bit_length()
 
 
@@ -234,18 +302,13 @@ def parse_packed(alphabet, text: str) -> int:
     plain = _PLAIN.get(d)
     # a tail of letters 1..d only is one base-2^b number
     letters = None if plain and not rest.strip(plain[0]) else parse_letters(alphabet, rest)
-    if not 1 <= root <= k:
-        raise VdkError("root letter %d outside 1..%d" % (root, k))
+    check_letters("root letter", (root,), k)
     rb, b = alphabet.widths
+    w = 1 << rb | root - 1
     if letters is None:
-        n, v = len(rest), int(rest.translate(plain[1]) or "0", 1 << b)
-    else:
-        n, v = len(letters), 0
-        for t in letters:
-            if not 1 <= t <= d:
-                raise VdkError("tail letter %d outside 1..%d" % (t, d))
-            v = v << b | t - 1
-    return ((1 << rb | root - 1) << b * n) | v
+        return w << b * len(rest) | int(rest.translate(plain[1]) or "0", 1 << b)
+    check_letters("tail letter", letters, d)
+    return pack_letters(w, b, letters)
 
 
 # what -> (shape, item noun, item shape, arrow, side written first): a
@@ -280,6 +343,8 @@ def read_code(alphabet, text: str, what: str) -> list:
     in one pass; any other text is read item by item.  Either pass
     returns the words in text order, and they are paired here.
     """
+    check_class(Alphabet, alphabet)
+    check_class(str, text)
     d, k = alphabet.d, alphabet.k
     _, _, _, arrow, first = _CODES[what]
     compact = d <= 9 and k <= 9
@@ -390,15 +455,14 @@ def check_code(alphabet, words: list, side: str, complete: bool = False) -> None
         s = w2.bit_length() - w1.bit_length()
         if s >= 0 and w2 >> s == w1:
             err = OverlappingDomain if side == "domain" else OverlappingRange
-            raise err(
-                "%s words %s and %s overlap"
-                % (side, format_packed(alphabet, w1), format_packed(alphabet, w2))
-            )
+            pair = format_packed(alphabet, w1), format_packed(alphabet, w2)
+            raise err("%s words %s and %s overlap" % (side, *pair))
     if complete:
         covered, total, depth = leaves(alphabet, words)
         if covered != total:
             err = IncompleteDomain if side == "domain" else IncompleteRange
-            raise err("%s words cover %d/%d leaves at depth %d" % (side, covered, total, depth))
+            counts = "%s/%s" % (int_text(covered), int_text(total))
+            raise err("%s words cover %s leaves at depth %d" % (side, counts, depth))
 
 
 def identity_pairs(alphabet) -> tuple:

@@ -250,8 +250,6 @@ def format_table(g: TableElement) -> str:
 
 
 def parse_table(alphabet: Alphabet, text: str) -> TableElement:
-    check_class(Alphabet, alphabet)
-    check_class(str, text)
     pairs = read_code(alphabet, text, "table")
     if not pairs:
         raise VdkError("a table needs at least one pair")

@@ -862,7 +862,6 @@ def test_kernel_reads_widths_from_the_alphabet_only(monkeypatch):
         raise AssertionError("widths(%d, %d) worked out again" % (d, k))
 
     monkeypatch.setattr(vdk.prefixcode, "widths", refuse)
-    monkeypatch.setattr(cantor, "widths", refuse)
     assert _width_battery(cases, embed, free) == want
 
 

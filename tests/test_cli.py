@@ -484,6 +484,68 @@ def test_certificate_check_at_nu_1000(capsys, k):
     assert out.splitlines()[-1] == "verdict: PASS"
 
 
+def lifted(call):
+    """call(), with no limit on the digits int and str convert while it runs."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return call()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_values_past_the_int_text_limit_print_exactly(capsys, json_flag):
+    # 15,000 letters make values of about 4,500 digits, past the 4,300
+    # that int and str convert by default; each of these used to end in a
+    # ValueError traceback.  The caller's limit holds again afterwards.
+    ones = "1" * 15000
+    f, cert = vdk.fixture("free2")
+    nu = vdk.parse_word(vdk.Alphabet(2, 2), "1:" + ones)
+    rep = vdk.check_certificate(f, nu, certificate=cert, strict=False)
+    mass = lifted(lambda: str(Fraction(1, 2**15000)))
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        code, out, err = run_cli(capsys, "measure", *json_flag, "{%s}" % ones)
+        assert (code, err, sys.get_int_max_str_digits()) == (0, "", 1000)
+        assert (json.loads(out)["result"] if json_flag else out) == mass + ("" if json_flag else "\n")
+        argv = ["certificate", "check", "--d", "2", "--k", "2", "--nu", "1:" + ones]
+        code, out, err = run_cli(capsys, *argv, *json_flag)
+        assert (code, err, sys.get_int_max_str_digits()) == (0, "", 1000)
+        if json_flag:
+            assert json.loads(out)["result"] == lifted(rep.to_json)
+        else:
+            assert out == lifted(lambda: "\n".join(rep.lines()) + "\n")
+        # a refusal past the limit is one line, its counts in decimal
+        code, out, err = run_cli(capsys, "reduce", *json_flag, "{1->1%s,2->2}" % ones)
+        want = lifted(lambda: "range words cover %d/%d leaves" % (1 + 2**15000, 2**15001))
+        assert (code, out, sys.get_int_max_str_digits()) == (2, "", 1000)
+        assert err == "error: %s at depth 15002\n" % want
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_values_past_a_lowered_int_text_limit_print_exactly():
+    # PYTHONINTMAXSTRDIGITS lowers the limit to as few as 640 digits
+    run = subprocess.run(
+        [sys.executable, "-m", "vdk.cli", "measure", "{%s}" % ("1" * 3000)],
+        capture_output=True,
+        text=True,
+        env=dict(child_env(), PYTHONINTMAXSTRDIGITS="640"),
+    )
+    mass = lifted(lambda: str(Fraction(1, 2**3000)))
+    assert (run.returncode, run.stdout, run.stderr) == (0, mass + "\n", "")
+
+
+def test_integral_sqrt_past_the_radicand_limit(capsys):
+    # a root permutation over d >= 2**64 has integral 1; d = 2**64 + 1 was
+    # refused as a radicand though the value has no sqrt(d) part
+    for d in ("18446744073709551615", "18446744073709551616", "18446744073709551617"):
+        argv = ["cocycle", "integral-sqrt", "--d", d, "--k", "2", "{1:->2:,2:->1:}"]
+        assert run_cli(capsys, *argv) == (0, "1\n", "")
+
+
 def test_act_point_far_past_any_fixed_width(capsys):
     # a 5,000-letter preperiod grows by one letter, and a 4,000-letter run loses one
     g = "{11->1,12->21,2->22}"

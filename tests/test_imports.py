@@ -14,6 +14,8 @@
   library.
 - The library's own imports, at module level and inside functions, form
   no cycle, so any module can be the first one loaded.
+- The kernel, vdk.prefixcode, imports nothing of vdk but its errors, and
+  its Alphabet is the one the package and vdk.cantor hand out.
 
 Stdlib ast and subprocess only.
 """
@@ -250,3 +252,11 @@ def test_the_graph_reader_sees_every_form_and_finds_a_cycle():
 def test_the_library_import_graph_has_no_cycle():
     graph = {p.stem: vdk_imports(p.read_text()) for p in LIBRARY}
     assert import_cycle(graph) == []
+
+
+def test_the_kernel_owns_the_alphabet_and_imports_only_the_errors():
+    # vdk.prefixcode, the packed prefix-code layer, sits under every other
+    # module; the Alphabet it defines is the one vdk and vdk.cantor hand out
+    assert vdk_imports((SRC / "prefixcode.py").read_text()) == {"errors"}
+    kernel = importlib.import_module("vdk.prefixcode")
+    assert vdk.Alphabet is importlib.import_module("vdk.cantor").Alphabet is kernel.Alphabet

@@ -553,6 +553,22 @@ def test_integral_matches_per_cell_sum():
         assert integral_sqrt_rn(g) == ref
 
 
+def test_integral_of_a_root_permutation_past_the_radicand_limit():
+    # a table over d >= 2**64 that can be written out only permutes
+    # roots, so its integral has no sqrt(d) part and is exactly 1; d used
+    # to go to quadratic() as the radicand all the same, which refuses it
+    rng = Random(3535)
+    for d in (2**64 - 1, 2**64, 2**64 + 1, rng.randrange(2**64, 2**200)):
+        k = rng.randrange(2, 6)
+        roots = rng.sample(range(1, k + 1), k)
+        text = ",".join("%d:->%d:" % (i + 1, r) for i, r in enumerate(roots))
+        g = parse_table(Alphabet(d, k), "{%s}" % text)
+        assert integral_sqrt_rn(g) == quadratic(1)
+        assert str(integral_sqrt_rn(g)) == "1"
+    with pytest.raises(VdkError, match="^radicand must be below 2\\*\\*64, got a 71-bit int$"):
+        quadratic(1, 0, 2**70)
+
+
 def test_cocycle_range_examples():
     assert cocycle_range(identity(A21)) == {0}
     s = parse_table(A21, "{11->1,12->21,2->22}")

@@ -14,6 +14,8 @@ from vdk import (
     ArityMismatch,
     DisjointnessViolation,
     DoubleCylinder,
+    IncompleteDomain,
+    IncompleteRange,
     MismatchedAlphabet,
     NormBound,
     NotFull,
@@ -395,6 +397,26 @@ _CASES = {
     "word_gt_str": (lambda: W1 > "1:1", VdkError, "expected a Word, got str"),
     "int_lt_word": (lambda: 5 < W1, VdkError, "expected a Word, got int"),
 }
+
+# numbers past the digits that int -> str converts (4,300 by default) are
+# written in hex in a message; these used to end in ValueError from the
+# %d of the leaf counts, or of the letter
+_RNG = Random(3535)
+_LONG = 20000 + _RNG.randrange(100)
+_TAIL = "".join(_RNG.choice("12") for _ in range(_LONG - 1))
+_HUGE = 10**_LONG
+_CASES["parse_table_long_range_word"] = (
+    lambda: parse_table(A21, "{1->1%s,2->2}" % _TAIL), IncompleteRange,
+    "range words cover %s/%s leaves at depth %d"
+    % (hex(1 + 2 ** (_LONG - 1)), hex(2**_LONG), _LONG + 1))
+_CASES["parse_table_long_domain_word"] = (
+    lambda: parse_table(A21, "{1->1,2%s->2}" % _TAIL), IncompleteDomain,
+    "domain words cover %s/%s leaves at depth %d"
+    % (hex(2 ** (_LONG - 1) + 1), hex(2**_LONG), _LONG + 1))
+_CASES["word_long_tail_letter"] = (
+    lambda: Word(A21, 1, (1, _HUGE)), VdkError, "tail letter %s outside 1..2" % hex(_HUGE))
+_CASES["alphabet_long_negative_d"] = (
+    lambda: Alphabet(-_HUGE, 1), VdkError, "tail alphabet needs d >= 2, got d=%s" % hex(-_HUGE))
 
 # every frozen class refuses an assignment to any name, a field or not;
 # with slots=True the names that are not fields ended in TypeError
